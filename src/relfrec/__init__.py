@@ -12,7 +12,7 @@ The usual flow mirrors the CLI stages::
     bundle = clean_and_join(parse_ratings(...), parse_item_features(...))
     table = train_skipgram(bundle.sentences, TrainConfig())
     index = build_item_vectors(bundle.sentences, table)
-    provider = HybridProvider(bundle.ratings, index)
+    provider = make_provider("hybrid", bundle.ratings, index)
     predict_rating(user, item, bundle.ratings, provider)
 """
 
@@ -72,7 +72,6 @@ from .simcore import (
     RelfSimProvider,
     SimilarityValue,
     build_item_vectors,
-    cosine,
     hybrid_sim,
     make_provider,
     rating_cosine,
@@ -111,7 +110,6 @@ __all__ = [
     "build_vocabulary",
     "canonical_token",
     "clean_and_join",
-    "cosine",
     "evaluate",
     "hybrid_sim",
     "load_bundle",

@@ -39,7 +39,7 @@ from .ingest import (
     save_bundle,
 )
 from .predict import PredictionConfig, predict_rating
-from .simcore import HybridPolicy, build_item_vectors, make_provider, top_similar_items
+from .simcore import PREDICTORS, HybridPolicy, build_item_vectors, make_provider, top_similar_items
 
 log = logging.getLogger(__name__)
 
@@ -50,8 +50,6 @@ EXIT_UNKNOWN_ID = 4
 
 RESULTS_FILE = "results.csv"
 MANIFEST_FILE = "manifest.json"
-
-_MODEL_TO_PROVIDER = {"cf": "rating", "cb": "content", "hybrid": "hybrid"}
 
 
 def _int_list(text):
@@ -67,8 +65,8 @@ def _int_list(text):
 def _predictor_list(text):
     names = [part.strip() for part in text.split(",") if part.strip()]
     for name in names:
-        if name not in _MODEL_TO_PROVIDER:
-            raise argparse.ArgumentTypeError(f"unknown predictor {name!r}; choose from cf, cb, hybrid")
+        if name not in PREDICTORS:
+            raise argparse.ArgumentTypeError(f"unknown predictor {name!r}; choose from {', '.join(PREDICTORS)}")
     if not names:
         raise argparse.ArgumentTypeError("expected at least one predictor")
     return names
@@ -183,7 +181,6 @@ def build_parser():
     p.add_argument("--final-lr", type=float, default=1e-4, help="learning-rate floor")
     p.add_argument("--ns-exponent", type=float, default=0.75, help="negative-sampling distribution exponent")
     p.add_argument("--seed", type=int, default=1, help="training seed")
-    p.add_argument("--workers", type=int, default=1, help="training threads (1 = exactly reproducible)")
     p.add_argument("--no-sidecar", action="store_true", help="skip the context-vector sidecar file")
     p.set_defaults(func=cmd_train_embed)
 
@@ -197,7 +194,6 @@ def build_parser():
     p.add_argument("--split", default="kfold(5)", help="kfold(F) | holdout(RATIO) | cold-start(FRACTION)")
     p.add_argument("--seed", type=int, default=1, help="split seed")
     _add_prediction(p)
-    p.add_argument("--workers", type=int, default=1, help="prediction threads (1 = byte-identical outputs)")
     p.add_argument("--out-dir", help="directory for results.csv + manifest.json (required)")
     p.set_defaults(func=cmd_evaluate)
 
@@ -212,7 +208,6 @@ def build_parser():
     p.add_argument("--split", default="holdout(0.8)", help="split plan reused for every cell")
     p.add_argument("--seed", type=int, default=1, help="split seed")
     _add_prediction(p)
-    p.add_argument("--workers", type=int, default=1, help="prediction threads")
     p.add_argument("--out-dir", help="directory for results.csv + manifest.json (required)")
     p.set_defaults(func=cmd_sweep_k)
 
@@ -221,7 +216,7 @@ def build_parser():
     _add_common(p)
     _add_bundle(p)
     p.add_argument("--embeddings", default=None, help="embedding file (needed for cb/hybrid)")
-    p.add_argument("--model", choices=sorted(_MODEL_TO_PROVIDER), default="hybrid", help="similarity source")
+    p.add_argument("--model", choices=PREDICTORS, default="hybrid", help="similarity source")
     p.add_argument("--user", type=int, default=None, help="user id (with --item)")
     p.add_argument("--item", type=int, default=None, help="item id (with --user)")
     p.add_argument("--pairs", default=None, help="CSV of user,item pairs (batch mode)")
@@ -235,7 +230,7 @@ def build_parser():
     group.add_argument("--feature", help="feature token (or raw name) to query")
     group.add_argument("--item", type=int, help="item id to query")
     p.add_argument("--n", type=int, default=10, help="how many neighbors to print")
-    p.add_argument("--model", choices=sorted(_MODEL_TO_PROVIDER), default="cb",
+    p.add_argument("--model", choices=PREDICTORS, default="cb",
                    help="similarity source for --item queries")
     p.add_argument("--embeddings", default=None, help="embedding file")
     p.add_argument("--bundle", default=None, help="bundle directory (for --item queries)")
@@ -262,13 +257,8 @@ def _load_artifacts(args, need_embeddings):
     return bundle, table, index
 
 
-def _prediction_config(args, similarity="hybrid"):
-    return PredictionConfig(
-        k=args.k,
-        min_neighbors=args.min_neighbors,
-        clamp=args.clamp,
-        similarity=similarity,
-    )
+def _prediction_config(args):
+    return PredictionConfig(k=args.k, min_neighbors=args.min_neighbors, clamp=args.clamp)
 
 
 def _policy(args):
@@ -299,7 +289,6 @@ def cmd_train_embed(args):
         final_lr=args.final_lr,
         ns_exponent=args.ns_exponent,
         seed=args.seed,
-        workers=args.workers,
     )
     table = train_skipgram(bundle.sentences, config)
     save_embeddings(table, args.out, sidecar=not args.no_sidecar)
@@ -324,7 +313,6 @@ def _run_manifest(args, command, extra):
         "clamp": args.clamp,
         "tau_pair": args.tau_pair,
         "tau_item": args.tau_item,
-        "workers": args.workers,
         "out_dir": args.out_dir,
     }
     manifest.update(extra)
@@ -344,13 +332,10 @@ def cmd_evaluate(args):
     bundle, _table, index = _load_artifacts(args, need_embeddings=_needs_content(args.predictors))
     plan = make_split(bundle.ratings, args.split, args.seed)
     policy = _policy(args)
+    config = _prediction_config(args)
     rows = []
     for predictor in args.predictors:
-        config = _prediction_config(args, _MODEL_TO_PROVIDER[predictor])
-        report = evaluate(
-            predictor, plan, bundle.ratings,
-            config=config, index=index, policy=policy, workers=args.workers,
-        )
+        report = evaluate(predictor, plan, bundle.ratings, config=config, index=index, policy=policy)
         rows.extend(results_rows(predictor, plan, args.k, report))
         print(
             f"{predictor} {plan.label} k={args.k}: rmse={report.rmse:.6f} mae={report.mae:.6f} "
@@ -367,10 +352,7 @@ def cmd_sweep_k(args):
     plan = make_split(bundle.ratings, args.split, args.seed)
     policy = _policy(args)
     config = _prediction_config(args)
-    table = sweep_k(
-        args.ks, args.predictors, plan, bundle.ratings,
-        config=config, index=index, policy=policy, workers=args.workers,
-    )
+    table = sweep_k(args.ks, args.predictors, plan, bundle.ratings, config=config, index=index, policy=policy)
     rows = []
     for predictor, k, report in table:
         rows.extend(results_rows(predictor, plan, k, report))
@@ -416,8 +398,8 @@ def cmd_predict(args):
         raise DataError("predict needs --user and --item, or --pairs CSV")
     bundle, _table, index = _load_artifacts(args, need_embeddings=args.model in ("cb", "hybrid"))
     ratings = bundle.ratings
-    provider = make_provider(_MODEL_TO_PROVIDER[args.model], ratings=ratings, index=index, policy=_policy(args))
-    config = _prediction_config(args, _MODEL_TO_PROVIDER[args.model])
+    provider = make_provider(args.model, ratings=ratings, index=index, policy=_policy(args))
+    config = _prediction_config(args)
     pairs = _read_pairs_csv(args.pairs) if args.pairs is not None else [(args.user, args.item)]
     for user, item in pairs:
         _check_known_pair(user, item, ratings, index)
@@ -445,8 +427,7 @@ def cmd_similar(args):
         raise DataError("similar --item needs --bundle")
     bundle, _table, index = _load_artifacts(args, need_embeddings=args.model in ("cb", "hybrid"))
     ratings = bundle.ratings
-    provider = make_provider(_MODEL_TO_PROVIDER[args.model], ratings=ratings, index=index,
-                             policy=HybridPolicy(tau_pair=args.tau_pair, tau_item=args.tau_item))
+    provider = make_provider(args.model, ratings=ratings, index=index, policy=_policy(args))
     if args.model == "cb":
         candidates = sorted(index.vectors)
     elif args.model == "cf":

@@ -14,15 +14,13 @@ trained together with `negatives` samples drawn from the unigram^0.75
 distribution (redrawn on collision with the true context token). The
 learning rate decays linearly from initial_lr to final_lr over the
 total planned number of center-word visits. Input vectors start uniform
-in [-0.5/dim, +0.5/dim]; output vectors start at zero. With workers=1
-and a fixed seed the result is bit-reproducible; with more workers the
-rows are updated lock-free (benign races, statistically equivalent).
+in [-0.5/dim, +0.5/dim]; output vectors start at zero. Training runs
+on one thread, so a fixed seed gives bit-reproducible vectors.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,7 +54,6 @@ class TrainConfig:
     final_lr: float = 1e-4
     ns_exponent: float = 0.75
     seed: int = 1
-    workers: int = 1
 
     def validate(self):
         if self.window < 1:
@@ -73,8 +70,6 @@ class TrainConfig:
             )
         if self.min_count < 1:
             raise ValueError(f"min_count must be >= 1, got {self.min_count}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -262,74 +257,49 @@ class _Trainer:
         self.syn1 = np.zeros((v, config.dim))
         self.sampler = NegativeSampler(vocab.counts, config.ns_exponent) if config.negatives else None
         self.total_visits = config.epochs * sum(len(s) for s in encoded)
-        self.visits = 0
-        self.rngs = [np.random.default_rng([config.seed, w]) for w in range(config.workers)]
-        self.out_idx = [np.empty(config.negatives + 1, dtype=np.int64) for _ in range(config.workers)]
 
     def run(self):
         cfg = self.config
+        # Sampling draws from its own stream, apart from the init rng.
+        rng = np.random.default_rng([cfg.seed, 0])
+        out_idx = np.empty(cfg.negatives + 1, dtype=np.int64)
+        syn0, syn1, sampler = self.syn0, self.syn1, self.sampler
+        window, n_neg = cfg.window, cfg.negatives
+        lr_span = cfg.initial_lr - cfg.final_lr
+        total = self.total_visits
+        visit = 0
         epoch_losses = []
-        shards = [self.encoded[w :: cfg.workers] for w in range(cfg.workers)]
         for epoch in range(1, cfg.epochs + 1):
-            totals = [(0.0, 0)] * cfg.workers
-            if cfg.workers == 1:
-                totals[0] = self._run_shard(0, shards[0])
-            else:
-                threads = []
-                for w in range(cfg.workers):
-
-                    def job(w=w):
-                        totals[w] = self._run_shard(w, shards[w])
-
-                    t = threading.Thread(target=job, name=f"sgns-worker-{w}")
-                    t.start()
-                    threads.append(t)
-                for t in threads:
-                    t.join()
-            loss_sum = sum(t[0] for t in totals)
-            n_pairs = sum(t[1] for t in totals)
+            loss_sum = 0.0
+            n_pairs = 0
+            # Overflow in a diverging run is caught by _check_finite at the
+            # epoch boundary; the interim numpy warnings are just noise.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for sent in self.encoded:
+                    length = len(sent)
+                    for pos in range(length):
+                        lr = cfg.initial_lr - lr_span * (visit / total)
+                        visit += 1
+                        if lr < cfg.final_lr:
+                            lr = cfg.final_lr
+                        b = int(rng.integers(1, window + 1))
+                        lo = pos - b if pos - b > 0 else 0
+                        hi = pos + b + 1 if pos + b + 1 < length else length
+                        center = sent[pos]
+                        for pos2 in range(lo, hi):
+                            if pos2 == pos:
+                                continue
+                            context = sent[pos2]
+                            if n_neg:
+                                out_idx[1:] = sampler.draw(rng, n_neg, exclude=context)
+                            out_idx[0] = context
+                            loss_sum += _train_pair_rows(syn0, syn1, center, out_idx, lr)
+                            n_pairs += 1
             mean_loss = loss_sum / n_pairs if n_pairs else 0.0
             self._check_finite(epoch)
             epoch_losses.append(mean_loss)
             log.info("epoch %d/%d: mean pair loss %.6f (%d pairs)", epoch, cfg.epochs, mean_loss, n_pairs)
         return epoch_losses
-
-    def _run_shard(self, worker, shard):
-        cfg = self.config
-        rng = self.rngs[worker]
-        out_idx = self.out_idx[worker]
-        syn0, syn1, sampler = self.syn0, self.syn1, self.sampler
-        window, n_neg = cfg.window, cfg.negatives
-        lr_span = cfg.initial_lr - cfg.final_lr
-        total = self.total_visits
-        loss_sum = 0.0
-        n_pairs = 0
-        # Overflow in a diverging run is caught by _check_finite at the
-        # epoch boundary; the interim numpy warnings are just noise.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for sent in shard:
-                length = len(sent)
-                for pos in range(length):
-                    # shared counter: lock-free on purpose, races only blur the decay
-                    visit = self.visits
-                    self.visits = visit + 1
-                    lr = cfg.initial_lr - lr_span * (visit / total)
-                    if lr < cfg.final_lr:
-                        lr = cfg.final_lr
-                    b = int(rng.integers(1, window + 1))
-                    lo = pos - b if pos - b > 0 else 0
-                    hi = pos + b + 1 if pos + b + 1 < length else length
-                    center = sent[pos]
-                    for pos2 in range(lo, hi):
-                        if pos2 == pos:
-                            continue
-                        context = sent[pos2]
-                        if n_neg:
-                            out_idx[1:] = sampler.draw(rng, n_neg, exclude=context)
-                        out_idx[0] = context
-                        loss_sum += _train_pair_rows(syn0, syn1, center, out_idx, lr)
-                        n_pairs += 1
-        return loss_sum, n_pairs
 
     def _check_finite(self, epoch):
         for name, mat in (("input", self.syn0), ("output", self.syn1)):
@@ -418,9 +388,9 @@ def load_embeddings(source):
     """Load a table saved by save_embeddings.
 
     Reads the sidecar (output vectors + counts) when present; otherwise
-    output vectors are zeros and counts default to 1. Malformed headers
-    and row arity/count mismatches are fatal, reported with their line
-    number.
+    output vectors are zeros and counts default to 1. Malformed headers,
+    row arity/count mismatches and non-finite components (nan, inf) are
+    fatal, reported with their line number.
     """
     is_path = isinstance(source, (str, Path))
     stream = open(source, "r", encoding="utf-8") if is_path else source
@@ -473,6 +443,8 @@ def _read_vector_rows(stream, where, with_counts):
             mat[row] = [float(x) for x in parts[extra:]]
         except ValueError:
             raise DataError(f"{where} line {lineno}: non-numeric vector component") from None
+        if not np.isfinite(mat[row]).all():
+            raise DataError(f"{where} line {lineno}: non-finite vector component")
     trailer = stream.readline()
     lineno += 1
     if trailer and trailer.strip():

@@ -25,11 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .predict import PredictionConfig, predict_batch
-from .simcore import HybridProvider, RatingCosineProvider, RelfSimProvider
+from .simcore import make_provider
 
 log = logging.getLogger(__name__)
-
-PREDICTOR_KINDS = ("cf", "cb", "hybrid")
 
 KIND_KFOLD = "kfold"
 KIND_HOLDOUT = "holdout"
@@ -193,22 +191,8 @@ def make_split(ratings, kind, seed=1):
     raise ValueError(f"unknown split kind {name!r}")
 
 
-def _provider_for(predictor, train, index, policy, cache_size):
-    if predictor == "cf":
-        return RatingCosineProvider(train, cache_size)
-    if predictor == "cb":
-        if index is None:
-            raise ValueError("content predictor needs an item vector index")
-        return RelfSimProvider(index, cache_size)
-    if predictor == "hybrid":
-        if index is None:
-            raise ValueError("hybrid predictor needs an item vector index")
-        return HybridProvider(train, index, policy, cache_size)
-    raise ValueError(f"unknown predictor {predictor!r}; expected one of {PREDICTOR_KINDS}")
-
-
-def evaluate(predictor, plan, ratings, config=None, index=None, policy=None, workers=1, cache_size=1_000_000):
-    """Run one predictor over a split plan and report RMSE/MAE.
+def evaluate(predictor, plan, ratings, config=None, index=None, policy=None):
+    """Run one predictor (cf, cb or hybrid) over a split plan and report RMSE/MAE.
 
     Training-side state is rebuilt per fold from the train records
     alone. Test records are predicted in (item, user) order - a
@@ -220,9 +204,9 @@ def evaluate(predictor, plan, ratings, config=None, index=None, policy=None, wor
     fold_reports = []
     for fold_idx, train_idx, test_idx in plan.folds():
         train = ratings.subset(train_idx)
-        provider = _provider_for(predictor, train, index, policy, cache_size)
+        provider = make_provider(predictor, train, index, policy)
         test_records = sorted((ratings.records[i] for i in test_idx), key=lambda r: (r[1], r[0]))
-        preds = predict_batch(((r[0], r[1]) for r in test_records), train, provider, config, workers)
+        preds = predict_batch(((r[0], r[1]) for r in test_records), train, provider, config)
         pairs = [(p.value, r[2]) for p, r in zip(preds, test_records)]
         report = MetricReport(
             rmse=rmse(pairs),
@@ -247,7 +231,7 @@ def evaluate(predictor, plan, ratings, config=None, index=None, policy=None, wor
     return fold_reports[0]
 
 
-def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None, workers=1):
+def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None):
     """Evaluate each predictor at each k on one fixed plan.
 
     Returns a list of (predictor, k, MetricReport) in the order the
@@ -265,7 +249,7 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None,
             report = evaluate(
                 predictor, plan, ratings,
                 config=replace(config, k=k),
-                index=index, policy=policy, workers=workers,
+                index=index, policy=policy,
             )
             table.append((predictor, k, report))
     return table

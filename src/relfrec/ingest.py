@@ -54,7 +54,8 @@ class RatingDataset:
     ``records`` keeps every (user, item, rating, timestamp) row;
     ``per_user`` / ``per_item`` are lookup maps (on duplicate pairs,
     which only exist before cleaning, the last occurrence wins).
-    Means are computed over all records.
+    Means are computed over that same collapsed view, one rating per
+    (user, item) pair.
     """
 
     records: list
@@ -71,9 +72,6 @@ class RatingDataset:
             raise DataError("rating dataset contains no records")
         per_user: dict = {}
         per_item: dict = {}
-        item_sums: dict = {}
-        item_counts: dict = {}
-        total = 0.0
         for user, item, rating, _ts in self.records:
             if not self.r_min <= rating <= self.r_max:
                 raise DataError(
@@ -82,13 +80,22 @@ class RatingDataset:
                 )
             per_user.setdefault(user, {})[item] = rating
             per_item.setdefault(item, {})[user] = rating
+        self.per_user = per_user
+        self.per_item = per_item
+        kept = self.records
+        if sum(map(len, per_user.values())) < len(kept):
+            # Duplicate pairs: keep each pair's last record, in record order.
+            last = {(rec[0], rec[1]): pos for pos, rec in enumerate(kept)}
+            kept = [rec for pos, rec in enumerate(kept) if last[rec[0], rec[1]] == pos]
+        item_sums: dict = {}
+        item_counts: dict = {}
+        total = 0.0
+        for _user, item, rating, _ts in kept:
             item_sums[item] = item_sums.get(item, 0.0) + rating
             item_counts[item] = item_counts.get(item, 0) + 1
             total += rating
-        self.per_user = per_user
-        self.per_item = per_item
         self.item_means = {i: item_sums[i] / item_counts[i] for i in item_sums}
-        self.global_mean = total / len(self.records)
+        self.global_mean = total / len(kept)
 
     def __len__(self):
         return len(self.records)

@@ -14,13 +14,14 @@ anchored on the global mean instead.
 
 When the neighborhood is too small the prediction falls back to the
 item mean, or the global mean for an unrated item. Every Prediction
-records which route produced it.
+records which route produced it. The predictor is indifferent to where
+similarities come from: cf, cb and hybrid differ only in the provider
+passed in (see simcore.make_provider).
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
@@ -29,30 +30,20 @@ DETAIL_FULL = "full"
 DETAIL_ITEM_MEAN = "item-mean-fallback"
 DETAIL_GLOBAL_MEAN = "global-mean-fallback"
 
-SIMILARITY_KINDS = ("rating", "content", "hybrid")
-
 
 @dataclass(frozen=True)
 class PredictionConfig:
-    """Neighborhood size and clamping behavior for the predictor.
-
-    ``similarity`` names which provider kind a runner should build
-    (rating, content, or hybrid); predict_rating itself uses whatever
-    provider it is handed.
-    """
+    """Neighborhood size and clamping behavior for the predictor."""
 
     k: int = 35
     min_neighbors: int = 1
     clamp: bool = True
-    similarity: str = "hybrid"
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.min_neighbors < 1:
             raise ValueError(f"min_neighbors must be >= 1, got {self.min_neighbors}")
-        if self.similarity not in SIMILARITY_KINDS:
-            raise ValueError(f"similarity must be one of {SIMILARITY_KINDS}, got {self.similarity!r}")
 
 
 @dataclass(frozen=True)
@@ -121,18 +112,10 @@ def predict_rating(user, item, ratings, provider, config=None):
     return Prediction(_clamp(anchor + num / den, ratings, config), DETAIL_FULL, len(neighborhood))
 
 
-def predict_batch(pairs, ratings, provider, config=None, workers=1):
-    """Predictions for a sequence of (user, item) pairs, order kept.
-
-    Providers are immutable after construction, so workers > 1 fans the
-    pairs over a thread pool; results come back in input order either
-    way.
-    """
+def predict_batch(pairs, ratings, provider, config=None):
+    """Predictions for a sequence of (user, item) pairs, order kept."""
     config = config or PredictionConfig()
-    if workers <= 1:
-        return [predict_rating(u, i, ratings, provider, config) for u, i in pairs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda p: predict_rating(p[0], p[1], ratings, provider, config), pairs))
+    return [predict_rating(u, i, ratings, provider, config) for u, i in pairs]
 
 
 def recommend_top_n(user, ratings, provider, n=10, candidates=None, config=None):

@@ -11,18 +11,20 @@ pair of item ids, return a SimilarityValue or None (undefined).
 * hybrid - rating cosine while both items have enough ratings and the
   pair has enough co-raters; RELFsim otherwise.
 
+The predictors are named after their source: cf (rating cosine), cb
+(RELFsim) and hybrid. PREDICTORS lists them and make_provider is the
+one place that builds a provider from such a name.
+
 Values are computed on demand and memoized per unordered pair in a
 bounded cache, so no full item-by-item matrix is ever materialized.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
-from pathlib import Path
 
 import numpy as np
 
@@ -30,8 +32,12 @@ from .errors import UnknownIdError
 
 log = logging.getLogger(__name__)
 
+PREDICTORS = ("cf", "cb", "hybrid")
+
 SOURCE_RATING = "rating"
 SOURCE_CONTENT = "content"
+
+_CACHE_SIZE = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -63,19 +69,6 @@ class HybridPolicy:
             raise ValueError(f"tau_pair must be >= 1, got {self.tau_pair}")
         if self.tau_item < 0:
             raise ValueError(f"tau_item must be >= 0, got {self.tau_item}")
-
-
-def cosine(a, b):
-    """Cosine of two equal-length nonzero vectors, in [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine undefined for zero vector")
-    return float(a @ b / (na * nb))
 
 
 def rating_cosine(i, j, ratings):
@@ -199,20 +192,14 @@ def hybrid_sim(i, j, ratings, index, policy):
     return rating_value
 
 
-class SimilarityProvider:
-    """Contract: sim(i, j) -> SimilarityValue or None, symmetric."""
+class _MemoizedProvider:
+    """Contract: sim(i, j) -> SimilarityValue or None, symmetric.
 
-    source = "?"
+    Caches values per unordered pair; symmetry is exact by keying.
+    """
 
-    def sim(self, i, j):
-        raise NotImplementedError
-
-
-class _MemoizedProvider(SimilarityProvider):
-    """Caches values per unordered pair; symmetry is exact by keying."""
-
-    def __init__(self, cache_size=1_000_000):
-        self._cached = lru_cache(maxsize=cache_size)(self._compute)
+    def __init__(self):
+        self._cached = lru_cache(maxsize=_CACHE_SIZE)(self._compute)
 
     def sim(self, i, j):
         return self._cached(i, j) if i <= j else self._cached(j, i)
@@ -233,10 +220,8 @@ class RatingCosineProvider(_MemoizedProvider):
     the predictor's fallback chain handles it.
     """
 
-    source = SOURCE_RATING
-
-    def __init__(self, ratings, cache_size=1_000_000):
-        super().__init__(cache_size)
+    def __init__(self, ratings):
+        super().__init__()
         self.ratings = ratings
 
     def _compute(self, a, b):
@@ -248,10 +233,8 @@ class RatingCosineProvider(_MemoizedProvider):
 class RelfSimProvider(_MemoizedProvider):
     """Pure content similarity over an item vector index."""
 
-    source = SOURCE_CONTENT
-
-    def __init__(self, index, cache_size=1_000_000):
-        super().__init__(cache_size)
+    def __init__(self, index):
+        super().__init__()
         self.index = index
 
     def _compute(self, a, b):
@@ -261,10 +244,8 @@ class RelfSimProvider(_MemoizedProvider):
 class HybridProvider(_MemoizedProvider):
     """Rating similarity with content fallback per HybridPolicy."""
 
-    source = "hybrid"
-
-    def __init__(self, ratings, index, policy=None, cache_size=1_000_000):
-        super().__init__(cache_size)
+    def __init__(self, ratings, index, policy=None):
+        super().__init__()
         self.ratings = ratings
         self.index = index
         self.policy = policy or HybridPolicy()
@@ -273,21 +254,21 @@ class HybridProvider(_MemoizedProvider):
         return hybrid_sim(a, b, self.ratings, self.index, self.policy)
 
 
-def make_provider(kind, ratings=None, index=None, policy=None, cache_size=1_000_000):
-    """Build one of the three providers from its short name."""
-    if kind in ("rating", "cf"):
+def make_provider(kind, ratings=None, index=None, policy=None):
+    """Build the provider behind a predictor name from PREDICTORS."""
+    if kind == "cf":
         if ratings is None:
-            raise ValueError("rating provider needs a rating dataset")
-        return RatingCosineProvider(ratings, cache_size)
-    if kind in ("content", "cb"):
+            raise ValueError("cf provider needs a rating dataset")
+        return RatingCosineProvider(ratings)
+    if kind == "cb":
         if index is None:
-            raise ValueError("content provider needs an item vector index")
-        return RelfSimProvider(index, cache_size)
+            raise ValueError("cb provider needs an item vector index")
+        return RelfSimProvider(index)
     if kind == "hybrid":
         if ratings is None or index is None:
             raise ValueError("hybrid provider needs ratings and an item vector index")
-        return HybridProvider(ratings, index, policy, cache_size)
-    raise ValueError(f"unknown provider kind {kind!r}")
+        return HybridProvider(ratings, index, policy)
+    raise ValueError(f"unknown predictor {kind!r}; expected one of {PREDICTORS}")
 
 
 def top_similar_items(provider, item_id, candidates, n):
@@ -302,18 +283,3 @@ def top_similar_items(provider, item_id, candidates, n):
     scored.sort(key=lambda t: (-t[1].value, t[0]))
     return scored[:n]
 
-
-def dump_top_similar(provider, item_ids, n, sink):
-    """CSV dump (item,neighbor,value,source) of each item's top-n."""
-    items = sorted(item_ids)
-    is_path = isinstance(sink, (str, Path))
-    stream = open(sink, "w", encoding="utf-8", newline="") if is_path else sink
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["item", "neighbor", "value", "source"])
-        for i in items:
-            for j, sv in top_similar_items(provider, i, items, n):
-                writer.writerow([i, j, repr(sv.value), sv.source])
-    finally:
-        if is_path:
-            stream.close()

@@ -234,13 +234,13 @@ class TestAcceptance:
                 "train-embed", "--bundle", str(base / "bundle"),
                 "--out", str(base / "vecs.txt"),
                 "--window", "4", "--dim", "16", "--negatives", "5",
-                "--epochs", "4", "--seed", "3", "--workers", "1",
+                "--epochs", "4", "--seed", "3",
             ]) == 0
             assert main([
                 "evaluate", "--bundle", str(base / "bundle"),
                 "--embeddings", str(base / "vecs.txt"),
                 "--predictors", "cf,hybrid", "--split", "holdout(0.8)",
-                "--seed", "5", "--k", "35", "--workers", "1",
+                "--seed", "5", "--k", "35",
                 "--out-dir", str(base / "run"),
             ]) == 0
             return (base / "run" / "results.csv").read_bytes()
@@ -250,6 +250,6 @@ class TestAcceptance:
         rows = len(first.decode().splitlines()) - 1
         check(
             first == second and rows > 0,
-            f"two identical pipeline runs (seeded, workers=1) produced byte-identical "
+            f"two identical pipeline runs (seeded) produced byte-identical "
             f"results.csv ({rows} data rows)",
         )

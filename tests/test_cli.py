@@ -153,6 +153,20 @@ class TestEvaluate:
         rows = read_results(tmp_path / "run")
         assert [r[0] for r in rows[1:]] == ["cf", "cb", "hybrid"]
 
+    def test_non_finite_embeddings_exit_code(self, workdir, tmp_path):
+        lines = (workdir / "vecs.txt").read_text().splitlines(keepends=True)
+        token, *values = lines[1].split()
+        lines[1] = " ".join([token, "nan", *values[1:]]) + "\n"
+        bad = tmp_path / "vecs.txt"
+        bad.write_text("".join(lines))
+        rc = main([
+            "evaluate", "--bundle", str(workdir / "bundle"),
+            "--embeddings", str(bad), "--predictors", "cb",
+            "--out-dir", str(tmp_path / "run"),
+        ])
+        assert rc == EXIT_INPUT
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_predictor_name(self, workdir, tmp_path):
         with pytest.raises(SystemExit) as err:
             main([
@@ -334,13 +348,15 @@ class TestConfigFile:
         ])
         assert rc == EXIT_OK
         manifest = json.loads((first / "manifest.json").read_text())
-        second = tmp_path / "second"
-        manifest["out_dir"] = str(second)
-        replay_cfg = tmp_path / "replay.json"
-        replay_cfg.write_text(json.dumps(manifest))
-        rc = main(["evaluate", "--config", str(replay_cfg)])
-        assert rc == EXIT_OK
-        assert (first / "results.csv").read_bytes() == (second / "results.csv").read_bytes()
+        assert "workers" not in manifest
+        # Manifests from older versions carry a "workers" key; replay ignores it.
+        for tag, extra in (("second", {}), ("legacy", {"workers": 1})):
+            out = tmp_path / tag
+            replay_cfg = tmp_path / f"{tag}.json"
+            replay_cfg.write_text(json.dumps({**manifest, **extra, "out_dir": str(out)}))
+            rc = main(["evaluate", "--config", str(replay_cfg)])
+            assert rc == EXIT_OK
+            assert (first / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
 
     def test_flags_override_config(self, workdir, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -385,7 +401,7 @@ class TestHelp:
         text = capsys.readouterr().out
         for flag in ("--bundle", "--embeddings", "--predictors", "--split",
                      "--seed", "--k", "--min-neighbors", "--tau-pair",
-                     "--tau-item", "--workers", "--out-dir", "--config"):
+                     "--tau-item", "--out-dir", "--config"):
             assert flag in text
 
     def test_top_level_lists_subcommands(self, capsys):

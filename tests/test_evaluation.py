@@ -260,11 +260,6 @@ class TestEvaluate:
         plan = make_split(ds, "holdout(0.8)", seed=5)
         assert evaluate("cf", plan, ds).per_fold is None
 
-    def test_threaded_equals_serial(self):
-        ds = random_world(11, n_users=20, n_items=10)
-        plan = make_split(ds, "kfold(3)", seed=6)
-        assert evaluate("cf", plan, ds, workers=1) == evaluate("cf", plan, ds, workers=3)
-
     def test_deterministic(self):
         ds = random_world(12)
         plan = make_split(ds, "holdout(0.8)", seed=7)

@@ -117,11 +117,19 @@ class TestRatingDataset:
                 for _ in range(n)
             ]
             ds = RatingDataset(records=records)
-            all_ratings = np.array([r[2] for r in records])
-            assert ds.global_mean == pytest.approx(all_ratings.mean(), abs=1e-12)
+            # Duplicate (user, item) pairs are common here; the last one counts.
+            collapsed = {(u, i): r for u, i, r, _ in records}
+            assert ds.global_mean == pytest.approx(np.mean(list(collapsed.values())), abs=1e-12)
+            assert set(ds.item_means) == {i for _u, i in collapsed}
             for item, mean in ds.item_means.items():
-                vals = [r[2] for r in records if r[1] == item]
+                vals = [r for (_u, i), r in collapsed.items() if i == item]
                 assert mean == pytest.approx(np.mean(vals), abs=1e-12)
+
+    def test_duplicate_pair_means_agree_with_lookup_maps(self):
+        ds = RatingDataset(records=[(1, 1, 4.0, 0), (1, 1, 2.0, 1), (2, 2, 5.0, 2)])
+        assert ds.per_item[1] == {1: 2.0}
+        assert ds.item_means[1] == 2.0
+        assert ds.global_mean == 3.5
 
     def test_out_of_scale_record_rejected(self):
         with pytest.raises(DataError):

@@ -65,15 +65,13 @@ def mean_anchored_oracle(user, item, matrix, k, r_min=1.0, r_max=5.0):
 class TestPredictionConfig:
     def test_defaults(self):
         cfg = PredictionConfig()
-        assert (cfg.k, cfg.min_neighbors, cfg.clamp, cfg.similarity) == (35, 1, True, "hybrid")
+        assert (cfg.k, cfg.min_neighbors, cfg.clamp) == (35, 1, True)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PredictionConfig(k=0)
         with pytest.raises(ValueError):
             PredictionConfig(min_neighbors=0)
-        with pytest.raises(ValueError):
-            PredictionConfig(similarity="euclidean")
 
 
 class TestPredictRating:
@@ -245,17 +243,6 @@ class TestPredictBatch:
         batch = predict_batch(pairs, ds, provider)
         singles = [predict_rating(u, i, ds, provider) for u, i in pairs]
         assert batch == singles
-
-    def test_threaded_equals_serial(self):
-        ds, provider = self.world()
-        rng = np.random.default_rng(2)
-        pairs = [
-            (int(rng.integers(1, 14)), int(rng.integers(1, 10)))
-            for _ in range(300)
-        ]
-        serial = predict_batch(pairs, ds, provider, workers=1)
-        threaded = predict_batch(pairs, ds, RatingCosineProvider(ds), workers=4)
-        assert serial == threaded
 
 
 class TestRecommendTopN:

@@ -1,6 +1,5 @@
-"""Similarity layer: cosine, rating cosine, content vectors, hybrid."""
+"""Similarity layer: rating cosine, content vectors, hybrid."""
 
-import io
 import math
 
 import numpy as np
@@ -19,8 +18,6 @@ from relfrec.simcore import (
     RelfSimProvider,
     SimilarityValue,
     build_item_vectors,
-    cosine,
-    dump_top_similar,
     hybrid_sim,
     make_provider,
     rating_cosine,
@@ -62,39 +59,6 @@ def naive_pair_cosine(matrix, i, j):
     if na == 0.0 or nb == 0.0:
         return None
     return float(a @ b) / (na * nb), int(mask.sum())
-
-
-class TestCosine:
-    def test_hand_computed_value(self):
-        assert cosine([1, 2, 3], [4, 5, 6]) == pytest.approx(0.9746318461970762, abs=1e-12)
-
-    def test_identity_and_antiparallel(self):
-        v = np.array([0.3, -0.7, 2.0])
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
-        assert cosine(v, -v) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_orthogonal(self):
-        assert cosine([1.0, 0.0], [0.0, 5.0]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            a = rng.uniform(-1, 1, 5)
-            b = rng.uniform(-1, 1, 5)
-            assert cosine(a, b) == pytest.approx(cosine(3.7 * a, 0.2 * b), abs=1e-12)
-
-    def test_zero_vector_fatal(self):
-        with pytest.raises(ValueError):
-            cosine([0.0, 0.0], [1.0, 2.0])
-
-    def test_dimension_mismatch_fatal(self):
-        with pytest.raises(ValueError):
-            cosine([1.0, 2.0], [1.0, 2.0, 3.0])
-
-    def test_returns_plain_float(self):
-        # np.float64 would survive comparisons but break repr()-based
-        # serialization, so the exact type matters
-        assert type(cosine(np.array([1.0, 2.0]), np.array([3.0, 4.0]))) is float
 
 
 class TestRatingCosine:
@@ -417,9 +381,7 @@ class TestProviders:
 
     def test_make_provider_kinds(self):
         assert isinstance(make_provider("cf", ratings=self.ratings), RatingCosineProvider)
-        assert isinstance(make_provider("rating", ratings=self.ratings), RatingCosineProvider)
         assert isinstance(make_provider("cb", index=self.index), RelfSimProvider)
-        assert isinstance(make_provider("content", index=self.index), RelfSimProvider)
         hybrid = make_provider("hybrid", ratings=self.ratings, index=self.index)
         assert isinstance(hybrid, HybridProvider)
 
@@ -427,7 +389,7 @@ class TestProviders:
         with pytest.raises(ValueError):
             make_provider("cf")
         with pytest.raises(ValueError):
-            make_provider("content")
+            make_provider("cb")
         with pytest.raises(ValueError):
             make_provider("hybrid", ratings=self.ratings)
         with pytest.raises(ValueError):
@@ -435,8 +397,6 @@ class TestProviders:
 
 
 class StubProvider:
-    source = "stub"
-
     def __init__(self, values):
         self.values = values
 
@@ -455,28 +415,3 @@ class TestTopSimilar:
         assert [j for j, _ in top] == [2, 3]  # tie broken by ascending id
         top3 = top_similar_items(provider, 1, [5, 4, 3, 2, 1], n=10)
         assert [j for j, _ in top3] == [2, 3, 4]  # 5 undefined, self excluded
-
-    def test_dump_csv_format(self):
-        provider = StubProvider({(1, 2): 0.75, (1, 3): 0.25, (2, 3): 0.5})
-        sink = io.StringIO()
-        dump_top_similar(provider, [2, 1, 3], n=1, sink=sink)
-        lines = sink.getvalue().splitlines()
-        assert lines[0] == "item,neighbor,value,source"
-        assert lines[1] == "1,2,0.75,stub"
-        assert len(lines) == 4  # one row per item
-
-    def test_dump_values_parse_as_floats(self):
-        # end to end with a real provider: every value cell must be a
-        # bare repr() float, nothing numpy-flavored
-        table = make_table({"a": [1.0, 0.3], "b": [0.2, 1.0]})
-        index = build_item_vectors(
-            sentences_of([(1, ["a"]), (2, ["a", "b"]), (3, ["b"])]), table
-        )
-        sink = io.StringIO()
-        dump_top_similar(RelfSimProvider(index), [1, 2, 3], n=2, sink=sink)
-        lines = sink.getvalue().splitlines()
-        assert len(lines) > 1
-        for line in lines[1:]:
-            value = line.split(",")[2]
-            assert "(" not in value
-            float(value)
