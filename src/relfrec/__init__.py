@@ -66,10 +66,8 @@ from .predict import (
 )
 from .simcore import (
     HybridPolicy,
-    HybridProvider,
     ItemVectorIndex,
-    RatingCosineProvider,
-    RelfSimProvider,
+    SimilarityProvider,
     SimilarityValue,
     build_item_vectors,
     hybrid_sim,
@@ -89,17 +87,15 @@ __all__ = [
     "FeatureCatalog",
     "FeatureSentence",
     "HybridPolicy",
-    "HybridProvider",
     "ItemVectorIndex",
     "MetricReport",
     "NegativeSampler",
     "NumericDivergenceError",
     "Prediction",
     "PredictionConfig",
-    "RatingCosineProvider",
     "RatingDataset",
-    "RelfSimProvider",
     "RelfrecError",
+    "SimilarityProvider",
     "SimilarityValue",
     "SplitPlan",
     "TrainConfig",

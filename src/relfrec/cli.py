@@ -107,6 +107,14 @@ def load_config_file(path):
     return {str(key).replace("-", "_"): value for key, value in mapping.items()}
 
 
+def _option_text(value):
+    """A config value as flag text: argparse runs an option's converter
+    on string defaults only, so ``ks = 35`` must reach it as "35"."""
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(str, value))
+    return str(value)
+
+
 def _find_config_path(argv):
     for pos, arg in enumerate(argv):
         if arg == "--config":
@@ -246,15 +254,13 @@ def build_parser():
 def _load_artifacts(args, need_embeddings):
     """Common loading for commands that consume a bundle (+ embeddings)."""
     bundle, _catalog = load_bundle(args.bundle, scale=(args.rating_min, args.rating_max))
-    table = None
     index = None
     embeddings = getattr(args, "embeddings", None)
     if embeddings:
-        table = load_embeddings(embeddings)
-        index = build_item_vectors(bundle.sentences, table)
+        index = build_item_vectors(bundle.sentences, load_embeddings(embeddings))
     elif need_embeddings:
         raise DataError("this run needs --embeddings (content similarity has no vectors otherwise)")
-    return bundle, table, index
+    return bundle, index
 
 
 def _prediction_config(args):
@@ -278,7 +284,7 @@ def cmd_ingest(args):
 
 def cmd_train_embed(args):
     _require(args, "bundle", "out")
-    bundle, _table, _index = _load_artifacts(args, need_embeddings=False)
+    bundle, _index = _load_artifacts(args, need_embeddings=False)
     config = TrainConfig(
         window=args.window,
         dim=args.dim,
@@ -329,7 +335,7 @@ def _write_run_outputs(args, rows, manifest):
 
 def cmd_evaluate(args):
     _require(args, "bundle", "out_dir")
-    bundle, _table, index = _load_artifacts(args, need_embeddings=_needs_content(args.predictors))
+    bundle, index = _load_artifacts(args, need_embeddings=_needs_content(args.predictors))
     plan = make_split(bundle.ratings, args.split, args.seed)
     policy = _policy(args)
     config = _prediction_config(args)
@@ -348,7 +354,7 @@ def cmd_evaluate(args):
 
 def cmd_sweep_k(args):
     _require(args, "bundle", "out_dir", "ks")
-    bundle, _table, index = _load_artifacts(args, need_embeddings=_needs_content(args.predictors))
+    bundle, index = _load_artifacts(args, need_embeddings=_needs_content(args.predictors))
     plan = make_split(bundle.ratings, args.split, args.seed)
     policy = _policy(args)
     config = _prediction_config(args)
@@ -396,7 +402,7 @@ def cmd_predict(args):
     _require(args, "bundle")
     if args.pairs is None and (args.user is None or args.item is None):
         raise DataError("predict needs --user and --item, or --pairs CSV")
-    bundle, _table, index = _load_artifacts(args, need_embeddings=args.model in ("cb", "hybrid"))
+    bundle, index = _load_artifacts(args, need_embeddings=_needs_content([args.model]))
     ratings = bundle.ratings
     provider = make_provider(args.model, ratings=ratings, index=index, policy=_policy(args))
     config = _prediction_config(args)
@@ -425,18 +431,11 @@ def cmd_similar(args):
         return EXIT_OK
     if not args.bundle:
         raise DataError("similar --item needs --bundle")
-    bundle, _table, index = _load_artifacts(args, need_embeddings=args.model in ("cb", "hybrid"))
-    ratings = bundle.ratings
-    provider = make_provider(args.model, ratings=ratings, index=index, policy=_policy(args))
-    if args.model == "cb":
-        candidates = sorted(index.vectors)
-    elif args.model == "cf":
-        candidates = sorted(ratings.per_item)
-    else:
-        candidates = sorted(set(ratings.per_item) | set(index.vectors))
-    if args.item not in candidates:
+    bundle, index = _load_artifacts(args, need_embeddings=_needs_content([args.model]))
+    provider = make_provider(args.model, ratings=bundle.ratings, index=index, policy=_policy(args))
+    if args.item not in provider.items:
         raise UnknownIdError(f"unknown item id {args.item}")
-    for neighbor, sv in top_similar_items(provider, args.item, candidates, args.n):
+    for neighbor, sv in top_similar_items(provider, args.item, sorted(provider.items), args.n):
         print(f"{neighbor}\t{sv.value:.6f}\t{sv.source}")
     return EXIT_OK
 
@@ -447,15 +446,16 @@ def main(argv=None):
     try:
         config_path = _find_config_path(argv)
         if config_path:
-            # Config values become the subcommand's defaults, so flags
-            # given on the command line still win.
             mapping = load_config_file(config_path)
             mapping.pop("command", None)
             command = argv[0] if argv and not argv[0].startswith("-") else None
             sub = parser.subcommands.get(command)
             if sub is None:
                 raise DataError("--config must follow a subcommand")
-            sub.set_defaults(**mapping)
+            # Config values become the subcommand's defaults, so flags
+            # given on the command line still win.
+            typed = {action.dest for action in sub._actions if action.type is not None}
+            sub.set_defaults(**{key: _option_text(value) if key in typed else value for key, value in mapping.items()})
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -466,12 +466,6 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        # Values injected from a config file skip argparse's type
-        # converters, so list-valued options may still be raw strings.
-        if isinstance(getattr(args, "predictors", None), str):
-            args.predictors = _predictor_list(args.predictors)
-        if isinstance(getattr(args, "ks", None), str):
-            args.ks = _int_list(args.ks)
         return args.func(args)
     except UnknownIdError as exc:
         log.error("%s", exc)

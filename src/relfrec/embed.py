@@ -181,6 +181,8 @@ class EmbeddingTable:
 
     def most_similar(self, token, n=10):
         """Top-n (token, cosine) pairs by input-vector similarity."""
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         i = self.vocab.index.get(token)
         if i is None:
             raise KeyError(f"token {token!r} not in vocabulary")
@@ -421,7 +423,7 @@ def _read_vector_rows(stream, where, with_counts):
     extra = 2 if with_counts else 1
     tokens = []
     counts = []
-    mat = np.empty((v, dim))
+    rows = []
     lineno = 1
     for row in range(v):
         line = stream.readline()
@@ -440,10 +442,10 @@ def _read_vector_rows(stream, where, with_counts):
             except ValueError:
                 raise DataError(f"{where} line {lineno}: bad count field {parts[1]!r}") from None
         try:
-            mat[row] = [float(x) for x in parts[extra:]]
+            rows.append(np.array([float(x) for x in parts[extra:]]))
         except ValueError:
             raise DataError(f"{where} line {lineno}: non-numeric vector component") from None
-        if not np.isfinite(mat[row]).all():
+        if not np.isfinite(rows[-1]).all():
             raise DataError(f"{where} line {lineno}: non-finite vector component")
     trailer = stream.readline()
     lineno += 1
@@ -452,4 +454,4 @@ def _read_vector_rows(stream, where, with_counts):
     if len(set(tokens)) != len(tokens):
         raise DataError(f"{where}: duplicate token in vector file")
     counts_arr = np.asarray(counts, dtype=np.int64) if with_counts else None
-    return tokens, mat, counts_arr
+    return tokens, np.array(rows), counts_arr

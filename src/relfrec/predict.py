@@ -15,8 +15,8 @@ anchored on the global mean instead.
 When the neighborhood is too small the prediction falls back to the
 item mean, or the global mean for an unrated item. Every Prediction
 records which route produced it. The predictor is indifferent to where
-similarities come from: cf, cb and hybrid differ only in the provider
-passed in (see simcore.make_provider).
+similarities come from: cf, cb and hybrid differ only in the pair
+function of the SimilarityProvider that simcore.make_provider builds.
 """
 
 from __future__ import annotations

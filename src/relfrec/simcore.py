@@ -12,8 +12,8 @@ pair of item ids, return a SimilarityValue or None (undefined).
   pair has enough co-raters; RELFsim otherwise.
 
 The predictors are named after their source: cf (rating cosine), cb
-(RELFsim) and hybrid. PREDICTORS lists them and make_provider is the
-one place that builds a provider from such a name.
+(RELFsim) and hybrid. PREDICTORS lists them, and make_provider builds
+the one provider type, SimilarityProvider, from such a name.
 
 Values are computed on demand and memoized per unordered pair in a
 bounded cache, so no full item-by-item matrix is ever materialized.
@@ -178,8 +178,6 @@ def hybrid_sim(i, j, ratings, index, policy):
         rating_value = rating_cosine(i, j, ratings)
     warm = (
         rating_value is not None
-        and col_i is not None
-        and col_j is not None
         and len(col_i) >= policy.tau_item
         and len(col_j) >= policy.tau_item
         and rating_value.support >= policy.tau_pair
@@ -192,87 +190,62 @@ def hybrid_sim(i, j, ratings, index, policy):
     return rating_value
 
 
-class _MemoizedProvider:
-    """Contract: sim(i, j) -> SimilarityValue or None, symmetric.
+class SimilarityProvider:
+    """One similarity source: sim(i, j) -> SimilarityValue or None.
 
-    Caches values per unordered pair; symmetry is exact by keying.
+    ``pair(a, b)`` computes the value for a <= b; sim memoizes it per
+    unordered pair in a bounded cache, so symmetry is exact by keying.
+    ``items`` holds the ids the source can compare. Build providers
+    with make_provider.
     """
 
-    def __init__(self):
-        self._cached = lru_cache(maxsize=_CACHE_SIZE)(self._compute)
+    def __init__(self, pair, items):
+        self.items = items
+        self._cached = lru_cache(maxsize=_CACHE_SIZE)(pair)
 
     def sim(self, i, j):
         return self._cached(i, j) if i <= j else self._cached(j, i)
-
-    def _compute(self, a, b):
-        raise NotImplementedError
 
     def cache_info(self):
         return self._cached.cache_info()
 
 
-class RatingCosineProvider(_MemoizedProvider):
-    """Pure collaborative similarity over a rating dataset.
-
-    Unlike the raw rating_cosine function, the provider treats an item
-    the dataset has never seen as having undefined similarity to
-    everything - that is exactly a cold item during evaluation, and
-    the predictor's fallback chain handles it.
-    """
-
-    def __init__(self, ratings):
-        super().__init__()
-        self.ratings = ratings
-
-    def _compute(self, a, b):
-        if a not in self.ratings.per_item or b not in self.ratings.per_item:
-            return None
-        return rating_cosine(a, b, self.ratings)
-
-
-class RelfSimProvider(_MemoizedProvider):
-    """Pure content similarity over an item vector index."""
-
-    def __init__(self, index):
-        super().__init__()
-        self.index = index
-
-    def _compute(self, a, b):
-        return relf_sim(a, b, self.index)
-
-
-class HybridProvider(_MemoizedProvider):
-    """Rating similarity with content fallback per HybridPolicy."""
-
-    def __init__(self, ratings, index, policy=None):
-        super().__init__()
-        self.ratings = ratings
-        self.index = index
-        self.policy = policy or HybridPolicy()
-
-    def _compute(self, a, b):
-        return hybrid_sim(a, b, self.ratings, self.index, self.policy)
-
-
 def make_provider(kind, ratings=None, index=None, policy=None):
-    """Build the provider behind a predictor name from PREDICTORS."""
+    """Build the provider behind a predictor name from PREDICTORS.
+
+    cf needs ratings and compares the rated items, cb needs an item
+    vector index and compares the indexed items, hybrid needs both and
+    compares their union. Unlike the raw rating_cosine function, cf
+    treats an item the ratings never saw as undefined against everything:
+    that is a cold item in evaluation, left to the predictor's fallbacks.
+    """
+    if kind not in PREDICTORS:
+        raise ValueError(f"unknown predictor {kind!r}; expected one of {PREDICTORS}")
+    if kind != "cb" and ratings is None:
+        raise ValueError(f"{kind} provider needs a rating dataset")
+    if kind != "cf" and index is None:
+        raise ValueError(f"{kind} provider needs an item vector index")
+    # The pair functions are looked up by name at call time, so a
+    # wrapper patched onto the module sees every computed pair.
     if kind == "cf":
-        if ratings is None:
-            raise ValueError("cf provider needs a rating dataset")
-        return RatingCosineProvider(ratings)
+        rated = ratings.per_item
+        return SimilarityProvider(
+            lambda a, b: rating_cosine(a, b, ratings) if a in rated and b in rated else None,
+            frozenset(rated),
+        )
     if kind == "cb":
-        if index is None:
-            raise ValueError("cb provider needs an item vector index")
-        return RelfSimProvider(index)
-    if kind == "hybrid":
-        if ratings is None or index is None:
-            raise ValueError("hybrid provider needs ratings and an item vector index")
-        return HybridProvider(ratings, index, policy)
-    raise ValueError(f"unknown predictor {kind!r}; expected one of {PREDICTORS}")
+        return SimilarityProvider(lambda a, b: relf_sim(a, b, index), frozenset(index.vectors))
+    policy = policy or HybridPolicy()
+    return SimilarityProvider(
+        lambda a, b: hybrid_sim(a, b, ratings, index, policy),
+        frozenset(ratings.per_item).union(index.vectors),
+    )
 
 
 def top_similar_items(provider, item_id, candidates, n):
     """Top-n (neighbor, SimilarityValue) for one item over candidates."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     scored = []
     for j in candidates:
         if j == item_id:

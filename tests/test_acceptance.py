@@ -19,7 +19,7 @@ from relfrec.embed import build_vocabulary, sgns_pair_update
 from relfrec.evaluation import evaluate, mae, make_split, rmse
 from relfrec.ingest import RatingDataset, clean_and_join, parse_item_features, parse_ratings
 from relfrec.predict import PredictionConfig, predict_rating
-from relfrec.simcore import HybridPolicy, RatingCosineProvider, rating_cosine
+from relfrec.simcore import HybridPolicy, make_provider, rating_cosine
 
 import synthdata
 
@@ -106,7 +106,7 @@ class TestAcceptance:
                     got = rating_cosine(i + 1, j + 1, ds)
                     want = naive_cosine(matrix[:, i], matrix[:, j])
                     worst_sim = max(worst_sim, abs(got.value - want))
-            provider = RatingCosineProvider(ds)
+            provider = make_provider("cf", ratings=ds)
             for k in (3, 35):
                 cfg = PredictionConfig(k=k)
                 for u in range(8):

@@ -293,17 +293,19 @@ class TestSimilar:
         assert rc == EXIT_INPUT
 
     def test_item_neighbors_content(self, workdir, capsys):
-        rc = main([
-            "similar", "--item", "1", "--model", "cb", "--n", "4",
-            "--bundle", str(workdir / "bundle"),
-            "--embeddings", str(workdir / "vecs.txt"),
-        ])
-        assert rc == EXIT_OK
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 4
-        neighbor, value, source = lines[0].split("\t")
-        assert source == "content"
-        assert int(neighbor) != 1
+        # Item 1 is warm in this world, so hybrid takes the rating route.
+        for model, expected in (("cb", "content"), ("hybrid", "rating")):
+            rc = main([
+                "similar", "--item", "1", "--model", model, "--n", "4",
+                "--bundle", str(workdir / "bundle"),
+                "--embeddings", str(workdir / "vecs.txt"),
+            ])
+            assert rc == EXIT_OK
+            lines = capsys.readouterr().out.strip().splitlines()
+            assert len(lines) == 4
+            neighbor, value, source = lines[0].split("\t")
+            assert source == expected
+            assert int(neighbor) != 1
 
     def test_item_neighbors_rating(self, workdir, capsys):
         rc = main([
@@ -318,6 +320,17 @@ class TestSimilar:
             "similar", "--item", "99999", "--model", "cf", "--bundle", str(workdir / "bundle"),
         ])
         assert rc == EXIT_UNKNOWN_ID
+
+    def test_n_below_one_rejected(self, workdir, capsys):
+        queries = (
+            ["--item", "1", "--model", "cb", "--bundle", str(workdir / "bundle")],
+            ["--feature", "g0_dir0"],
+        )
+        for query in queries:
+            for n in ("0", "-1", "-2"):
+                rc = main(["similar", *query, "--n", n, "--embeddings", str(workdir / "vecs.txt")])
+                assert rc == EXIT_INPUT
+        assert capsys.readouterr().out == ""
 
 
 class TestConfigFile:
@@ -338,6 +351,40 @@ class TestConfigFile:
         assert rows[1][3] == "5"
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["k"] == 5
+
+    def test_config_values_go_through_option_converters(self, workdir, tmp_path):
+        """A number for a list option is a one-element list; flag text and
+        a JSON value give the same sweep."""
+        common = [f"bundle = {workdir / 'bundle'}", "predictors = cf", "split = holdout(0.8)", "seed = 4"]
+        assert main([
+            "sweep-k", "--bundle", str(workdir / "bundle"), "--predictors", "cf",
+            "--split", "holdout(0.8)", "--seed", "4", "--ks", "35", "--out-dir", str(tmp_path / "flags"),
+        ]) == EXIT_OK
+        (tmp_path / "run.cfg").write_text("\n".join([*common, "ks = 35", f"out-dir = {tmp_path / 'kv'}"]) + "\n")
+        (tmp_path / "run.json").write_text(json.dumps({
+            "bundle": str(workdir / "bundle"), "predictors": "cf", "split": "holdout(0.8)",
+            "seed": 4, "ks": 35, "out_dir": str(tmp_path / "json"),
+        }))
+        for name, out in (("run.cfg", "kv"), ("run.json", "json")):
+            assert main(["sweep-k", "--config", str(tmp_path / name)]) == EXIT_OK
+            rows = read_results(tmp_path / out)
+            assert [(r[0], r[3]) for r in rows[1:]] == [("cf", "35")]
+            assert (tmp_path / out / "results.csv").read_bytes() == (tmp_path / "flags" / "results.csv").read_bytes()
+
+    def test_unconvertible_config_value(self, workdir, tmp_path):
+        for name, text in (
+            ("ks.cfg", "ks = 3.5\n"),
+            ("k.cfg", "k = 2.5\n"),
+            ("ks.json", json.dumps({"ks": [5, "x"]})),
+            ("predictors.json", json.dumps({"predictors": "cf,bogus"})),
+        ):
+            cfg = tmp_path / name
+            cfg.write_text(text)
+            with pytest.raises(SystemExit) as err:
+                main(["sweep-k", "--config", str(cfg), "--bundle", str(workdir / "bundle"),
+                      "--out-dir", str(tmp_path / "run")])
+            assert err.value.code == EXIT_INPUT
+        assert not (tmp_path / "run").exists()
 
     def test_manifest_replay_is_byte_identical(self, workdir, tmp_path):
         first = tmp_path / "first"

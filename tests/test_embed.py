@@ -292,6 +292,12 @@ class TestEmbeddingTable:
         sims = [s for _, s in top]
         assert sims == sorted(sims, reverse=True)
 
+    def test_most_similar_n_below_one_rejected(self):
+        table = train_skipgram(sentences_of(["a", "b", "c"]), TrainConfig(window=1, dim=4, negatives=1, epochs=1, seed=3))
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                table.most_similar("a", n=n)
+
 
 class TestPersistence:
     def test_round_trip_exact(self, tmp_path):
@@ -353,6 +359,13 @@ class TestPersistence:
         ctx.write_text("2 2\na 3 0.5 nan\nb 1 0.5 0.5\n")
         with pytest.raises(DataError, match=f"{re.escape(str(ctx))} line 2: non-finite"):
             load_embeddings(path)
+
+    def test_huge_header_counts_fatal_with_file_and_line(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        for header, line in (("99999999999 2", 3), ("1 99999999999", 2)):
+            path.write_text(f"{header}\na 0.1 0.2\n")
+            with pytest.raises(DataError, match=f"{re.escape(str(path))} line {line}: expected"):
+                load_embeddings(path)
 
     def test_duplicate_token_fatal(self):
         bad = "2 2\na 0.1 0.2\na 0.3 0.4\n"

@@ -25,7 +25,7 @@ from relfrec.evaluation import (
 )
 from relfrec.ingest import RatingDataset
 from relfrec.predict import PredictionConfig, predict_batch
-from relfrec.simcore import ItemVectorIndex, RatingCosineProvider
+from relfrec.simcore import ItemVectorIndex, make_provider
 
 
 def dataset(rows):
@@ -237,7 +237,7 @@ class TestEvaluate:
         report = evaluate("cf", plan, ds)
         _, train_idx, test_idx = next(plan.folds())
         train = ds.subset(train_idx)
-        provider = RatingCosineProvider(train)
+        provider = make_provider("cf", ratings=train)
         test_records = sorted((ds.records[i] for i in test_idx), key=lambda r: (r[1], r[0]))
         preds = predict_batch([(r[0], r[1]) for r in test_records], train, provider)
         pairs = [(p.value, r[2]) for p, r in zip(preds, test_records)]

@@ -14,7 +14,7 @@ from relfrec.predict import (
     predict_rating,
     recommend_top_n,
 )
-from relfrec.simcore import RatingCosineProvider, SimilarityValue
+from relfrec.simcore import SimilarityValue, make_provider
 
 
 def dataset(rows, r_min=1.0, r_max=5.0):
@@ -99,7 +99,7 @@ class TestPredictRating:
 
     def test_homogeneous_ratings_return_the_constant(self):
         ds = dataset([(u, i, 4) for u in (1, 2, 3) for i in (10, 11, 12)])
-        provider = RatingCosineProvider(ds)
+        provider = make_provider("cf", ratings=ds)
         pred = predict_rating(1, 10, ds, provider)
         assert pred.value == 4.0
         assert pred.detail == DETAIL_FULL
@@ -211,7 +211,7 @@ class TestPredictRating:
                 for i in range(6)
             ]
             ds = dataset(rows)
-            provider = RatingCosineProvider(ds)
+            provider = make_provider("cf", ratings=ds)
             k = int(rng.integers(1, 7))
             cfg = PredictionConfig(k=k)
             for u in range(6):
@@ -231,7 +231,7 @@ class TestPredictBatch:
             if rng.random() < 0.7
         ]
         ds = dataset(rows)
-        return ds, RatingCosineProvider(ds)
+        return ds, make_provider("cf", ratings=ds)
 
     def test_empty(self):
         ds, provider = self.world()

@@ -12,10 +12,8 @@ from relfrec.simcore import (
     SOURCE_CONTENT,
     SOURCE_RATING,
     HybridPolicy,
-    HybridProvider,
     ItemVectorIndex,
-    RatingCosineProvider,
-    RelfSimProvider,
+    SimilarityProvider,
     SimilarityValue,
     build_item_vectors,
     hybrid_sim,
@@ -326,7 +324,7 @@ class TestProviders:
         self.index = build_item_vectors(sents, table)
 
     def test_rating_provider_matches_raw_function(self):
-        provider = RatingCosineProvider(self.ratings)
+        provider = make_provider("cf", ratings=self.ratings)
         for i in self.ratings.per_item:
             for j in self.ratings.per_item:
                 if i == j:
@@ -338,15 +336,15 @@ class TestProviders:
                     assert got.value == pytest.approx(want.value, abs=1e-12)
 
     def test_rating_provider_unknown_item_is_undefined(self):
-        provider = RatingCosineProvider(self.ratings)
+        provider = make_provider("cf", ratings=self.ratings)
         assert provider.sim(1, 9999) is None
         assert provider.sim(9999, 1) is None
 
     def test_symmetry_is_exact(self):
         for provider in (
-            RatingCosineProvider(self.ratings),
-            RelfSimProvider(self.index),
-            HybridProvider(self.ratings, self.index),
+            make_provider("cf", ratings=self.ratings),
+            make_provider("cb", index=self.index),
+            make_provider("hybrid", ratings=self.ratings, index=self.index),
         ):
             for i in (1, 2, 3, 4):
                 for j in (1, 2, 3, 4):
@@ -356,7 +354,7 @@ class TestProviders:
                     assert a == b  # dataclass equality; both may be None
 
     def test_memoization_hits(self):
-        provider = RelfSimProvider(self.index)
+        provider = make_provider("cb", index=self.index)
         provider.sim(1, 2)
         provider.sim(2, 1)
         provider.sim(1, 2)
@@ -365,14 +363,14 @@ class TestProviders:
         assert info.hits == 2
 
     def test_content_provider_matches_raw_function(self):
-        provider = RelfSimProvider(self.index)
+        provider = make_provider("cb", index=self.index)
         sv = provider.sim(2, 3)
         assert sv == relf_sim(2, 3, self.index)
         assert provider.sim(1, 999) is None
 
     def test_hybrid_provider_matches_raw_function(self):
         policy = HybridPolicy(tau_pair=2, tau_item=3)
-        provider = HybridProvider(self.ratings, self.index, policy)
+        provider = make_provider("hybrid", ratings=self.ratings, index=self.index, policy=policy)
         for i in (1, 2, 3, 4):
             for j in (1, 2, 3, 4):
                 if i == j:
@@ -380,10 +378,20 @@ class TestProviders:
                 assert provider.sim(i, j) == hybrid_sim(i, j, self.ratings, self.index, policy)
 
     def test_make_provider_kinds(self):
-        assert isinstance(make_provider("cf", ratings=self.ratings), RatingCosineProvider)
-        assert isinstance(make_provider("cb", index=self.index), RelfSimProvider)
-        hybrid = make_provider("hybrid", ratings=self.ratings, index=self.index)
-        assert isinstance(hybrid, HybridProvider)
+        rated = set(self.ratings.per_item)
+        table = make_table({"a": [1.0, 0.2], "c": [0.5, 0.5]})
+        index = build_item_vectors(sentences_of([(1, ["a"]), (99, ["c"])]), table)
+        hybrid = make_provider("hybrid", ratings=self.ratings, index=index, policy=HybridPolicy(tau_pair=1, tau_item=0))
+        cases = (
+            (make_provider("cf", ratings=self.ratings), rated, (1, 2), SOURCE_RATING),
+            (make_provider("cb", index=index), {1, 99}, (1, 99), SOURCE_CONTENT),
+            (hybrid, rated | {99}, (1, 2), SOURCE_RATING),
+            (hybrid, rated | {99}, (1, 99), SOURCE_CONTENT),
+        )
+        for provider, items, (i, j), source in cases:
+            assert isinstance(provider, SimilarityProvider)
+            assert provider.items == items
+            assert provider.sim(i, j).source == source
 
     def test_make_provider_missing_inputs(self):
         with pytest.raises(ValueError):
@@ -415,3 +423,9 @@ class TestTopSimilar:
         assert [j for j, _ in top] == [2, 3]  # tie broken by ascending id
         top3 = top_similar_items(provider, 1, [5, 4, 3, 2, 1], n=10)
         assert [j for j, _ in top3] == [2, 3, 4]  # 5 undefined, self excluded
+
+    def test_n_below_one_rejected(self):
+        provider = StubProvider({(1, 2): 0.9, (1, 3): 0.5})
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                top_similar_items(provider, 1, [1, 2, 3], n=n)
