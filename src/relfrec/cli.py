@@ -51,6 +51,10 @@ EXIT_UNKNOWN_ID = 4
 RESULTS_FILE = "results.csv"
 MANIFEST_FILE = "manifest.json"
 
+# Config keys dropped without complaint: manifests name their command,
+# and older manifests and train-embed configs carry removed options.
+_IGNORED_CONFIG_KEYS = frozenset({"command", "workers", "no_sidecar"})
+
 
 def _int_list(text):
     try:
@@ -189,7 +193,6 @@ def build_parser():
     p.add_argument("--final-lr", type=float, default=1e-4, help="learning-rate floor")
     p.add_argument("--ns-exponent", type=float, default=0.75, help="negative-sampling distribution exponent")
     p.add_argument("--seed", type=int, default=1, help="training seed")
-    p.add_argument("--no-sidecar", action="store_true", help="skip the context-vector sidecar file")
     p.set_defaults(func=cmd_train_embed)
 
     p = commands["evaluate"] = subparsers.add_parser(
@@ -297,7 +300,7 @@ def cmd_train_embed(args):
         seed=args.seed,
     )
     table = train_skipgram(bundle.sentences, config)
-    save_embeddings(table, args.out, sidecar=not args.no_sidecar)
+    save_embeddings(table, args.out)
     log.info("wrote %d vectors of dimension %d to %s", len(table), table.dim, args.out)
     return EXIT_OK
 
@@ -447,15 +450,19 @@ def main(argv=None):
         config_path = _find_config_path(argv)
         if config_path:
             mapping = load_config_file(config_path)
-            mapping.pop("command", None)
             command = argv[0] if argv and not argv[0].startswith("-") else None
             sub = parser.subcommands.get(command)
             if sub is None:
                 raise DataError("--config must follow a subcommand")
+            options = {action.dest for action in sub._actions}
+            unknown = sorted(mapping.keys() - options - _IGNORED_CONFIG_KEYS)
+            if unknown:
+                raise DataError(f"{config_path}: {', '.join(unknown)} is no option of {command}")
             # Config values become the subcommand's defaults, so flags
             # given on the command line still win.
             typed = {action.dest for action in sub._actions if action.type is not None}
-            sub.set_defaults(**{key: _option_text(value) if key in typed else value for key, value in mapping.items()})
+            sub.set_defaults(**{key: _option_text(value) if key in typed else value
+                                for key, value in mapping.items() if key in options})
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -16,6 +16,9 @@ learning rate decays linearly from initial_lr to final_lr over the
 total planned number of center-word visits. Input vectors start uniform
 in [-0.5/dim, +0.5/dim]; output vectors start at zero. Training runs
 on one thread, so a fixed seed gives bit-reproducible vectors.
+
+A table is saved as one word2vec-format text file of input vectors
+only, which is all that content similarity downstream reads.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, NumericDivergenceError
+from .ingest import text_stream
 
 log = logging.getLogger(__name__)
 
@@ -152,15 +155,15 @@ class NegativeSampler:
 class EmbeddingTable:
     """Trained vectors plus the vocabulary they belong to.
 
-    Similarity queries use ``input_vectors`` only; ``output_vectors``
-    (the context side) are kept so training can be resumed exactly.
-    ``epoch_losses`` holds the mean pair loss per training epoch (empty
-    on tables loaded without training history).
+    Similarity queries use ``input_vectors`` only. ``output_vectors``
+    (the context side) and ``epoch_losses`` (the mean pair loss per
+    epoch) are set by training; a table loaded from a vector file has
+    neither, and counts of 1 in its vocabulary.
     """
 
     vocab: Vocabulary
     input_vectors: np.ndarray
-    output_vectors: np.ndarray
+    output_vectors: np.ndarray = None
     epoch_losses: list = field(default_factory=list)
 
     @property
@@ -340,37 +343,21 @@ def train_skipgram(sentences, config=None):
     )
 
 
-def _format_row(token, vec):
-    return token + " " + " ".join(repr(float(x)) for x in vec) + "\n"
+def save_embeddings(table, sink):
+    """Write the table's input vectors to a path or text stream.
 
-
-def save_embeddings(table, sink, sidecar=True):
-    """Write the table as text: header "V dim", one token row per line.
-
-    Only input vectors go to the main file (the interoperable part).
-    When ``sink`` is a path and ``sidecar`` is true, output vectors and
-    token counts are written next to it (same name + ".ctx") so a
-    table can be reloaded for exact resume. Tokens must not contain
-    whitespace; canonicalization upstream guarantees that.
+    The text is a "V dim" header, then one "token v1 .. vdim" row per
+    token, each component written as its shortest exact repr. Tokens
+    must not contain whitespace; canonicalization upstream guarantees
+    that.
     """
     for token in table.vocab.tokens:
         if any(ch.isspace() for ch in token):
             raise DataError(f"token {token!r} contains whitespace and cannot be saved")
-    is_path = isinstance(sink, (str, Path))
-    stream = open(sink, "w", encoding="utf-8") if is_path else sink
-    try:
+    with text_stream(sink, "w") as stream:
         stream.write(f"{len(table.vocab)} {table.dim}\n")
-        for i, token in enumerate(table.vocab.tokens):
-            stream.write(_format_row(token, table.input_vectors[i]))
-    finally:
-        if is_path:
-            stream.close()
-    if is_path and sidecar:
-        with open(str(sink) + ".ctx", "w", encoding="utf-8") as ctx:
-            ctx.write(f"{len(table.vocab)} {table.dim}\n")
-            for i, token in enumerate(table.vocab.tokens):
-                count = int(table.vocab.counts[i])
-                ctx.write(f"{token} {count} " + " ".join(repr(float(x)) for x in table.output_vectors[i]) + "\n")
+        for token, vec in zip(table.vocab.tokens, table.input_vectors):
+            stream.write(token + " " + " ".join(repr(float(x)) for x in vec) + "\n")
 
 
 def _parse_header(line, where):
@@ -387,42 +374,26 @@ def _parse_header(line, where):
 
 
 def load_embeddings(source):
-    """Load a table saved by save_embeddings.
+    """Load a vector file written by save_embeddings (a path or a stream).
 
-    Reads the sidecar (output vectors + counts) when present; otherwise
-    output vectors are zeros and counts default to 1. Malformed headers,
-    row arity/count mismatches and non-finite components (nan, inf) are
-    fatal, reported with their line number.
+    The table has counts of 1 and no output vectors; the file is read
+    alone, whatever lies beside it. An input path that cannot be
+    opened, malformed headers, row arity/count mismatches and
+    non-finite components (nan, inf) are DataErrors, reported with the
+    file and line number. The file is decoded as strict UTF-8.
     """
-    is_path = isinstance(source, (str, Path))
-    stream = open(source, "r", encoding="utf-8") if is_path else source
-    where = str(source) if is_path else "<stream>"
-    try:
-        tokens, vectors, _ = _read_vector_rows(stream, where, with_counts=False)
-    finally:
-        if is_path:
-            stream.close()
-    counts = np.ones(len(tokens), dtype=np.int64)
-    output = np.zeros_like(vectors)
-    if is_path:
-        ctx_path = Path(str(source) + ".ctx")
-        if ctx_path.exists():
-            with open(ctx_path, "r", encoding="utf-8") as ctx:
-                ctx_tokens, output, counts = _read_vector_rows(ctx, str(ctx_path), with_counts=True)
-            if ctx_tokens != tokens:
-                raise DataError(f"{ctx_path}: sidecar tokens do not match {source}")
-    vocab = Vocabulary(tokens=tokens, counts=counts)
-    return EmbeddingTable(vocab=vocab, input_vectors=vectors, output_vectors=output)
+    with text_stream(source) as stream:
+        tokens, vectors = _read_vector_rows(stream, getattr(stream, "name", "<stream>"))
+    vocab = Vocabulary(tokens=tokens, counts=np.ones(len(tokens), dtype=np.int64))
+    return EmbeddingTable(vocab=vocab, input_vectors=vectors)
 
 
-def _read_vector_rows(stream, where, with_counts):
+def _read_vector_rows(stream, where):
     header = stream.readline()
     if not header:
         raise DataError(f"{where} line 1: empty file")
     v, dim = _parse_header(header, where)
-    extra = 2 if with_counts else 1
     tokens = []
-    counts = []
     rows = []
     lineno = 1
     for row in range(v):
@@ -431,18 +402,13 @@ def _read_vector_rows(stream, where, with_counts):
         if not line:
             raise DataError(f"{where} line {lineno}: expected {v} rows, file ends after {row}")
         parts = line.split()
-        if len(parts) != dim + extra:
+        if len(parts) != dim + 1:
             raise DataError(
-                f"{where} line {lineno}: expected {dim + extra} fields, got {len(parts)}"
+                f"{where} line {lineno}: expected {dim + 1} fields, got {len(parts)}"
             )
         tokens.append(parts[0])
-        if with_counts:
-            try:
-                counts.append(int(parts[1]))
-            except ValueError:
-                raise DataError(f"{where} line {lineno}: bad count field {parts[1]!r}") from None
         try:
-            rows.append(np.array([float(x) for x in parts[extra:]]))
+            rows.append(np.array([float(x) for x in parts[1:]]))
         except ValueError:
             raise DataError(f"{where} line {lineno}: non-numeric vector component") from None
         if not np.isfinite(rows[-1]).all():
@@ -453,5 +419,4 @@ def _read_vector_rows(stream, where, with_counts):
         raise DataError(f"{where} line {lineno}: more rows than the header declares ({v})")
     if len(set(tokens)) != len(tokens):
         raise DataError(f"{where}: duplicate token in vector file")
-    counts_arr = np.asarray(counts, dtype=np.int64) if with_counts else None
-    return tokens, np.array(rows), counts_arr
+    return tokens, np.array(rows)

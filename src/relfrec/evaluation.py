@@ -20,10 +20,10 @@ import json
 import logging
 import re
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
+from .ingest import text_stream
 from .predict import PredictionConfig, predict_batch
 from .simcore import make_provider
 
@@ -276,24 +276,14 @@ def results_rows(predictor, plan, k, report):
 
 def write_results_csv(rows, sink):
     """Write results rows under the canonical header."""
-    is_path = isinstance(sink, (str, Path))
-    stream = open(sink, "w", encoding="utf-8", newline="") if is_path else sink
-    try:
+    with text_stream(sink, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(RESULTS_HEADER)
         writer.writerows(rows)
-    finally:
-        if is_path:
-            stream.close()
 
 
 def write_manifest(manifest, sink):
     """Serialize a run's full configuration as stable JSON."""
-    is_path = isinstance(sink, (str, Path))
-    stream = open(sink, "w", encoding="utf-8") if is_path else sink
-    try:
+    with text_stream(sink, "w") as stream:
         json.dump(manifest, stream, indent=2, sort_keys=True)
         stream.write("\n")
-    finally:
-        if is_path:
-            stream.close()

@@ -16,10 +16,11 @@ corpus for feature embeddings.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import json
 import logging
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -159,20 +160,30 @@ class CorpusBundle:
         return json.dumps(self.report, sort_keys=True)
 
 
-def _open_text(source):
-    """Accept a path or an open text stream; return (stream, closer)."""
-    if isinstance(source, (str, Path)):
+@contextmanager
+def text_stream(source, mode="r", errors="strict"):
+    """Yield a text stream for ``source``, a path or an open stream.
+
+    A path is opened as UTF-8 and closed on exit; writes use
+    ``newline=""``, so lines go out exactly as the caller writes them.
+    An input path that cannot be opened is a DataError naming it. A
+    stream is yielded as is and left open.
+    """
+    if not isinstance(source, (str, Path)):
+        yield source
+        return
+    if mode == "r":
         try:
-            fh = open(source, "r", encoding="utf-8", errors="replace")
+            stream = open(source, encoding="utf-8", errors=errors)
         except OSError as exc:
             raise DataError(f"cannot read {source}: {exc}") from exc
-        return fh, True
-    if isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        return source, False
-    raise DataError(f"unsupported source type: {type(source)!r}")
+    else:
+        stream = open(source, mode, encoding="utf-8", errors=errors, newline="")
+    with stream:
+        yield stream
 
 
-def _sniff_rating_format(source, first_line):
+def _sniff_rating_format(first_line):
     if "::" in first_line:
         return "dat"
     if "," in first_line:
@@ -188,20 +199,19 @@ def parse_ratings(source, fmt=None, scale=(1.0, 5.0)):
     the first line. Malformed lines are counted and skipped with a
     warning; an unreadable stream or zero valid records is fatal.
     """
-    stream, owned = _open_text(source)
     r_min, r_max = float(scale[0]), float(scale[1])
     records = []
     malformed = 0
-    try:
+    with text_stream(source, errors="replace") as stream:
         lines = iter(stream)
         try:
             first = next(lines)
         except StopIteration:
             raise DataError("rating source is empty")
         if fmt is None:
-            fmt = _sniff_rating_format(source, first)
+            fmt = _sniff_rating_format(first)
         if fmt == "dat":
-            for line in _chain_first(first, lines):
+            for line in itertools.chain([first], lines):
                 rec = _parse_dat_line(line, r_min, r_max)
                 if rec is None:
                     malformed += 1
@@ -226,19 +236,11 @@ def parse_ratings(source, fmt=None, scale=(1.0, 5.0)):
                     records.append(rec)
         else:
             raise DataError(f"unknown rating format {fmt!r}")
-    finally:
-        if owned:
-            stream.close()
     if malformed:
         log.warning("skipped %d malformed rating line(s)", malformed)
     if not records:
         raise DataError("no valid rating records found")
     return RatingDataset(records=records, r_min=r_min, r_max=r_max, n_malformed=malformed)
-
-
-def _chain_first(first, rest):
-    yield first
-    yield from rest
 
 
 def _parse_dat_line(line, r_min, r_max):
@@ -282,11 +284,10 @@ def parse_item_features(source):
     last wins, counted. Rows with an empty or non-integer item id are
     skipped, counted.
     """
-    stream, owned = _open_text(source)
     entries: dict = {}
     duplicates = 0
     skipped = 0
-    try:
+    with text_stream(source, errors="replace") as stream:
         reader = csv.reader(stream)
         try:
             header = [h.strip().lower() for h in next(reader)]
@@ -317,9 +318,6 @@ def parse_item_features(source):
             if item in entries:
                 duplicates += 1
             entries[item] = CatalogEntry(directors, writers, cast)
-    finally:
-        if owned:
-            stream.close()
     if skipped:
         log.warning("skipped %d metadata row(s) with bad item id", skipped)
     return FeatureCatalog(entries=entries, n_dropped_duplicates=duplicates, n_skipped_rows=skipped)
@@ -368,7 +366,6 @@ def clean_and_join(ratings, catalog):
     """
     sentences = build_sentences(catalog)
     sentence_items = {s.item_id for s in sentences}
-    items_without_features = 0
     dropped_no_features = 0
     best: dict = {}
     order: dict = {}
@@ -409,8 +406,7 @@ def clean_and_join(ratings, catalog):
 
 def write_catalog(catalog, sink):
     """Serialize a FeatureCatalog back to its CSV form (round-trips)."""
-    stream, owned = _open_sink(sink)
-    try:
+    with text_stream(sink, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["itemId", "directors", "screenwriters", "cast"])
         for item_id in sorted(catalog.entries):
@@ -418,32 +414,19 @@ def write_catalog(catalog, sink):
             writer.writerow(
                 [item_id, "|".join(e.directors), "|".join(e.screenwriters), "|".join(e.cast)]
             )
-    finally:
-        if owned:
-            stream.close()
 
 
 def write_ratings_csv(ratings, sink):
     """Serialize ratings in the canonical CSV form."""
-    stream, owned = _open_sink(sink)
-    try:
+    with text_stream(sink, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["userId", "movieId", "rating", "timestamp"])
         for user, item, rating, ts in ratings.records:
             writer.writerow([user, item, _format_rating(rating), ts])
-    finally:
-        if owned:
-            stream.close()
 
 
 def _format_rating(rating):
     return str(int(rating)) if rating == int(rating) else repr(rating)
-
-
-def _open_sink(sink):
-    if isinstance(sink, (str, Path)):
-        return open(sink, "w", encoding="utf-8", newline=""), True
-    return sink, False
 
 
 RATINGS_FILE = "ratings.csv"

@@ -80,23 +80,12 @@ class TestIngest:
 
 
 class TestTrainEmbed:
-    def test_writes_vectors_and_sidecar(self, workdir):
+    def test_writes_one_vector_file(self, workdir):
         text = (workdir / "vecs.txt").read_text().splitlines()
         n, dim = text[0].split()
         assert int(n) == len(text) - 1
         assert dim == "16"
-        assert (workdir / "vecs.txt.ctx").exists()
-
-    def test_no_sidecar_flag(self, workdir, tmp_path):
-        out = tmp_path / "plain.txt"
-        rc = main([
-            "train-embed", "--bundle", str(workdir / "bundle"), "--out", str(out),
-            "--window", "2", "--dim", "4", "--negatives", "2", "--epochs", "1",
-            "--no-sidecar",
-        ])
-        assert rc == EXIT_OK
-        assert out.exists()
-        assert not Path(str(out) + ".ctx").exists()
+        assert not (workdir / "vecs.txt.ctx").exists()
 
     def test_missing_bundle(self, tmp_path):
         rc = main([
@@ -419,6 +408,33 @@ class TestConfigFile:
         ])
         assert rc == EXIT_OK
         assert read_results(tmp_path / "run")[1][3] == "2"
+
+    def test_unknown_config_key_rejected(self, workdir, tmp_path, capsys):
+        """A key that is no option of the subcommand is an input error naming
+        the file and key, whether a misspelt option or argparse's own `func`."""
+        for name, key, text in (
+            ("run.cfg", "neighbours", f"bundle = {workdir / 'bundle'}\npredictors = cf\nneighbours = 5\n"),
+            ("run.json", "func", json.dumps({"bundle": str(workdir / "bundle"), "predictors": "cf", "func": "x"})),
+        ):
+            cfg = tmp_path / name
+            cfg.write_text(text)
+            rc = main(["evaluate", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
+            assert rc == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert str(cfg) in err
+            assert key in err
+        assert not (tmp_path / "run").exists()
+
+    def test_removed_option_keys_ignored(self, workdir, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("no-sidecar = true\nworkers = 2\ncommand = train-embed\n")
+        out = tmp_path / "v.txt"
+        rc = main([
+            "train-embed", "--config", str(cfg), "--bundle", str(workdir / "bundle"), "--out", str(out),
+            "--window", "2", "--dim", "4", "--negatives", "2", "--epochs", "1",
+        ])
+        assert rc == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.cfg", "v.txt"]
 
     def test_config_before_subcommand_rejected(self, tmp_path):
         cfg = tmp_path / "x.cfg"

@@ -308,25 +308,31 @@ class TestPersistence:
         loaded = load_embeddings(path)
         assert loaded.vocab.tokens == table.vocab.tokens
         assert np.array_equal(loaded.input_vectors, table.input_vectors)
-        assert np.array_equal(loaded.output_vectors, table.output_vectors)
-        assert np.array_equal(loaded.vocab.counts, table.vocab.counts)
+        assert loaded.output_vectors is None
 
     def test_header_shape(self, tmp_path):
         sents = sentences_of(["a", "b"])
         table = train_skipgram(sents, TrainConfig(window=1, dim=7, negatives=1, epochs=1, seed=3))
         path = tmp_path / "vecs.txt"
-        save_embeddings(table, path, sidecar=False)
+        save_embeddings(table, path)
         first = path.read_text().splitlines()[0]
         assert first == "2 7"
 
-    def test_load_without_sidecar_zero_outputs(self, tmp_path):
-        sents = sentences_of(["a", "b"])
-        table = train_skipgram(sents, TrainConfig(window=1, dim=3, negatives=1, epochs=1, seed=3))
+    def test_missing_path_fatal_naming_it(self, tmp_path):
+        path = tmp_path / "absent.txt"
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            load_embeddings(path)
+
+    def test_stale_ctx_file_beside_is_ignored(self, tmp_path):
         path = tmp_path / "vecs.txt"
-        save_embeddings(table, path, sidecar=False)
-        loaded = load_embeddings(path)
-        assert np.array_equal(loaded.input_vectors, table.input_vectors)
-        assert not loaded.output_vectors.any()
+        path.write_text("2 2\na 0.1 0.2\nb 0.3 0.4\n")
+        alone = load_embeddings(path)
+        (tmp_path / "vecs.txt.ctx").write_bytes(b"2 2\na 3 0.5 nan\n\xff\xfe garbage\n")
+        beside = load_embeddings(path)
+        assert beside.vocab.tokens == alone.vocab.tokens == ["a", "b"]
+        assert beside.vocab.counts.tolist() == alone.vocab.counts.tolist() == [1, 1]
+        assert np.array_equal(beside.input_vectors, alone.input_vectors)
+        assert beside.output_vectors is None
 
     def test_row_arity_mismatch_fatal_with_line(self):
         bad = "2 3\na 0.1 0.2 0.3\nb 0.1 0.2\n"
@@ -351,14 +357,6 @@ class TestPersistence:
             path.write_text(f"2 2\na 0.1 0.2\nb {value} 1.0\n")
             with pytest.raises(DataError, match=f"{re.escape(str(path))} line 3: non-finite"):
                 load_embeddings(path)
-
-    def test_non_finite_sidecar_component_fatal_with_file_and_line(self, tmp_path):
-        path = tmp_path / "vecs.txt"
-        path.write_text("2 2\na 0.1 0.2\nb 0.3 0.4\n")
-        ctx = tmp_path / "vecs.txt.ctx"
-        ctx.write_text("2 2\na 3 0.5 nan\nb 1 0.5 0.5\n")
-        with pytest.raises(DataError, match=f"{re.escape(str(ctx))} line 2: non-finite"):
-            load_embeddings(path)
 
     def test_huge_header_counts_fatal_with_file_and_line(self, tmp_path):
         path = tmp_path / "vecs.txt"

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from relfrec.embed import EmbeddingTable, Vocabulary, save_embeddings
 from relfrec.errors import DataError, EmptyJoinError
+from relfrec.evaluation import write_manifest, write_results_csv
 from relfrec.ingest import (
     CatalogEntry,
     FeatureCatalog,
@@ -19,6 +21,7 @@ from relfrec.ingest import (
     parse_ratings,
     save_bundle,
     write_catalog,
+    write_ratings_csv,
 )
 
 
@@ -295,3 +298,31 @@ class TestBundleIO:
     def test_load_bundle_missing_dir_fatal(self, tmp_path):
         with pytest.raises(DataError):
             load_bundle(tmp_path / "absent")
+
+
+class TestTextStream:
+    def test_writers_give_a_path_the_text_they_give_a_stream(self, tmp_path):
+        """Each writer puts the same UTF-8 text in a file as in a stream,
+        closes the file and leaves the stream open."""
+        catalog = parse_item_features(io.StringIO(
+            'itemId,directors,screenwriters,cast\n1,José Ñúñez,"Roe, John",A One|B Two\n2,77,,99\n'
+        ))
+        ratings = RatingDataset(records=[(1, 1, 3.5, 10), (2, 2, 4.0, 11)])
+        rows = [["cf", "holdout(0.8)", "1", "35", "0", "0.9", "0.7", "2", "0"]]
+        table = EmbeddingTable(
+            vocab=Vocabulary(tokens=["josé", "b"], counts=np.ones(2, dtype=np.int64)),
+            input_vectors=np.array([[0.1, -2.5e-7], [1 / 3, 0.0]]),
+        )
+        writers = {
+            "results.csv": lambda sink: write_results_csv(rows, sink),
+            "manifest.json": lambda sink: write_manifest({"bundle": "bündel/", "k": 35}, sink),
+            "vectors.txt": lambda sink: save_embeddings(table, sink),
+            "features.csv": lambda sink: write_catalog(catalog, sink),
+            "ratings.csv": lambda sink: write_ratings_csv(ratings, sink),
+        }
+        for name, write in writers.items():
+            stream = io.StringIO()
+            write(stream)
+            write(tmp_path / name)
+            assert not stream.closed
+            assert (tmp_path / name).read_bytes() == stream.getvalue().encode("utf-8"), name
