@@ -2,8 +2,9 @@
 
 A SplitPlan assigns every rating record to a fold (k-fold) or to the
 train/test side (holdout, cold-start). evaluate() then, per fold,
-rebuilds all training-side state (means, similarities) from the train
-records only, predicts every test record, and aggregates metrics.
+rebuilds all training-side state (means, arrays, similarity rows) from
+the train records only, predicts every test record, and aggregates
+metrics; sweep_k shares that state across every k of a fold.
 Fallback predictions are included in the metrics and counted, never
 skipped: dropping them would flatter predictors that cannot reach cold
 items.
@@ -194,32 +195,60 @@ def make_split(ratings, kind, seed=1):
 def evaluate(predictor, plan, ratings, config=None, index=None, policy=None):
     """Run one predictor (cf, cb or hybrid) over a split plan and report RMSE/MAE.
 
-    Training-side state is rebuilt per fold from the train records
-    alone. Test records are predicted in (item, user) order - a
-    deterministic order that also groups cache hits; the metric sums do
-    not depend on it. Item vectors come from metadata, not ratings, so
-    a shared index leaks nothing across folds.
+    The one-cell sweep_k at config.k.
     """
     config = config or PredictionConfig()
-    fold_reports = []
+    ((_predictor, _k, report),) = sweep_k([config.k], [predictor], plan, ratings, config, index, policy)
+    return report
+
+
+def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None):
+    """Evaluate each predictor at each k on one fixed plan.
+
+    Per fold, the training side is built once from the train records
+    alone, and one provider per predictor serves every k. Test records
+    are predicted with predict_rating in (item, user) order - a
+    deterministic order in which each item's similarity row is computed
+    once per k; the metric sums do not depend on it. Item vectors come
+    from metadata, not ratings, so a shared index leaks nothing across
+    folds.
+
+    Returns a list of (predictor, k, MetricReport): predictors outer,
+    ks inner.
+    """
+    ks = list(ks)
+    if not ks:
+        raise ValueError("sweep_k needs at least one k")
+    if any(k < 1 for k in ks):
+        raise ValueError(f"all k must be >= 1, got {ks}")
+    config = config or PredictionConfig()
+    fold_reports = {(predictor, k): [] for predictor in predictors for k in ks}
     for fold_idx, train_idx, test_idx in plan.folds():
         train = ratings.subset(train_idx)
-        provider = make_provider(predictor, train, index, policy)
         test_records = sorted((ratings.records[i] for i in test_idx), key=lambda r: (r[1], r[0]))
-        preds = predict_batch(((r[0], r[1]) for r in test_records), train, provider, config)
-        pairs = [(p.value, r[2]) for p, r in zip(preds, test_records)]
-        report = MetricReport(
-            rmse=rmse(pairs),
-            mae=mae(pairs),
-            n_predictions=len(pairs),
-            n_fallbacks=sum(1 for p in preds if p.is_fallback),
-        )
-        fold_reports.append(report)
-        log.info(
-            "%s %s fold %d: rmse=%.6f mae=%.6f predictions=%d fallbacks=%d",
-            predictor, plan.label, fold_idx, report.rmse, report.mae,
-            report.n_predictions, report.n_fallbacks,
-        )
+        test_pairs = [(r[0], r[1]) for r in test_records]
+        for predictor in predictors:
+            provider = make_provider(predictor, train, index, policy)
+            for k in ks:
+                preds = predict_batch(test_pairs, train, provider, replace(config, k=k))
+                pairs = [(p.value, r[2]) for p, r in zip(preds, test_records)]
+                report = MetricReport(
+                    rmse=rmse(pairs),
+                    mae=mae(pairs),
+                    n_predictions=len(pairs),
+                    n_fallbacks=sum(1 for p in preds if p.is_fallback),
+                )
+                fold_reports[predictor, k].append(report)
+                log.info(
+                    "%s k=%d %s fold %d: rmse=%.6f mae=%.6f predictions=%d fallbacks=%d",
+                    predictor, k, plan.label, fold_idx, report.rmse, report.mae,
+                    report.n_predictions, report.n_fallbacks,
+                )
+    return [(predictor, k, _aggregate(plan, fold_reports[predictor, k])) for predictor in predictors for k in ks]
+
+
+def _aggregate(plan, fold_reports):
+    """One report over a plan's folds: k-fold means, or the single split's."""
     if plan.kind == KIND_KFOLD:
         return MetricReport(
             rmse=sum(r.rmse for r in fold_reports) / len(fold_reports),
@@ -229,30 +258,6 @@ def evaluate(predictor, plan, ratings, config=None, index=None, policy=None):
             per_fold=tuple(fold_reports),
         )
     return fold_reports[0]
-
-
-def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None):
-    """Evaluate each predictor at each k on one fixed plan.
-
-    Returns a list of (predictor, k, MetricReport) in the order the
-    cells were run: predictors outer, ks inner.
-    """
-    ks = list(ks)
-    if not ks:
-        raise ValueError("sweep_k needs at least one k")
-    if any(k < 1 for k in ks):
-        raise ValueError(f"all k must be >= 1, got {ks}")
-    config = config or PredictionConfig()
-    table = []
-    for predictor in predictors:
-        for k in ks:
-            report = evaluate(
-                predictor, plan, ratings,
-                config=replace(config, k=k),
-                index=index, policy=policy,
-            )
-            table.append((predictor, k, report))
-    return table
 
 
 def results_rows(predictor, plan, k, report):

@@ -22,7 +22,10 @@ import logging
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError, EmptyJoinError
 
@@ -115,6 +118,57 @@ class RatingDataset:
             records=[self.records[i] for i in indices],
             r_min=self.r_min,
             r_max=self.r_max,
+        )
+
+    @cached_property
+    def arrays(self):
+        """The dataset as RatingArrays, built on first use."""
+        return RatingArrays(self)
+
+
+class RatingArrays:
+    """A rating dataset as arrays over its rated item ids, ascending.
+
+    * ``items``: the rated item ids in ascending order; ``position``
+      maps an id to its column.
+    * ``indptr``, ``cols``, ``values``: the ratings user by user (in
+      ``per_user`` order), each user's in ascending column order.
+    * ``rows``: user -> (columns, rating minus the item's mean), views
+      of that user's run.
+    * ``counts``: ratings per item.
+    * ``matrices``: the users x items ratings R, their 0/1 pattern and
+      R*R elementwise, as CSC matrices built on first use.
+
+    Built from the one-rating-per-pair view of ``per_user``.
+    """
+
+    def __init__(self, ratings):
+        self.items = np.array(sorted(ratings.per_item))
+        self.position = {item: p for p, item in enumerate(self.items.tolist())}
+        user_rows = ratings.per_user.values()
+        lengths = np.fromiter(map(len, user_rows), np.int64, len(user_rows))
+        self.indptr = np.concatenate(([0], np.cumsum(lengths)))
+        n = int(self.indptr[-1])
+        cols = np.fromiter((self.position[i] for row in user_rows for i in row), np.int64, n)
+        values = np.fromiter((r for row in user_rows for r in row.values()), np.float64, n)
+        order = np.lexsort((cols, np.repeat(np.arange(len(user_rows)), lengths)))
+        self.cols, self.values = cols[order], values[order]
+        means = np.array([ratings.item_means[i] for i in self.items.tolist()])
+        split = self.indptr[1:-1]
+        deviations = self.values - means[self.cols]
+        self.rows = dict(zip(ratings.per_user, zip(np.split(self.cols, split), np.split(deviations, split))))
+        self.counts = np.bincount(self.cols, minlength=len(self.items))
+
+    @cached_property
+    def matrices(self):
+        """(R, pattern, R*R) as users x items CSC matrices."""
+        # scipy.sparse is imported only once a dataset needs its matrices.
+        from scipy import sparse
+
+        shape = (len(self.indptr) - 1, len(self.items))
+        return tuple(
+            sparse.csr_matrix((data, self.cols, self.indptr), shape=shape).tocsc()
+            for data in (self.values, np.ones_like(self.values), self.values * self.values)
         )
 
 

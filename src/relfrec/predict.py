@@ -15,8 +15,11 @@ anchored on the global mean instead.
 When the neighborhood is too small the prediction falls back to the
 item mean, or the global mean for an unrated item. Every Prediction
 records which route produced it. The predictor is indifferent to where
-similarities come from: cf, cb and hybrid differ only in the pair
-function of the SimilarityProvider that simcore.make_provider builds.
+similarities come from: cf, cb and hybrid differ only in the similarity
+rows of the SimilarityProvider that simcore.make_provider builds. A
+prediction reads the target's row at the user's rated items, keeps the
+positive cells, sorts them once and sums the top k in order, with no
+Python loop over neighbors.
 """
 
 from __future__ import annotations
@@ -65,9 +68,9 @@ class Prediction:
 
 
 def _clamp(value, ratings, config):
-    if not config.clamp:
-        return value
-    return min(max(value, ratings.r_min), ratings.r_max)
+    if config.clamp:
+        value = min(max(value, ratings.r_min), ratings.r_max)
+    return float(value)
 
 
 def _mean_fallback(item, ratings, config):
@@ -82,34 +85,28 @@ def predict_rating(user, item, ratings, provider, config=None):
 
     A user with no training ratings gets the global mean immediately.
     Otherwise candidates are the user's rated items with defined,
-    strictly positive similarity to the target; the k largest enter the
-    weighted sum, ties broken by ascending item id. Fewer than
+    strictly positive similarity to the target in the provider's row
+    over ``ratings.arrays``; the k largest enter the weighted sum, ties
+    broken by ascending item id, summed in that order. Fewer than
     min_neighbors candidates trips the mean fallback chain.
     """
     config = config or PredictionConfig()
-    row = ratings.per_user.get(user)
-    if not row:
+    arrays = ratings.arrays
+    user_row = arrays.rows.get(user)
+    if user_row is None:
         return Prediction(_clamp(ratings.global_mean, ratings, config), DETAIL_GLOBAL_MEAN)
-    scored = []
-    for j in row:
-        if j == item:
-            continue
-        sv = provider.sim(item, j)
-        if sv is not None and sv.value > 0.0:
-            scored.append((sv.value, j))
-    if len(scored) < config.min_neighbors:
+    columns, deviations = user_row
+    sims = provider.row(item, arrays)[columns]
+    positive = sims > 0.0
+    sims = sims[positive]
+    if len(sims) < config.min_neighbors:
         return _mean_fallback(item, ratings, config)
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    neighborhood = scored[: config.k]
-    anchor = ratings.item_means.get(item)
-    if anchor is None:
-        anchor = ratings.global_mean
-    num = 0.0
-    den = 0.0
-    for value, j in neighborhood:
-        num += value * (row[j] - ratings.item_means[j])
-        den += value
-    return Prediction(_clamp(anchor + num / den, ratings, config), DETAIL_FULL, len(neighborhood))
+    top = (-sims).argsort(kind="stable")[: config.k]
+    weights = sims[top]
+    num = (weights * deviations[positive][top]).cumsum()[-1]
+    den = weights.cumsum()[-1]
+    anchor = ratings.item_means.get(item, ratings.global_mean)
+    return Prediction(_clamp(anchor + float(num) / float(den), ratings, config), DETAIL_FULL, len(top))
 
 
 def predict_batch(pairs, ratings, provider, config=None):

@@ -1,7 +1,9 @@
 """Item-item similarity: rating cosine, content (RELFsim), and hybrid.
 
 Three interchangeable similarity sources share one contract: given a
-pair of item ids, return a SimilarityValue or None (undefined).
+pair of item ids, return a SimilarityValue or None (undefined). The
+per-pair functions rating_cosine, relf_sim and hybrid_sim are the
+reference definitions.
 
 * rating cosine - cosine over the two items' rating columns restricted
   to users who rated both, on raw ratings.
@@ -15,8 +17,15 @@ The predictors are named after their source: cf (rating cosine), cb
 (RELFsim) and hybrid. PREDICTORS lists them, and make_provider builds
 the one provider type, SimilarityProvider, from such a name.
 
-Values are computed on demand and memoized per unordered pair in a
-bounded cache, so no full item-by-item matrix is ever materialized.
+Prediction reads a provider's rows: one target item against every
+item of a rating dataset's arrays (RatingDataset.arrays), NaN where
+undefined. Rating cosine rows are computed from three sparse products
+in blocks of contiguous items of at most _BLOCK_CELLS cells, content
+rows from one matrix-vector product, and hybrid rows pick between the
+two per cell. Only the latest block and row are kept, so no full
+item-by-item matrix is ever materialized. Single pairs (``sim``) are
+still computed by the reference functions and memoized per unordered
+pair in a bounded cache.
 """
 
 from __future__ import annotations
@@ -38,6 +47,8 @@ SOURCE_RATING = "rating"
 SOURCE_CONTENT = "content"
 
 _CACHE_SIZE = 1_000_000
+# Cells in one block of rating cosine rows (8 MB of float64).
+_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -190,18 +201,120 @@ def hybrid_sim(i, j, ratings, index, policy):
     return rating_value
 
 
-class SimilarityProvider:
-    """One similarity source: sim(i, j) -> SimilarityValue or None.
+class _RatingBlocks:
+    """Rating cosine rows over a dataset's items, computed in blocks.
 
-    ``pair(a, b)`` computes the value for a <= b; sim memoizes it per
-    unordered pair in a bounded cache, so symmetry is exact by keying.
-    ``items`` holds the ids the source can compare. Build providers
-    with make_provider.
+    A block holds the rows of a run of contiguous items, at most
+    _BLOCK_CELLS cells, from three sparse products over the ratings R,
+    their pattern B and R*R (RatingArrays.matrices):
+
+        dot = R_blk' R    sq_i = (R*R)_blk' B    sq_j = B_blk' (R*R)
+
+    A cell is dot / (sqrt(sq_i) * sqrt(sq_j)), as in rating_cosine, and
+    NaN where a squared norm is 0 (no co-rater, or all-zero ratings).
+    Ratings on a dyadic grid (integers, halves) make every sum exact in
+    float64, so cells equal rating_cosine bit for bit. With a policy the
+    block also holds hybrid_sim's warm test, from the co-rater counts
+    B_blk' B and the per-item rating counts. Only the latest block is
+    kept.
     """
 
-    def __init__(self, pair, items):
+    def __init__(self, ratings, policy=None):
+        self.ratings = ratings
+        self.policy = policy
+        self.start = self.stop = 0
+        self.values = self.warm = None
+
+    def row(self, item, arrays):
+        """(cosines, warm mask or None) of item, or None if it is unrated."""
+        if arrays is not self.ratings.arrays:
+            raise ValueError("rating rows are served over the provider's own rating dataset")
+        t = arrays.position.get(item)
+        if t is None:
+            return None
+        if not self.start <= t < self.stop:
+            self._compute(arrays, t)
+        t -= self.start
+        return self.values[t], None if self.warm is None else self.warm[t]
+
+    def _compute(self, arrays, t):
+        n = len(arrays.items)
+        size = max(1, _BLOCK_CELLS // n)
+        start = t - t % size
+        stop = min(start + size, n)
+        blk = slice(start, stop)
+        rated, pattern, squares = arrays.matrices
+        dot = (rated[:, blk].T @ rated).toarray()
+        sq_i = (squares[:, blk].T @ pattern).toarray()
+        sq_j = (pattern[:, blk].T @ squares).toarray()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = dot / (np.sqrt(sq_i) * np.sqrt(sq_j))
+        values[(sq_i == 0.0) | (sq_j == 0.0)] = np.nan
+        diagonal = np.arange(stop - start)
+        values[diagonal, diagonal + start] = np.nan
+        if self.policy is not None:
+            support = (pattern[:, blk].T @ pattern).toarray()
+            warm_item = arrays.counts >= self.policy.tau_item
+            self.warm = (support >= self.policy.tau_pair) & warm_item & warm_item[blk, None] & ~np.isnan(values)
+        self.start, self.stop, self.values = start, stop, values
+
+
+class _ContentRows:
+    """RELFsim rows: one matrix-vector product per target item.
+
+    Holds the vectors and norms of one dataset's items (zeros for an
+    item without a vector); a cell is NaN where either vector is
+    missing or zero.
+    """
+
+    def __init__(self, index):
+        self.index = index
+        self.arrays = None
+
+    def row(self, item, arrays):
+        if arrays is not self.arrays:
+            zero = np.zeros(self.index.dim)
+            self.matrix = np.array([self.index.vectors.get(i, zero) for i in arrays.items.tolist()])
+            self.norms = np.linalg.norm(self.matrix, axis=1)
+            self.defined = self.norms > 0.0
+            self.arrays = arrays
+        out = np.full(len(arrays.items), np.nan)
+        vector = self.index.vectors.get(item)
+        norm = 0.0 if vector is None else np.linalg.norm(vector)
+        if norm == 0.0:
+            return out
+        np.divide(self.matrix @ vector, self.norms * norm, out=out, where=self.defined)
+        t = arrays.position.get(item)
+        if t is not None:
+            out[t] = np.nan
+        return out
+
+
+class SimilarityProvider:
+    """One similarity source, served as rows and as pairs.
+
+    ``row(item, arrays)`` gives item's similarity to every item of a
+    dataset's RatingArrays: a float array over ``arrays.items``, NaN
+    where undefined and at item itself. The latest row is kept, since
+    evaluation asks for one item's row once per test user. ``sim(i, j)``
+    gives one pair as a SimilarityValue or None, memoized per unordered
+    pair in a bounded cache, so symmetry is exact by keying. ``items``
+    holds the ids the source can compare. Build providers with
+    make_provider.
+    """
+
+    def __init__(self, pair, row, items):
         self.items = items
         self._cached = lru_cache(maxsize=_CACHE_SIZE)(pair)
+        self._row = row
+        self._latest = (None, None, None)
+
+    def row(self, item, arrays):
+        latest_item, latest_arrays, latest = self._latest
+        if item != latest_item or arrays is not latest_arrays:
+            latest = self._row(item, arrays)
+            self._latest = (item, arrays, latest)
+        return latest
 
     def sim(self, i, j):
         return self._cached(i, j) if i <= j else self._cached(j, i)
@@ -218,6 +331,8 @@ def make_provider(kind, ratings=None, index=None, policy=None):
     compares their union. Unlike the raw rating_cosine function, cf
     treats an item the ratings never saw as undefined against everything:
     that is a cold item in evaluation, left to the predictor's fallbacks.
+    cf and hybrid serve rows over their own dataset's arrays; cb serves
+    them over any dataset's.
     """
     if kind not in PREDICTORS:
         raise ValueError(f"unknown predictor {kind!r}; expected one of {PREDICTORS}")
@@ -229,15 +344,34 @@ def make_provider(kind, ratings=None, index=None, policy=None):
     # wrapper patched onto the module sees every computed pair.
     if kind == "cf":
         rated = ratings.per_item
+        blocks = _RatingBlocks(ratings)
+
+        def cf_row(item, arrays):
+            rating = blocks.row(item, arrays)
+            return np.full(len(arrays.items), np.nan) if rating is None else rating[0]
+
         return SimilarityProvider(
             lambda a, b: rating_cosine(a, b, ratings) if a in rated and b in rated else None,
+            cf_row,
             frozenset(rated),
         )
+    content = _ContentRows(index)
     if kind == "cb":
-        return SimilarityProvider(lambda a, b: relf_sim(a, b, index), frozenset(index.vectors))
+        return SimilarityProvider(lambda a, b: relf_sim(a, b, index), content.row, frozenset(index.vectors))
     policy = policy or HybridPolicy()
+    blocks = _RatingBlocks(ratings, policy)
+
+    def hybrid_row(item, arrays):
+        rating = blocks.row(item, arrays)
+        row = content.row(item, arrays)
+        if rating is None:
+            return row
+        values, warm = rating
+        return np.where(warm | np.isnan(row), values, row)
+
     return SimilarityProvider(
         lambda a, b: hybrid_sim(a, b, ratings, index, policy),
+        hybrid_row,
         frozenset(ratings.per_item).union(index.vectors),
     )
 

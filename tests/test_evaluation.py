@@ -23,6 +23,7 @@ from relfrec.evaluation import (
     write_manifest,
     write_results_csv,
 )
+from relfrec import predict
 from relfrec.ingest import RatingDataset
 from relfrec.predict import PredictionConfig, predict_batch
 from relfrec.simcore import ItemVectorIndex, make_provider
@@ -245,6 +246,24 @@ class TestEvaluate:
         assert report.mae == mae(pairs)
         assert report.n_fallbacks == sum(1 for p in preds if p.is_fallback)
 
+    @pytest.mark.parametrize("kind", ["holdout(0.8)", "kfold(3)", "cold-start(0.25)"])
+    def test_predicts_each_test_record_through_predict_rating(self, monkeypatch, kind):
+        ds = random_world(11, n_users=16, n_items=10)
+        plan = make_split(ds, kind, seed=6)
+        index = full_coverage_index(ds.per_item.keys())
+        calls = []
+        original = predict.predict_rating
+
+        def counted(user, item, *args, **kwargs):
+            calls.append((user, item))
+            return original(user, item, *args, **kwargs)
+
+        monkeypatch.setattr(predict, "predict_rating", counted)
+        report = evaluate("hybrid", plan, ds, index=index)
+        test_pairs = [ds.records[i][:2] for _f, _train, test_idx in plan.folds() for i in test_idx]
+        assert sorted(calls) == sorted(test_pairs)
+        assert report.n_predictions == len(calls)
+
     def test_kfold_aggregate_is_unweighted_mean(self):
         ds = random_world(10)
         plan = make_split(ds, "kfold(4)", seed=5)
@@ -299,6 +318,17 @@ class TestSweepK:
         index = full_coverage_index(ds.per_item.keys())
         table = sweep_k([2, 4], ["cf", "cb"], plan, ds, index=index)
         assert [(p, k) for p, k, _ in table] == [("cf", 2), ("cf", 4), ("cb", 2), ("cb", 4)]
+
+    def test_cells_equal_per_cell_evaluate(self):
+        ds = random_world(15, n_users=20, n_items=12)
+        plan = make_split(ds, "kfold(3)", seed=4)
+        index = full_coverage_index(ds.per_item.keys())
+        cfg = PredictionConfig(min_neighbors=2)
+        table = sweep_k((1, 3, 35), ("cf", "cb", "hybrid"), plan, ds, config=cfg, index=index)
+        assert len(table) == 9
+        for predictor, k, report in table:
+            assert report == evaluate(predictor, plan, ds, config=PredictionConfig(k=k, min_neighbors=2), index=index)
+            assert len(report.per_fold) == 3
 
     def test_bad_ks_fatal(self):
         ds = random_world(13)

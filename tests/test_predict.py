@@ -14,7 +14,7 @@ from relfrec.predict import (
     predict_rating,
     recommend_top_n,
 )
-from relfrec.simcore import SimilarityValue, make_provider
+from relfrec.simcore import ItemVectorIndex, make_provider, relf_sim
 
 
 def dataset(rows, r_min=1.0, r_max=5.0):
@@ -22,19 +22,20 @@ def dataset(rows, r_min=1.0, r_max=5.0):
 
 
 class StubProvider:
-    """Similarity fixed per unordered pair; everything else undefined."""
+    """Similarity fixed per unordered pair; everything else undefined.
 
-    source = "stub"
+    Serves rows on the provider contract: one value per item of the
+    dataset's arrays, NaN where undefined and at the target itself.
+    """
 
     def __init__(self, values):
         self.values = values
 
-    def sim(self, i, j):
-        key = (i, j) if i <= j else (j, i)
-        v = self.values.get(key)
-        if v is None:
-            return None
-        return SimilarityValue(value=v, support=1, source="stub")
+    def row(self, item, arrays):
+        row = np.array([self.values.get((min(item, j), max(item, j)), np.nan) for j in arrays.items.tolist()])
+        if item in arrays.position:
+            row[arrays.position[item]] = np.nan
+        return row
 
 
 def mean_anchored_oracle(user, item, matrix, k, r_min=1.0, r_max=5.0):
@@ -146,6 +147,49 @@ class TestPredictRating:
         provider = StubProvider({(100, 100): 1.0, (100, 101): 0.5})
         pred = predict_rating(1, 100, ds, provider)
         assert pred.neighbors_used == 1  # item 101 only
+        for real in (make_provider("cf", ratings=ds), make_provider("cb", index=self.index_of([100, 101]))):
+            assert predict_rating(1, 100, ds, real).neighbors_used == 1
+
+    @staticmethod
+    def index_of(items):
+        rng = np.random.default_rng(5)
+        vectors = {i: rng.uniform(0.1, 1.0, 3) for i in items}
+        return ItemVectorIndex(vectors=vectors, coverage=dict.fromkeys(vectors, 1), dim=3)
+
+    def test_content_provider_from_index_alone(self):
+        # README: make_provider("cb", index=...) predicts without ratings of its own.
+        ds = dataset([(1, 10, 5), (1, 11, 2), (1, 12, 4), (2, 10, 3), (2, 11, 4), (3, 12, 1)])
+        index = self.index_of([10, 11, 12, 13])
+        provider = make_provider("cb", index=index)
+        for item in (10, 13):
+            pred = predict_rating(1, item, ds, provider)
+            sims = {j: relf_sim(item, j, index).value for j in ds.per_user[1] if j != item}
+            num = sum(s * (ds.per_user[1][j] - ds.item_means[j]) for j, s in sims.items())
+            anchor = ds.item_means.get(item, ds.global_mean)
+            assert pred.detail == DETAIL_FULL
+            assert pred.neighbors_used == len(sims)
+            assert pred.value == pytest.approx(anchor + num / sum(sims.values()), abs=1e-12)
+
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_value_is_a_plain_float_on_every_route(self, clamp):
+        # An integer scale must not leak into the clamped value either.
+        ds = RatingDataset(records=[(1, 10, 5.0, 0), (1, 11, 2.0, 0), (2, 10, 1.0, 0), (2, 12, 4.0, 0)],
+                           r_min=1, r_max=5)
+        cfg = PredictionConfig(clamp=clamp)
+        none = StubProvider({})
+        routes = {
+            # 4.0 + (5 - 3) = 6.0, clamped to the scale's integer 5
+            DETAIL_FULL: predict_rating(1, 12, ds, StubProvider({(10, 12): 1.0}), cfg),
+            DETAIL_ITEM_MEAN: predict_rating(2, 11, ds, none, cfg),
+            DETAIL_GLOBAL_MEAN: predict_rating(99, 10, ds, none, cfg),
+            "unrated item": predict_rating(1, 999, ds, none, cfg),
+        }
+        for route, pred in routes.items():
+            assert type(pred.value) is float, route  # np.float64 would pass isinstance
+        assert routes[DETAIL_FULL].value == (5.0 if clamp else 6.0)
+        assert routes[DETAIL_FULL].detail == DETAIL_FULL
+        assert routes[DETAIL_ITEM_MEAN].detail == DETAIL_ITEM_MEAN
+        assert routes[DETAIL_GLOBAL_MEAN].detail == routes["unrated item"].detail == DETAIL_GLOBAL_MEAN
 
     def test_k_truncates_by_similarity_then_id(self):
         ds = dataset(

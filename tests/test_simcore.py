@@ -24,6 +24,7 @@ from relfrec.simcore import (
 )
 
 import synthdata
+from relfrec import simcore
 
 
 def make_table(vectors_by_token):
@@ -402,6 +403,143 @@ class TestProviders:
             make_provider("hybrid", ratings=self.ratings)
         with pytest.raises(ValueError):
             make_provider("bogus", ratings=self.ratings, index=self.index)
+
+
+def row_world(seed, step):
+    """Random ratings on a grid of ``step`` over [0, 5] plus an item index.
+
+    Zero ratings make some co-rated sub-vectors all zero. The index
+    leaves rated item 1 without a vector, gives rated item 2 and
+    unrated item 103 zero vectors, and covers unrated items 101-103.
+    """
+    rng = np.random.default_rng(seed)
+    grid = np.arange(0.0, 5.0 + step, step)
+    rows = [
+        (u, i, float(rng.choice(grid)))
+        for u in range(1, 31)
+        for i in range(1, 17)
+        if rng.random() < 0.35
+    ]
+    ratings = RatingDataset(records=[(u, i, r, 0) for u, i, r in rows], r_min=0.0, r_max=5.0)
+    ids = [i for i in list(ratings.per_item) + [101, 102, 103] if i != 1 and rng.random() < 0.85]
+    vectors = {i: rng.normal(size=5) for i in ids}
+    vectors[2] = vectors[103] = np.zeros(5)
+    index = ItemVectorIndex(vectors=vectors, coverage=dict.fromkeys(vectors, 1), dim=5)
+    return ratings, index
+
+
+class TestRows:
+    """Row kernels against the per-pair reference functions."""
+
+    @pytest.fixture(params=[None, 3], ids=["default-cap", "3-row-blocks"])
+    def block_rows(self, request, monkeypatch):
+        """Caps rating blocks at 3 rows of a world's items, or keeps the default."""
+
+        def use(n_items):
+            if request.param is not None:
+                monkeypatch.setattr(simcore, "_BLOCK_CELLS", request.param * n_items)
+
+        return use
+
+    def targets(self, ratings, index, seed):
+        """Every rated or indexed item and an unknown id, in shuffled order."""
+        ids = sorted(set(ratings.per_item) | set(index.vectors)) + [9999]
+        return [ids[p] for p in np.random.default_rng(seed).permutation(len(ids))]
+
+    def check_rows(self, provider, ratings, targets, expected, tol):
+        arrays = ratings.arrays
+        for t in targets:
+            row = provider.row(t, arrays)
+            assert row.shape == (len(arrays.items),)
+            for p, j in enumerate(arrays.items.tolist()):
+                want = None if j == t else expected(t, j)
+                if want is None:
+                    assert np.isnan(row[p]), (t, j)
+                elif want.source == SOURCE_RATING:
+                    assert row[p] == want.value, (t, j)
+                else:
+                    assert abs(row[p] - want.value) <= tol, (t, j)
+
+    @pytest.mark.parametrize("step", [1.0, 0.5])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_cf_rows_equal_rating_cosine_exactly(self, block_rows, step, seed):
+        ratings, index = row_world(seed, step)
+        block_rows(len(ratings.per_item))
+        provider = make_provider("cf", ratings=ratings)
+
+        def expected(t, j):
+            return rating_cosine(t, j, ratings) if t in ratings.per_item else None
+
+        self.check_rows(provider, ratings, self.targets(ratings, index, seed), expected, 0.0)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_cb_rows_match_relf_sim(self, seed):
+        ratings, index = row_world(seed, 0.5)
+        provider = make_provider("cb", index=index)
+        expected = lambda t, j: relf_sim(t, j, index)  # noqa: E731
+        self.check_rows(provider, ratings, self.targets(ratings, index, seed), expected, 1e-14)
+
+    @pytest.mark.parametrize("step", [1.0, 0.5])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_hybrid_rows_match_hybrid_sim(self, block_rows, step, seed):
+        ratings, index = row_world(seed, step)
+        block_rows(len(ratings.per_item))
+        counts = sorted(len(col) for col in ratings.per_item.values())
+        supports = [
+            rating_cosine(i, j, ratings).support
+            for i in ratings.per_item for j in ratings.per_item
+            if i < j and rating_cosine(i, j, ratings) is not None
+        ]
+        # The defaults, everything warm, and both taus exactly at observed values.
+        policies = [
+            HybridPolicy(),
+            HybridPolicy(tau_pair=1, tau_item=0),
+            HybridPolicy(tau_pair=int(np.median(supports)), tau_item=counts[len(counts) // 2]),
+            HybridPolicy(tau_pair=max(supports), tau_item=counts[0]),
+        ]
+        for policy in policies:
+            provider = make_provider("hybrid", ratings=ratings, index=index, policy=policy)
+            expected = lambda t, j: hybrid_sim(t, j, ratings, index, policy)  # noqa: E731
+            self.check_rows(provider, ratings, self.targets(ratings, index, seed), expected, 1e-14)
+
+    def test_every_route_is_exercised(self):
+        ratings, index = row_world(3, 0.5)
+        items = list(ratings.per_item)
+        sources = {
+            getattr(hybrid_sim(i, j, ratings, index, HybridPolicy()), "source", None)
+            for i in items for j in items + [101, 102, 103] if i != j
+        }
+        assert sources == {SOURCE_RATING, SOURCE_CONTENT, None}
+        # Co-raters whose ratings are all zero: undefined despite support.
+        assert any(
+            rating_cosine(i, j, ratings) is None and set(ratings.per_item[i]) & set(ratings.per_item[j])
+            for i in items for j in items if i != j
+        )
+
+    def test_latest_row_is_reused(self):
+        ratings, index = row_world(3, 1.0)
+        provider = make_provider("cb", index=index)
+        a = provider.row(5, ratings.arrays)
+        assert provider.row(5, ratings.arrays) is a
+        assert provider.row(6, ratings.arrays) is not a
+
+    def test_cb_rows_over_any_dataset(self):
+        ratings, index = row_world(3, 1.0)
+        other = ratings.subset(range(0, len(ratings), 2))
+        provider = make_provider("cb", index=index)
+        for data in (ratings, other, ratings):
+            row = provider.row(5, data.arrays)
+            for p, j in enumerate(data.arrays.items.tolist()):
+                want = None if j == 5 else relf_sim(5, j, index)
+                assert np.isnan(row[p]) if want is None else abs(row[p] - want.value) <= 1e-14
+
+    def test_rating_rows_need_the_providers_dataset(self):
+        ratings, index = row_world(3, 1.0)
+        other = ratings.subset(range(0, len(ratings), 2))
+        for kind in ("cf", "hybrid"):
+            provider = make_provider(kind, ratings=ratings, index=index)
+            with pytest.raises(ValueError, match="own rating dataset"):
+                provider.row(5, other.arrays)
 
 
 class StubProvider:
