@@ -17,6 +17,15 @@ total planned number of center-word visits. Input vectors start uniform
 in [-0.5/dim, +0.5/dim]; output vectors start at zero. Training runs
 on one thread, so a fixed seed gives bit-reproducible vectors.
 
+Pairs are trained one after another, each exactly as sgns_pair_update
+would apply it to the rows of the input and output matrices: the
+trained vectors equal that pair-by-pair reference bit for bit. The
+training loop only avoids work around the update: a pair whose output
+rows are all distinct writes them back as one block, a pair with a
+repeated row (a negative drawn twice) adds its updates one per
+occurrence through a flat index, and the loss is computed for chunks
+of pairs from their kept scores.
+
 A table is saved as one word2vec-format text file of input vectors
 only, which is all that content similarity downstream reads.
 """
@@ -36,6 +45,8 @@ from .ingest import text_stream
 log = logging.getLogger(__name__)
 
 _MAX_RESAMPLE_ROUNDS = 1000
+# Pairs whose scores are held before their losses are added up.
+_LOSS_CHUNK = 4096
 
 
 @dataclass
@@ -123,6 +134,8 @@ class NegativeSampler:
         cumulative /= cumulative[-1]
         cumulative[-1] = 1.0
         self.cumulative = cumulative
+        # Tokens that leave no mass to draw anything else from.
+        self._sole = (self.probabilities >= 1.0).tolist()
 
     @property
     def probabilities(self):
@@ -130,21 +143,21 @@ class NegativeSampler:
 
     def draw(self, rng, n, exclude=None):
         """n indices; any draw equal to ``exclude`` is redrawn."""
-        idx = np.searchsorted(self.cumulative, rng.random(n), side="right")
+        cumulative = self.cumulative
+        idx = cumulative.searchsorted(rng.random(n), side="right")
         if exclude is None:
             return idx
-        lo = self.cumulative[exclude - 1] if exclude > 0 else 0.0
-        if self.cumulative[exclude] - lo >= 1.0:
+        if self._sole[exclude]:
             raise DataError(
                 f"cannot draw negatives distinct from token index {exclude}; "
                 "it carries the entire sampling mass"
             )
         for _ in range(_MAX_RESAMPLE_ROUNDS):
             mask = idx == exclude
-            hits = int(mask.sum())
+            hits = np.count_nonzero(mask)
             if not hits:
                 return idx
-            idx[mask] = np.searchsorted(self.cumulative, rng.random(hits), side="right")
+            idx[mask] = cumulative.searchsorted(rng.random(hits), side="right")
         raise DataError(
             f"cannot draw negatives distinct from token index {exclude} "
             f"after {_MAX_RESAMPLE_ROUNDS} resampling rounds"
@@ -232,23 +245,17 @@ def sgns_pair_update(center_vec, context_vec, negative_vecs, lr):
     return loss
 
 
-def _train_pair_rows(syn0, syn1, center, out_idx, lr):
-    """Row-indexed twin of sgns_pair_update used by the training loop.
+def _add_pair_losses(total, scores):
+    """total plus each row's sgns_pair_update loss, added in row order.
 
-    out_idx[0] is the context row, the rest are negatives. Duplicate
-    negative indices accumulate, matching the per-occurrence updates of
-    the vector form.
+    Row r holds one pair's scores, context first. Each row's loss is
+    computed as sgns_pair_update computes it, and the losses are added
+    one at a time, left to right, in the order the pairs were trained.
     """
-    v = syn0[center]
-    rows = syn1[out_idx]
-    scores = rows @ v
-    loss = float(np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum())
-    grad = -expit(scores)
-    grad[0] += 1.0
-    grad *= lr
-    np.add.at(syn1, out_idx, np.outer(grad, v))
-    syn0[center] += grad @ rows
-    return loss
+    losses = np.logaddexp(0.0, -scores[:, 0]) + np.logaddexp(0.0, scores[:, 1:]).sum(axis=1)
+    for loss in losses.tolist():
+        total += loss
+    return total
 
 
 class _Trainer:
@@ -264,12 +271,22 @@ class _Trainer:
         self.total_visits = config.epochs * sum(len(s) for s in encoded)
 
     def run(self):
+        """Train every epoch; return the mean pair loss of each.
+
+        Each pair is sgns_pair_update on rows of syn0 and syn1: the
+        output rows gain grad[n] * center in turn, the center gains
+        grad @ rows, both at the incoming values.
+        """
         cfg = self.config
         # Sampling draws from its own stream, apart from the init rng.
         rng = np.random.default_rng([cfg.seed, 0])
-        out_idx = np.empty(cfg.negatives + 1, dtype=np.int64)
         syn0, syn1, sampler = self.syn0, self.syn1, self.sampler
-        window, n_neg = cfg.window, cfg.negatives
+        window, n_neg, dim = cfg.window, cfg.negatives, cfg.dim
+        n_out = n_neg + 1
+        out_idx = np.empty(n_out, dtype=np.int64)
+        syn1_flat = syn1.reshape(-1)
+        columns = np.arange(dim)
+        scores = np.empty((_LOSS_CHUNK, n_out))
         lr_span = cfg.initial_lr - cfg.final_lr
         total = self.total_visits
         visit = 0
@@ -277,12 +294,13 @@ class _Trainer:
         for epoch in range(1, cfg.epochs + 1):
             loss_sum = 0.0
             n_pairs = 0
+            filled = 0
             # Overflow in a diverging run is caught by _check_finite at the
             # epoch boundary; the interim numpy warnings are just noise.
             with np.errstate(over="ignore", invalid="ignore"):
                 for sent in self.encoded:
                     length = len(sent)
-                    for pos in range(length):
+                    for pos, center in enumerate(sent):
                         lr = cfg.initial_lr - lr_span * (visit / total)
                         visit += 1
                         if lr < cfg.final_lr:
@@ -290,7 +308,7 @@ class _Trainer:
                         b = int(rng.integers(1, window + 1))
                         lo = pos - b if pos - b > 0 else 0
                         hi = pos + b + 1 if pos + b + 1 < length else length
-                        center = sent[pos]
+                        v = syn0[center]
                         for pos2 in range(lo, hi):
                             if pos2 == pos:
                                 continue
@@ -298,8 +316,27 @@ class _Trainer:
                             if n_neg:
                                 out_idx[1:] = sampler.draw(rng, n_neg, exclude=context)
                             out_idx[0] = context
-                            loss_sum += _train_pair_rows(syn0, syn1, center, out_idx, lr)
+                            rows = syn1.take(out_idx, axis=0)
+                            score = scores[filled]
+                            np.matmul(rows, v, out=score)
+                            e = expit(score)
+                            grad = e * -lr
+                            grad[0] = (1.0 - e[0]) * lr
+                            dv = grad @ rows
+                            if len(set(out_idx.tolist())) == n_out:
+                                rows += grad[:, None] * v
+                                syn1[out_idx] = rows
+                            else:
+                                # A repeated row gains its updates one occurrence at a time.
+                                flat = (out_idx[:, None] * dim + columns).ravel()
+                                np.add.at(syn1_flat, flat, (grad[:, None] * v).ravel())
+                            v += dv
                             n_pairs += 1
+                            filled += 1
+                            if filled == _LOSS_CHUNK:
+                                loss_sum = _add_pair_losses(loss_sum, scores)
+                                filled = 0
+                loss_sum = _add_pair_losses(loss_sum, scores[:filled])
             mean_loss = loss_sum / n_pairs if n_pairs else 0.0
             self._check_finite(epoch)
             epoch_losses.append(mean_loss)
@@ -330,7 +367,7 @@ def train_skipgram(sentences, config=None):
     for sent in sentences:
         ids = [vocab.index[t] for t in sent.tokens if t in vocab.index]
         if ids:
-            encoded.append(np.asarray(ids, dtype=np.int64))
+            encoded.append(ids)
     if not encoded:
         raise DataError("no trainable sentences after vocabulary filtering")
     trainer = _Trainer(encoded, config, vocab)

@@ -21,6 +21,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -207,11 +208,11 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
 
     Per fold, the training side is built once from the train records
     alone, and one provider per predictor serves every k. Test records
-    are predicted with predict_rating in (item, user) order - a
-    deterministic order in which each item's similarity row is computed
-    once per k; the metric sums do not depend on it. Item vectors come
-    from metadata, not ratings, so a shared index leaks nothing across
-    folds.
+    are predicted with predict_rating in (item, user) order, one item's
+    records at every k in turn, so each item's similarity row is
+    computed once per fold and predictor; the metric sums do not depend
+    on that order. Item vectors come from metadata, not ratings, so a
+    shared index leaks nothing across folds.
 
     Returns a list of (predictor, k, MetricReport): predictors outer,
     ks inner.
@@ -222,15 +223,21 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
     if any(k < 1 for k in ks):
         raise ValueError(f"all k must be >= 1, got {ks}")
     config = config or PredictionConfig()
+    configs = [replace(config, k=k) for k in ks]
     fold_reports = {(predictor, k): [] for predictor in predictors for k in ks}
     for fold_idx, train_idx, test_idx in plan.folds():
         train = ratings.subset(train_idx)
         test_records = sorted((ratings.records[i] for i in test_idx), key=lambda r: (r[1], r[0]))
-        test_pairs = [(r[0], r[1]) for r in test_records]
+        item_groups = [
+            [(r[0], r[1]) for r in group] for _item, group in groupby(test_records, key=lambda r: r[1])
+        ]
         for predictor in predictors:
             provider = make_provider(predictor, train, index, policy)
-            for k in ks:
-                preds = predict_batch(test_pairs, train, provider, replace(config, k=k))
+            per_k = [[] for _ in ks]
+            for group in item_groups:
+                for preds, k_config in zip(per_k, configs):
+                    preds.extend(predict_batch(group, train, provider, k_config))
+            for k, preds in zip(ks, per_k):
                 pairs = [(p.value, r[2]) for p, r in zip(preds, test_records)]
                 report = MetricReport(
                     rmse=rmse(pairs),

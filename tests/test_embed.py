@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from relfrec import embed
 from relfrec.embed import (
     NegativeSampler,
     TrainConfig,
@@ -95,7 +96,19 @@ class TestNegativeSampler:
     def test_degenerate_vocabulary_fatal(self):
         rng = np.random.default_rng(5)
         sampler = NegativeSampler(np.array([3]), 0.75)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="entire sampling mass"):
+            sampler.draw(rng, 4, exclude=0)
+
+    def test_one_token_vocabulary_fatal_in_training(self):
+        cfg = TrainConfig(window=1, dim=4, negatives=2, epochs=1, seed=1)
+        with pytest.raises(DataError, match="entire sampling mass"):
+            train_skipgram(sentences_of(["a", "a"]), cfg)
+
+    def test_exhausted_resampling_fatal(self):
+        # Token 1 keeps 1e-12 of the mass: every redraw hits token 0 again.
+        rng = np.random.default_rng(5)
+        sampler = NegativeSampler(np.array([10**12, 1]), 1.0)
+        with pytest.raises(DataError, match="1000 resampling rounds"):
             sampler.draw(rng, 4, exclude=0)
 
     def test_zero_counts_rejected(self):
@@ -272,6 +285,83 @@ class TestTrainSkipgram:
             table, clique_model["clique_a"], clique_model["clique_b"]
         )
         assert (intra_a + intra_b) / 2 > inter
+
+
+def replay_training(sentences, config):
+    """Training re-enacted pair by pair with sgns_pair_update.
+
+    Makes the trainer's RNG calls in its order (one window draw per
+    center, one NegativeSampler.draw per pair) on the same schedule and
+    applies each pair to views of the syn0/syn1 rows. Returns (input
+    vectors, output vectors, epoch losses, pairs whose rows were all
+    distinct, pairs).
+    """
+    vocab = build_vocabulary(sentences, config.min_count)
+    encoded = [[vocab.index[t] for t in s.tokens if t in vocab.index] for s in sentences]
+    encoded = [ids for ids in encoded if ids]
+    init_rng = np.random.default_rng(config.seed)
+    syn0 = (init_rng.random((len(vocab), config.dim)) - 0.5) / config.dim
+    syn1 = np.zeros((len(vocab), config.dim))
+    sampler = NegativeSampler(vocab.counts, config.ns_exponent)
+    rng = np.random.default_rng([config.seed, 0])
+    total = config.epochs * sum(len(ids) for ids in encoded)
+    lr_span = config.initial_lr - config.final_lr
+    visit = distinct = pairs = 0
+    losses = []
+    for _ in range(config.epochs):
+        loss_sum, n_pairs = 0.0, 0
+        for sent in encoded:
+            for pos, center in enumerate(sent):
+                lr = max(config.initial_lr - lr_span * (visit / total), config.final_lr)
+                visit += 1
+                b = int(rng.integers(1, config.window + 1))
+                for pos2 in range(max(pos - b, 0), min(pos + b + 1, len(sent))):
+                    if pos2 == pos:
+                        continue
+                    context = sent[pos2]
+                    negs = sampler.draw(rng, config.negatives, exclude=context).tolist() if config.negatives else []
+                    distinct += len({context, *negs}) == len(negs) + 1
+                    loss_sum += sgns_pair_update(syn0[center], syn1[context], [syn1[n] for n in negs], lr)
+                    n_pairs += 1
+        losses.append(loss_sum / n_pairs)
+        pairs += n_pairs
+    return syn0, syn1, losses, distinct, pairs
+
+
+class TestTrainingReplay:
+    """train_skipgram equals pair-by-pair sgns_pair_update bit for bit."""
+
+    def assert_replayed(self, sentences, config):
+        table = train_skipgram(sentences, config)
+        syn0, syn1, losses, distinct, pairs = replay_training(sentences, config)
+        assert np.array_equal(table.input_vectors, syn0)
+        assert np.array_equal(table.output_vectors, syn1)
+        assert np.array_equal(table.epoch_losses, losses)
+        return distinct, pairs
+
+    def test_every_pair_repeats_rows(self, monkeypatch):
+        # 26 output rows over a 20-token vocabulary always repeat some,
+        # and a small loss chunk makes the loss sum cross many chunks.
+        monkeypatch.setattr(embed, "_LOSS_CHUNK", 7)
+        sentences, _a, _b = synthdata.two_clique_corpus(seed=3, n_sentences=30)
+        cfg = TrainConfig(window=8, dim=16, negatives=25, epochs=2, seed=4)
+        distinct, pairs = self.assert_replayed(sentences, cfg)
+        assert distinct == 0 and pairs > 0
+
+    def test_mostly_distinct_rows_at_dim_150(self):
+        _ratings, _catalog, sentences = synthdata.genre_world(
+            seed=5, n_users=4, n_items=40, ratings_per_user=3
+        )
+        cfg = TrainConfig(window=8, dim=150, negatives=5, epochs=2, seed=6)
+        distinct, pairs = self.assert_replayed(sentences, cfg)
+        assert pairs > distinct > pairs // 2
+
+    def test_without_negatives(self):
+        _ratings, _catalog, sentences = synthdata.genre_world(
+            seed=5, n_users=4, n_items=20, ratings_per_user=3
+        )
+        cfg = TrainConfig(window=5, dim=12, negatives=0, epochs=2, seed=7)
+        self.assert_replayed(sentences, cfg)
 
 
 class TestEmbeddingTable:

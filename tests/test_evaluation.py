@@ -23,7 +23,7 @@ from relfrec.evaluation import (
     write_manifest,
     write_results_csv,
 )
-from relfrec import predict
+from relfrec import predict, simcore
 from relfrec.ingest import RatingDataset
 from relfrec.predict import PredictionConfig, predict_batch
 from relfrec.simcore import ItemVectorIndex, make_provider
@@ -329,6 +329,33 @@ class TestSweepK:
         for predictor, k, report in table:
             assert report == evaluate(predictor, plan, ds, config=PredictionConfig(k=k, min_neighbors=2), index=index)
             assert len(report.per_fold) == 3
+
+    @pytest.mark.parametrize("kind", ["cold-start(0.25)", "kfold(3)"])
+    def test_content_rows_computed_once_per_item_across_ks(self, monkeypatch, kind):
+        ds = random_world(17, n_users=16, n_items=10)
+        plan = make_split(ds, kind, seed=5)
+        index = full_coverage_index(ds.per_item.keys())
+        ks = (1, 3, 35)
+        rows, predictions = [], []
+        original_row = simcore._ContentRows.row
+        original_predict = predict.predict_rating
+
+        def counted_row(self, item, arrays):
+            rows.append(item)
+            return original_row(self, item, arrays)
+
+        def counted_predict(user, item, *args, **kwargs):
+            predictions.append((user, item))
+            return original_predict(user, item, *args, **kwargs)
+
+        monkeypatch.setattr(simcore._ContentRows, "row", counted_row)
+        monkeypatch.setattr(predict, "predict_rating", counted_predict)
+        table = sweep_k(ks, ["hybrid"], plan, ds, index=index)
+        test_items = [sorted({ds.records[i][1] for i in test_idx}) for _f, _train, test_idx in plan.folds()]
+        assert rows == [item for items in test_items for item in items]
+        test_records = sum(len(test_idx) for _f, _train, test_idx in plan.folds())
+        assert len(predictions) == len(ks) * test_records
+        assert [report.n_predictions for _p, _k, report in table] == [test_records] * len(ks)
 
     def test_bad_ks_fatal(self):
         ds = random_world(13)
