@@ -438,8 +438,8 @@ def cmd_similar(args):
     provider = make_provider(args.model, ratings=bundle.ratings, index=index, policy=_policy(args))
     if args.item not in provider.items:
         raise UnknownIdError(f"unknown item id {args.item}")
-    for neighbor, sv in top_similar_items(provider, args.item, sorted(provider.items), args.n):
-        print(f"{neighbor}\t{sv.value:.6f}\t{sv.source}")
+    for neighbor, value, source in top_similar_items(provider, args.item, args.n):
+        print(f"{neighbor}\t{value:.6f}\t{source}")
     return EXIT_OK
 
 

@@ -222,6 +222,10 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
         raise ValueError("sweep_k needs at least one k")
     if any(k < 1 for k in ks):
         raise ValueError(f"all k must be >= 1, got {ks}")
+    for what, values in (("k", ks), ("predictor", list(predictors))):
+        repeated = next((v for p, v in enumerate(values) if v in values[:p]), None)
+        if repeated is not None:
+            raise ValueError(f"{what} {repeated!r} is given more than once; each fold would count twice")
     config = config or PredictionConfig()
     configs = [replace(config, k=k) for k in ks]
     fold_reports = {(predictor, k): [] for predictor in predictors for k in ks}

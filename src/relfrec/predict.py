@@ -17,9 +17,9 @@ item mean, or the global mean for an unrated item. Every Prediction
 records which route produced it. The predictor is indifferent to where
 similarities come from: cf, cb and hybrid differ only in the similarity
 rows of the SimilarityProvider that simcore.make_provider builds. A
-prediction reads the target's row at the user's rated items, keeps the
-positive cells, sorts them once and sums the top k in order, with no
-Python loop over neighbors.
+prediction reads the target's row over the dataset's rated items at
+the user's ones, keeps the positive cells, sorts them once and sums
+the top k in order, with no Python loop over neighbors.
 """
 
 from __future__ import annotations
@@ -86,9 +86,9 @@ def predict_rating(user, item, ratings, provider, config=None):
     A user with no training ratings gets the global mean immediately.
     Otherwise candidates are the user's rated items with defined,
     strictly positive similarity to the target in the provider's row
-    over ``ratings.arrays``; the k largest enter the weighted sum, ties
-    broken by ascending item id, summed in that order. Fewer than
-    min_neighbors candidates trips the mean fallback chain.
+    over ``ratings.arrays.items``; the k largest enter the weighted
+    sum, ties broken by ascending item id, summed in that order. Fewer
+    than min_neighbors candidates trips the mean fallback chain.
     """
     config = config or PredictionConfig()
     arrays = ratings.arrays
@@ -96,7 +96,7 @@ def predict_rating(user, item, ratings, provider, config=None):
     if user_row is None:
         return Prediction(_clamp(ratings.global_mean, ratings, config), DETAIL_GLOBAL_MEAN)
     columns, deviations = user_row
-    sims = provider.row(item, arrays)[columns]
+    sims = provider.row(item, arrays.items)[columns]
     positive = sims > 0.0
     sims = sims[positive]
     if len(sims) < config.min_neighbors:

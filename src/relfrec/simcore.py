@@ -1,9 +1,9 @@
 """Item-item similarity: rating cosine, content (RELFsim), and hybrid.
 
-Three interchangeable similarity sources share one contract: given a
-pair of item ids, return a SimilarityValue or None (undefined). The
+Three interchangeable similarity sources share one contract. The
 per-pair functions rating_cosine, relf_sim and hybrid_sim are the
-reference definitions.
+reference definitions: given a pair of item ids, each returns a
+SimilarityValue or None (undefined).
 
 * rating cosine - cosine over the two items' rating columns restricted
   to users who rated both, on raw ratings.
@@ -17,22 +17,21 @@ The predictors are named after their source: cf (rating cosine), cb
 (RELFsim) and hybrid. PREDICTORS lists them, and make_provider builds
 the one provider type, SimilarityProvider, from such a name.
 
-Prediction reads a provider's rows: one target item against every
-item of a rating dataset's arrays (RatingDataset.arrays), NaN where
-undefined. Rating cosine rows are computed from three sparse products
-in blocks of contiguous items of at most _BLOCK_CELLS cells, content
-rows from one matrix-vector product, and hybrid rows pick between the
-two per cell. Only the latest block and row are kept, so no full
-item-by-item matrix is ever materialized. Single pairs (``sim``) are
-still computed by the reference functions and memoized per unordered
-pair in a bounded cache.
+A provider serves rows: one target item against each id of a sorted
+id array, NaN where undefined. Rating cosine rows are computed from
+three sparse products in blocks of contiguous rated items of at most
+_BLOCK_CELLS cells, then gathered onto the requested ids; content rows
+from one product of the item matrix with the target's vector, the same
+loop for every row, so identical vectors give identical cells; hybrid
+rows pick between the two per cell. Only the latest block and row are
+kept, so no full item-by-item matrix is ever materialized. Prediction
+and the neighbour ranking of top_similar_items both read rows.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -46,7 +45,6 @@ PREDICTORS = ("cf", "cb", "hybrid")
 SOURCE_RATING = "rating"
 SOURCE_CONTENT = "content"
 
-_CACHE_SIZE = 1_000_000
 # Cells in one block of rating cosine rows (8 MB of float64).
 _BLOCK_CELLS = 1 << 20
 
@@ -204,7 +202,7 @@ def hybrid_sim(i, j, ratings, index, policy):
 class _RatingBlocks:
     """Rating cosine rows over a dataset's items, computed in blocks.
 
-    A block holds the rows of a run of contiguous items, at most
+    A block holds the rows of a run of contiguous rated items, at most
     _BLOCK_CELLS cells, from three sparse products over the ratings R,
     their pattern B and R*R (RatingArrays.matrices):
 
@@ -216,7 +214,8 @@ class _RatingBlocks:
     float64, so cells equal rating_cosine bit for bit. With a policy the
     block also holds hybrid_sim's warm test, from the co-rater counts
     B_blk' B and the per-item rating counts. Only the latest block is
-    kept.
+    kept. A row is gathered onto the requested ids, an id the ratings
+    never saw left NaN and never warm.
     """
 
     def __init__(self, ratings, policy=None):
@@ -224,18 +223,24 @@ class _RatingBlocks:
         self.policy = policy
         self.start = self.stop = 0
         self.values = self.warm = None
+        self.ids = self.at = self.seen = None
 
-    def row(self, item, arrays):
-        """(cosines, warm mask or None) of item, or None if it is unrated."""
-        if arrays is not self.ratings.arrays:
-            raise ValueError("rating rows are served over the provider's own rating dataset")
+    def row(self, item, items):
+        """(cosines, warm mask or None) of item over items, or None if it is unrated."""
+        arrays = self.ratings.arrays
         t = arrays.position.get(item)
         if t is None:
             return None
         if not self.start <= t < self.stop:
             self._compute(arrays, t)
         t -= self.start
-        return self.values[t], None if self.warm is None else self.warm[t]
+        values, warm = self.values[t], None if self.warm is None else self.warm[t]
+        if items is arrays.items:
+            return values, warm
+        if items is not self.ids:
+            at = np.minimum(arrays.items.searchsorted(items), len(arrays.items) - 1)
+            self.ids, self.at, self.seen = items, at, arrays.items[at] == items
+        return np.where(self.seen, values[self.at], np.nan), None if warm is None else self.seen & warm[self.at]
 
     def _compute(self, arrays, t):
         n = len(arrays.items)
@@ -262,65 +267,61 @@ class _RatingBlocks:
 class _ContentRows:
     """RELFsim rows: one matrix-vector product per target item.
 
-    Holds the vectors and norms of one dataset's items (zeros for an
+    Holds the vectors and norms of one id array's items (zeros for an
     item without a vector); a cell is NaN where either vector is
-    missing or zero.
+    missing or zero. einsum runs the same loop for every row, where a
+    BLAS product may sum trailing rows another way, so identical
+    vectors give identical cells and rows are exactly symmetric.
     """
 
     def __init__(self, index):
         self.index = index
-        self.arrays = None
+        self.items = None
 
-    def row(self, item, arrays):
-        if arrays is not self.arrays:
+    def row(self, item, items):
+        if items is not self.items:
             zero = np.zeros(self.index.dim)
-            self.matrix = np.array([self.index.vectors.get(i, zero) for i in arrays.items.tolist()])
+            self.matrix = np.array([self.index.vectors.get(i, zero) for i in items.tolist()])
             self.norms = np.linalg.norm(self.matrix, axis=1)
             self.defined = self.norms > 0.0
-            self.arrays = arrays
-        out = np.full(len(arrays.items), np.nan)
+            self.items = items
+        out = np.full(len(items), np.nan)
         vector = self.index.vectors.get(item)
-        norm = 0.0 if vector is None else np.linalg.norm(vector)
+        norm = 0.0 if vector is None else np.linalg.norm(vector[None], axis=1)[0]
         if norm == 0.0:
             return out
-        np.divide(self.matrix @ vector, self.norms * norm, out=out, where=self.defined)
-        t = arrays.position.get(item)
-        if t is not None:
+        np.divide(np.einsum("ij,j->i", self.matrix, vector), self.norms * norm, out=out, where=self.defined)
+        t = items.searchsorted(item)
+        if t < len(items) and items[t] == item:
             out[t] = np.nan
         return out
 
 
 class SimilarityProvider:
-    """One similarity source, served as rows and as pairs.
+    """One similarity source, served as rows.
 
-    ``row(item, arrays)`` gives item's similarity to every item of a
-    dataset's RatingArrays: a float array over ``arrays.items``, NaN
-    where undefined and at item itself. The latest row is kept, since
-    evaluation asks for one item's row once per test user. ``sim(i, j)``
-    gives one pair as a SimilarityValue or None, memoized per unordered
-    pair in a bounded cache, so symmetry is exact by keying. ``items``
-    holds the ids the source can compare. Build providers with
-    make_provider.
+    ``row(item, items)`` gives item's similarity to each id of a sorted
+    id array: a float array, NaN where undefined and at item itself.
+    ``items`` holds the ids the source can compare. The latest row is
+    kept, since evaluation asks for one item's row once per test user.
+    Build providers with make_provider.
     """
 
-    def __init__(self, pair, row, items):
+    def __init__(self, row, items):
         self.items = items
-        self._cached = lru_cache(maxsize=_CACHE_SIZE)(pair)
         self._row = row
         self._latest = (None, None, None)
 
-    def row(self, item, arrays):
-        latest_item, latest_arrays, latest = self._latest
-        if item != latest_item or arrays is not latest_arrays:
-            latest = self._row(item, arrays)
-            self._latest = (item, arrays, latest)
+    def row(self, item, items):
+        return self._computed(item, items)[0]
+
+    def _computed(self, item, items):
+        """(values, from_rating) of a row: from_rating marks rating cells, as a mask or one bool."""
+        latest_item, latest_items, latest = self._latest
+        if item != latest_item or items is not latest_items:
+            latest = self._row(item, items)
+            self._latest = (item, items, latest)
         return latest
-
-    def sim(self, i, j):
-        return self._cached(i, j) if i <= j else self._cached(j, i)
-
-    def cache_info(self):
-        return self._cached.cache_info()
 
 
 def make_provider(kind, ratings=None, index=None, policy=None):
@@ -331,8 +332,7 @@ def make_provider(kind, ratings=None, index=None, policy=None):
     compares their union. Unlike the raw rating_cosine function, cf
     treats an item the ratings never saw as undefined against everything:
     that is a cold item in evaluation, left to the predictor's fallbacks.
-    cf and hybrid serve rows over their own dataset's arrays; cb serves
-    them over any dataset's.
+    Every kind serves rows over any sorted id array.
     """
     if kind not in PREDICTORS:
         raise ValueError(f"unknown predictor {kind!r}; expected one of {PREDICTORS}")
@@ -340,53 +340,43 @@ def make_provider(kind, ratings=None, index=None, policy=None):
         raise ValueError(f"{kind} provider needs a rating dataset")
     if kind != "cf" and index is None:
         raise ValueError(f"{kind} provider needs an item vector index")
-    # The pair functions are looked up by name at call time, so a
-    # wrapper patched onto the module sees every computed pair.
     if kind == "cf":
-        rated = ratings.per_item
         blocks = _RatingBlocks(ratings)
 
-        def cf_row(item, arrays):
-            rating = blocks.row(item, arrays)
-            return np.full(len(arrays.items), np.nan) if rating is None else rating[0]
+        def cf_row(item, items):
+            rating = blocks.row(item, items)
+            return np.full(len(items), np.nan) if rating is None else rating[0], True
 
-        return SimilarityProvider(
-            lambda a, b: rating_cosine(a, b, ratings) if a in rated and b in rated else None,
-            cf_row,
-            frozenset(rated),
-        )
+        return SimilarityProvider(cf_row, frozenset(ratings.per_item))
     content = _ContentRows(index)
     if kind == "cb":
-        return SimilarityProvider(lambda a, b: relf_sim(a, b, index), content.row, frozenset(index.vectors))
+        return SimilarityProvider(lambda item, items: (content.row(item, items), False), frozenset(index.vectors))
     policy = policy or HybridPolicy()
     blocks = _RatingBlocks(ratings, policy)
 
-    def hybrid_row(item, arrays):
-        rating = blocks.row(item, arrays)
-        row = content.row(item, arrays)
+    def hybrid_row(item, items):
+        rating = blocks.row(item, items)
+        row = content.row(item, items)
         if rating is None:
-            return row
+            return row, False
         values, warm = rating
-        return np.where(warm | np.isnan(row), values, row)
+        from_rating = warm | np.isnan(row)
+        return np.where(from_rating, values, row), from_rating
 
-    return SimilarityProvider(
-        lambda a, b: hybrid_sim(a, b, ratings, index, policy),
-        hybrid_row,
-        frozenset(ratings.per_item).union(index.vectors),
-    )
+    return SimilarityProvider(hybrid_row, frozenset(ratings.per_item).union(index.vectors))
 
 
-def top_similar_items(provider, item_id, candidates, n):
-    """Top-n (neighbor, SimilarityValue) for one item over candidates."""
+def top_similar_items(provider, item_id, n):
+    """Top-n (neighbor, value, source) for one item over the provider's items.
+
+    Ranks item_id's row over sorted(provider.items) by descending
+    value, ties by ascending id; undefined cells are left out.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    scored = []
-    for j in candidates:
-        if j == item_id:
-            continue
-        sv = provider.sim(item_id, j)
-        if sv is not None:
-            scored.append((j, sv))
-    scored.sort(key=lambda t: (-t[1].value, t[0]))
-    return scored[:n]
-
+    ids = np.array(sorted(provider.items))
+    values, from_rating = provider._computed(item_id, ids)
+    from_rating = np.broadcast_to(from_rating, values.shape)
+    defined = np.flatnonzero(~np.isnan(values))
+    top = defined[(-values[defined]).argsort(kind="stable")[:n]]
+    return [(int(ids[p]), float(values[p]), SOURCE_RATING if from_rating[p] else SOURCE_CONTENT) for p in top]

@@ -7,6 +7,9 @@ from pathlib import Path
 import pytest
 
 from relfrec.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_UNKNOWN_ID, main
+from relfrec.embed import load_embeddings
+from relfrec.ingest import load_bundle
+from relfrec.simcore import HybridPolicy, build_item_vectors, hybrid_sim, rating_cosine, relf_sim
 
 import synthdata
 
@@ -30,6 +33,26 @@ def workdir(tmp_path_factory):
         "--epochs", "4", "--seed", "3",
     ]) == EXIT_OK
     return root
+
+
+@pytest.fixture(scope="module")
+def unrated_bundle(workdir):
+    """The CLI world plus three unrated items, ingested into bundle-unrated.
+
+    Item 1001 copies rated item 3's feature row, item 1002 copies item
+    9's, and item 1003 has only item 3's directors.
+    """
+    lines = (workdir / "features.csv").read_text().splitlines()
+    fields = {int(line.split(",", 1)[0]): line.split(",", 1)[1] for line in lines[1:]}
+    extra = [f"1001,{fields[3]}", f"1002,{fields[9]}", f"1003,{fields[3].split(',')[0]},,"]
+    features = workdir / "features-unrated.csv"
+    features.write_text("\n".join(lines + extra) + "\n")
+    bundle = workdir / "bundle-unrated"
+    assert main([
+        "ingest", "--ratings", str(workdir / "ratings.dat"),
+        "--metadata", str(features), "--out", str(bundle),
+    ]) == EXIT_OK
+    return bundle
 
 
 def read_results(out_dir):
@@ -191,6 +214,15 @@ class TestSweepK:
                      "--out-dir", str(tmp_path / "sw")]) == EXIT_OK
         assert read_results(tmp_path / "ev")[1] == read_results(tmp_path / "sw")[1]
 
+    @pytest.mark.parametrize("grid", [["--predictors", "cf", "--ks", "5,5"], ["--predictors", "cf,cf", "--ks", "5"]])
+    def test_repeated_cell_exit_code(self, workdir, tmp_path, grid):
+        rc = main([
+            "sweep-k", "--bundle", str(workdir / "bundle"), *grid,
+            "--split", "kfold(3)", "--out-dir", str(tmp_path / "run"),
+        ])
+        assert rc == EXIT_INPUT
+        assert not (tmp_path / "run").exists()
+
     def test_missing_ks(self, workdir, tmp_path):
         rc = main([
             "sweep-k", "--bundle", str(workdir / "bundle"),
@@ -303,6 +335,32 @@ class TestSimilar:
         ])
         assert rc == EXIT_OK
         assert all(l.split("\t")[2] == "rating" for l in capsys.readouterr().out.strip().splitlines())
+
+    @pytest.mark.parametrize("taus", [[], ["--tau-pair", "1", "--tau-item", "0"]], ids=["default-taus", "all-warm"])
+    def test_item_neighbors_match_reference_functions(self, workdir, unrated_bundle, capsys, taus):
+        bundle, _catalog = load_bundle(unrated_bundle)
+        ratings = bundle.ratings
+        index = build_item_vectors(bundle.sentences, load_embeddings(workdir / "vecs.txt"))
+        policy = HybridPolicy(*(int(v) for v in taus[1::2])) if taus else HybridPolicy()
+        rated, indexed = set(ratings.per_item), set(index.vectors)
+        assert {1001, 1002, 1003} <= indexed - rated
+        assert relf_sim(1, 3, index).value == relf_sim(1, 1001, index).value
+        models = {
+            "cf": (rated, lambda i, j: rating_cosine(i, j, ratings)),
+            "cb": (indexed, lambda i, j: relf_sim(i, j, index)),
+            "hybrid": (rated | indexed, lambda i, j: hybrid_sim(i, j, ratings, index, policy)),
+        }
+        for model, (items, reference) in models.items():
+            for item in sorted({1, 3, 9, 1001, 1002, 1003} & items):
+                rc = main([
+                    "similar", "--item", str(item), "--model", model, "--n", "1000",
+                    "--bundle", str(unrated_bundle), "--embeddings", str(workdir / "vecs.txt"), *taus,
+                ])
+                assert rc == EXIT_OK
+                scored = [(j, reference(item, j)) for j in sorted(items) if j != item]
+                ranked = sorted(((j, sv) for j, sv in scored if sv is not None), key=lambda t: (-t[1].value, t[0]))
+                want = "".join(f"{j}\t{sv.value:.6f}\t{sv.source}\n" for j, sv in ranked)
+                assert capsys.readouterr().out == want, (model, item)
 
     def test_unknown_item(self, workdir):
         rc = main([

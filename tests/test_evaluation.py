@@ -340,9 +340,9 @@ class TestSweepK:
         original_row = simcore._ContentRows.row
         original_predict = predict.predict_rating
 
-        def counted_row(self, item, arrays):
+        def counted_row(self, item, items):
             rows.append(item)
-            return original_row(self, item, arrays)
+            return original_row(self, item, items)
 
         def counted_predict(user, item, *args, **kwargs):
             predictions.append((user, item))
@@ -364,6 +364,15 @@ class TestSweepK:
             sweep_k([], ["cf"], plan, ds)
         with pytest.raises(ValueError):
             sweep_k([3, 0], ["cf"], plan, ds)
+
+    def test_repeated_k_or_predictor_fatal(self):
+        # A repeated cell would append each fold's report twice.
+        ds = random_world(13)
+        plan = make_split(ds, "kfold(3)", seed=8)
+        with pytest.raises(ValueError, match="k 5 is given more than once"):
+            sweep_k([5, 3, 5], ["cf"], plan, ds)
+        with pytest.raises(ValueError, match="predictor 'cf' is given more than once"):
+            sweep_k([5], ("cf", "cf"), plan, ds)
 
 
 class TestResultsOutput:

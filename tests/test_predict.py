@@ -24,18 +24,18 @@ def dataset(rows, r_min=1.0, r_max=5.0):
 class StubProvider:
     """Similarity fixed per unordered pair; everything else undefined.
 
-    Serves rows on the provider contract: one value per item of the
-    dataset's arrays, NaN where undefined and at the target itself.
+    Serves rows on the provider contract: one value per id of a sorted
+    id array, NaN where undefined and at the target itself.
     """
 
     def __init__(self, values):
         self.values = values
 
-    def row(self, item, arrays):
-        row = np.array([self.values.get((min(item, j), max(item, j)), np.nan) for j in arrays.items.tolist()])
-        if item in arrays.position:
-            row[arrays.position[item]] = np.nan
-        return row
+    def row(self, item, items):
+        return np.array([
+            np.nan if j == item else self.values.get((min(item, j), max(item, j)), np.nan)
+            for j in items.tolist()
+        ])
 
 
 def mean_anchored_oracle(user, item, matrix, k, r_min=1.0, r_max=5.0):

@@ -8,13 +8,14 @@ import pytest
 from relfrec.embed import EmbeddingTable, Vocabulary
 from relfrec.errors import UnknownIdError
 from relfrec.ingest import FeatureSentence, RatingDataset
+from relfrec.predict import PredictionConfig, predict_rating
 from relfrec.simcore import (
+    PREDICTORS,
     SOURCE_CONTENT,
     SOURCE_RATING,
     HybridPolicy,
     ItemVectorIndex,
     SimilarityProvider,
-    SimilarityValue,
     build_item_vectors,
     hybrid_sim,
     make_provider,
@@ -323,60 +324,43 @@ class TestProviders:
         table = make_table({"a": [1.0, 0.2], "b": [0.1, 1.0], "c": [0.5, 0.5]})
         sents = sentences_of([(i, toks) for i, toks in [(1, ["a"]), (2, ["a", "b"]), (3, ["b"]), (4, ["c"])]])
         self.index = build_item_vectors(sents, table)
+        self.targets = sorted(set(self.ratings.per_item) | set(self.index.vectors)) + [9999]
 
     def test_rating_provider_matches_raw_function(self):
         provider = make_provider("cf", ratings=self.ratings)
-        for i in self.ratings.per_item:
-            for j in self.ratings.per_item:
-                if i == j:
-                    continue
-                got = provider.sim(i, j)
-                want = rating_cosine(i, j, self.ratings)
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert got.value == pytest.approx(want.value, abs=1e-12)
+        rated = self.ratings.per_item
+
+        def expected(i, j):
+            return rating_cosine(i, j, self.ratings) if i in rated and j in rated else None
+
+        TestRows.check_rows(provider, self.ratings, self.index, self.targets, expected, 0.0)
 
     def test_rating_provider_unknown_item_is_undefined(self):
         provider = make_provider("cf", ratings=self.ratings)
-        assert provider.sim(1, 9999) is None
-        assert provider.sim(9999, 1) is None
+        ids = np.array([1, 2, 9999])
+        assert np.isnan(provider.row(1, ids)[2])
+        assert np.isnan(provider.row(9999, ids)).all()
 
     def test_symmetry_is_exact(self):
+        ids = np.array(self.targets)
         for provider in (
             make_provider("cf", ratings=self.ratings),
             make_provider("cb", index=self.index),
             make_provider("hybrid", ratings=self.ratings, index=self.index),
         ):
-            for i in (1, 2, 3, 4):
-                for j in (1, 2, 3, 4):
-                    if i == j:
-                        continue
-                    a, b = provider.sim(i, j), provider.sim(j, i)
-                    assert a == b  # dataclass equality; both may be None
-
-    def test_memoization_hits(self):
-        provider = make_provider("cb", index=self.index)
-        provider.sim(1, 2)
-        provider.sim(2, 1)
-        provider.sim(1, 2)
-        info = provider.cache_info()
-        assert info.misses == 1
-        assert info.hits == 2
+            matrix = np.array([provider.row(i, ids) for i in ids.tolist()])
+            assert np.array_equal(matrix, matrix.T, equal_nan=True)
 
     def test_content_provider_matches_raw_function(self):
         provider = make_provider("cb", index=self.index)
-        sv = provider.sim(2, 3)
-        assert sv == relf_sim(2, 3, self.index)
-        assert provider.sim(1, 999) is None
+        expected = lambda i, j: relf_sim(i, j, self.index)  # noqa: E731
+        TestRows.check_rows(provider, self.ratings, self.index, self.targets, expected, 1e-14)
 
     def test_hybrid_provider_matches_raw_function(self):
         policy = HybridPolicy(tau_pair=2, tau_item=3)
         provider = make_provider("hybrid", ratings=self.ratings, index=self.index, policy=policy)
-        for i in (1, 2, 3, 4):
-            for j in (1, 2, 3, 4):
-                if i == j:
-                    continue
-                assert provider.sim(i, j) == hybrid_sim(i, j, self.ratings, self.index, policy)
+        expected = lambda i, j: hybrid_sim(i, j, self.ratings, self.index, policy)  # noqa: E731
+        TestRows.check_rows(provider, self.ratings, self.index, self.targets, expected, 1e-14)
 
     def test_make_provider_kinds(self):
         rated = set(self.ratings.per_item)
@@ -392,7 +376,8 @@ class TestProviders:
         for provider, items, (i, j), source in cases:
             assert isinstance(provider, SimilarityProvider)
             assert provider.items == items
-            assert provider.sim(i, j).source == source
+            sources = {k: s for k, _value, s in top_similar_items(provider, i, len(items))}
+            assert sources[j] == source
 
     def test_make_provider_missing_inputs(self):
         with pytest.raises(ValueError):
@@ -446,19 +431,27 @@ class TestRows:
         ids = sorted(set(ratings.per_item) | set(index.vectors)) + [9999]
         return [ids[p] for p in np.random.default_rng(seed).permutation(len(ids))]
 
-    def check_rows(self, provider, ratings, targets, expected, tol):
-        arrays = ratings.arrays
+    @staticmethod
+    def check_rows(provider, ratings, index, targets, expected, tol):
+        """Each target's rows over two id arrays against expected(t, j).
+
+        The arrays are the dataset's rated items and a wider one: the
+        rated and indexed items plus an unknown id. Rating cells must be
+        exact, content cells within tol.
+        """
+        wider = np.array(sorted(set(ratings.per_item) | set(index.vectors)) + [9999])
         for t in targets:
-            row = provider.row(t, arrays)
-            assert row.shape == (len(arrays.items),)
-            for p, j in enumerate(arrays.items.tolist()):
-                want = None if j == t else expected(t, j)
-                if want is None:
-                    assert np.isnan(row[p]), (t, j)
-                elif want.source == SOURCE_RATING:
-                    assert row[p] == want.value, (t, j)
-                else:
-                    assert abs(row[p] - want.value) <= tol, (t, j)
+            for ids in (ratings.arrays.items, wider):
+                row = provider.row(t, ids)
+                assert row.shape == (len(ids),)
+                for p, j in enumerate(ids.tolist()):
+                    want = None if j == t else expected(t, j)
+                    if want is None:
+                        assert np.isnan(row[p]), (t, j)
+                    elif want.source == SOURCE_RATING:
+                        assert row[p] == want.value, (t, j)
+                    else:
+                        assert abs(row[p] - want.value) <= tol, (t, j)
 
     @pytest.mark.parametrize("step", [1.0, 0.5])
     @pytest.mark.parametrize("seed", [3, 4])
@@ -466,18 +459,19 @@ class TestRows:
         ratings, index = row_world(seed, step)
         block_rows(len(ratings.per_item))
         provider = make_provider("cf", ratings=ratings)
+        rated = ratings.per_item
 
         def expected(t, j):
-            return rating_cosine(t, j, ratings) if t in ratings.per_item else None
+            return rating_cosine(t, j, ratings) if t in rated and j in rated else None
 
-        self.check_rows(provider, ratings, self.targets(ratings, index, seed), expected, 0.0)
+        self.check_rows(provider, ratings, index, self.targets(ratings, index, seed), expected, 0.0)
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_cb_rows_match_relf_sim(self, seed):
         ratings, index = row_world(seed, 0.5)
         provider = make_provider("cb", index=index)
         expected = lambda t, j: relf_sim(t, j, index)  # noqa: E731
-        self.check_rows(provider, ratings, self.targets(ratings, index, seed), expected, 1e-14)
+        self.check_rows(provider, ratings, index, self.targets(ratings, index, seed), expected, 1e-14)
 
     @pytest.mark.parametrize("step", [1.0, 0.5])
     @pytest.mark.parametrize("seed", [3, 4])
@@ -500,7 +494,7 @@ class TestRows:
         for policy in policies:
             provider = make_provider("hybrid", ratings=ratings, index=index, policy=policy)
             expected = lambda t, j: hybrid_sim(t, j, ratings, index, policy)  # noqa: E731
-            self.check_rows(provider, ratings, self.targets(ratings, index, seed), expected, 1e-14)
+            self.check_rows(provider, ratings, index, self.targets(ratings, index, seed), expected, 1e-14)
 
     def test_every_route_is_exercised(self):
         ratings, index = row_world(3, 0.5)
@@ -519,51 +513,99 @@ class TestRows:
     def test_latest_row_is_reused(self):
         ratings, index = row_world(3, 1.0)
         provider = make_provider("cb", index=index)
-        a = provider.row(5, ratings.arrays)
-        assert provider.row(5, ratings.arrays) is a
-        assert provider.row(6, ratings.arrays) is not a
+        a = provider.row(5, ratings.arrays.items)
+        assert provider.row(5, ratings.arrays.items) is a
+        assert provider.row(6, ratings.arrays.items) is not a
 
     def test_cb_rows_over_any_dataset(self):
         ratings, index = row_world(3, 1.0)
         other = ratings.subset(range(0, len(ratings), 2))
         provider = make_provider("cb", index=index)
         for data in (ratings, other, ratings):
-            row = provider.row(5, data.arrays)
+            row = provider.row(5, data.arrays.items)
             for p, j in enumerate(data.arrays.items.tolist()):
                 want = None if j == 5 else relf_sim(5, j, index)
                 assert np.isnan(row[p]) if want is None else abs(row[p] - want.value) <= 1e-14
 
-    def test_rating_rows_need_the_providers_dataset(self):
-        ratings, index = row_world(3, 1.0)
-        other = ratings.subset(range(0, len(ratings), 2))
-        for kind in ("cf", "hybrid"):
-            provider = make_provider(kind, ratings=ratings, index=index)
-            with pytest.raises(ValueError, match="own rating dataset"):
-                provider.row(5, other.arrays)
+    @pytest.mark.parametrize("dim", [5, 16, 150])
+    def test_identical_vectors_tie_exactly(self, dim):
+        # Items 3, 41, 82 and 83 share one vector; 82 and 83 are the last
+        # rows of the item matrix. Every item is rated, user 1 rates only
+        # the tied items, and each tied item has its own mean.
+        rng = np.random.default_rng(dim)
+        tied = [3, 41, 82, 83]
+        rows = [(1, j, r) for j, r in zip(tied, (5.0, 4.0, 2.0, 1.0))]
+        rows += [(u, i, float(rng.integers(1, 6))) for u in range(2, 40) for i in range(1, 84) if rng.random() < 0.2]
+        rows += [(40, i, 3.0) for i in range(1, 84)]
+        ratings = dataset(rows)
+        vectors = {i: rng.normal(size=dim) for i in range(1, 84)}
+        for j in tied[1:]:
+            vectors[j] = vectors[3].copy()
+        index = ItemVectorIndex(vectors=vectors, coverage=dict.fromkeys(vectors, 1), dim=dim)
+        deviation = {j: ratings.per_item[j][1] - ratings.item_means[j] for j in tied}
+        assert len(set(deviation.values())) == len(tied)
+        ids = ratings.arrays.items
+        cold = HybridPolicy(tau_pair=1, tau_item=1000)
+        positions = [int(ids.searchsorted(j)) for j in tied]
+        assert positions[-2:] == [len(ids) - 2, len(ids) - 1]
+        for provider in (make_provider("cb", index=index), make_provider("hybrid", ratings, index, cold)):
+            matrix = np.array([provider.row(t, ids) for t in ids.tolist()])
+            assert np.array_equal(matrix, matrix.T, equal_nan=True)
+            ties = matrix[:, positions]
+            for t, cells in zip(ids.tolist(), ties):
+                defined = cells[~np.isnan(cells)]
+                assert len(defined) == len(tied) - (t in tied), t
+                assert (defined == defined[0]).all(), t
+                if t in tied or defined[0] <= 0.0:
+                    continue
+                pred = predict_rating(1, t, ratings, provider, PredictionConfig(k=1))
+                weight = defined[0]
+                assert pred.neighbors_used == 1
+                assert pred.value == min(max(ratings.item_means[t] + weight * deviation[3] / weight, 1.0), 5.0), t
 
 
-class StubProvider:
-    def __init__(self, values):
-        self.values = values
+def stub_provider(values):
+    """A provider whose rows come from fixed per-pair (value, from_rating) cells.
 
-    def sim(self, i, j):
-        key = (i, j) if i <= j else (j, i)
-        v = self.values.get(key)
-        if v is None:
-            return None
-        return SimilarityValue(value=v, support=1, source="stub")
+    Pairs are unordered; every other cell is undefined.
+    """
+
+    def row(item, items):
+        cells = [
+            (np.nan, False) if j == item else values.get((min(item, j), max(item, j)), (np.nan, False))
+            for j in items.tolist()
+        ]
+        return np.array([v for v, _ in cells]), np.array([r for _, r in cells])
+
+    return SimilarityProvider(row, frozenset(j for pair in values for j in pair))
 
 
 class TestTopSimilar:
     def test_ranking_and_truncation(self):
-        provider = StubProvider({(1, 2): 0.9, (1, 3): 0.9, (1, 4): 0.5, (1, 5): None})
-        top = top_similar_items(provider, 1, [1, 2, 3, 4, 5], n=2)
-        assert [j for j, _ in top] == [2, 3]  # tie broken by ascending id
-        top3 = top_similar_items(provider, 1, [5, 4, 3, 2, 1], n=10)
-        assert [j for j, _ in top3] == [2, 3, 4]  # 5 undefined, self excluded
+        provider = stub_provider({(1, 2): (0.9, False), (1, 3): (0.9, True), (1, 4): (0.5, True), (1, 5): (np.nan, True)})
+        top = top_similar_items(provider, 1, n=2)
+        assert top == [(2, 0.9, SOURCE_CONTENT), (3, 0.9, SOURCE_RATING)]  # tie broken by ascending id
+        top3 = top_similar_items(provider, 1, n=10)
+        assert [j for j, _, _ in top3] == [2, 3, 4]  # 5 undefined, self excluded
 
     def test_n_below_one_rejected(self):
-        provider = StubProvider({(1, 2): 0.9, (1, 3): 0.5})
+        provider = stub_provider({(1, 2): (0.9, False), (1, 3): (0.5, False)})
         for n in (0, -1):
             with pytest.raises(ValueError, match="n must be >= 1"):
-                top_similar_items(provider, 1, [1, 2, 3], n=n)
+                top_similar_items(provider, 1, n=n)
+
+    @pytest.mark.parametrize("kind", PREDICTORS)
+    def test_ranks_like_the_reference_functions(self, kind):
+        ratings, index = row_world(3, 0.5)
+        provider = make_provider(kind, ratings, index)
+        reference = {
+            "cf": lambda i, j: rating_cosine(i, j, ratings) if j in ratings.per_item else None,
+            "cb": lambda i, j: relf_sim(i, j, index),
+            "hybrid": lambda i, j: hybrid_sim(i, j, ratings, index, HybridPolicy()),
+        }[kind]
+        for i in sorted(provider.items):
+            scored = [(j, reference(i, j)) for j in sorted(provider.items) if j != i]
+            want = sorted(((j, sv) for j, sv in scored if sv is not None), key=lambda t: (-t[1].value, t[0]))
+            got = top_similar_items(provider, i, n=len(provider.items))
+            assert [(j, sv.source) for j, sv in want] == [(j, source) for j, _, source in got]
+            assert np.allclose([sv.value for _, sv in want], [value for _, value, _ in got], rtol=0.0, atol=1e-14)
