@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .embed import TrainConfig, load_embeddings, save_embeddings, train_skipgram
 from .errors import DataError, NumericDivergenceError, UnknownIdError
-from .evaluation import evaluate, make_split, results_rows, sweep_k, write_manifest, write_results_csv
+from .evaluation import make_split, results_rows, sweep_k, write_manifest, write_results_csv
 from .ingest import (
     canonical_token,
     clean_and_join,
@@ -336,32 +336,12 @@ def _write_run_outputs(args, rows, manifest):
     log.info("results in %s", out_dir / RESULTS_FILE)
 
 
-def cmd_evaluate(args):
-    _require(args, "bundle", "out_dir")
+def _run_grid(args, command, ks, manifest_extra):
+    """Evaluate args.predictors at each k on one plan, print and write the cells."""
     bundle, index = _load_artifacts(args, need_embeddings=_needs_content(args.predictors))
     plan = make_split(bundle.ratings, args.split, args.seed)
-    policy = _policy(args)
-    config = _prediction_config(args)
-    rows = []
-    for predictor in args.predictors:
-        report = evaluate(predictor, plan, bundle.ratings, config=config, index=index, policy=policy)
-        rows.extend(results_rows(predictor, plan, args.k, report))
-        print(
-            f"{predictor} {plan.label} k={args.k}: rmse={report.rmse:.6f} mae={report.mae:.6f} "
-            f"predictions={report.n_predictions} fallbacks={report.n_fallbacks}"
-        )
-    manifest = _run_manifest(args, "evaluate", {"predictors": ",".join(args.predictors), "k": args.k})
-    _write_run_outputs(args, rows, manifest)
-    return EXIT_OK
-
-
-def cmd_sweep_k(args):
-    _require(args, "bundle", "out_dir", "ks")
-    bundle, index = _load_artifacts(args, need_embeddings=_needs_content(args.predictors))
-    plan = make_split(bundle.ratings, args.split, args.seed)
-    policy = _policy(args)
-    config = _prediction_config(args)
-    table = sweep_k(args.ks, args.predictors, plan, bundle.ratings, config=config, index=index, policy=policy)
+    table = sweep_k(ks, args.predictors, plan, bundle.ratings,
+                    config=_prediction_config(args), index=index, policy=_policy(args))
     rows = []
     for predictor, k, report in table:
         rows.extend(results_rows(predictor, plan, k, report))
@@ -369,12 +349,19 @@ def cmd_sweep_k(args):
             f"{predictor} {plan.label} k={k}: rmse={report.rmse:.6f} mae={report.mae:.6f} "
             f"predictions={report.n_predictions} fallbacks={report.n_fallbacks}"
         )
-    manifest = _run_manifest(
-        args, "sweep-k",
-        {"predictors": ",".join(args.predictors), "ks": ",".join(str(k) for k in args.ks)},
-    )
+    manifest = _run_manifest(args, command, {"predictors": ",".join(args.predictors), **manifest_extra})
     _write_run_outputs(args, rows, manifest)
     return EXIT_OK
+
+
+def cmd_evaluate(args):
+    _require(args, "bundle", "out_dir")
+    return _run_grid(args, "evaluate", [args.k], {"k": args.k})
+
+
+def cmd_sweep_k(args):
+    _require(args, "bundle", "out_dir", "ks")
+    return _run_grid(args, "sweep-k", args.ks, {"ks": ",".join(str(k) for k in args.ks)})
 
 
 def _read_pairs_csv(path):
@@ -395,9 +382,9 @@ def _read_pairs_csv(path):
 
 
 def _check_known_pair(user, item, ratings, index):
-    if user not in ratings.per_user:
+    if user not in ratings.arrays.rows:
         raise UnknownIdError(f"unknown user id {user}")
-    if item not in ratings.per_item and (index is None or item not in index):
+    if item not in ratings.arrays.position and (index is None or item not in index):
         raise UnknownIdError(f"unknown item id {item}")
 
 

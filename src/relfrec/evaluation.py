@@ -22,6 +22,7 @@ import logging
 import re
 from dataclasses import dataclass, replace
 from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -154,7 +155,7 @@ def make_split(ratings, kind, seed=1):
     one) and sends every one of their ratings to test.
     """
     name, param = parse_split_kind(kind) if isinstance(kind, str) else kind
-    n = len(ratings.records)
+    n = len(ratings)
     rng = np.random.default_rng(seed)
     if name == KIND_KFOLD:
         f = int(param)
@@ -179,14 +180,12 @@ def make_split(ratings, kind, seed=1):
         fraction = float(param)
         if not 0.0 < fraction < 1.0:
             raise ValueError(f"cold-start fraction must be in (0, 1), got {fraction}")
-        items = sorted(ratings.per_item)
+        items = np.unique(ratings.item)
         m = max(1, int(round(fraction * len(items))))
         if m >= len(items):
             raise ValueError(f"cold-start({fraction}) would quarantine every item")
-        chosen = {items[i] for i in rng.permutation(len(items))[:m]}
-        assignment = np.fromiter(
-            (1 if rec[1] in chosen else 0 for rec in ratings.records), dtype=np.int64, count=n
-        )
+        chosen = items[rng.permutation(len(items))[:m]]
+        assignment = np.isin(ratings.item, chosen).astype(np.int64)
         if not (assignment == 0).any():
             raise ValueError("cold-start plan left no training records")
         return SplitPlan(name, fraction, seed, assignment)
@@ -231,10 +230,10 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
     fold_reports = {(predictor, k): [] for predictor in predictors for k in ks}
     for fold_idx, train_idx, test_idx in plan.folds():
         train = ratings.subset(train_idx)
-        test_records = sorted((ratings.records[i] for i in test_idx), key=lambda r: (r[1], r[0]))
-        item_groups = [
-            [(r[0], r[1]) for r in group] for _item, group in groupby(test_records, key=lambda r: r[1])
-        ]
+        test = test_idx[np.lexsort((ratings.user[test_idx], ratings.item[test_idx]))]
+        test_pairs = zip(ratings.user[test].tolist(), ratings.item[test].tolist())
+        item_groups = [list(group) for _item, group in groupby(test_pairs, key=itemgetter(1))]
+        actual = ratings.rating[test].tolist()
         for predictor in predictors:
             provider = make_provider(predictor, train, index, policy)
             per_k = [[] for _ in ks]
@@ -242,7 +241,7 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
                 for preds, k_config in zip(per_k, configs):
                     preds.extend(predict_batch(group, train, provider, k_config))
             for k, preds in zip(ks, per_k):
-                pairs = [(p.value, r[2]) for p, r in zip(preds, test_records)]
+                pairs = [(p.value, r) for p, r in zip(preds, actual)]
                 report = MetricReport(
                     rmse=rmse(pairs),
                     mae=mae(pairs),

@@ -11,17 +11,27 @@ A feature sentence lists an item's people in a fixed order: directors,
 then screenwriters, then the first twelve cast members in order of
 appearance. Downstream modules treat these sentences as the training
 corpus for feature embeddings.
+
+Ratings are held as numpy columns (user, item, rating, timestamp), so
+reading a ``.dat`` file, joining, subsetting and writing the bundle
+run without a Python loop per record. A ``.dat`` file of well-formed
+lines is read in one strict pass; anything else goes through the
+per-line parser, which decides the same way line by line. Ids and
+timestamps must fit in 64 bits. The per-record views a dataset still
+offers (its record tuples and its user and item lookup maps) are built
+the first time something reads them.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
+import io
 import json
 import logging
 import re
+import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -51,73 +61,122 @@ def canonical_token(raw):
     return _WHITESPACE.sub("_", raw.lower())
 
 
-@dataclass
-class RatingDataset:
-    """Sparse explicit ratings with per-item and global statistics.
+# One rating record: the dataset's column types and the strict .dat read's row.
+_RECORD = np.dtype([("user", np.int64), ("item", np.int64), ("rating", np.float64), ("timestamp", np.int64)])
 
-    ``records`` keeps every (user, item, rating, timestamp) row;
-    ``per_user`` / ``per_item`` are lookup maps (on duplicate pairs,
-    which only exist before cleaning, the last occurrence wins).
-    Means are computed over that same collapsed view, one rating per
-    (user, item) pair.
+
+class RatingDataset:
+    """Sparse explicit ratings as columns, with per-item and global statistics.
+
+    The records are four aligned columns: ``user``, ``item`` (int64),
+    ``rating`` (float64) and ``timestamp`` (int64), one entry per
+    record, in record order. Build a dataset from a list of
+    ``(user, item, rating, timestamp)`` tuples with
+    ``RatingDataset(records=...)``; the parsers, ``clean_and_join`` and
+    ``subset`` fill the columns directly. Every rating must lie on the
+    scale ``[r_min, r_max]``.
+
+    ``records`` (the tuples), ``per_user`` (user -> {item: rating}) and
+    ``per_item`` (item -> {user: rating}) are views built the first
+    time something reads them; the lookup maps keep first-appearance
+    key order, and on duplicate (user, item) pairs, which only exist
+    before cleaning, the last record wins. ``item_means`` (item id ->
+    mean, ascending ids) and ``global_mean`` are computed over that
+    same collapsed view, one rating per pair, summed in record order,
+    so they equal a Python loop over the records bit for bit.
     """
 
-    records: list
-    r_min: float = 1.0
-    r_max: float = 5.0
-    n_malformed: int = 0
-    per_user: dict = field(init=False, repr=False)
-    per_item: dict = field(init=False, repr=False)
-    item_means: dict = field(init=False, repr=False)
-    global_mean: float = field(init=False)
+    def __init__(self, records, r_min=1.0, r_max=5.0, n_malformed=0):
+        self.records = records
+        self._set_columns(*_record_columns(records), r_min, r_max, n_malformed)
 
-    def __post_init__(self):
-        if not self.records:
+    @classmethod
+    def _from_columns(cls, user, item, rating, timestamp, r_min, r_max, n_malformed=0):
+        dataset = cls.__new__(cls)
+        dataset._set_columns(user, item, rating, timestamp, r_min, r_max, n_malformed)
+        return dataset
+
+    def _set_columns(self, user, item, rating, timestamp, r_min, r_max, n_malformed):
+        if not len(user):
             raise DataError("rating dataset contains no records")
-        per_user: dict = {}
-        per_item: dict = {}
-        for user, item, rating, _ts in self.records:
-            if not self.r_min <= rating <= self.r_max:
-                raise DataError(
-                    f"rating {rating} for user {user}, item {item} outside "
-                    f"scale [{self.r_min}, {self.r_max}]"
-                )
-            per_user.setdefault(user, {})[item] = rating
-            per_item.setdefault(item, {})[user] = rating
-        self.per_user = per_user
-        self.per_item = per_item
-        kept = self.records
-        if sum(map(len, per_user.values())) < len(kept):
-            # Duplicate pairs: keep each pair's last record, in record order.
-            last = {(rec[0], rec[1]): pos for pos, rec in enumerate(kept)}
-            kept = [rec for pos, rec in enumerate(kept) if last[rec[0], rec[1]] == pos]
-        item_sums: dict = {}
-        item_counts: dict = {}
-        total = 0.0
-        for _user, item, rating, _ts in kept:
-            item_sums[item] = item_sums.get(item, 0.0) + rating
-            item_counts[item] = item_counts.get(item, 0) + 1
-            total += rating
-        self.item_means = {i: item_sums[i] / item_counts[i] for i in item_sums}
-        self.global_mean = total / len(kept)
+        self.user, self.item, self.rating, self.timestamp = user, item, rating, timestamp
+        self.r_min, self.r_max, self.n_malformed = r_min, r_max, n_malformed
+        outside = ~((r_min <= rating) & (rating <= r_max))
+        if outside.any():
+            user, item, rating, _ts = self.records[outside.argmax()]
+            raise DataError(
+                f"rating {rating} for user {user}, item {item} outside scale [{r_min}, {r_max}]"
+            )
 
     def __len__(self):
-        return len(self.records)
+        return len(self.user)
+
+    @cached_property
+    def records(self):
+        return list(zip(self.user.tolist(), self.item.tolist(), self.rating.tolist(), self.timestamp.tolist()))
+
+    @cached_property
+    def per_user(self):
+        return _lookup_map(self.user, self.item, self.rating)
+
+    @cached_property
+    def per_item(self):
+        return _lookup_map(self.item, self.user, self.rating)
+
+    @cached_property
+    def _items(self):
+        """(distinct item ids ascending, each record's position among them)."""
+        return np.unique(self.item, return_inverse=True)
+
+    @cached_property
+    def _users(self):
+        """(distinct user ids in first-appearance order, each record's position among them)."""
+        ids, first, codes = np.unique(self.user, return_index=True, return_inverse=True)
+        by_first = first.argsort()
+        rank = np.empty_like(by_first)
+        rank[by_first] = np.arange(len(by_first))
+        return ids[by_first], rank[codes]
+
+    @cached_property
+    def _kept(self):
+        """Each (user, item) pair's last record, ordered by user, then item position."""
+        return _last_per_pair(self._users[1], self._items[1])
+
+    @cached_property
+    def _means(self):
+        """(item means in item id order, global mean) over the kept records.
+
+        Both are sequential folds in record order, as a Python loop
+        would sum them: bincount adds its weights in input order, and
+        cumsum is a left fold where np.sum would add pairwise.
+        """
+        kept = np.sort(self._kept)
+        codes, values = self._items[1][kept], self.rating[kept]
+        n_items = len(self._items[0])
+        sums = np.bincount(codes, weights=values, minlength=n_items)
+        return sums / np.bincount(codes, minlength=n_items), float(values.cumsum()[-1] / len(values))
+
+    @cached_property
+    def item_means(self):
+        return dict(zip(self._items[0].tolist(), self._means[0].tolist()))
+
+    @property
+    def global_mean(self):
+        return self._means[1]
 
     @property
     def n_users(self):
-        return len(self.per_user)
+        return len(self._users[0])
 
     @property
     def n_items(self):
-        return len(self.per_item)
+        return len(self._items[0])
 
     def subset(self, indices):
-        """New dataset from the records at ``indices`` (same scale)."""
-        return RatingDataset(
-            records=[self.records[i] for i in indices],
-            r_min=self.r_min,
-            r_max=self.r_max,
+        """New dataset from the records at ``indices`` (a sequence or an index array; same scale)."""
+        rows = np.asarray(indices, dtype=np.intp)
+        return RatingDataset._from_columns(
+            self.user[rows], self.item[rows], self.rating[rows], self.timestamp[rows], self.r_min, self.r_max
         )
 
     @cached_property
@@ -126,37 +185,58 @@ class RatingDataset:
         return RatingArrays(self)
 
 
+def _last_per_pair(user, item, *minor_keys):
+    """Index of each (user, item) pair's last record in order of user, item, then minor_keys.
+
+    The sort is stable, so among records equal on every key the last in
+    record order is the one kept. The indices come out sorted by pair.
+    """
+    order = np.lexsort((*minor_keys, item, user))
+    user, item = user[order], item[order]
+    return order[np.append((user[1:] != user[:-1]) | (item[1:] != item[:-1]), True)]
+
+
+def _record_columns(records):
+    """(user, item, rating, timestamp) arrays of a list of record tuples."""
+    return tuple(np.array(c, dtype=_RECORD[n]) for n, c in enumerate(list(zip(*records)) or [()] * 4))
+
+
+def _lookup_map(outer, inner, rating):
+    """outer id -> {inner id: rating}, in first-appearance order, the last rating winning."""
+    lookup: dict = {}
+    for key, other, value in zip(outer.tolist(), inner.tolist(), rating.tolist()):
+        lookup.setdefault(key, {})[other] = value
+    return lookup
+
+
 class RatingArrays:
     """A rating dataset as arrays over its rated item ids, ascending.
 
     * ``items``: the rated item ids in ascending order; ``position``
       maps an id to its column.
-    * ``indptr``, ``cols``, ``values``: the ratings user by user (in
-      ``per_user`` order), each user's in ascending column order.
+    * ``indptr``, ``cols``, ``values``: the ratings user by user (users
+      in first-appearance order), each user's in ascending column order.
     * ``rows``: user -> (columns, rating minus the item's mean), views
       of that user's run.
     * ``counts``: ratings per item.
     * ``matrices``: the users x items ratings R, their 0/1 pattern and
       R*R elementwise, as CSC matrices built on first use.
 
-    Built from the one-rating-per-pair view of ``per_user``.
+    Built from the dataset's columns, one rating per (user, item) pair:
+    its last record's.
     """
 
     def __init__(self, ratings):
-        self.items = np.array(sorted(ratings.per_item))
-        self.position = {item: p for p, item in enumerate(self.items.tolist())}
-        user_rows = ratings.per_user.values()
-        lengths = np.fromiter(map(len, user_rows), np.int64, len(user_rows))
+        user_ids, user_codes = ratings._users
+        self.items, item_codes = ratings._items
+        kept = ratings._kept
+        self.position = dict(zip(self.items.tolist(), range(len(self.items))))
+        self.cols, self.values = item_codes[kept], ratings.rating[kept]
+        lengths = np.bincount(user_codes[kept], minlength=len(user_ids))
         self.indptr = np.concatenate(([0], np.cumsum(lengths)))
-        n = int(self.indptr[-1])
-        cols = np.fromiter((self.position[i] for row in user_rows for i in row), np.int64, n)
-        values = np.fromiter((r for row in user_rows for r in row.values()), np.float64, n)
-        order = np.lexsort((cols, np.repeat(np.arange(len(user_rows)), lengths)))
-        self.cols, self.values = cols[order], values[order]
-        means = np.array([ratings.item_means[i] for i in self.items.tolist()])
         split = self.indptr[1:-1]
-        deviations = self.values - means[self.cols]
-        self.rows = dict(zip(ratings.per_user, zip(np.split(self.cols, split), np.split(deviations, split))))
+        deviations = self.values - ratings._means[0][self.cols]
+        self.rows = dict(zip(user_ids.tolist(), zip(np.split(self.cols, split), np.split(deviations, split))))
         self.counts = np.bincount(self.cols, minlength=len(self.items))
 
     @cached_property
@@ -251,50 +331,109 @@ def parse_ratings(source, fmt=None, scale=(1.0, 5.0)):
     ``fmt`` is "dat" (``user::item::rating::timestamp``), "csv"
     (header ``userId,movieId,rating,timestamp``), or None to sniff from
     the first line. Malformed lines are counted and skipped with a
-    warning; an unreadable stream or zero valid records is fatal.
+    warning; an unreadable stream, zero valid records, or a valid line
+    whose id or timestamp does not fit in 64 bits is fatal.
+
+    A ``.dat`` file whose every line has the four-field form is read in
+    one strict pass into columns; any other file is parsed line by line,
+    with the same result.
     """
     r_min, r_max = float(scale[0]), float(scale[1])
-    records = []
-    malformed = 0
     with text_stream(source, errors="replace") as stream:
-        lines = iter(stream)
-        try:
-            first = next(lines)
-        except StopIteration:
-            raise DataError("rating source is empty")
-        if fmt is None:
-            fmt = _sniff_rating_format(first)
-        if fmt == "dat":
-            for line in itertools.chain([first], lines):
-                rec = _parse_dat_line(line, r_min, r_max)
-                if rec is None:
-                    malformed += 1
-                else:
-                    records.append(rec)
-        elif fmt == "csv":
-            header = [h.strip().lower() for h in next(csv.reader([first]))]
-            try:
-                iu = header.index("userid")
-                ii = header.index("movieid")
-                ir = header.index("rating")
-            except ValueError:
-                raise DataError(f"rating CSV header missing required columns: {first!r}")
-            it = header.index("timestamp") if "timestamp" in header else None
-            for row in csv.reader(lines):
-                if not row:
-                    continue
-                rec = _parse_csv_row(row, iu, ii, ir, it, r_min, r_max)
-                if rec is None:
-                    malformed += 1
-                else:
-                    records.append(rec)
-        else:
-            raise DataError(f"unknown rating format {fmt!r}")
+        lines = stream.readlines()
+    if not lines:
+        raise DataError("rating source is empty")
+    if fmt is None:
+        fmt = _sniff_rating_format(lines[0])
+    if fmt not in ("dat", "csv"):
+        raise DataError(f"unknown rating format {fmt!r}")
+    read = _read_dat_columns(lines, r_min, r_max) if fmt == "dat" else None
+    if read is None:
+        records, malformed = (_parse_dat_lines if fmt == "dat" else _parse_csv_lines)(lines, r_min, r_max)
+        read = _record_columns(records), malformed
+    columns, malformed = read
     if malformed:
         log.warning("skipped %d malformed rating line(s)", malformed)
-    if not records:
+    if not len(columns[0]):
         raise DataError("no valid rating records found")
-    return RatingDataset(records=records, r_min=r_min, r_max=r_max, n_malformed=malformed)
+    return RatingDataset._from_columns(*columns, r_min, r_max, n_malformed=malformed)
+
+
+def _read_dat_columns(lines, r_min, r_max):
+    """``.dat`` lines as (columns, malformed count) in one strict pass.
+
+    Returns None, leaving the lines to the per-line parser, unless every
+    line is ``u::i::r::ts`` with integer ids and timestamp that fit in
+    int64. ``::`` becomes a comma for the reader, so a file that already
+    holds a comma is left to the per-line parser; so is one whose row
+    count differs from its line count, since the reader skips blank
+    lines the per-line parser counts as malformed. A NaN or out-of-scale
+    rating is malformed, as it is line by line.
+    """
+    text = "".join(lines)
+    if "," in text:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # An input of blank lines only is "no data" to the reader.
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(io.StringIO(text.replace("::", ",")), dtype=_RECORD, delimiter=",",
+                               comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if len(table) != len(lines):
+        return None
+    rating = table["rating"]
+    valid = (r_min <= rating) & (rating <= r_max)
+    return tuple(table[name][valid] for name in _RECORD.names), len(table) - int(valid.sum())
+
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _check_int64(rec, lineno):
+    """A parsed record whose ids and timestamp fit the int64 columns, or a DataError naming the line."""
+    for what, value in zip(("user id", "item id", None, "timestamp"), rec):
+        if what and not _INT64_MIN <= value <= _INT64_MAX:
+            raise DataError(f"rating line {lineno}: {what} {value} does not fit in 64 bits")
+    return rec
+
+
+def _parse_dat_lines(lines, r_min, r_max):
+    """The per-line ``.dat`` parser: (records, malformed count)."""
+    records = []
+    malformed = 0
+    for lineno, line in enumerate(lines, start=1):
+        rec = _parse_dat_line(line, r_min, r_max)
+        if rec is None:
+            malformed += 1
+        else:
+            records.append(_check_int64(rec, lineno))
+    return records, malformed
+
+
+def _parse_csv_lines(lines, r_min, r_max):
+    """The CSV parser: (records, malformed count)."""
+    header = [h.strip().lower() for h in next(csv.reader(lines[:1]))]
+    try:
+        iu = header.index("userid")
+        ii = header.index("movieid")
+        ir = header.index("rating")
+    except ValueError:
+        raise DataError(f"rating CSV header missing required columns: {lines[0]!r}")
+    it = header.index("timestamp") if "timestamp" in header else None
+    records = []
+    malformed = 0
+    reader = csv.reader(lines[1:])
+    for row in reader:
+        if not row:
+            continue
+        rec = _parse_csv_row(row, iu, ii, ir, it, r_min, r_max)
+        if rec is None:
+            malformed += 1
+        else:
+            records.append(_check_int64(rec, reader.line_num + 1))
+    return records, malformed
 
 
 def _parse_dat_line(line, r_min, r_max):
@@ -413,44 +552,27 @@ def clean_and_join(ratings, catalog):
 
     Ratings are restricted to items that have a non-empty feature
     sentence; duplicate (user, item) pairs are collapsed keeping the
-    rating with the latest timestamp (later file position wins ties).
-    Means are recomputed after filtering. Sentences keep every item
-    with usable metadata, including items that have no ratings at all,
-    so brand-new items remain recommendable.
+    rating with the latest timestamp (later file position wins ties),
+    and the kept records stay in file order. Means are recomputed after
+    filtering. Sentences keep every item with usable metadata,
+    including items that have no ratings at all, so brand-new items
+    remain recommendable.
     """
     sentences = build_sentences(catalog)
-    sentence_items = {s.item_id for s in sentences}
-    dropped_no_features = 0
-    best: dict = {}
-    order: dict = {}
-    seq = 0
-    rated_items_missing = set()
-    for rec in ratings.records:
-        user, item, _rating, ts = rec
-        if item not in sentence_items:
-            dropped_no_features += 1
-            rated_items_missing.add(item)
-            continue
-        key = (user, item)
-        prev = best.get(key)
-        if prev is None or ts >= prev[3]:
-            best[key] = rec
-            order[key] = seq
-        seq += 1
-    items_without_features = len(rated_items_missing)
-    if not best:
+    featured = [s.item_id for s in sentences if _INT64_MIN <= s.item_id <= _INT64_MAX]
+    has_features = np.isin(ratings.item, np.array(featured, dtype=np.int64))
+    rows = np.flatnonzero(has_features)
+    if not len(rows):
         raise EmptyJoinError("no ratings remain after joining with item metadata")
-    kept = sorted(best, key=order.get)
-    records = [best[k] for k in kept]
-    dropped_duplicates = len(ratings.records) - dropped_no_features - len(records)
-    cleaned = RatingDataset(records=records, r_min=ratings.r_min, r_max=ratings.r_max)
+    latest = _last_per_pair(ratings.user[rows], ratings.item[rows], ratings.timestamp[rows])
+    cleaned = ratings.subset(rows[np.sort(latest)])
     report = {
-        "n_ratings_in": len(ratings.records),
-        "n_ratings_kept": len(records),
-        "n_dropped_duplicates": dropped_duplicates,
-        "n_dropped_no_features": dropped_no_features,
+        "n_ratings_in": len(ratings),
+        "n_ratings_kept": len(cleaned),
+        "n_dropped_duplicates": len(rows) - len(cleaned),
+        "n_dropped_no_features": len(ratings) - len(rows),
         "n_items_kept": cleaned.n_items,
-        "n_items_without_features": items_without_features,
+        "n_items_without_features": len(np.unique(ratings.item[~has_features])),
         "n_sentences": len(sentences),
         "n_malformed_rating_lines": ratings.n_malformed,
         "n_catalog_duplicates": catalog.n_dropped_duplicates,
@@ -472,11 +594,11 @@ def write_catalog(catalog, sink):
 
 def write_ratings_csv(ratings, sink):
     """Serialize ratings in the canonical CSV form."""
+    values, which = np.unique(ratings.rating, return_inverse=True)
+    labels = np.array([_format_rating(v) for v in values.tolist()], dtype=object)[which]
+    rows = zip(ratings.user.tolist(), ratings.item.tolist(), labels.tolist(), ratings.timestamp.tolist())
     with text_stream(sink, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["userId", "movieId", "rating", "timestamp"])
-        for user, item, rating, ts in ratings.records:
-            writer.writerow([user, item, _format_rating(rating), ts])
+        stream.write("userId,movieId,rating,timestamp\n" + "".join(map("%d,%d,%s,%d\n".__mod__, rows)))
 
 
 def _format_rating(rating):

@@ -347,7 +347,7 @@ def make_provider(kind, ratings=None, index=None, policy=None):
             rating = blocks.row(item, items)
             return np.full(len(items), np.nan) if rating is None else rating[0], True
 
-        return SimilarityProvider(cf_row, frozenset(ratings.per_item))
+        return SimilarityProvider(cf_row, frozenset(ratings.arrays.items.tolist()))
     content = _ContentRows(index)
     if kind == "cb":
         return SimilarityProvider(lambda item, items: (content.row(item, items), False), frozenset(index.vectors))
@@ -363,7 +363,7 @@ def make_provider(kind, ratings=None, index=None, policy=None):
         from_rating = warm | np.isnan(row)
         return np.where(from_rating, values, row), from_rating
 
-    return SimilarityProvider(hybrid_row, frozenset(ratings.per_item).union(index.vectors))
+    return SimilarityProvider(hybrid_row, frozenset(ratings.arrays.items.tolist()).union(index.vectors))
 
 
 def top_similar_items(provider, item_id, n):

@@ -8,7 +8,7 @@ import pytest
 
 from relfrec.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_UNKNOWN_ID, main
 from relfrec.embed import load_embeddings
-from relfrec.ingest import load_bundle
+from relfrec.ingest import RatingDataset, load_bundle
 from relfrec.simcore import HybridPolicy, build_item_vectors, hybrid_sim, rating_cosine, relf_sim
 
 import synthdata
@@ -89,6 +89,18 @@ class TestIngest:
     def test_missing_required_option(self, tmp_path):
         rc = main(["ingest", "--ratings", str(tmp_path / "r.dat")])
         assert rc == EXIT_INPUT
+
+    def test_id_beyond_int64_exit_code(self, tmp_path):
+        (tmp_path / "r.dat").write_text("1::1::4::10\n9223372036854775808::1::3::11\n")
+        (tmp_path / "f.csv").write_text("itemId,directors,screenwriters,cast\n1,Some Director,,Some Actor\n")
+        rc = main([
+            "ingest",
+            "--ratings", str(tmp_path / "r.dat"),
+            "--metadata", str(tmp_path / "f.csv"),
+            "--out", str(tmp_path / "bundle"),
+        ])
+        assert rc == EXIT_INPUT
+        assert not (tmp_path / "bundle").exists()
 
     def test_disjoint_ratings_and_metadata(self, tmp_path):
         (tmp_path / "r.dat").write_text("1::900::4::10\n2::901::3::11\n")
@@ -179,6 +191,16 @@ class TestEvaluate:
         assert rc == EXIT_INPUT
         assert not (tmp_path / "run").exists()
 
+    def test_repeated_predictor_exit_code(self, workdir, tmp_path):
+        # Each fold would otherwise be evaluated and written twice.
+        rc = main([
+            "evaluate", "--bundle", str(workdir / "bundle"),
+            "--predictors", "cf,cf", "--split", "kfold(3)",
+            "--out-dir", str(tmp_path / "run"),
+        ])
+        assert rc == EXIT_INPUT
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_predictor_name(self, workdir, tmp_path):
         with pytest.raises(SystemExit) as err:
             main([
@@ -264,6 +286,19 @@ class TestPredict:
             "--model", "cf", "--user", "1", "--item", "99999",
         ])
         assert rc == EXIT_UNKNOWN_ID
+
+    def test_builds_no_lookup_maps(self, workdir, monkeypatch, capsys):
+        def unread(self):
+            raise AssertionError("predict read a per-record lookup map")
+
+        monkeypatch.setattr(RatingDataset, "per_user", property(unread))
+        monkeypatch.setattr(RatingDataset, "per_item", property(unread))
+        rc = main([
+            "predict", "--bundle", str(workdir / "bundle"),
+            "--embeddings", str(workdir / "vecs.txt"), "--user", "2", "--item", "3",
+        ])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out.startswith("user=2 item=3 value=")
 
     def test_pairs_csv(self, workdir, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"

@@ -24,7 +24,7 @@ from relfrec.evaluation import (
     write_results_csv,
 )
 from relfrec import predict, simcore
-from relfrec.ingest import RatingDataset
+from relfrec.ingest import RatingDataset, parse_ratings
 from relfrec.predict import PredictionConfig, predict_batch
 from relfrec.simcore import ItemVectorIndex, make_provider
 
@@ -356,6 +356,27 @@ class TestSweepK:
         test_records = sum(len(test_idx) for _f, _train, test_idx in plan.folds())
         assert len(predictions) == len(ks) * test_records
         assert [report.n_predictions for _p, _k, report in table] == [test_records] * len(ks)
+
+    @pytest.mark.parametrize("kind", ["holdout(0.8)", "kfold(3)", "cold-start(0.25)"])
+    def test_builds_no_records_or_lookup_maps(self, monkeypatch, kind):
+        """Splits, training sides and predictions read columns and arrays:
+        neither the dataset nor a training side builds its per-record views."""
+        records = random_world(19, n_users=16, n_items=10).records
+        ds = parse_ratings(io.StringIO("".join(f"{u}::{i}::{r}::{t}\n" for u, i, r, t in records)), fmt="dat")
+        index = full_coverage_index(range(1, 11))
+        subsets = []
+        original = RatingDataset.subset
+
+        def captured(self, indices):
+            subsets.append(original(self, indices))
+            return subsets[-1]
+
+        monkeypatch.setattr(RatingDataset, "subset", captured)
+        plan = make_split(ds, kind, seed=3)
+        sweep_k([1, 35], ["cf", "cb", "hybrid"], plan, ds, index=index)
+        assert len(subsets) == plan.n_folds
+        for data in [ds, *subsets]:
+            assert not {"records", "per_user", "per_item"} & vars(data).keys()
 
     def test_bad_ks_fatal(self):
         ds = random_world(13)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from relfrec import ingest
 from relfrec.embed import EmbeddingTable, Vocabulary, save_embeddings
 from relfrec.errors import DataError, EmptyJoinError
 from relfrec.evaluation import write_manifest, write_results_csv
@@ -108,6 +109,88 @@ class TestParseRatings:
         ds = parse_ratings(io.StringIO("1::1::0.5::0\n"), fmt="dat", scale=(0.5, 5.0))
         assert ds.records[0][2] == 0.5
 
+    @pytest.mark.parametrize("fmt, text", [
+        ("dat", "1::1::4::10\n9223372036854775808::1::3::11\n"),
+        ("dat", "1::1::4::10\n2::-9223372036854775809::3::11\n"),
+        ("dat", "1::1::4::10\n2::1::3::99999999999999999999\n"),
+        ("csv", "userId,movieId,rating,timestamp\n9223372036854775808,1,3,11\n1,1,4,10\n"),
+    ], ids=["dat-user", "dat-item", "dat-timestamp", "csv-user"])
+    def test_value_beyond_int64_is_fatal_naming_the_line(self, fmt, text):
+        with pytest.raises(DataError, match="rating line 2: .* does not fit in 64 bits"):
+            parse_ratings(io.StringIO(text), fmt=fmt)
+
+
+# One-line variants the .dat fuzz mixes into well-formed files.
+FUZZ_LINES = [
+    b"\n", b"   \n", b"# 1::2::3::4\n", b"#1::2::3::4\n",
+    b"1::2::3\n", b"1::2::3::4::5\n", b"1::2::3::\n", b"1:::2::3::4\n", b"1,2,3,4\n",
+    b"1.0::2::3::4\n", b"1::1e3::3::4\n", b"1_0::2::3::4\n", b"+3::2::3::4\n", b" 12 ::2::3::4\n",
+    b"1::2::3::4.0\n", b"-5::2::3::-4\n",
+    b"1::2::nan::4\n", b"1::2::NaN::4\n", b"1::2::inf::4\n", b"1::2::-inf::4\n", b"1::2::4.::4\n",
+    b"1::2::.5::4\n", b"1::2::9::4\n", b"1::2::0::4\n", b"1::2::4e0::4\n", b"1::2::1_0::4\n",
+    b"\t1::\t2::3\t::4\t\n", b"1::2::3::4\r\n", b"1::2::3::4\r5::6::3::7\n", b"\xff\xfe::2::3::4\n",
+    b"1::\xe9::3::4\n", b"1::2::3::4\x0b\n", b"\xc2\xa012::2::3::4\n",
+    b"9223372036854775808::2::3::4\n", b"1::-9223372036854775809::3::4\n", b"1::2::3::9223372036854775808\n",
+    b"9223372036854775807::-9223372036854775808::3::4\n",
+]
+
+
+def fuzz_inputs(seed, n_inputs):
+    """Seeded .dat files: well-formed lines with a few variants mixed in."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_inputs):
+        n = int(rng.integers(1, 25))
+        columns = zip(rng.integers(1, 30, n), rng.integers(1, 20, n), rng.integers(2, 11, n) / 2, rng.integers(0, 999, n))
+        lines = [f"{u}::{i}::{r:g}::{t}\n".encode() for u, i, r, t in columns]
+        for _ in range(int(rng.integers(0, 3))):
+            lines.insert(int(rng.integers(0, len(lines) + 1)), FUZZ_LINES[int(rng.integers(len(FUZZ_LINES)))])
+        data = b"".join(lines)
+        yield data.rstrip(b"\n") if rng.random() < 0.2 else data
+
+
+class TestDatFuzz:
+    """The one-pass .dat read against the per-line parser, its oracle."""
+
+    @staticmethod
+    def outcome(read):
+        try:
+            return read()
+        except DataError as exc:
+            return f"DataError: {exc}"
+
+    @staticmethod
+    def columns(ds):
+        return [c.tolist() for c in (ds.user, ds.item, ds.rating, ds.timestamp)], ds.n_malformed
+
+    @staticmethod
+    def per_line(lines):
+        records, malformed = ingest._parse_dat_lines(lines, 1.0, 5.0)
+        if not records:
+            raise DataError("no valid rating records found")
+        return [list(c) for c in zip(*records)], malformed
+
+    def test_columnar_read_matches_per_line_parser(self, tmp_path):
+        path = tmp_path / "ratings.dat"
+        sources = {"fast": 0, "fallback": 0}
+        for data in fuzz_inputs(seed=23, n_inputs=300):
+            path.write_bytes(data)
+            with open(path, encoding="utf-8", errors="replace") as stream:
+                file_lines = stream.readlines()
+            text = data.decode("utf-8", errors="replace")
+            for source, lines in ((path, file_lines), (io.StringIO(text), io.StringIO(text).readlines())):
+                expected = self.outcome(lambda: self.per_line(lines))
+                if isinstance(source, io.StringIO):
+                    source.seek(0)
+                assert self.outcome(lambda: self.columns(parse_ratings(source, fmt="dat"))) == expected, data
+                read = ingest._read_dat_columns(lines, 1.0, 5.0)
+                sources["fallback" if read is None else "fast"] += 1
+                if read is not None:
+                    columns, malformed = read
+                    got = [c.tolist() for c in columns], malformed
+                    assert got == expected or (not columns[0].size and "no valid" in expected), data
+        # Both routes are exercised.
+        assert min(sources.values()) > 100, sources
+
 
 class TestRatingDataset:
     def test_means_match_numpy(self):
@@ -128,6 +211,73 @@ class TestRatingDataset:
                 vals = [r for (_u, i), r in collapsed.items() if i == item]
                 assert mean == pytest.approx(np.mean(vals), abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_statistics_equal_a_dict_fold_exactly(self, seed):
+        """Means and arrays equal a plain dict fold bit for bit, with
+        ratings on a 0.1 grid, where the order of a sum changes its value."""
+        rng = np.random.default_rng(seed)
+        records = [
+            (int(rng.integers(1, 25)), int(rng.integers(1, 15)), round(int(rng.integers(10, 51)) / 10, 1),
+             int(rng.integers(0, 9)))
+            for _ in range(int(rng.integers(150, 400)))
+        ]
+        # Item 99 appears only in a duplicated pair.
+        records[5:5] = [(3, 99, 1.7, 0)]
+        records.append((3, 99, 4.3, 1))
+        text = "".join(f"{u}::{i}::{r}::{t}\n" for u, i, r, t in records)
+        full = RatingDataset(records=records)
+        for ds, recs in ((full, records),
+                         (parse_ratings(io.StringIO(text), fmt="dat"), records),
+                         (full.subset(np.arange(len(records))[::-1]), records[::-1])):
+            self.assert_equals_dict_fold(ds, recs)
+
+    @staticmethod
+    def assert_equals_dict_fold(ds, records):
+        per_user: dict = {}
+        last = {}
+        for pos, (user, item, rating, _ts) in enumerate(records):
+            per_user.setdefault(user, {})[item] = rating
+            last[user, item] = pos
+        sums: dict = {}
+        counts: dict = {}
+        total = 0.0
+        for pos, (user, item, rating, _ts) in enumerate(records):
+            if last[user, item] == pos:
+                sums[item] = sums.get(item, 0.0) + rating
+                counts[item] = counts.get(item, 0) + 1
+                total += rating
+        means = {i: sums[i] / counts[i] for i in sums}
+        assert ds.item_means == means
+        assert ds.global_mean == total / len(last)
+        assert (ds.n_users, ds.n_items) == (len(per_user), len(means))
+        items = sorted(means)
+        position = {item: p for p, item in enumerate(items)}
+        cols, values, indptr = [], [], [0]
+        for row in per_user.values():
+            for item in sorted(row):
+                cols.append(position[item])
+                values.append(row[item])
+            indptr.append(len(cols))
+        arrays = ds.arrays
+        assert arrays.items.tolist() == items and arrays.position == position
+        assert arrays.indptr.tolist() == indptr and arrays.cols.tolist() == cols
+        assert arrays.values.tolist() == values
+        assert arrays.counts.tolist() == [counts[i] for i in items]
+        assert list(arrays.rows) == list(per_user)
+        for (user, (row_cols, deviations)), start, stop in zip(arrays.rows.items(), indptr, indptr[1:]):
+            assert row_cols.tolist() == cols[start:stop], user
+            assert deviations.tolist() == [v - means[items[c]] for c, v in zip(cols[start:stop], values[start:stop])]
+
+    def test_views_are_built_on_first_read(self):
+        ds = parse_ratings(io.StringIO("2::5::4::0\n1::5::3::1\n2::4::1::2\n3::4::9::9\n2::5::2::3\n"), fmt="dat")
+        assert (len(ds), ds.n_users, ds.n_items, ds.n_malformed) == (4, 2, 2, 1)
+        assert not {"records", "per_user", "per_item"} & vars(ds).keys()
+        assert ds.user.tolist() == [2, 1, 2, 2] and ds.item.tolist() == [5, 5, 4, 5]
+        assert ds.rating.tolist() == [4.0, 3.0, 1.0, 2.0] and ds.timestamp.tolist() == [0, 1, 2, 3]
+        assert ds.records == [(2, 5, 4.0, 0), (1, 5, 3.0, 1), (2, 4, 1.0, 2), (2, 5, 2.0, 3)]
+        assert list(ds.per_user.items()) == [(2, {5: 2.0, 4: 1.0}), (1, {5: 3.0})]
+        assert list(ds.per_item.items()) == [(5, {2: 2.0, 1: 3.0}), (4, {2: 1.0})]
+
     def test_duplicate_pair_means_agree_with_lookup_maps(self):
         ds = RatingDataset(records=[(1, 1, 4.0, 0), (1, 1, 2.0, 1), (2, 2, 5.0, 2)])
         assert ds.per_item[1] == {1: 2.0}
@@ -137,6 +287,8 @@ class TestRatingDataset:
     def test_out_of_scale_record_rejected(self):
         with pytest.raises(DataError):
             RatingDataset(records=[(1, 1, 7.0, 0)])
+        with pytest.raises(DataError, match="rating 7 for user 2, item 1 outside scale"):
+            RatingDataset(records=[(1, 1, 4.0, 0), (2, 1, 7, 0), (3, 1, 9.0, 0)])
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
@@ -147,6 +299,7 @@ class TestRatingDataset:
         sub = ds.subset([2, 0])
         assert sub.records == [ds.records[2], ds.records[0]]
         assert (sub.r_min, sub.r_max) == (ds.r_min, ds.r_max)
+        assert ds.subset(np.array([2, 0])).records == sub.records
 
 
 class TestParseItemFeatures:
@@ -263,8 +416,8 @@ class TestCleanAndJoin:
 
     def test_metadata_only_items_keep_their_sentences(self):
         ratings = RatingDataset(records=[(1, 1, 4.0, 0)])
-        bundle = clean_and_join(ratings, make_catalog([1, 2, 3]))
-        assert {s.item_id for s in bundle.sentences} == {1, 2, 3}
+        bundle = clean_and_join(ratings, make_catalog([1, 2, 3, 2**64]))
+        assert {s.item_id for s in bundle.sentences} == {1, 2, 3, 2**64}
         assert bundle.ratings.n_items == 1
 
     def test_means_recomputed_after_filtering(self):
