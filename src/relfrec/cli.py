@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import csv
 import json
 import logging
 import sys
@@ -33,6 +32,7 @@ from .evaluation import make_split, results_rows, sweep_k, write_manifest, write
 from .ingest import (
     canonical_token,
     clean_and_join,
+    csv_rows,
     load_bundle,
     parse_item_features,
     parse_ratings,
@@ -84,17 +84,20 @@ def _coerce_config_value(text):
         return False
     try:
         return ast.literal_eval(text)
-    except (ValueError, SyntaxError):
+    except (ValueError, SyntaxError, TypeError):
         return text
 
 
 def load_config_file(path):
     """Read a config file: JSON (a saved manifest) or key = value lines."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: config is not UTF-8 text: {exc}") from None
     if text.lstrip().startswith("{"):
         try:
             mapping = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DataError(f"{path}: bad JSON config: {exc}") from None
         if not isinstance(mapping, dict):
             raise DataError(f"{path}: JSON config must be an object")
@@ -367,7 +370,7 @@ def cmd_sweep_k(args):
 def _read_pairs_csv(path):
     pairs = []
     with open(path, encoding="utf-8", newline="") as stream:
-        for lineno, row in enumerate(csv.reader(stream), start=1):
+        for lineno, row in csv_rows(stream, path):
             if not row or not "".join(row).strip():
                 continue
             try:
@@ -445,9 +448,12 @@ def main(argv=None):
             unknown = sorted(mapping.keys() - options - _IGNORED_CONFIG_KEYS)
             if unknown:
                 raise DataError(f"{config_path}: {', '.join(unknown)} is no option of {command}")
+            typed = {action.dest for action in sub._actions if action.type is not None}
+            for key in sorted(mapping.keys() & {action.dest for action in sub._actions if action.nargs != 0} - typed):
+                if not isinstance(mapping[key], (str, type(None))):
+                    raise DataError(f"{config_path}: {key} must be text, got {mapping[key]!r}")
             # Config values become the subcommand's defaults, so flags
             # given on the command line still win.
-            typed = {action.dest for action in sub._actions if action.type is not None}
             sub.set_defaults(**{key: _option_text(value) if key in typed else value
                                 for key, value in mapping.items() if key in options})
     except (DataError, OSError) as exc:

@@ -17,8 +17,7 @@ reading a ``.dat`` file, joining, subsetting and writing the bundle
 run without a Python loop per record. A ``.dat`` file of well-formed
 lines is read in one strict pass; anything else goes through the
 per-line parser, which decides the same way line by line. Ids and
-timestamps must fit in 64 bits. The per-record views a dataset still
-offers (its record tuples and its user and item lookup maps) are built
+timestamps must fit in 64 bits. A dataset's record tuples are built
 the first time something reads them.
 """
 
@@ -28,7 +27,6 @@ import csv
 import io
 import json
 import logging
-import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -43,8 +41,6 @@ log = logging.getLogger(__name__)
 
 MAX_CAST = 12
 
-_WHITESPACE = re.compile(r"\s+")
-
 
 def canonical_token(raw):
     """Canonicalize one person token, or return None if it is empty.
@@ -58,7 +54,7 @@ def canonical_token(raw):
         return None
     if raw.isdigit():
         return raw
-    return _WHITESPACE.sub("_", raw.lower())
+    return "_".join(raw.lower().split())
 
 
 # One rating record: the dataset's column types and the strict .dat read's row.
@@ -76,14 +72,13 @@ class RatingDataset:
     ``subset`` fill the columns directly. Every rating must lie on the
     scale ``[r_min, r_max]``.
 
-    ``records`` (the tuples), ``per_user`` (user -> {item: rating}) and
-    ``per_item`` (item -> {user: rating}) are views built the first
-    time something reads them; the lookup maps keep first-appearance
-    key order, and on duplicate (user, item) pairs, which only exist
-    before cleaning, the last record wins. ``item_means`` (item id ->
-    mean, ascending ids) and ``global_mean`` are computed over that
-    same collapsed view, one rating per pair, summed in record order,
-    so they equal a Python loop over the records bit for bit.
+    ``records`` (the tuples) is a view built on first read. Readers
+    that want the ratings by user or by item use ``arrays``
+    (RatingArrays), one rating per (user, item) pair: on duplicate
+    pairs, which only exist before cleaning, the last record wins.
+    ``item_means`` (item id -> mean, ascending ids) and ``global_mean``
+    fold those same ratings, one per pair, in record order, so they
+    equal a Python loop over the records bit for bit.
     """
 
     def __init__(self, records, r_min=1.0, r_max=5.0, n_malformed=0):
@@ -114,14 +109,6 @@ class RatingDataset:
     @cached_property
     def records(self):
         return list(zip(self.user.tolist(), self.item.tolist(), self.rating.tolist(), self.timestamp.tolist()))
-
-    @cached_property
-    def per_user(self):
-        return _lookup_map(self.user, self.item, self.rating)
-
-    @cached_property
-    def per_item(self):
-        return _lookup_map(self.item, self.user, self.rating)
 
     @cached_property
     def _items(self):
@@ -199,14 +186,6 @@ def _last_per_pair(user, item, *minor_keys):
 def _record_columns(records):
     """(user, item, rating, timestamp) arrays of a list of record tuples."""
     return tuple(np.array(c, dtype=_RECORD[n]) for n, c in enumerate(list(zip(*records)) or [()] * 4))
-
-
-def _lookup_map(outer, inner, rating):
-    """outer id -> {inner id: rating}, in first-appearance order, the last rating winning."""
-    lookup: dict = {}
-    for key, other, value in zip(outer.tolist(), inner.tolist(), rating.tolist()):
-        lookup.setdefault(key, {})[other] = value
-    return lookup
 
 
 class RatingArrays:
@@ -317,6 +296,20 @@ def text_stream(source, mode="r", errors="strict"):
         yield stream
 
 
+def csv_rows(lines, name):
+    """(line number, row) of each CSV record of ``lines``, read from the file ``name``.
+
+    A record the reader rejects, such as one with a field longer than
+    csv.field_size_limit(), is a DataError naming the file and line.
+    """
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise DataError(f"{name}:{reader.line_num}: {exc}") from None
+
+
 def _sniff_rating_format(first_line):
     if "::" in first_line:
         return "dat"
@@ -331,8 +324,8 @@ def parse_ratings(source, fmt=None, scale=(1.0, 5.0)):
     ``fmt`` is "dat" (``user::item::rating::timestamp``), "csv"
     (header ``userId,movieId,rating,timestamp``), or None to sniff from
     the first line. Malformed lines are counted and skipped with a
-    warning; an unreadable stream, zero valid records, or a valid line
-    whose id or timestamp does not fit in 64 bits is fatal.
+    warning; an unreadable stream or CSV record, zero valid records, or
+    a valid line whose id or timestamp does not fit in 64 bits is fatal.
 
     A ``.dat`` file whose every line has the four-field form is read in
     one strict pass into columns; any other file is parsed line by line,
@@ -341,6 +334,7 @@ def parse_ratings(source, fmt=None, scale=(1.0, 5.0)):
     r_min, r_max = float(scale[0]), float(scale[1])
     with text_stream(source, errors="replace") as stream:
         lines = stream.readlines()
+        name = getattr(stream, "name", "<stream>")
     if not lines:
         raise DataError("rating source is empty")
     if fmt is None:
@@ -349,7 +343,8 @@ def parse_ratings(source, fmt=None, scale=(1.0, 5.0)):
         raise DataError(f"unknown rating format {fmt!r}")
     read = _read_dat_columns(lines, r_min, r_max) if fmt == "dat" else None
     if read is None:
-        records, malformed = (_parse_dat_lines if fmt == "dat" else _parse_csv_lines)(lines, r_min, r_max)
+        records, malformed = (_parse_dat_lines(lines, r_min, r_max) if fmt == "dat"
+                              else _parse_csv_lines(lines, r_min, r_max, name))
         read = _record_columns(records), malformed
     columns, malformed = read
     if malformed:
@@ -412,9 +407,10 @@ def _parse_dat_lines(lines, r_min, r_max):
     return records, malformed
 
 
-def _parse_csv_lines(lines, r_min, r_max):
+def _parse_csv_lines(lines, r_min, r_max, name):
     """The CSV parser: (records, malformed count)."""
-    header = [h.strip().lower() for h in next(csv.reader(lines[:1]))]
+    rows = csv_rows(lines, name)
+    header = [h.strip().lower() for h in next(rows)[1]]
     try:
         iu = header.index("userid")
         ii = header.index("movieid")
@@ -424,15 +420,14 @@ def _parse_csv_lines(lines, r_min, r_max):
     it = header.index("timestamp") if "timestamp" in header else None
     records = []
     malformed = 0
-    reader = csv.reader(lines[1:])
-    for row in reader:
+    for lineno, row in rows:
         if not row:
             continue
         rec = _parse_csv_row(row, iu, ii, ir, it, r_min, r_max)
         if rec is None:
             malformed += 1
         else:
-            records.append(_check_int64(rec, reader.line_num + 1))
+            records.append(_check_int64(rec, lineno))
     return records, malformed
 
 
@@ -461,7 +456,7 @@ def _parse_csv_row(row, iu, ii, ir, it, r_min, r_max):
         item = int(row[ii])
         rating = float(row[ir])
         ts = int(float(row[it])) if it is not None and row[it].strip() else 0
-    except (ValueError, IndexError):
+    except (ValueError, IndexError, OverflowError):
         return None
     if not r_min <= rating <= r_max:
         return None
@@ -475,17 +470,17 @@ def parse_item_features(source):
     ``|``-separated, order-significant multi-value fields. Cast lists
     are truncated to the first MAX_CAST people. Duplicate item rows:
     last wins, counted. Rows with an empty or non-integer item id are
-    skipped, counted.
+    skipped, counted; a record the CSV reader rejects is fatal.
     """
     entries: dict = {}
     duplicates = 0
     skipped = 0
     with text_stream(source, errors="replace") as stream:
-        reader = csv.reader(stream)
-        try:
-            header = [h.strip().lower() for h in next(reader)]
-        except StopIteration:
+        rows = csv_rows(stream, getattr(stream, "name", "<stream>"))
+        _lineno, header = next(rows, (None, None))
+        if header is None:
             raise DataError("metadata source is empty")
+        header = [h.strip().lower() for h in header]
         try:
             ii = header.index("itemid")
             idir = header.index("directors")
@@ -493,7 +488,7 @@ def parse_item_features(source):
             icast = header.index("cast")
         except ValueError:
             raise DataError(f"metadata CSV header missing required columns: {header}")
-        for row in reader:
+        for _lineno, row in rows:
             if not row:
                 continue
             try:

@@ -126,17 +126,15 @@ def recommend_top_n(user, ratings, provider, n=10, candidates=None, config=None)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     config = config or PredictionConfig()
-    seen = ratings.per_user.get(user) or {}
+    arrays = ratings.arrays
+    row = arrays.rows.get(user)
     if candidates is None:
-        candidates = ratings.per_item.keys()
-    ranked = []
-    if not seen:
-        for item in candidates:
-            ranked.append((item, _mean_fallback(item, ratings, config)))
+        candidates = arrays.items.tolist()
+    if row is None:
+        ranked = [(item, _mean_fallback(item, ratings, config)) for item in candidates]
     else:
-        for item in candidates:
-            if item in seen:
-                continue
-            ranked.append((item, predict_rating(user, item, ratings, provider, config)))
+        seen = set(arrays.items[row[0]].tolist())
+        ranked = [(item, predict_rating(user, item, ratings, provider, config))
+                  for item in candidates if item not in seen]
     ranked.sort(key=lambda t: (t[1].is_fallback, -t[1].value, t[0]))
     return ranked[:n]

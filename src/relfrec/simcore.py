@@ -87,16 +87,7 @@ def rating_cosine(i, j, ratings):
     both, or a sub-vector is all zeros. Unknown ids are a contract
     error.
     """
-    try:
-        col_i = ratings.per_item[i]
-    except KeyError:
-        raise UnknownIdError(f"item {i} not in rating dataset") from None
-    try:
-        col_j = ratings.per_item[j]
-    except KeyError:
-        raise UnknownIdError(f"item {j} not in rating dataset") from None
-    if len(col_j) < len(col_i):
-        col_i, col_j = col_j, col_i
+    col_i, col_j = sorted((_raters(i, ratings), _raters(j, ratings)), key=len)
     dot = 0.0
     sq_i = 0.0
     sq_j = 0.0
@@ -112,6 +103,17 @@ def rating_cosine(i, j, ratings):
     if support == 0 or sq_i == 0.0 or sq_j == 0.0:
         return None
     return SimilarityValue(value=dot / (sqrt(sq_i) * sqrt(sq_j)), support=support, source=SOURCE_RATING)
+
+
+def _raters(item, ratings):
+    """{user row: rating} of one item, from its column of the ratings matrix."""
+    arrays = ratings.arrays
+    t = arrays.position.get(item)
+    if t is None:
+        raise UnknownIdError(f"item {item} not in rating dataset")
+    rated = arrays.matrices[0]
+    users = slice(rated.indptr[t], rated.indptr[t + 1])
+    return dict(zip(rated.indices[users].tolist(), rated.data[users].tolist()))
 
 
 @dataclass
@@ -180,15 +182,15 @@ def hybrid_sim(i, j, ratings, index, policy):
     route is undefined the other one is returned, so the result is None
     only if both are.
     """
-    col_i = ratings.per_item.get(i)
-    col_j = ratings.per_item.get(j)
+    arrays = ratings.arrays
+    t_i, t_j = arrays.position.get(i), arrays.position.get(j)
     rating_value = None
-    if col_i is not None and col_j is not None:
+    if t_i is not None and t_j is not None:
         rating_value = rating_cosine(i, j, ratings)
     warm = (
         rating_value is not None
-        and len(col_i) >= policy.tau_item
-        and len(col_j) >= policy.tau_item
+        and arrays.counts[t_i] >= policy.tau_item
+        and arrays.counts[t_j] >= policy.tau_item
         and rating_value.support >= policy.tau_pair
     )
     if warm:
@@ -223,7 +225,6 @@ class _RatingBlocks:
         self.policy = policy
         self.start = self.stop = 0
         self.values = self.warm = None
-        self.ids = self.at = self.seen = None
 
     def row(self, item, items):
         """(cosines, warm mask or None) of item over items, or None if it is unrated."""
@@ -237,10 +238,9 @@ class _RatingBlocks:
         values, warm = self.values[t], None if self.warm is None else self.warm[t]
         if items is arrays.items:
             return values, warm
-        if items is not self.ids:
-            at = np.minimum(arrays.items.searchsorted(items), len(arrays.items) - 1)
-            self.ids, self.at, self.seen = items, at, arrays.items[at] == items
-        return np.where(self.seen, values[self.at], np.nan), None if warm is None else self.seen & warm[self.at]
+        at = np.minimum(arrays.items.searchsorted(items), len(arrays.items) - 1)
+        seen = arrays.items[at] == items
+        return np.where(seen, values[at], np.nan), None if warm is None else seen & warm[at]
 
     def _compute(self, arrays, t):
         n = len(arrays.items)

@@ -55,6 +55,18 @@ def unrated_bundle(workdir):
     return bundle
 
 
+def exit_code(argv):
+    """main's exit code, also when argparse exits on a value its converter rejects."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# One field longer than the csv module accepts.
+LONG_FIELD = "9" * (csv.field_size_limit() + 1)
+
+
 def read_results(out_dir):
     with open(Path(out_dir) / "results.csv", newline="") as stream:
         return list(csv.reader(stream))
@@ -89,6 +101,22 @@ class TestIngest:
     def test_missing_required_option(self, tmp_path):
         rc = main(["ingest", "--ratings", str(tmp_path / "r.dat")])
         assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize("bad", ["ratings", "metadata"])
+    def test_overlong_csv_field_exit_code(self, tmp_path, caplog, bad):
+        files = {
+            "ratings": ("r.csv", "userId,movieId,rating,timestamp\n1,1,4,10\n{}\n"),
+            "metadata": ("f.csv", "itemId,directors,screenwriters,cast\n1,Some Director,,Some Actor\n{}\n"),
+        }
+        for kind, (name, text) in files.items():
+            (tmp_path / name).write_text(text.format(f"2,1,3,{LONG_FIELD}" if kind == bad else ""))
+        rc = main([
+            "ingest", "--ratings", str(tmp_path / "r.csv"), "--metadata", str(tmp_path / "f.csv"),
+            "--out", str(tmp_path / "bundle"),
+        ])
+        assert rc == EXIT_INPUT
+        assert f"{tmp_path / files[bad][0]}:3: field larger than field limit" in caplog.text
+        assert not (tmp_path / "bundle").exists()
 
     def test_id_beyond_int64_exit_code(self, tmp_path):
         (tmp_path / "r.dat").write_text("1::1::4::10\n9223372036854775808::1::3::11\n")
@@ -287,12 +315,11 @@ class TestPredict:
         ])
         assert rc == EXIT_UNKNOWN_ID
 
-    def test_builds_no_lookup_maps(self, workdir, monkeypatch, capsys):
+    def test_builds_no_record_tuples(self, workdir, monkeypatch, capsys):
         def unread(self):
-            raise AssertionError("predict read a per-record lookup map")
+            raise AssertionError("predict read the per-record tuples")
 
-        monkeypatch.setattr(RatingDataset, "per_user", property(unread))
-        monkeypatch.setattr(RatingDataset, "per_item", property(unread))
+        monkeypatch.setattr(RatingDataset, "records", property(unread))
         rc = main([
             "predict", "--bundle", str(workdir / "bundle"),
             "--embeddings", str(workdir / "vecs.txt"), "--user", "2", "--item", "3",
@@ -311,6 +338,14 @@ class TestPredict:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
         assert lines[1].startswith("user=2 item=3")
+
+    def test_pairs_csv_overlong_field(self, workdir, tmp_path, caplog, capsys):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(f"user,item\n1,2\n{LONG_FIELD},3\n")
+        rc = main(["predict", "--bundle", str(workdir / "bundle"), "--model", "cf", "--pairs", str(pairs)])
+        assert rc == EXIT_INPUT
+        assert f"{pairs}:3: field larger than field limit" in caplog.text
+        assert capsys.readouterr().out == ""
 
     def test_missing_pair_arguments(self, workdir):
         rc = main(["predict", "--bundle", str(workdir / "bundle"), "--model", "cf"])
@@ -377,7 +412,7 @@ class TestSimilar:
         ratings = bundle.ratings
         index = build_item_vectors(bundle.sentences, load_embeddings(workdir / "vecs.txt"))
         policy = HybridPolicy(*(int(v) for v in taus[1::2])) if taus else HybridPolicy()
-        rated, indexed = set(ratings.per_item), set(index.vectors)
+        rated, indexed = set(ratings.arrays.position), set(index.vectors)
         assert {1001, 1002, 1003} <= indexed - rated
         assert relf_sim(1, 3, index).value == relf_sim(1, 1001, index).value
         models = {
@@ -541,6 +576,29 @@ class TestConfigFile:
             "--out-dir", str(tmp_path / "run"),
         ])
         assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize("name, lines", [
+        ("latin-1.cfg", ["split = holdout(0.8)", "# d\xe9j\xe0 vu"]),
+        ("unhashable-int.cfg", ["k = {[]: 1}"]),
+        ("unhashable-text.cfg", ["split = {[]: 1}"]),
+        ("number-path.cfg", ["embeddings = 123"]),
+        ("number-path.json", ['{"embeddings": 5}']),
+        ("list-path.json", ['{"out_dir": ["a", "b"]}']),
+        ("deep.json", ['{"k": ' + "[" * 100_000 + "]" * 100_000 + "}"]),
+    ])
+    def test_bad_config_value_exit_code(self, workdir, tmp_path, capsys, name, lines):
+        """An undecodable file, JSON nested too deep to decode, a literal
+        Python cannot evaluate, or a non-text value for a text option is
+        an input error, not a crash."""
+        cfg = tmp_path / name
+        cfg.write_bytes("\n".join(lines).encode("latin-1"))
+        rc = exit_code([
+            "evaluate", "--config", str(cfg), "--bundle", str(workdir / "bundle"),
+            "--predictors", "cf", "--out-dir", str(tmp_path / "run"),
+        ])
+        assert rc == EXIT_INPUT
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_malformed_config_line(self, workdir, tmp_path):
         cfg = tmp_path / "bad.cfg"

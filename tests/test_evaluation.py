@@ -228,7 +228,7 @@ class TestEvaluate:
     def test_content_predictor_reaches_cold_items(self):
         ds = random_world(8, n_users=20, n_items=12, density=0.6)
         plan = make_split(ds, "cold-start(0.25)", seed=2)
-        index = full_coverage_index(ds.per_item.keys())
+        index = full_coverage_index(dict.fromkeys(ds.item.tolist()))
         report = evaluate("cb", plan, ds, index=index)
         assert report.n_fallbacks < report.n_predictions
 
@@ -250,7 +250,7 @@ class TestEvaluate:
     def test_predicts_each_test_record_through_predict_rating(self, monkeypatch, kind):
         ds = random_world(11, n_users=16, n_items=10)
         plan = make_split(ds, kind, seed=6)
-        index = full_coverage_index(ds.per_item.keys())
+        index = full_coverage_index(dict.fromkeys(ds.item.tolist()))
         calls = []
         original = predict.predict_rating
 
@@ -282,7 +282,7 @@ class TestEvaluate:
     def test_deterministic(self):
         ds = random_world(12)
         plan = make_split(ds, "holdout(0.8)", seed=7)
-        index = full_coverage_index(ds.per_item.keys())
+        index = full_coverage_index(dict.fromkeys(ds.item.tolist()))
         for predictor in ("cf", "cb", "hybrid"):
             a = evaluate(predictor, plan, ds, index=index)
             b = evaluate(predictor, plan, ds, index=index)
@@ -315,14 +315,14 @@ class TestSweepK:
     def test_grid_order_predictor_outer(self):
         ds = random_world(13)
         plan = make_split(ds, "holdout(0.8)", seed=8)
-        index = full_coverage_index(ds.per_item.keys())
+        index = full_coverage_index(dict.fromkeys(ds.item.tolist()))
         table = sweep_k([2, 4], ["cf", "cb"], plan, ds, index=index)
         assert [(p, k) for p, k, _ in table] == [("cf", 2), ("cf", 4), ("cb", 2), ("cb", 4)]
 
     def test_cells_equal_per_cell_evaluate(self):
         ds = random_world(15, n_users=20, n_items=12)
         plan = make_split(ds, "kfold(3)", seed=4)
-        index = full_coverage_index(ds.per_item.keys())
+        index = full_coverage_index(dict.fromkeys(ds.item.tolist()))
         cfg = PredictionConfig(min_neighbors=2)
         table = sweep_k((1, 3, 35), ("cf", "cb", "hybrid"), plan, ds, config=cfg, index=index)
         assert len(table) == 9
@@ -334,7 +334,7 @@ class TestSweepK:
     def test_content_rows_computed_once_per_item_across_ks(self, monkeypatch, kind):
         ds = random_world(17, n_users=16, n_items=10)
         plan = make_split(ds, kind, seed=5)
-        index = full_coverage_index(ds.per_item.keys())
+        index = full_coverage_index(dict.fromkeys(ds.item.tolist()))
         ks = (1, 3, 35)
         rows, predictions = [], []
         original_row = simcore._ContentRows.row
@@ -360,7 +360,7 @@ class TestSweepK:
     @pytest.mark.parametrize("kind", ["holdout(0.8)", "kfold(3)", "cold-start(0.25)"])
     def test_builds_no_records_or_lookup_maps(self, monkeypatch, kind):
         """Splits, training sides and predictions read columns and arrays:
-        neither the dataset nor a training side builds its per-record views."""
+        neither the dataset nor a training side builds its record tuples."""
         records = random_world(19, n_users=16, n_items=10).records
         ds = parse_ratings(io.StringIO("".join(f"{u}::{i}::{r}::{t}\n" for u, i, r, t in records)), fmt="dat")
         index = full_coverage_index(range(1, 11))
@@ -376,7 +376,7 @@ class TestSweepK:
         sweep_k([1, 35], ["cf", "cb", "hybrid"], plan, ds, index=index)
         assert len(subsets) == plan.n_folds
         for data in [ds, *subsets]:
-            assert not {"records", "per_user", "per_item"} & vars(data).keys()
+            assert "records" not in vars(data)
 
     def test_bad_ks_fatal(self):
         ds = random_world(13)

@@ -1,7 +1,10 @@
 """Parsing, cleaning, and joining of ratings + item metadata."""
 
+import csv
 import io
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +51,23 @@ class TestCanonicalToken:
     def test_empty_is_none(self):
         assert canonical_token("") is None
         assert canonical_token("   \t ") is None
+
+    def test_whitespace_split_agrees_with_regex_collapse(self):
+        """Every code point that \\s matches is str.isspace() and vice versa,
+        so joining split() on underscores collapses runs as re.sub did."""
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        spaces = "".join(re.findall(r"\s", every))
+        assert spaces == "".join(c for c in every if c.isspace())
+        alphabet = [*spaces, "a", "Z", "É", "ß", "İ", "ǅ", "7", "-", "_", "|", "."]
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            raw = "".join(alphabet[p] for p in rng.integers(len(alphabet), size=int(rng.integers(0, 12))))
+            stripped = raw.strip()
+            if not stripped:
+                want = None
+            else:
+                want = stripped if stripped.isdigit() else re.sub(r"\s+", "_", stripped.lower())
+            assert canonical_token(raw) == want, repr(raw)
 
     def test_same_person_same_token_across_roles(self):
         text = "itemId,directors,screenwriters,cast\n1,clint eastwood,,Clint  Eastwood\n"
@@ -119,6 +139,19 @@ class TestParseRatings:
         with pytest.raises(DataError, match="rating line 2: .* does not fit in 64 bits"):
             parse_ratings(io.StringIO(text), fmt=fmt)
 
+    def test_overlong_csv_field_is_fatal_naming_file_and_line(self, tmp_path):
+        path = tmp_path / "ratings.csv"
+        path.write_text(f'userId,movieId,rating,timestamp\n1,2,3,4\n1,3,4,"{LONG_FIELD}"\n')
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: field larger than field limit"):
+            parse_ratings(path)
+
+    def test_infinite_csv_timestamp_is_malformed(self):
+        ds = parse_ratings(io.StringIO("userId,movieId,rating,timestamp\n1,2,3,inf\n1,3,4,5\n"), fmt="csv")
+        assert ds.records == [(1, 3, 4.0, 5)] and ds.n_malformed == 1
+
+
+# One field longer than the csv module accepts.
+LONG_FIELD = "x" * (csv.field_size_limit() + 1)
 
 # One-line variants the .dat fuzz mixes into well-formed files.
 FUZZ_LINES = [
@@ -190,6 +223,70 @@ class TestDatFuzz:
                     assert got == expected or (not columns[0].size and "no valid" in expected), data
         # Both routes are exercised.
         assert min(sources.values()) > 100, sources
+
+
+# Field and header pieces of the CSV fuzz; the first header of each list is the valid one.
+RATING_CSV_FIELDS = [
+    "0", "4.5", "-1", "nan", "inf", "-inf", "1e400", "1e3", "1_0", " 7 ", "9223372036854775808",
+    "-9223372036854775809", "1" * 5000, "", " ", '"', '""', '"3"', '"1,2"', 'a"b', '"unclosed', "\x00", "é",
+    "\xa05", LONG_FIELD, f'"{LONG_FIELD}"',
+]
+RATING_CSV_HEADERS = [
+    "userId,movieId,rating,timestamp", "rating,userId,movieId", 'userId,"movieId",rating,timestamp',
+    'userId,movieId,"rating', "userId,movieId", "", '"', LONG_FIELD,
+]
+METADATA_CSV_FIELDS = [
+    "x", "", " ", "Tom Hanks", "a|b|c", "|||", "|".join(["p"] * 20), '"', '""', '"a,b"', 'a"b', '"unclosed',
+    "\x00", "é ñ", "9" * 30, "-3", LONG_FIELD, f'"{LONG_FIELD}"',
+]
+METADATA_CSV_HEADERS = [
+    "itemId,directors,screenwriters,cast", "cast,itemId,directors,screenwriters", "itemId,directors", "", '"',
+    LONG_FIELD,
+]
+
+
+def csv_fuzz_inputs(seed, n_inputs, headers, fields):
+    """Seeded CSV files: a header, then rows mixing small integers with odd fields, under mixed line ends."""
+    rng = np.random.default_rng(seed)
+    pick = lambda options: options[int(rng.integers(len(options)))]  # noqa: E731
+    for _ in range(n_inputs):
+        lines = [headers[0] if rng.random() < 0.7 else pick(headers)]
+        for _ in range(int(rng.integers(0, 8))):
+            lines.append(",".join(
+                pick(fields) if rng.random() < 0.25 else str(int(rng.integers(1, 6)))
+                for _ in range(int(rng.integers(0, 6)))
+            ))
+        data = "".join(line + ("\n" if rng.random() < 0.8 else pick(["\r\n", "\r", ""])) for line in lines).encode()
+        yield data + b"\xff\xfe" if rng.random() < 0.1 else data
+
+
+class TestCsvFuzz:
+    """Every ratings or metadata CSV either parses or raises DataError."""
+
+    @staticmethod
+    def check(parse, inputs, tmp_path):
+        path = tmp_path / "input.csv"
+        outcomes = {"parsed": 0, "DataError": 0}
+        for data in inputs:
+            path.write_bytes(data)
+            for source in (path, io.StringIO(data.decode("utf-8", errors="replace"))):
+                try:
+                    parse(source)
+                    outcomes["parsed"] += 1
+                except DataError:
+                    outcomes["DataError"] += 1
+                except Exception as exc:
+                    pytest.fail(f"{type(exc).__name__}: {exc} on input {data[:300]!r}")
+        # Both outcomes occur.
+        assert min(outcomes.values()) > 100, outcomes
+
+    def test_ratings_csv(self, tmp_path):
+        inputs = csv_fuzz_inputs(31, 400, RATING_CSV_HEADERS, RATING_CSV_FIELDS)
+        self.check(lambda source: parse_ratings(source, fmt="csv"), inputs, tmp_path)
+
+    def test_metadata_csv(self, tmp_path):
+        inputs = csv_fuzz_inputs(37, 400, METADATA_CSV_HEADERS, METADATA_CSV_FIELDS)
+        self.check(parse_item_features, inputs, tmp_path)
 
 
 class TestRatingDataset:
@@ -271,16 +368,17 @@ class TestRatingDataset:
     def test_views_are_built_on_first_read(self):
         ds = parse_ratings(io.StringIO("2::5::4::0\n1::5::3::1\n2::4::1::2\n3::4::9::9\n2::5::2::3\n"), fmt="dat")
         assert (len(ds), ds.n_users, ds.n_items, ds.n_malformed) == (4, 2, 2, 1)
-        assert not {"records", "per_user", "per_item"} & vars(ds).keys()
+        assert not {"records", "arrays"} & vars(ds).keys()
         assert ds.user.tolist() == [2, 1, 2, 2] and ds.item.tolist() == [5, 5, 4, 5]
         assert ds.rating.tolist() == [4.0, 3.0, 1.0, 2.0] and ds.timestamp.tolist() == [0, 1, 2, 3]
         assert ds.records == [(2, 5, 4.0, 0), (1, 5, 3.0, 1), (2, 4, 1.0, 2), (2, 5, 2.0, 3)]
-        assert list(ds.per_user.items()) == [(2, {5: 2.0, 4: 1.0}), (1, {5: 3.0})]
-        assert list(ds.per_item.items()) == [(5, {2: 2.0, 1: 3.0}), (4, {2: 1.0})]
+        # One rating per (user, item) pair, its last record's; users in first-appearance order.
+        assert list(ds.arrays.rows) == [2, 1] and ds.arrays.items.tolist() == [4, 5]
+        assert ds.arrays.cols.tolist() == [0, 1, 1] and ds.arrays.values.tolist() == [1.0, 2.0, 3.0]
 
     def test_duplicate_pair_means_agree_with_lookup_maps(self):
         ds = RatingDataset(records=[(1, 1, 4.0, 0), (1, 1, 2.0, 1), (2, 2, 5.0, 2)])
-        assert ds.per_item[1] == {1: 2.0}
+        assert ds.arrays.values.tolist() == [2.0, 5.0] and ds.arrays.counts.tolist() == [1, 1]
         assert ds.item_means[1] == 2.0
         assert ds.global_mean == 3.5
 
@@ -337,6 +435,12 @@ class TestParseItemFeatures:
     def test_header_missing_columns_fatal(self):
         with pytest.raises(DataError):
             parse_item_features(io.StringIO("itemId,directors\n1,x\n"))
+
+    def test_overlong_field_is_fatal_naming_file_and_line(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text(f"itemId,directors,screenwriters,cast\n1,a,b,c\n\n2,{LONG_FIELD},b,c\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:4: field larger than field limit"):
+            parse_item_features(path)
 
     def test_catalog_round_trip(self):
         text = (

@@ -161,10 +161,11 @@ class TestPredictRating:
         ds = dataset([(1, 10, 5), (1, 11, 2), (1, 12, 4), (2, 10, 3), (2, 11, 4), (3, 12, 1)])
         index = self.index_of([10, 11, 12, 13])
         provider = make_provider("cb", index=index)
+        rated = {j: r for u, j, r, _t in ds.records if u == 1}
         for item in (10, 13):
             pred = predict_rating(1, item, ds, provider)
-            sims = {j: relf_sim(item, j, index).value for j in ds.per_user[1] if j != item}
-            num = sum(s * (ds.per_user[1][j] - ds.item_means[j]) for j, s in sims.items())
+            sims = {j: relf_sim(item, j, index).value for j in rated if j != item}
+            num = sum(s * (rated[j] - ds.item_means[j]) for j, s in sims.items())
             anchor = ds.item_means.get(item, ds.global_mean)
             assert pred.detail == DETAIL_FULL
             assert pred.neighbors_used == len(sims)

@@ -8,7 +8,7 @@ import pytest
 from relfrec.embed import EmbeddingTable, Vocabulary
 from relfrec.errors import UnknownIdError
 from relfrec.ingest import FeatureSentence, RatingDataset
-from relfrec.predict import PredictionConfig, predict_rating
+from relfrec.predict import PredictionConfig, predict_rating, recommend_top_n
 from relfrec.simcore import (
     PREDICTORS,
     SOURCE_CONTENT,
@@ -105,7 +105,7 @@ class TestRatingCosine:
             ds = dataset(rows)
             for i in range(n_items):
                 for j in range(i + 1, n_items):
-                    if i + 100 not in ds.per_item or j + 100 not in ds.per_item:
+                    if i + 100 not in ds.arrays.position or j + 100 not in ds.arrays.position:
                         continue
                     got = rating_cosine(i + 100, j + 100, ds)
                     want = naive_pair_cosine(matrix, i, j)
@@ -124,8 +124,8 @@ class TestRatingCosine:
             if rng.random() < 0.7
         ]
         ds = dataset(rows)
-        for i in ds.per_item:
-            for j in ds.per_item:
+        for i in ds.arrays.position:
+            for j in ds.arrays.position:
                 if i >= j:
                     continue
                 a, b = rating_cosine(i, j, ds), rating_cosine(j, i, ds)
@@ -324,11 +324,11 @@ class TestProviders:
         table = make_table({"a": [1.0, 0.2], "b": [0.1, 1.0], "c": [0.5, 0.5]})
         sents = sentences_of([(i, toks) for i, toks in [(1, ["a"]), (2, ["a", "b"]), (3, ["b"]), (4, ["c"])]])
         self.index = build_item_vectors(sents, table)
-        self.targets = sorted(set(self.ratings.per_item) | set(self.index.vectors)) + [9999]
+        self.targets = sorted(set(self.ratings.arrays.position) | set(self.index.vectors)) + [9999]
 
     def test_rating_provider_matches_raw_function(self):
         provider = make_provider("cf", ratings=self.ratings)
-        rated = self.ratings.per_item
+        rated = self.ratings.arrays.position
 
         def expected(i, j):
             return rating_cosine(i, j, self.ratings) if i in rated and j in rated else None
@@ -363,7 +363,7 @@ class TestProviders:
         TestRows.check_rows(provider, self.ratings, self.index, self.targets, expected, 1e-14)
 
     def test_make_provider_kinds(self):
-        rated = set(self.ratings.per_item)
+        rated = set(self.ratings.arrays.position)
         table = make_table({"a": [1.0, 0.2], "c": [0.5, 0.5]})
         index = build_item_vectors(sentences_of([(1, ["a"]), (99, ["c"])]), table)
         hybrid = make_provider("hybrid", ratings=self.ratings, index=index, policy=HybridPolicy(tau_pair=1, tau_item=0))
@@ -390,6 +390,34 @@ class TestProviders:
             make_provider("bogus", ratings=self.ratings, index=self.index)
 
 
+class TestDuplicatePairs:
+    """A duplicated (user, item) pair counts once, with its last record's rating."""
+
+    def test_last_record_wins_in_reference_functions(self):
+        rng = np.random.default_rng(17)
+        rows = [(u, i, float(rng.integers(1, 6))) for u in range(1, 13) for i in range(1, 9) if rng.random() < 0.6]
+        # Earlier records of some pairs, each with another rating.
+        stale = [(u, i, r % 5 + 1) for u, i, r in rows if rng.random() < 0.3]
+        duplicated, last, first = dataset(stale + rows), dataset(rows), dataset(rows + stale)
+        assert len(duplicated) == len(rows) + len(stale) and len(stale) > 10
+        vectors = {i: rng.normal(size=4) for i in range(1, 11)}
+        index = ItemVectorIndex(vectors=vectors, coverage=dict.fromkeys(vectors, 1), dim=4)
+        items = list(range(1, 11))
+        counts = sorted(last.arrays.counts.tolist())
+        policies = [HybridPolicy(), HybridPolicy(tau_pair=1, tau_item=counts[len(counts) // 2])]
+
+        def reference(data):
+            cosines = [rating_cosine(i, j, data) for i in items[:8] for j in items[:8] if i != j]
+            hybrids = [hybrid_sim(i, j, data, index, p) for p in policies for i in items for j in items if i != j]
+            providers = [make_provider("cf", data), make_provider("hybrid", data, index)]
+            ranked = [recommend_top_n(u, data, p, n=5) for p in providers for u in range(1, 14)]
+            return cosines, hybrids, ranked
+
+        want = reference(last)
+        assert reference(duplicated) == want
+        # The test tells the two rules apart: keeping the first record changes results.
+        assert reference(first) != want
+
 def row_world(seed, step):
     """Random ratings on a grid of ``step`` over [0, 5] plus an item index.
 
@@ -406,7 +434,8 @@ def row_world(seed, step):
         if rng.random() < 0.35
     ]
     ratings = RatingDataset(records=[(u, i, r, 0) for u, i, r in rows], r_min=0.0, r_max=5.0)
-    ids = [i for i in list(ratings.per_item) + [101, 102, 103] if i != 1 and rng.random() < 0.85]
+    first_rated = list(dict.fromkeys(i for _u, i, _r in rows))
+    ids = [i for i in first_rated + [101, 102, 103] if i != 1 and rng.random() < 0.85]
     vectors = {i: rng.normal(size=5) for i in ids}
     vectors[2] = vectors[103] = np.zeros(5)
     index = ItemVectorIndex(vectors=vectors, coverage=dict.fromkeys(vectors, 1), dim=5)
@@ -428,7 +457,7 @@ class TestRows:
 
     def targets(self, ratings, index, seed):
         """Every rated or indexed item and an unknown id, in shuffled order."""
-        ids = sorted(set(ratings.per_item) | set(index.vectors)) + [9999]
+        ids = sorted(set(ratings.arrays.position) | set(index.vectors)) + [9999]
         return [ids[p] for p in np.random.default_rng(seed).permutation(len(ids))]
 
     @staticmethod
@@ -439,7 +468,7 @@ class TestRows:
         rated and indexed items plus an unknown id. Rating cells must be
         exact, content cells within tol.
         """
-        wider = np.array(sorted(set(ratings.per_item) | set(index.vectors)) + [9999])
+        wider = np.array(sorted(set(ratings.arrays.position) | set(index.vectors)) + [9999])
         for t in targets:
             for ids in (ratings.arrays.items, wider):
                 row = provider.row(t, ids)
@@ -457,9 +486,9 @@ class TestRows:
     @pytest.mark.parametrize("seed", [3, 4])
     def test_cf_rows_equal_rating_cosine_exactly(self, block_rows, step, seed):
         ratings, index = row_world(seed, step)
-        block_rows(len(ratings.per_item))
+        block_rows(len(ratings.arrays.items))
         provider = make_provider("cf", ratings=ratings)
-        rated = ratings.per_item
+        rated = ratings.arrays.position
 
         def expected(t, j):
             return rating_cosine(t, j, ratings) if t in rated and j in rated else None
@@ -477,11 +506,11 @@ class TestRows:
     @pytest.mark.parametrize("seed", [3, 4])
     def test_hybrid_rows_match_hybrid_sim(self, block_rows, step, seed):
         ratings, index = row_world(seed, step)
-        block_rows(len(ratings.per_item))
-        counts = sorted(len(col) for col in ratings.per_item.values())
+        block_rows(len(ratings.arrays.items))
+        counts = sorted(ratings.arrays.counts.tolist())
         supports = [
             rating_cosine(i, j, ratings).support
-            for i in ratings.per_item for j in ratings.per_item
+            for i in ratings.arrays.position for j in ratings.arrays.position
             if i < j and rating_cosine(i, j, ratings) is not None
         ]
         # The defaults, everything warm, and both taus exactly at observed values.
@@ -498,7 +527,10 @@ class TestRows:
 
     def test_every_route_is_exercised(self):
         ratings, index = row_world(3, 0.5)
-        items = list(ratings.per_item)
+        items = ratings.arrays.items.tolist()
+        raters: dict = {}
+        for user, item, _r, _t in ratings.records:
+            raters.setdefault(item, set()).add(user)
         sources = {
             getattr(hybrid_sim(i, j, ratings, index, HybridPolicy()), "source", None)
             for i in items for j in items + [101, 102, 103] if i != j
@@ -506,7 +538,7 @@ class TestRows:
         assert sources == {SOURCE_RATING, SOURCE_CONTENT, None}
         # Co-raters whose ratings are all zero: undefined despite support.
         assert any(
-            rating_cosine(i, j, ratings) is None and set(ratings.per_item[i]) & set(ratings.per_item[j])
+            rating_cosine(i, j, ratings) is None and raters[i] & raters[j]
             for i in items for j in items if i != j
         )
 
@@ -542,7 +574,7 @@ class TestRows:
         for j in tied[1:]:
             vectors[j] = vectors[3].copy()
         index = ItemVectorIndex(vectors=vectors, coverage=dict.fromkeys(vectors, 1), dim=dim)
-        deviation = {j: ratings.per_item[j][1] - ratings.item_means[j] for j in tied}
+        deviation = {j: r - ratings.item_means[j] for j, r in zip(tied, (5.0, 4.0, 2.0, 1.0))}
         assert len(set(deviation.values())) == len(tied)
         ids = ratings.arrays.items
         cold = HybridPolicy(tau_pair=1, tau_item=1000)
@@ -599,7 +631,7 @@ class TestTopSimilar:
         ratings, index = row_world(3, 0.5)
         provider = make_provider(kind, ratings, index)
         reference = {
-            "cf": lambda i, j: rating_cosine(i, j, ratings) if j in ratings.per_item else None,
+            "cf": lambda i, j: rating_cosine(i, j, ratings) if j in ratings.arrays.position else None,
             "cb": lambda i, j: relf_sim(i, j, index),
             "hybrid": lambda i, j: hybrid_sim(i, j, ratings, index, HybridPolicy()),
         }[kind]
