@@ -62,7 +62,6 @@ from .predict import (
     PredictionConfig,
     predict_batch,
     predict_rating,
-    recommend_top_n,
 )
 from .simcore import (
     HybridPolicy,
@@ -118,7 +117,6 @@ __all__ = [
     "predict_batch",
     "predict_rating",
     "rating_cosine",
-    "recommend_top_n",
     "relf_sim",
     "rmse",
     "save_bundle",

@@ -37,6 +37,7 @@ from .ingest import (
     parse_item_features,
     parse_ratings,
     save_bundle,
+    text_stream,
 )
 from .predict import PredictionConfig, predict_rating
 from .simcore import PREDICTORS, HybridPolicy, build_item_vectors, make_provider, top_similar_items
@@ -369,7 +370,7 @@ def cmd_sweep_k(args):
 
 def _read_pairs_csv(path):
     pairs = []
-    with open(path, encoding="utf-8", newline="") as stream:
+    with text_stream(path) as stream:
         for lineno, row in csv_rows(stream, path):
             if not row or not "".join(row).strip():
                 continue

@@ -4,7 +4,8 @@ A SplitPlan assigns every rating record to a fold (k-fold) or to the
 train/test side (holdout, cold-start). evaluate() then, per fold,
 rebuilds all training-side state (means, arrays, similarity rows) from
 the train records only, predicts every test record, and aggregates
-metrics; sweep_k shares that state across every k of a fold.
+metrics; sweep_k shares that state across every k of a fold. rmse and
+mae score two aligned 1-D arrays, the predicted and the actual ratings.
 Fallback predictions are included in the metrics and counted, never
 skipped: dropping them would flatter predictors that cannot reach cold
 items.
@@ -41,23 +42,24 @@ _DEFAULT_PARAMS = {KIND_KFOLD: 5, KIND_HOLDOUT: 0.8, KIND_COLD_START: 0.05}
 RESULTS_HEADER = ["predictor", "split", "seed", "k", "fold", "rmse", "mae", "n_predictions", "n_fallbacks"]
 
 
-def rmse(pairs):
-    """Root mean squared error over (predicted, actual) pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("rmse of empty input is undefined")
-    arr = np.asarray(pairs, dtype=np.float64)
-    resid = arr[:, 0] - arr[:, 1]
+def _residuals(predicted, actual, metric):
+    predicted = np.asarray(predicted, dtype=np.float64)
+    actual = np.asarray(actual, dtype=np.float64)
+    if predicted.ndim != 1 or predicted.shape != actual.shape or not len(predicted):
+        raise ValueError(f"{metric} needs two non-empty 1-D arrays of one length, "
+                         f"got shapes {predicted.shape} and {actual.shape}")
+    return predicted - actual
+
+
+def rmse(predicted, actual):
+    """Root mean squared error of aligned 1-D predicted and actual ratings."""
+    resid = _residuals(predicted, actual, "rmse")
     return float(np.sqrt(np.mean(resid * resid)))
 
 
-def mae(pairs):
-    """Mean absolute error over (predicted, actual) pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("mae of empty input is undefined")
-    arr = np.asarray(pairs, dtype=np.float64)
-    return float(np.mean(np.abs(arr[:, 0] - arr[:, 1])))
+def mae(predicted, actual):
+    """Mean absolute error of aligned 1-D predicted and actual ratings."""
+    return float(np.mean(np.abs(_residuals(predicted, actual, "mae"))))
 
 
 @dataclass(frozen=True)
@@ -74,17 +76,6 @@ class MetricReport:
     n_predictions: int
     n_fallbacks: int
     per_fold: tuple = None
-
-    def as_dict(self):
-        d = {
-            "rmse": self.rmse,
-            "mae": self.mae,
-            "n_predictions": self.n_predictions,
-            "n_fallbacks": self.n_fallbacks,
-        }
-        if self.per_fold is not None:
-            d["per_fold"] = [f.as_dict() for f in self.per_fold]
-        return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,12 +207,12 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
     Returns a list of (predictor, k, MetricReport): predictors outer,
     ks inner.
     """
-    ks = list(ks)
-    if not ks:
-        raise ValueError("sweep_k needs at least one k")
+    ks, predictors = list(ks), list(predictors)
     if any(k < 1 for k in ks):
         raise ValueError(f"all k must be >= 1, got {ks}")
-    for what, values in (("k", ks), ("predictor", list(predictors))):
+    for what, values in (("k", ks), ("predictor", predictors)):
+        if not values:
+            raise ValueError(f"sweep_k needs at least one {what}")
         repeated = next((v for p, v in enumerate(values) if v in values[:p]), None)
         if repeated is not None:
             raise ValueError(f"{what} {repeated!r} is given more than once; each fold would count twice")
@@ -233,7 +224,7 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
         test = test_idx[np.lexsort((ratings.user[test_idx], ratings.item[test_idx]))]
         test_pairs = zip(ratings.user[test].tolist(), ratings.item[test].tolist())
         item_groups = [list(group) for _item, group in groupby(test_pairs, key=itemgetter(1))]
-        actual = ratings.rating[test].tolist()
+        actual = ratings.rating[test]
         for predictor in predictors:
             provider = make_provider(predictor, train, index, policy)
             per_k = [[] for _ in ks]
@@ -241,11 +232,11 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
                 for preds, k_config in zip(per_k, configs):
                     preds.extend(predict_batch(group, train, provider, k_config))
             for k, preds in zip(ks, per_k):
-                pairs = [(p.value, r) for p, r in zip(preds, actual)]
+                predicted = np.array([p.value for p in preds])
                 report = MetricReport(
-                    rmse=rmse(pairs),
-                    mae=mae(pairs),
-                    n_predictions=len(pairs),
+                    rmse=rmse(predicted, actual),
+                    mae=mae(predicted, actual),
+                    n_predictions=len(predicted),
                     n_fallbacks=sum(1 for p in preds if p.is_fallback),
                 )
                 fold_reports[predictor, k].append(report)

@@ -301,6 +301,8 @@ def csv_rows(lines, name):
 
     A record the reader rejects, such as one with a field longer than
     csv.field_size_limit(), is a DataError naming the file and line.
+    Text that is not UTF-8 is a DataError naming the file: the decoder
+    reads ahead in chunks, so the failing line is not known.
     """
     reader = csv.reader(lines)
     try:
@@ -308,6 +310,8 @@ def csv_rows(lines, name):
             yield reader.line_num, row
     except csv.Error as exc:
         raise DataError(f"{name}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{name}: not UTF-8 text: {exc}") from None
 
 
 def _sniff_rating_format(first_line):

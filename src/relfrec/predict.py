@@ -19,7 +19,9 @@ similarities come from: cf, cb and hybrid differ only in the similarity
 rows of the SimilarityProvider that simcore.make_provider builds. A
 prediction reads the target's row over the dataset's rated items at
 the user's ones, keeps the positive cells, sorts them once and sums
-the top k in order, with no Python loop over neighbors.
+the top k in order, with no Python loop over neighbors. Rating
+prediction is the only output: the evaluation scores predicted ratings
+(RMSE/MAE), so there is no top-n ranking.
 """
 
 from __future__ import annotations
@@ -113,28 +115,3 @@ def predict_batch(pairs, ratings, provider, config=None):
     """Predictions for a sequence of (user, item) pairs, order kept."""
     config = config or PredictionConfig()
     return [predict_rating(u, i, ratings, provider, config) for u, i in pairs]
-
-
-def recommend_top_n(user, ratings, provider, n=10, candidates=None, config=None):
-    """Rank items the user has not rated by predicted rating.
-
-    Candidates default to every item in the dataset. Full predictions
-    rank above fallback ones; within each tier the order is descending
-    value, ties by ascending item id. A user with no ratings gets the
-    candidates ranked by their item means.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    config = config or PredictionConfig()
-    arrays = ratings.arrays
-    row = arrays.rows.get(user)
-    if candidates is None:
-        candidates = arrays.items.tolist()
-    if row is None:
-        ranked = [(item, _mean_fallback(item, ratings, config)) for item in candidates]
-    else:
-        seen = set(arrays.items[row[0]].tolist())
-        ranked = [(item, predict_rating(user, item, ratings, provider, config))
-                  for item in candidates if item not in seen]
-    ranked.sort(key=lambda t: (t[1].is_fallback, -t[1].value, t[0]))
-    return ranked[:n]

@@ -127,11 +127,11 @@ class TestAcceptance:
         violations = 0
         for _ in range(1000):
             n = int(rng.integers(1, 60))
-            pairs = list(zip(rng.uniform(1, 5, n), rng.uniform(1, 5, n)))
-            if mae(pairs) > rmse(pairs) + 1e-12:
+            predicted, actual = rng.uniform(1, 5, n), rng.uniform(1, 5, n)
+            if mae(predicted, actual) > rmse(predicted, actual) + 1e-12:
                 violations += 1
-        perfect = [(x, x) for x in (1.0, 2.5, 4.0)]
-        zero_ok = rmse(perfect) == 0.0 and mae(perfect) == 0.0
+        perfect = np.array([1.0, 2.5, 4.0])
+        zero_ok = rmse(perfect, perfect) == 0.0 and mae(perfect, perfect) == 0.0
         check(
             violations == 0 and zero_ok,
             f"mae <= rmse on 1000 random prediction sets ({violations} violations) "

@@ -347,6 +347,14 @@ class TestPredict:
         assert f"{pairs}:3: field larger than field limit" in caplog.text
         assert capsys.readouterr().out == ""
 
+    def test_pairs_csv_not_utf8(self, workdir, tmp_path, caplog, capsys):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_bytes(b"user,item\n1,2\n2,\xff3\n")
+        rc = main(["predict", "--bundle", str(workdir / "bundle"), "--model", "cf", "--pairs", str(pairs)])
+        assert rc == EXIT_INPUT
+        assert f"{pairs}: not UTF-8 text" in caplog.text
+        assert capsys.readouterr().out == ""
+
     def test_missing_pair_arguments(self, workdir):
         rc = main(["predict", "--bundle", str(workdir / "bundle"), "--model", "cf"])
         assert rc == EXIT_INPUT

@@ -11,7 +11,6 @@ from relfrec.evaluation import (
     KIND_HOLDOUT,
     KIND_KFOLD,
     RESULTS_HEADER,
-    MetricReport,
     SplitPlan,
     evaluate,
     mae,
@@ -51,28 +50,36 @@ def full_coverage_index(item_ids, seed=9):
 
 
 class TestMetrics:
-    PAIRS = [(3.5, 3.0), (4.5, 3.0), (2.0, 3.0)]  # residuals 0.5, 1.5, -1
+    PREDICTED = np.array([3.5, 4.5, 2.0])
+    ACTUAL = np.array([3.0, 3.0, 3.0])  # residuals 0.5, 1.5, -1
 
     def test_rmse_hand_value(self):
-        assert rmse(self.PAIRS) == pytest.approx(1.0801234497346435, abs=1e-12)
+        assert rmse(self.PREDICTED, self.ACTUAL) == pytest.approx(1.0801234497346435, abs=1e-12)
 
     def test_mae_hand_value(self):
-        assert mae(self.PAIRS) == pytest.approx(1.0, abs=1e-12)
+        assert mae(self.PREDICTED, self.ACTUAL) == pytest.approx(1.0, abs=1e-12)
 
     def test_perfect_predictions(self):
-        pairs = [(4.0, 4.0), (2.5, 2.5)]
-        assert rmse(pairs) == 0.0
-        assert mae(pairs) == 0.0
+        values = np.array([4.0, 2.5])
+        assert rmse(values, values) == 0.0
+        assert mae(values, values) == 0.0
 
     def test_single_residual(self):
-        assert rmse([(5.0, 3.0)]) == pytest.approx(2.0, abs=1e-12)
-        assert mae([(5.0, 3.0)]) == pytest.approx(2.0, abs=1e-12)
+        assert rmse(np.array([5.0]), np.array([3.0])) == pytest.approx(2.0, abs=1e-12)
+        assert mae(np.array([5.0]), np.array([3.0])) == pytest.approx(2.0, abs=1e-12)
 
     def test_empty_fatal(self):
         with pytest.raises(ValueError):
-            rmse([])
+            rmse(np.array([]), np.array([]))
         with pytest.raises(ValueError):
-            mae([])
+            mae(np.array([]), np.array([]))
+
+    @pytest.mark.parametrize("metric", [rmse, mae])
+    def test_misaligned_or_2d_fatal(self, metric):
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            metric(np.array([3.5, 4.5]), np.array([3.0]))
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            metric(np.array([[3.5, 3.0], [4.5, 3.0]]), np.array([[3.5, 3.0], [4.5, 3.0]]))
 
     def test_matches_numpy_oracle(self):
         rng = np.random.default_rng(19)
@@ -80,18 +87,17 @@ class TestMetrics:
             n = int(rng.integers(1, 40))
             pred = rng.uniform(1, 5, n)
             act = rng.uniform(1, 5, n)
-            pairs = list(zip(pred, act))
-            assert rmse(pairs) == pytest.approx(
+            assert rmse(pred, act) == pytest.approx(
                 float(np.sqrt(np.mean((pred - act) ** 2))), abs=1e-12
             )
-            assert mae(pairs) == pytest.approx(float(np.mean(np.abs(pred - act))), abs=1e-12)
+            assert mae(pred, act) == pytest.approx(float(np.mean(np.abs(pred - act))), abs=1e-12)
 
     def test_mae_never_exceeds_rmse(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             n = int(rng.integers(1, 30))
-            pairs = list(zip(rng.uniform(1, 5, n), rng.uniform(1, 5, n)))
-            assert mae(pairs) <= rmse(pairs) + 1e-12
+            predicted, actual = rng.uniform(1, 5, n), rng.uniform(1, 5, n)
+            assert mae(predicted, actual) <= rmse(predicted, actual) + 1e-12
 
 
 class TestParseSplitKind:
@@ -241,9 +247,10 @@ class TestEvaluate:
         provider = make_provider("cf", ratings=train)
         test_records = sorted((ds.records[i] for i in test_idx), key=lambda r: (r[1], r[0]))
         preds = predict_batch([(r[0], r[1]) for r in test_records], train, provider)
-        pairs = [(p.value, r[2]) for p, r in zip(preds, test_records)]
-        assert report.rmse == rmse(pairs)
-        assert report.mae == mae(pairs)
+        predicted = np.array([p.value for p in preds])
+        actual = np.array([r[2] for r in test_records])
+        assert report.rmse == rmse(predicted, actual)
+        assert report.mae == mae(predicted, actual)
         assert report.n_fallbacks == sum(1 for p in preds if p.is_fallback)
 
     @pytest.mark.parametrize("kind", ["holdout(0.8)", "kfold(3)", "cold-start(0.25)"])
@@ -386,6 +393,21 @@ class TestSweepK:
         with pytest.raises(ValueError):
             sweep_k([3, 0], ["cf"], plan, ds)
 
+    def test_predictors_from_a_generator(self):
+        # The predictors are read once, so a generator gives the same cells as a list.
+        ds = random_world(13)
+        plan = make_split(ds, "kfold(3)", seed=8)
+        index = full_coverage_index(range(1, 9))
+        table = sweep_k([5], (p for p in ("cf", "hybrid")), plan, ds, index=index)
+        assert table == sweep_k([5], ["cf", "hybrid"], plan, ds, index=index)
+        assert [(p, k) for p, k, _ in table] == [("cf", 5), ("hybrid", 5)]
+
+    def test_no_predictor_fatal(self):
+        ds = random_world(13)
+        plan = make_split(ds, "holdout(0.8)", seed=8)
+        with pytest.raises(ValueError, match="at least one predictor"):
+            sweep_k([5], [], plan, ds)
+
     def test_repeated_k_or_predictor_fatal(self):
         # A repeated cell would append each fold's report twice.
         ds = random_world(13)
@@ -442,13 +464,3 @@ class TestResultsOutput:
         assert json.loads(text) == manifest
         # keys are emitted sorted so the bytes are stable
         assert text.index('"command"') < text.index('"k"') < text.index('"seed"')
-
-
-class TestMetricReport:
-    def test_as_dict(self):
-        inner = MetricReport(rmse=1.0, mae=0.5, n_predictions=10, n_fallbacks=2)
-        outer = MetricReport(rmse=1.0, mae=0.5, n_predictions=10, n_fallbacks=2, per_fold=(inner,))
-        d = outer.as_dict()
-        assert d["rmse"] == 1.0
-        assert d["per_fold"][0]["n_fallbacks"] == 2
-        assert "per_fold" not in inner.as_dict()

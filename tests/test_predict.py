@@ -1,4 +1,4 @@
-"""Item-based k-NN prediction: formula, fallbacks, batching, ranking."""
+"""Item-based k-NN prediction: formula, fallbacks, batching."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from relfrec.predict import (
     PredictionConfig,
     predict_batch,
     predict_rating,
-    recommend_top_n,
 )
 from relfrec.simcore import ItemVectorIndex, make_provider, relf_sim
 
@@ -288,70 +287,6 @@ class TestPredictBatch:
         batch = predict_batch(pairs, ds, provider)
         singles = [predict_rating(u, i, ds, provider) for u, i in pairs]
         assert batch == singles
-
-
-class TestRecommendTopN:
-    def world(self):
-        ds = dataset(
-            [
-                (1, 10, 5), (2, 10, 3),
-                (2, 11, 4), (3, 11, 4),
-                (2, 12, 2), (3, 12, 3),
-                (3, 13, 5), (4, 13, 4),
-            ]
-        )
-        return ds
-
-    def test_excludes_rated_items_and_truncates(self):
-        ds = self.world()
-        provider = StubProvider({(10, 11): 0.9, (10, 12): 0.8, (10, 13): 0.7})
-        ranked = recommend_top_n(1, ds, provider, n=2)
-        ids = [item for item, _ in ranked]
-        assert 10 not in ids
-        assert len(ids) == 2
-
-    def test_full_predictions_rank_above_fallbacks(self):
-        ds = self.world()
-        # only item 11 gets a defined similarity to user 1's item 10
-        provider = StubProvider({(10, 11): 0.9})
-        ranked = recommend_top_n(1, ds, provider, n=4)
-        first_item, first_pred = ranked[0]
-        assert first_item == 11
-        assert first_pred.detail == DETAIL_FULL
-        assert all(p.is_fallback for _, p in ranked[1:])
-
-    def test_fallback_tier_ordered_by_value_then_id(self):
-        ds = self.world()
-        ranked = recommend_top_n(1, ds, StubProvider({}), n=3)
-        # item means: 11 -> 4.0, 12 -> 2.5, 13 -> 4.5; all fallbacks
-        assert [item for item, _ in ranked] == [13, 11, 12]
-
-    def test_value_tie_broken_by_ascending_id(self):
-        ds = dataset([(1, 10, 4), (2, 21, 3), (2, 22, 3)])
-        ranked = recommend_top_n(1, ds, StubProvider({}), n=2)
-        assert [item for item, _ in ranked] == [21, 22]
-
-    def test_user_without_ratings_ranked_by_item_means(self):
-        ds = self.world()
-        ranked = recommend_top_n(42, ds, StubProvider({}), n=10)
-        values = [p.value for _, p in ranked]
-        assert values == sorted(values, reverse=True)
-        assert all(p.is_fallback for _, p in ranked)
-        assert [item for item, _ in ranked][:2] == [13, 10]  # means 4.5, 4.0
-
-    def test_candidates_restriction(self):
-        ds = self.world()
-        ranked = recommend_top_n(1, ds, StubProvider({}), n=10, candidates=[12, 13])
-        assert {item for item, _ in ranked} == {12, 13}
-
-    def test_everything_rated_gives_empty(self):
-        ds = dataset([(1, 10, 4), (1, 11, 3), (2, 10, 2)])
-        assert recommend_top_n(1, ds, StubProvider({}), n=5) == []
-
-    def test_bad_n_fatal(self):
-        ds = self.world()
-        with pytest.raises(ValueError):
-            recommend_top_n(1, ds, StubProvider({}), n=0)
 
 
 class TestPredictionValue:
