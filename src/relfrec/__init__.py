@@ -62,6 +62,7 @@ from .predict import (
     PredictionConfig,
     predict_batch,
     predict_rating,
+    values_at,
 )
 from .simcore import (
     HybridPolicy,
@@ -124,4 +125,5 @@ __all__ = [
     "sgns_pair_update",
     "sweep_k",
     "train_skipgram",
+    "values_at",
 ]

@@ -4,11 +4,11 @@ A SplitPlan assigns every rating record to a fold (k-fold) or to the
 train/test side (holdout, cold-start). evaluate() then, per fold,
 rebuilds all training-side state (means, arrays, similarity rows) from
 the train records only, predicts every test record, and aggregates
-metrics; sweep_k shares that state across every k of a fold. rmse and
-mae score two aligned 1-D arrays, the predicted and the actual ratings.
-Fallback predictions are included in the metrics and counted, never
-skipped: dropping them would flatter predictors that cannot reach cold
-items.
+metrics; sweep_k shares that state, and one neighbor ranking per test
+record, across every k of a fold. rmse and mae score two aligned 1-D
+arrays, the predicted and the actual ratings. Fallback predictions are
+included in the metrics and counted, never skipped: dropping them would
+flatter predictors that cannot reach cold items.
 
 The cold-start plan quarantines every rating of a sampled fraction of
 items into the test side, manufacturing items the rating-based
@@ -28,7 +28,7 @@ from operator import itemgetter
 import numpy as np
 
 from .ingest import text_stream
-from .predict import PredictionConfig, predict_batch
+from .predict import PredictionConfig, predict_batch, values_at
 from .simcore import make_provider
 
 log = logging.getLogger(__name__)
@@ -198,26 +198,29 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
 
     Per fold, the training side is built once from the train records
     alone, and one provider per predictor serves every k. Test records
-    are predicted with predict_rating in (item, user) order, one item's
-    records at every k in turn, so each item's similarity row is
-    computed once per fold and predictor; the metric sums do not depend
-    on that order. Item vectors come from metadata, not ratings, so a
-    shared index leaks nothing across folds.
+    are predicted with predict_rating in (item, user) order, once each
+    at the largest k, so each item's similarity row is computed once
+    per fold and predictor; the metric sums do not depend on that
+    order. Every smaller k is read from the same ranking by values_at,
+    bit for bit what predict_rating gives at that k, and the fallbacks
+    are the same at every k. Item vectors come from metadata, not
+    ratings, so a shared index leaks nothing across folds.
 
     Returns a list of (predictor, k, MetricReport): predictors outer,
     ks inner.
     """
     ks, predictors = list(ks), list(predictors)
-    if any(k < 1 for k in ks):
-        raise ValueError(f"all k must be >= 1, got {ks}")
+    config = config or PredictionConfig()
+    for k in ks:
+        replace(config, k=k)  # PredictionConfig rejects a k that is not an integer >= 1
     for what, values in (("k", ks), ("predictor", predictors)):
         if not values:
             raise ValueError(f"sweep_k needs at least one {what}")
         repeated = next((v for p, v in enumerate(values) if v in values[:p]), None)
         if repeated is not None:
             raise ValueError(f"{what} {repeated!r} is given more than once; each fold would count twice")
-    config = config or PredictionConfig()
-    configs = [replace(config, k=k) for k in ks]
+    top = replace(config, k=max(ks))
+    smaller = [k for k in ks if k != top.k]
     fold_reports = {(predictor, k): [] for predictor in predictors for k in ks}
     for fold_idx, train_idx, test_idx in plan.folds():
         train = ratings.subset(train_idx)
@@ -227,17 +230,22 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
         actual = ratings.rating[test]
         for predictor in predictors:
             provider = make_provider(predictor, train, index, policy)
-            per_k = [[] for _ in ks]
+            values, n_fallbacks = [], 0
             for group in item_groups:
-                for preds, k_config in zip(per_k, configs):
-                    preds.extend(predict_batch(group, train, provider, k_config))
-            for k, preds in zip(ks, per_k):
-                predicted = np.array([p.value for p in preds])
+                for pred in predict_batch(group, train, provider, top):
+                    values.append(pred.value)
+                    if smaller:
+                        values += values_at(pred, smaller, train, top)
+                    n_fallbacks += pred.is_fallback
+            predicted = np.array(values, dtype=np.float64).reshape(-1, len(ks))
+            columns = dict(zip([top.k, *smaller], predicted.T))
+            for k in ks:
+                column = columns[k]
                 report = MetricReport(
-                    rmse=rmse(predicted, actual),
-                    mae=mae(predicted, actual),
-                    n_predictions=len(predicted),
-                    n_fallbacks=sum(1 for p in preds if p.is_fallback),
+                    rmse=rmse(column, actual),
+                    mae=mae(column, actual),
+                    n_predictions=len(column),
+                    n_fallbacks=n_fallbacks,
                 )
                 fold_reports[predictor, k].append(report)
                 log.info(

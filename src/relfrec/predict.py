@@ -19,15 +19,19 @@ similarities come from: cf, cb and hybrid differ only in the similarity
 rows of the SimilarityProvider that simcore.make_provider builds. A
 prediction reads the target's row over the dataset's rated items at
 the user's ones, keeps the positive cells, sorts them once and sums
-the top k in order, with no Python loop over neighbors. Rating
-prediction is the only output: the evaluation scores predicted ratings
-(RMSE/MAE), so there is no top-n ranking.
+the top k in order, with no Python loop over neighbors. A full
+Prediction keeps those running sums, so values_at reads its value at
+every smaller k from the one ranking: a k sweep ranks each test record
+once, at its largest k. Rating prediction is the only output: the
+evaluation scores predicted ratings (RMSE/MAE), so there is no top-n
+ranking.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from numbers import Integral
 
 log = logging.getLogger(__name__)
 
@@ -45,10 +49,12 @@ class PredictionConfig:
     clamp: bool = True
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.min_neighbors < 1:
-            raise ValueError(f"min_neighbors must be >= 1, got {self.min_neighbors}")
+        for name in ("k", "min_neighbors"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -57,12 +63,16 @@ class Prediction:
 
     ``neighbors_used`` counts the positive-similarity neighbors behind
     a full prediction (0 on fallbacks); ``detail`` says whether the
-    weighted formula ran or which mean stood in for it.
+    weighted formula ran or which mean stood in for it. A full
+    prediction's ``running_sums`` are its anchor and the running sums
+    cumsum(w * d) and cumsum(w) over its ranked neighbors, which
+    values_at reads; fallbacks have None.
     """
 
     value: float
     detail: str = DETAIL_FULL
     neighbors_used: int = 0
+    running_sums: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def is_fallback(self):
@@ -105,10 +115,32 @@ def predict_rating(user, item, ratings, provider, config=None):
         return _mean_fallback(item, ratings, config)
     top = (-sims).argsort(kind="stable")[: config.k]
     weights = sims[top]
-    num = (weights * deviations[positive][top]).cumsum()[-1]
-    den = weights.cumsum()[-1]
+    num = (weights * deviations[positive][top]).cumsum()
+    den = weights.cumsum()
     anchor = ratings.item_means.get(item, ratings.global_mean)
-    return Prediction(_clamp(anchor + float(num) / float(den), ratings, config), DETAIL_FULL, len(top))
+    value = _clamp(anchor + float(num[-1]) / float(den[-1]), ratings, config)
+    return Prediction(value, DETAIL_FULL, len(top), (anchor, num, den))
+
+
+def values_at(prediction, ks, ratings, config=None):
+    """The prediction's value at each k of ks, bit for bit predict_rating's at that k.
+
+    Every k must be at most the k the prediction was made at. Its k best
+    neighbors are then the first k of the same stable ranking, and a
+    prefix of a sequential cumsum is the cumsum of that prefix, so the
+    value reads index min(k, neighbors_used) - 1 of the running sums; at
+    the last index it is the prediction's own value. A fallback has its
+    value at every k: the min_neighbors gate does not depend on k.
+    """
+    if prediction.running_sums is None:
+        return [prediction.value] * len(ks)
+    config = config or PredictionConfig()
+    anchor, num, den = prediction.running_sums
+    n = prediction.neighbors_used
+    return [
+        prediction.value if k >= n else _clamp(anchor + float(num[k - 1]) / float(den[k - 1]), ratings, config)
+        for k in ks
+    ]
 
 
 def predict_batch(pairs, ratings, provider, config=None):

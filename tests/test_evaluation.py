@@ -2,6 +2,7 @@
 
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -315,8 +316,6 @@ class TestSweepK:
         assert len(table) == 1
         predictor, k, report = table[0]
         assert (predictor, k) == ("cf", 5)
-        from dataclasses import replace
-
         assert report == evaluate("cf", plan, ds, config=replace(cfg, k=5))
 
     def test_grid_order_predictor_outer(self):
@@ -327,15 +326,18 @@ class TestSweepK:
         assert [(p, k) for p, k, _ in table] == [("cf", 2), ("cf", 4), ("cb", 2), ("cb", 4)]
 
     def test_cells_equal_per_cell_evaluate(self):
+        # Unsorted ks, with 500 larger than every neighborhood.
         ds = random_world(15, n_users=20, n_items=12)
         plan = make_split(ds, "kfold(3)", seed=4)
         index = full_coverage_index(dict.fromkeys(ds.item.tolist()))
-        cfg = PredictionConfig(min_neighbors=2)
-        table = sweep_k((1, 3, 35), ("cf", "cb", "hybrid"), plan, ds, config=cfg, index=index)
-        assert len(table) == 9
-        for predictor, k, report in table:
-            assert report == evaluate(predictor, plan, ds, config=PredictionConfig(k=k, min_neighbors=2), index=index)
-            assert len(report.per_fold) == 3
+        ks = (35, 1, 500, 3)
+        for clamp in (True, False):
+            cfg = PredictionConfig(min_neighbors=2, clamp=clamp)
+            table = sweep_k(ks, ("cf", "cb", "hybrid"), plan, ds, config=cfg, index=index)
+            assert [(p, k) for p, k, _ in table] == [(p, k) for p in ("cf", "cb", "hybrid") for k in ks]
+            for predictor, k, report in table:
+                assert report == evaluate(predictor, plan, ds, config=replace(cfg, k=k), index=index)
+                assert len(report.per_fold) == 3
 
     @pytest.mark.parametrize("kind", ["cold-start(0.25)", "kfold(3)"])
     def test_content_rows_computed_once_per_item_across_ks(self, monkeypatch, kind):
@@ -360,9 +362,10 @@ class TestSweepK:
         table = sweep_k(ks, ["hybrid"], plan, ds, index=index)
         test_items = [sorted({ds.records[i][1] for i in test_idx}) for _f, _train, test_idx in plan.folds()]
         assert rows == [item for items in test_items for item in items]
-        test_records = sum(len(test_idx) for _f, _train, test_idx in plan.folds())
-        assert len(predictions) == len(ks) * test_records
-        assert [report.n_predictions for _p, _k, report in table] == [test_records] * len(ks)
+        # One ranking per test record and fold serves every k.
+        test_pairs = [ds.records[i][:2] for _f, _train, test_idx in plan.folds() for i in test_idx]
+        assert sorted(predictions) == sorted(test_pairs)
+        assert [report.n_predictions for _p, _k, report in table] == [len(test_pairs)] * len(ks)
 
     @pytest.mark.parametrize("kind", ["holdout(0.8)", "kfold(3)", "cold-start(0.25)"])
     def test_builds_no_records_or_lookup_maps(self, monkeypatch, kind):
@@ -392,6 +395,10 @@ class TestSweepK:
             sweep_k([], ["cf"], plan, ds)
         with pytest.raises(ValueError):
             sweep_k([3, 0], ["cf"], plan, ds)
+        with pytest.raises(ValueError, match="k must be an integer, got 2.5"):
+            sweep_k([2.5], ["cf"], plan, ds)
+        with pytest.raises(ValueError, match="k must be an integer, got '5'"):
+            sweep_k([3, "5"], ["cf"], plan, ds)
 
     def test_predictors_from_a_generator(self):
         # The predictors are read once, so a generator gives the same cells as a list.

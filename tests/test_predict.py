@@ -1,4 +1,6 @@
-"""Item-based k-NN prediction: formula, fallbacks, batching."""
+"""Item-based k-NN prediction: formula, fallbacks, batching, prefix reads."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from relfrec.predict import (
     PredictionConfig,
     predict_batch,
     predict_rating,
+    values_at,
 )
 from relfrec.simcore import ItemVectorIndex, make_provider, relf_sim
 
@@ -72,6 +75,14 @@ class TestPredictionConfig:
             PredictionConfig(k=0)
         with pytest.raises(ValueError):
             PredictionConfig(min_neighbors=0)
+        for name in ("k", "min_neighbors"):
+            for value in (2.5, 1.5, 5.0, "5", True, None):
+                with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+                    PredictionConfig(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = PredictionConfig(k=np.int64(7), min_neighbors=np.int32(2))
+        assert (cfg.k, cfg.min_neighbors) == (7, 2)
 
 
 class TestPredictRating:
@@ -294,3 +305,74 @@ class TestPredictionValue:
         assert not Prediction(3.0, DETAIL_FULL, 4).is_fallback
         assert Prediction(3.0, DETAIL_ITEM_MEAN).is_fallback
         assert Prediction(3.0, DETAIL_GLOBAL_MEAN).is_fallback
+
+
+def sparse_world(seed, n_users=24, n_items=30):
+    """Integer ratings where each user rates a share drawn from 0.05 to 0.9
+    of the items, so neighborhoods run from empty to over 20 items, plus
+    an item vector per item, mostly but not always at a positive cosine."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for u in range(n_users):
+        density = rng.uniform(0.05, 0.9)
+        rows += [(u + 1, i + 1, float(rng.integers(1, 6))) for i in range(n_items) if rng.random() < density]
+    vectors = {i + 1: rng.normal(0.3, 1.0, size=5) for i in range(n_items)}
+    index = ItemVectorIndex(vectors=vectors, coverage={i: 3 for i in vectors}, dim=5)
+    return dataset(rows), index
+
+
+class TestValuesAt:
+    @pytest.mark.parametrize("predictor", ["cf", "cb", "hybrid"])
+    def test_prefix_read_equals_prediction_at_each_k(self, predictor):
+        ds, index = sparse_world(41)
+        test = np.random.default_rng(43).choice(len(ds), size=60, replace=False)
+        train = ds.subset(np.setdiff1d(np.arange(len(ds)), test))
+        pairs = list(zip(ds.user[test].tolist(), ds.item[test].tolist()))
+        users, counts = np.unique(train.user, return_counts=True)
+        pairs += [(u, i) for u in users[counts <= 3].tolist() for i in (1, 2, 3)]  # below min_neighbors=3
+        pairs += [(999, 3), (2, 999)]  # a user and an item the training side never saw
+        provider = make_provider(predictor, train, index)
+        big = 30
+        ks = list(range(1, big + 1))
+        details, longest = set(), 0
+        for min_neighbors in (1, 3):
+            for clamp in (True, False):
+                cfg = PredictionConfig(k=big, min_neighbors=min_neighbors, clamp=clamp)
+                outside = False
+                for user, item in pairs:
+                    pred = predict_rating(user, item, train, provider, cfg)
+                    got = values_at(pred, ks, train, cfg)
+                    want = [predict_rating(user, item, train, provider, replace(cfg, k=k)).value for k in ks]
+                    assert got == want, (user, item, min_neighbors, clamp)
+                    assert all(type(v) is float for v in got)
+                    assert got[-1] == pred.value
+                    details.add(pred.detail)
+                    longest = max(longest, pred.neighbors_used)
+                    outside = outside or any(not 1.0 <= v <= 5.0 for v in got)
+                assert outside == (not clamp)
+        # Every route is covered, and neighborhoods reach past numpy's
+        # eight-way pairwise unrolling, where a pairwise sum would differ.
+        assert details == {DETAIL_FULL, DETAIL_ITEM_MEAN, DETAIL_GLOBAL_MEAN}
+        assert longest >= 12
+
+    def test_running_sums_left_out_of_equality_and_repr(self):
+        pred = Prediction(3.0, DETAIL_FULL, 2, (3.0, np.array([0.5, 1.0]), np.array([0.5, 0.9])))
+        assert pred == Prediction(3.0, DETAIL_FULL, 2)
+        assert repr(pred) == repr(Prediction(3.0, DETAIL_FULL, 2))
+
+
+class TestCumsumOrder:
+    """numpy's cumsum is a sequential left fold: the prefix reads of
+    values_at and RatingDataset's means are bit-exact only while it is."""
+
+    def test_prefix_of_cumsum_is_cumsum_of_prefix_and_a_left_fold(self):
+        rng = np.random.default_rng(47)
+        for n in range(1, 301):
+            a = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+            full = a.cumsum()
+            m = int(rng.integers(1, n + 1))
+            assert full[:m].tobytes() == a[:m].cumsum().tobytes()
+            fold = 0.0
+            for x in a.tolist():
+                fold += x
+            assert full[-1] == fold
