@@ -24,6 +24,7 @@ import ast
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .embed import TrainConfig, load_embeddings, save_embeddings, train_skipgram
@@ -158,11 +159,18 @@ def _add_scale(sub):
 
 
 def _add_prediction(sub):
-    sub.add_argument("--k", type=int, default=35, help="neighborhood size")
-    sub.add_argument("--min-neighbors", type=int, default=1, help="fallback below this many neighbors")
+    sub.add_argument("--k", type=int, default=PredictionConfig.k, help="neighborhood size")
+    sub.add_argument("--min-neighbors", type=int, default=PredictionConfig.min_neighbors,
+                     help="fallback below this many neighbors")
     sub.add_argument("--no-clamp", dest="clamp", action="store_false", help="do not clamp predictions to the rating scale")
-    sub.add_argument("--tau-pair", type=int, default=2, help="hybrid: min co-raters to trust a rating similarity")
-    sub.add_argument("--tau-item", type=int, default=5, help="hybrid: min ratings per item to count as warm")
+    _add_policy(sub)
+
+
+def _add_policy(sub):
+    sub.add_argument("--tau-pair", type=int, default=HybridPolicy.tau_pair,
+                     help="hybrid: min co-raters to trust a rating similarity")
+    sub.add_argument("--tau-item", type=int, default=HybridPolicy.tau_item,
+                     help="hybrid: min ratings per item to count as warm")
 
 
 def build_parser():
@@ -188,15 +196,17 @@ def build_parser():
     _add_common(p)
     _add_bundle(p)
     p.add_argument("--out", help="embedding text file to write (required)")
-    p.add_argument("--window", type=int, default=8, help="max context window")
-    p.add_argument("--dim", type=int, default=150, help="vector dimension")
-    p.add_argument("--negatives", type=int, default=25, help="negative samples per pair")
-    p.add_argument("--min-count", type=int, default=1, help="min token count to enter the vocabulary")
-    p.add_argument("--epochs", type=int, default=20, help="training epochs")
-    p.add_argument("--initial-lr", type=float, default=0.025, help="starting learning rate")
-    p.add_argument("--final-lr", type=float, default=1e-4, help="learning-rate floor")
-    p.add_argument("--ns-exponent", type=float, default=0.75, help="negative-sampling distribution exponent")
-    p.add_argument("--seed", type=int, default=1, help="training seed")
+    p.add_argument("--window", type=int, default=TrainConfig.window, help="max context window")
+    p.add_argument("--dim", type=int, default=TrainConfig.dim, help="vector dimension")
+    p.add_argument("--negatives", type=int, default=TrainConfig.negatives, help="negative samples per pair")
+    p.add_argument("--min-count", type=int, default=TrainConfig.min_count,
+                   help="min token count to enter the vocabulary")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="training epochs")
+    p.add_argument("--initial-lr", type=float, default=TrainConfig.initial_lr, help="starting learning rate")
+    p.add_argument("--final-lr", type=float, default=TrainConfig.final_lr, help="learning-rate floor")
+    p.add_argument("--ns-exponent", type=float, default=TrainConfig.ns_exponent,
+                   help="negative-sampling distribution exponent")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed, help="training seed")
     p.set_defaults(func=cmd_train_embed)
 
     p = commands["evaluate"] = subparsers.add_parser(
@@ -250,8 +260,7 @@ def build_parser():
     p.add_argument("--embeddings", default=None, help="embedding file")
     p.add_argument("--bundle", default=None, help="bundle directory (for --item queries)")
     _add_scale(p)
-    p.add_argument("--tau-pair", type=int, default=2, help="hybrid: min co-raters to trust a rating similarity")
-    p.add_argument("--tau-item", type=int, default=5, help="hybrid: min ratings per item to count as warm")
+    _add_policy(p)
     p.set_defaults(func=cmd_similar)
 
     parser.subcommands = commands
@@ -270,12 +279,9 @@ def _load_artifacts(args, need_embeddings):
     return bundle, index
 
 
-def _prediction_config(args):
-    return PredictionConfig(k=args.k, min_neighbors=args.min_neighbors, clamp=args.clamp)
-
-
-def _policy(args):
-    return HybridPolicy(tau_pair=args.tau_pair, tau_item=args.tau_item)
+def _config(cls, args):
+    """A config dataclass built from the options named after its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def cmd_ingest(args):
@@ -292,18 +298,7 @@ def cmd_ingest(args):
 def cmd_train_embed(args):
     _require(args, "bundle", "out")
     bundle, _index = _load_artifacts(args, need_embeddings=False)
-    config = TrainConfig(
-        window=args.window,
-        dim=args.dim,
-        negatives=args.negatives,
-        min_count=args.min_count,
-        epochs=args.epochs,
-        initial_lr=args.initial_lr,
-        final_lr=args.final_lr,
-        ns_exponent=args.ns_exponent,
-        seed=args.seed,
-    )
-    table = train_skipgram(bundle.sentences, config)
+    table = train_skipgram(bundle.sentences, _config(TrainConfig, args))
     save_embeddings(table, args.out)
     log.info("wrote %d vectors of dimension %d to %s", len(table), table.dim, args.out)
     return EXIT_OK
@@ -345,7 +340,7 @@ def _run_grid(args, command, ks, manifest_extra):
     bundle, index = _load_artifacts(args, need_embeddings=_needs_content(args.predictors))
     plan = make_split(bundle.ratings, args.split, args.seed)
     table = sweep_k(ks, args.predictors, plan, bundle.ratings,
-                    config=_prediction_config(args), index=index, policy=_policy(args))
+                    config=_config(PredictionConfig, args), index=index, policy=_config(HybridPolicy, args))
     rows = []
     for predictor, k, report in table:
         rows.extend(results_rows(predictor, plan, k, report))
@@ -398,8 +393,8 @@ def cmd_predict(args):
         raise DataError("predict needs --user and --item, or --pairs CSV")
     bundle, index = _load_artifacts(args, need_embeddings=_needs_content([args.model]))
     ratings = bundle.ratings
-    provider = make_provider(args.model, ratings=ratings, index=index, policy=_policy(args))
-    config = _prediction_config(args)
+    provider = make_provider(args.model, ratings=ratings, index=index, policy=_config(HybridPolicy, args))
+    config = _config(PredictionConfig, args)
     pairs = _read_pairs_csv(args.pairs) if args.pairs is not None else [(args.user, args.item)]
     for user, item in pairs:
         _check_known_pair(user, item, ratings, index)
@@ -426,7 +421,7 @@ def cmd_similar(args):
     if not args.bundle:
         raise DataError("similar --item needs --bundle")
     bundle, index = _load_artifacts(args, need_embeddings=_needs_content([args.model]))
-    provider = make_provider(args.model, ratings=bundle.ratings, index=index, policy=_policy(args))
+    provider = make_provider(args.model, ratings=bundle.ratings, index=index, policy=_config(HybridPolicy, args))
     if args.item not in provider.items:
         raise UnknownIdError(f"unknown item id {args.item}")
     for neighbor, value, source in top_similar_items(provider, args.item, args.n):

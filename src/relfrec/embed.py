@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .errors import DataError, NumericDivergenceError
+from .errors import DataError, NumericDivergenceError, check_integers
 from .ingest import text_stream
 
 log = logging.getLogger(__name__)
@@ -49,7 +49,7 @@ _MAX_RESAMPLE_ROUNDS = 1000
 _LOSS_CHUNK = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for embedding training.
 
@@ -69,21 +69,12 @@ class TrainConfig:
     ns_exponent: float = 0.75
     seed: int = 1
 
-    def validate(self):
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.negatives < 0:
-            raise ValueError(f"negatives must be >= 0, got {self.negatives}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+    def __post_init__(self):
+        check_integers(self, window=1, dim=1, negatives=0, min_count=1, epochs=1, seed=0)
         if not 0 < self.final_lr <= self.initial_lr:
             raise ValueError(
                 f"need 0 < final_lr <= initial_lr, got {self.final_lr} / {self.initial_lr}"
             )
-        if self.min_count < 1:
-            raise ValueError(f"min_count must be >= 1, got {self.min_count}")
 
 
 @dataclass
@@ -361,7 +352,6 @@ def train_skipgram(sentences, config=None):
     non-finite, naming the epoch and token.
     """
     config = config or TrainConfig()
-    config.validate()
     vocab = build_vocabulary(sentences, config.min_count)
     encoded = []
     for sent in sentences:

@@ -23,6 +23,7 @@ import logging
 import re
 from dataclasses import dataclass, replace
 from itertools import groupby
+from numbers import Integral
 from operator import itemgetter
 
 import numpy as np
@@ -149,7 +150,9 @@ def make_split(ratings, kind, seed=1):
     n = len(ratings)
     rng = np.random.default_rng(seed)
     if name == KIND_KFOLD:
-        f = int(param)
+        f = param
+        if not isinstance(f, Integral) or isinstance(f, bool):
+            raise ValueError(f"kfold needs an integer fold count, got {f!r}")
         if f < 2:
             raise ValueError(f"kfold needs at least 2 folds, got {f}")
         if n < f:

@@ -66,13 +66,13 @@ class RatingDataset:
 
     The records are four aligned columns: ``user``, ``item`` (int64),
     ``rating`` (float64) and ``timestamp`` (int64), one entry per
-    record, in record order. Build a dataset from a list of
-    ``(user, item, rating, timestamp)`` tuples with
-    ``RatingDataset(records=...)``; the parsers, ``clean_and_join`` and
-    ``subset`` fill the columns directly. Every rating must lie on the
-    scale ``[r_min, r_max]``.
+    record, in record order. Build a dataset from an iterable of
+    ``(user, item, rating, timestamp)`` tuples, kept as the list
+    ``records``, with ``RatingDataset(records=...)``; the parsers,
+    ``clean_and_join`` and ``subset`` fill the columns directly. Every
+    rating must lie on the scale ``[r_min, r_max]``.
 
-    ``records`` (the tuples) is a view built on first read. Readers
+    There, ``records`` (the tuples) is a view built on first read. Readers
     that want the ratings by user or by item use ``arrays``
     (RatingArrays), one rating per (user, item) pair: on duplicate
     pairs, which only exist before cleaning, the last record wins.
@@ -82,7 +82,7 @@ class RatingDataset:
     """
 
     def __init__(self, records, r_min=1.0, r_max=5.0, n_malformed=0):
-        self.records = records
+        self.records = records = list(records)
         self._set_columns(*_record_columns(records), r_min, r_max, n_malformed)
 
     @classmethod

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from numbers import Integral
+
+from .errors import check_integers
 
 log = logging.getLogger(__name__)
 
@@ -49,12 +50,9 @@ class PredictionConfig:
     clamp: bool = True
 
     def __post_init__(self):
-        for name in ("k", "min_neighbors"):
-            value = getattr(self, name)
-            if not isinstance(value, Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        check_integers(self, k=1, min_neighbors=1)
+        if not isinstance(self.clamp, bool):
+            raise ValueError(f"clamp must be True or False, got {self.clamp!r}")
 
 
 @dataclass(frozen=True)

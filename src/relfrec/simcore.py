@@ -36,7 +36,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import UnknownIdError
+from .errors import UnknownIdError, check_integers
 
 log = logging.getLogger(__name__)
 
@@ -74,10 +74,7 @@ class HybridPolicy:
     tau_item: int = 5
 
     def __post_init__(self):
-        if self.tau_pair < 1:
-            raise ValueError(f"tau_pair must be >= 1, got {self.tau_pair}")
-        if self.tau_item < 0:
-            raise ValueError(f"tau_item must be >= 0, got {self.tau_item}")
+        check_integers(self, tau_pair=1, tau_item=0)
 
 
 def rating_cosine(i, j, ratings):

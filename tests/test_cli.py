@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from relfrec.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_UNKNOWN_ID, main
-from relfrec.embed import load_embeddings
+from relfrec.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_UNKNOWN_ID, _config, build_parser, main
+from relfrec.embed import TrainConfig, load_embeddings
 from relfrec.ingest import RatingDataset, load_bundle
+from relfrec.predict import PredictionConfig
 from relfrec.simcore import HybridPolicy, build_item_vectors, hybrid_sim, rating_cosine, relf_sim
 
 import synthdata
@@ -633,3 +634,32 @@ class TestHelp:
         text = capsys.readouterr().out
         for name in ("ingest", "train-embed", "evaluate", "sweep-k", "predict", "similar"):
             assert name in text
+
+
+class TestConfigObjects:
+    def test_options_build_the_configs(self):
+        parser = build_parser()
+        cases = [
+            (["train-embed"], TrainConfig, TrainConfig()),
+            (["train-embed", "--window", "3", "--final-lr", "0.001", "--seed", "9"], TrainConfig,
+             TrainConfig(window=3, final_lr=0.001, seed=9)),
+            (["evaluate"], PredictionConfig, PredictionConfig()),
+            (["predict", "--k", "4", "--no-clamp"], PredictionConfig, PredictionConfig(k=4, clamp=False)),
+            (["sweep-k", "--tau-item", "0"], HybridPolicy, HybridPolicy(tau_item=0)),
+            (["similar", "--item", "1"], HybridPolicy, HybridPolicy()),
+            (["similar", "--item", "1", "--tau-pair", "3"], HybridPolicy, HybridPolicy(tau_pair=3)),
+        ]
+        for argv, cls, want in cases:
+            assert _config(cls, parser.parse_args(argv)) == want, argv
+
+    def test_bad_training_value_is_an_input_error(self, workdir, tmp_path):
+        out = tmp_path / "v.txt"
+        for flag, value in (("--seed", "-1"), ("--min-count", "0")):
+            rc = main(["train-embed", "--bundle", str(workdir / "bundle"), "--out", str(out), flag, value])
+            assert rc == EXIT_INPUT and not out.exists()
+
+    def test_clamp_from_a_config_file_must_be_a_bool(self, workdir, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"bundle = {workdir / 'bundle'}\nclamp = no\n")
+        rc = main(["evaluate", "--config", str(config), "--predictors", "cf", "--out-dir", str(tmp_path / "run")])
+        assert rc == EXIT_INPUT and not (tmp_path / "run").exists()

@@ -1,5 +1,6 @@
 """Skip-gram training: vocabulary, sampler, gradient, persistence."""
 
+import dataclasses
 import io
 import math
 import re
@@ -193,13 +194,25 @@ class TestTrainConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(window=0).validate()
+            TrainConfig(window=0)
         with pytest.raises(ValueError):
-            TrainConfig(epochs=0).validate()
+            TrainConfig(epochs=0)
         with pytest.raises(ValueError):
-            TrainConfig(initial_lr=0.01, final_lr=0.02).validate()
+            TrainConfig(initial_lr=0.01, final_lr=0.02)
         with pytest.raises(ValueError):
-            TrainConfig(negatives=-1).validate()
+            TrainConfig(negatives=-1)
+        with pytest.raises(ValueError, match="min_count must be >= 1, got 0"):
+            TrainConfig(min_count=0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+        for name in ("window", "dim", "negatives", "min_count", "epochs", "seed"):
+            for value in (2.5, 1.5, 4.0, "5", True, None):
+                with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+                    TrainConfig(**{name: value})
+        cfg = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.window = 2
+        assert cfg.window == 8
 
 
 class TestTrainSkipgram:

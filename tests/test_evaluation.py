@@ -198,6 +198,16 @@ class TestMakeSplit:
         with pytest.raises(ValueError):
             make_split(two, "cold-start(0.5)")  # only item would go cold
 
+    def test_kfold_count_must_be_an_integer(self):
+        ds = dataset([(1, i, 3) for i in range(1, 6)])
+        for count in (2.5, 2.0, "2", True, None):
+            with pytest.raises(ValueError, match=f"kfold needs an integer fold count, got {count!r}"):
+                make_split(ds, ("kfold", count))
+        with pytest.raises(ValueError):
+            make_split(ds, "kfold(2.5)")
+        plan = make_split(ds, ("kfold", np.int64(2)), seed=3)
+        assert plan.label == "kfold(2)" and plan.assignment.tolist() == make_split(ds, "kfold(2)", 3).assignment.tolist()
+
 
 class TestEvaluate:
     def test_constant_ratings_score_zero_error(self):

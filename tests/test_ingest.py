@@ -392,6 +392,14 @@ class TestRatingDataset:
         with pytest.raises(DataError):
             RatingDataset(records=[])
 
+    def test_records_from_a_generator(self):
+        rows = [(1, 1, 4.0, 0), (2, 1, 3.0, 1), (2, 3, 5.0, 2)]
+        ds = RatingDataset(records=(row for row in rows))
+        assert list(ds.records) == rows and list(ds.records) == rows
+        assert ds.user.tolist() == [1, 2, 2] and ds.global_mean == 4.0
+        with pytest.raises(DataError, match="rating 7 for user 2, item 1 outside scale"):
+            RatingDataset(records=(row for row in [(1, 1, 4.0, 0), (2, 1, 7, 0)]))
+
     def test_subset_preserves_scale_and_order(self):
         ds = RatingDataset(records=[(1, 1, 2.0, 0), (2, 1, 3.0, 1), (3, 2, 4.0, 2)])
         sub = ds.subset([2, 0])

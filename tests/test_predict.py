@@ -79,6 +79,9 @@ class TestPredictionConfig:
             for value in (2.5, 1.5, 5.0, "5", True, None):
                 with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
                     PredictionConfig(**{name: value})
+        for value in ("no", 0, 1, None):
+            with pytest.raises(ValueError, match=f"clamp must be True or False, got {value!r}"):
+                PredictionConfig(clamp=value)
 
     def test_numpy_integers_accepted(self):
         cfg = PredictionConfig(k=np.int64(7), min_neighbors=np.int32(2))

@@ -1,9 +1,14 @@
-"""README's library example imports only names the package exports."""
+"""README's library example imports only names the package exports,
+and its Defaults table gives the defaults the code has."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import relfrec
+from relfrec.cli import build_parser
+
+CONFIGS = (relfrec.TrainConfig, relfrec.PredictionConfig, relfrec.HybridPolicy)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +28,38 @@ def test_library_usage_imports_are_exported():
 
 def test_every_export_resolves():
     assert [name for name in relfrec.__all__ if not hasattr(relfrec, name)] == []
+
+
+def defaults_table():
+    """(flag, README default) for each flag of the "Defaults" table; a
+    row such as `--a` / `--b` | 1 / 2 gives one pair per flag."""
+    section = README.read_text(encoding="utf-8").split("\n### Defaults\n", 1)[1].split("\n#", 1)[0]
+    pairs = []
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        flags = re.findall(r"`(--[a-z-]+)`", cells[0])
+        if flags:
+            values = [value.strip() for value in cells[1].split("/")]
+            assert len(values) == len(flags), line
+            pairs.extend(zip(flags, values))
+    return pairs
+
+
+def test_defaults_table_matches_configs_and_parser():
+    table = defaults_table()
+    assert len(table) > 10
+    config_defaults = {f.name: f.default for cls in CONFIGS for f in fields(cls)}
+    subcommands = build_parser().subcommands.values()
+    for flag, text in table:
+        dest = flag[2:].replace("-", "_")
+        if dest in config_defaults:
+            assert config_defaults[dest] == float(text), flag
+        options = [sub._option_string_actions[flag] for sub in subcommands if flag in sub._option_string_actions]
+        assert options, f"{flag} is no option of any subcommand"
+        assert [option.default for option in options] == [float(text)] * len(options), flag
+
+
+def test_defaults_table_lists_every_numeric_config_field():
+    listed = {flag[2:].replace("-", "_") for flag, _text in defaults_table()}
+    numeric = {f.name for cls in CONFIGS for f in fields(cls) if f.type in ("int", "float")}
+    assert numeric - listed == set()

@@ -1,6 +1,7 @@
 """Similarity layer: rating cosine, content vectors, hybrid."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -309,6 +310,10 @@ class TestHybridSim:
             HybridPolicy(tau_pair=0)
         with pytest.raises(ValueError):
             HybridPolicy(tau_item=-1)
+        for name in ("tau_pair", "tau_item"):
+            for value in (1.5, 2.5, 5.0, "5", True, None):
+                with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+                    HybridPolicy(**{name: value})
 
 
 class TestProviders:
