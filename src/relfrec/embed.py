@@ -7,24 +7,36 @@ vectors of sampled negatives. People who keep appearing in the same
 productions therefore end up with similar input vectors, which is the
 signal the content similarity downstream is built on.
 
-For each epoch, sentence, and center position a reduced window size b
-is drawn uniformly from {1..window}; every in-bounds token within +-b
-of the center (excluding the center itself) forms one positive pair,
-trained together with `negatives` samples drawn from the unigram^0.75
-distribution (redrawn on collision with the true context token). The
+For each center position a reduced window size b is drawn uniformly
+from {1..window}; every in-bounds token within +-b of the center
+(excluding the center itself) forms one positive pair, trained together
+with `negatives` samples drawn from the unigram^0.75 distribution. The
 learning rate decays linearly from initial_lr to final_lr over the
 total planned number of center-word visits. Input vectors start uniform
 in [-0.5/dim, +0.5/dim]; output vectors start at zero. Training runs
 on one thread, so a fixed seed gives bit-reproducible vectors.
 
-Pairs are trained one after another, each exactly as sgns_pair_update
-would apply it to the rows of the input and output matrices: the
-trained vectors equal that pair-by-pair reference bit for bit. The
-training loop only avoids work around the update: a pair whose output
-rows are all distinct writes them back as one block, a pair with a
-repeated row (a negative drawn twice) adds its updates one per
-occurrence through a flat index, and the loss is computed for chunks
-of pairs from their kept scores.
+The sentence is the unit of randomness. For each epoch and sentence, in
+this order:
+
+1. one draw gives the reduced windows of all its centers;
+2. its (center, context) pairs are listed in corpus order: by center,
+   then by context position;
+3. one draw gives a block of negatives, one row per pair, in row-major
+   order; then, in rounds over the whole block, every negative equal to
+   its pair's context is redrawn, in row-major order, with one draw per
+   round (at most 1000 rounds).
+
+There is no batch size: the pairs are then trained one after another,
+each exactly as sgns_pair_update would apply it to the rows of the
+input and output matrices, so the trained vectors equal that
+pair-by-pair reference bit for bit. A pair's output rows (context
+first, then negatives) gain their updates at once; where a row repeats
+(a negative drawn twice), each later occurrence instead adds its update
+to the row as its previous occurrence left it, found for the whole
+sentence by one stable sort along each pair, and only the last
+occurrence is written back. The losses are computed per sentence from
+the kept scores and added pair by pair.
 
 A table is saved as one word2vec-format text file of input vectors
 only, which is all that content similarity downstream reads.
@@ -34,19 +46,18 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
+from itertools import islice
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
-from .errors import DataError, NumericDivergenceError, check_integers
+from .errors import DataError, NumericDivergenceError, check_finite, check_integers
 from .ingest import text_stream
 
 log = logging.getLogger(__name__)
 
 _MAX_RESAMPLE_ROUNDS = 1000
-# Pairs whose scores are held before their losses are added up.
-_LOSS_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -71,6 +82,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_integers(self, window=1, dim=1, negatives=0, min_count=1, epochs=1, seed=0)
+        check_finite(self, "initial_lr", "final_lr", "ns_exponent")
         if not 0 < self.final_lr <= self.initial_lr:
             raise ValueError(
                 f"need 0 < final_lr <= initial_lr, got {self.final_lr} / {self.initial_lr}"
@@ -120,37 +132,51 @@ class NegativeSampler:
         counts = np.asarray(counts, dtype=np.float64)
         if counts.size == 0 or (counts <= 0).any():
             raise ValueError("sampler needs positive counts for every token")
-        weights = counts**ns_exponent
-        cumulative = np.cumsum(weights)
+        with np.errstate(over="ignore"):
+            weights = counts**ns_exponent
+            cumulative = np.cumsum(weights)
+        if not ((weights > 0).all() and np.isfinite(cumulative[-1])):
+            raise ValueError(
+                f"ns_exponent {ns_exponent!r} gives sampling weights counts ** ns_exponent "
+                "that are not finite and positive"
+            )
         cumulative /= cumulative[-1]
         cumulative[-1] = 1.0
         self.cumulative = cumulative
         # Tokens that leave no mass to draw anything else from.
-        self._sole = (self.probabilities >= 1.0).tolist()
+        self._sole = self.probabilities >= 1.0
 
     @property
     def probabilities(self):
         return np.diff(self.cumulative, prepend=0.0)
 
-    def draw(self, rng, n, exclude=None):
-        """n indices; any draw equal to ``exclude`` is redrawn."""
-        cumulative = self.cumulative
-        idx = cumulative.searchsorted(rng.random(n), side="right")
-        if exclude is None:
-            return idx
-        if self._sole[exclude]:
+    def draw(self, rng, exclude, n):
+        """One row of n indices per index of ``exclude``, none equal to it.
+
+        The block is drawn in row-major order from one ``rng.random``
+        call. Then, in rounds over the whole block, every draw equal to
+        its row's excluded index is redrawn, in row-major order, from one
+        ``rng.random`` call per round.
+        """
+        exclude = np.asarray(exclude, dtype=np.int64)
+        sole = exclude[self._sole[exclude]]
+        if sole.size:
             raise DataError(
-                f"cannot draw negatives distinct from token index {exclude}; "
+                f"cannot draw negatives distinct from token index {sole[0]}; "
                 "it carries the entire sampling mass"
             )
+        cumulative = self.cumulative
+        idx = cumulative.searchsorted(rng.random((exclude.size, n)), side="right")
+        column = exclude[:, None]
         for _ in range(_MAX_RESAMPLE_ROUNDS):
-            mask = idx == exclude
+            mask = idx == column
             hits = np.count_nonzero(mask)
             if not hits:
                 return idx
             idx[mask] = cumulative.searchsorted(rng.random(hits), side="right")
+        stuck = exclude[mask.any(axis=1)][0]
         raise DataError(
-            f"cannot draw negatives distinct from token index {exclude} "
+            f"cannot draw negatives distinct from token index {stuck} "
             f"after {_MAX_RESAMPLE_ROUNDS} resampling rounds"
         )
 
@@ -249,6 +275,28 @@ def _add_pair_losses(total, scores):
     return total
 
 
+def _repeat_plan(out, spare):
+    """Where the output rows of each pair (row of ``out``) repeat.
+
+    Returns (repeats, dest). ``repeats[p]`` lists, as (position,
+    previous position of the same row), every occurrence of a row after
+    its first in pair p, in order along the pair. ``dest`` is ``out``
+    with every position that is not the last occurrence of its row sent
+    to the row ``spare``. A stable sort along each pair ranks equal rows
+    by position.
+    """
+    order = np.argsort(out, axis=1, kind="stable")
+    ranked = np.take_along_axis(out, order, axis=1)
+    pair, j = np.nonzero(ranked[:, 1:] == ranked[:, :-1])
+    earlier = order[pair, j]
+    repeats = [[] for _ in range(len(out))]
+    for p, r, prev in zip(pair.tolist(), order[pair, j + 1].tolist(), earlier.tolist()):
+        repeats[p].append((r, prev))
+    dest = out.copy()
+    dest[pair, earlier] = spare
+    return repeats, dest
+
+
 class _Trainer:
     def __init__(self, encoded, config, vocab):
         self.encoded = encoded
@@ -257,27 +305,33 @@ class _Trainer:
         v = len(vocab)
         init_rng = np.random.default_rng(config.seed)
         self.syn0 = (init_rng.random((v, config.dim)) - 0.5) / config.dim
-        self.syn1 = np.zeros((v, config.dim))
+        # numpy leaves open which write wins when a fancy assignment
+        # repeats an index, so the writes of a repeated output row that a
+        # later occurrence supersedes go to one spare row past the vocabulary.
+        self._syn1_spare = np.zeros((v + 1, config.dim))
+        self.syn1 = self._syn1_spare[:v]
         self.sampler = NegativeSampler(vocab.counts, config.ns_exponent) if config.negatives else None
         self.total_visits = config.epochs * sum(len(s) for s in encoded)
 
     def run(self):
         """Train every epoch; return the mean pair loss of each.
 
-        Each pair is sgns_pair_update on rows of syn0 and syn1: the
+        Each sentence draws its reduced windows, then the negatives of
+        all its pairs as one block, then plans its repeated rows. Each
+        pair is then sgns_pair_update on rows of syn0 and syn1: the
         output rows gain grad[n] * center in turn, the center gains
         grad @ rows, both at the incoming values.
         """
         cfg = self.config
         # Sampling draws from its own stream, apart from the init rng.
         rng = np.random.default_rng([cfg.seed, 0])
-        syn0, syn1, sampler = self.syn0, self.syn1, self.sampler
-        window, n_neg, dim = cfg.window, cfg.negatives, cfg.dim
+        syn0, syn1, sampler = self.syn0, self._syn1_spare, self.sampler
+        spare = len(self.vocab)
+        window, n_neg = cfg.window, cfg.negatives
         n_out = n_neg + 1
-        out_idx = np.empty(n_out, dtype=np.int64)
-        syn1_flat = syn1.reshape(-1)
-        columns = np.arange(dim)
-        scores = np.empty((_LOSS_CHUNK, n_out))
+        rows = np.empty((n_out, cfg.dim))
+        upd = np.empty((n_out, cfg.dim))
+        row_of, upd_of = list(rows), list(upd)
         lr_span = cfg.initial_lr - cfg.final_lr
         total = self.total_visits
         visit = 0
@@ -285,49 +339,48 @@ class _Trainer:
         for epoch in range(1, cfg.epochs + 1):
             loss_sum = 0.0
             n_pairs = 0
-            filled = 0
             # Overflow in a diverging run is caught by _check_finite at the
             # epoch boundary; the interim numpy warnings are just noise.
             with np.errstate(over="ignore", invalid="ignore"):
                 for sent in self.encoded:
-                    length = len(sent)
-                    for pos, center in enumerate(sent):
+                    spans = rng.integers(1, window + 1, size=len(sent)).tolist()
+                    contexts, n_contexts = [], []
+                    for pos, b in enumerate(spans):
+                        ctx = sent[max(pos - b, 0):pos] + sent[pos + 1:pos + b + 1]
+                        contexts += ctx
+                        n_contexts.append(len(ctx))
+                    out = np.empty((len(contexts), n_out), dtype=np.int64)
+                    out[:, 0] = contexts
+                    if n_neg:
+                        out[:, 1:] = sampler.draw(rng, out[:, 0], n_neg)
+                    repeats, dest = _repeat_plan(out, spare)
+                    scores = np.empty(out.shape)
+                    pairs = zip(out, dest, scores, repeats)
+                    for center, n_ctx in zip(sent, n_contexts):
                         lr = cfg.initial_lr - lr_span * (visit / total)
                         visit += 1
                         if lr < cfg.final_lr:
                             lr = cfg.final_lr
-                        b = int(rng.integers(1, window + 1))
-                        lo = pos - b if pos - b > 0 else 0
-                        hi = pos + b + 1 if pos + b + 1 < length else length
                         v = syn0[center]
-                        for pos2 in range(lo, hi):
-                            if pos2 == pos:
-                                continue
-                            context = sent[pos2]
-                            if n_neg:
-                                out_idx[1:] = sampler.draw(rng, n_neg, exclude=context)
-                            out_idx[0] = context
-                            rows = syn1.take(out_idx, axis=0)
-                            score = scores[filled]
+                        for out_idx, dest_idx, score, pair_repeats in islice(pairs, n_ctx):
+                            # Every index is in range; "clip" lets take fill
+                            # rows without first copying to a buffer.
+                            syn1.take(out_idx, axis=0, out=rows, mode="clip")
                             np.matmul(rows, v, out=score)
                             e = expit(score)
                             grad = e * -lr
                             grad[0] = (1.0 - e[0]) * lr
                             dv = grad @ rows
-                            if len(set(out_idx.tolist())) == n_out:
-                                rows += grad[:, None] * v
-                                syn1[out_idx] = rows
-                            else:
-                                # A repeated row gains its updates one occurrence at a time.
-                                flat = (out_idx[:, None] * dim + columns).ravel()
-                                np.add.at(syn1_flat, flat, (grad[:, None] * v).ravel())
+                            np.multiply(grad[:, None], v, out=upd)
+                            rows += upd
+                            # A repeated row adds its update to the row as its
+                            # previous occurrence left it.
+                            for r, prev in pair_repeats:
+                                np.add(row_of[prev], upd_of[r], out=row_of[r])
+                            syn1[dest_idx] = rows
                             v += dv
-                            n_pairs += 1
-                            filled += 1
-                            if filled == _LOSS_CHUNK:
-                                loss_sum = _add_pair_losses(loss_sum, scores)
-                                filled = 0
-                loss_sum = _add_pair_losses(loss_sum, scores[:filled])
+                    loss_sum = _add_pair_losses(loss_sum, scores)
+                    n_pairs += len(out)
             mean_loss = loss_sum / n_pairs if n_pairs else 0.0
             self._check_finite(epoch)
             epoch_losses.append(mean_loss)

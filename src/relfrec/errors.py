@@ -1,11 +1,13 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes: DataError -> 2,
-NumericDivergenceError -> 3, UnknownIdError -> 4. check_integers is
-the config types' one check of their integer fields.
+NumericDivergenceError -> 3, UnknownIdError -> 4. check_integers and
+check_finite are the config types' checks of their integer and real
+fields.
 """
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 
 class RelfrecError(Exception):
@@ -37,3 +39,12 @@ def check_integers(config, **minimums):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_finite(config, *names):
+    """Raise ValueError unless each named field of config is a finite
+    real number (a bool is not)."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")

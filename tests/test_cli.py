@@ -658,6 +658,20 @@ class TestConfigObjects:
             rc = main(["train-embed", "--bundle", str(workdir / "bundle"), "--out", str(out), flag, value])
             assert rc == EXIT_INPUT and not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--ns-exponent", "nan", "ns_exponent must be a finite number, got nan"),
+        ("--ns-exponent", "inf", "ns_exponent must be a finite number, got inf"),
+        ("--ns-exponent", "-inf", "ns_exponent must be a finite number, got -inf"),
+        ("--ns-exponent", "1e6", "ns_exponent 1000000.0 gives sampling weights"),
+        ("--initial-lr", "inf", "initial_lr must be a finite number, got inf"),
+    ])
+    def test_bad_float_training_value_is_an_input_error(self, workdir, tmp_path, caplog, flag, value, message):
+        out = tmp_path / "v.txt"
+        rc = main(["train-embed", "--bundle", str(workdir / "bundle"), "--out", str(out),
+                   "--dim", "4", "--epochs", "1", f"{flag}={value}"])
+        assert rc == EXIT_INPUT and not out.exists()
+        assert message in caplog.text
+
     def test_clamp_from_a_config_file_must_be_a_bool(self, workdir, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(f"bundle = {workdir / 'bundle'}\nclamp = no\n")

@@ -1,14 +1,15 @@
 """Skip-gram training: vocabulary, sampler, gradient, persistence."""
 
+import bisect
 import dataclasses
 import io
+import logging
 import math
 import re
 
 import numpy as np
 import pytest
 
-from relfrec import embed
 from relfrec.embed import (
     NegativeSampler,
     TrainConfig,
@@ -73,32 +74,63 @@ class TestVocabulary:
             assert sorted(vocab.index.values()) == list(range(len(vocab)))
 
 
+class _CountingRng:
+    """A Generator that records the size of each ``random`` call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(int(np.prod(size)))
+        return self.rng.random(size)
+
+
 class TestNegativeSampler:
     def test_probabilities_sum_to_one(self):
         sampler = NegativeSampler(np.array([5, 1, 3, 9]), 0.75)
         assert sampler.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
         assert (sampler.probabilities > 0).all()
 
+    def test_exclude_is_resampled(self):
+        rng = np.random.default_rng(5)
+        sampler = NegativeSampler(np.array([100, 1, 5, 40]), 0.75)
+        exclude = rng.integers(0, 4, size=3000)
+        draws = sampler.draw(rng, exclude, 7)
+        assert draws.shape == (3000, 7)
+        assert (draws != exclude[:, None]).all()
+        assert sampler.draw(rng, np.array([], dtype=np.int64), 7).shape == (0, 7)
+
     def test_empirical_distribution_matches_power_law(self):
+        # A row excluding x draws token i with probability p_i / (1 - p_x).
         rng = np.random.default_rng(123)
         counts = np.arange(1, 11, dtype=np.int64) * 3
         sampler = NegativeSampler(counts, 0.75)
-        draws = sampler.draw(rng, 1_000_000)
-        empirical = np.bincount(draws, minlength=10) / 1e6
         expected = counts**0.75 / (counts**0.75).sum()
-        assert np.abs(empirical - expected).max() < 0.01
+        assert np.allclose(sampler.probabilities, expected, atol=1e-15)
+        exclude = np.arange(200_000) % 10
+        draws = sampler.draw(rng, exclude, 5)
+        for x in range(10):
+            empirical = np.bincount(draws[exclude == x].ravel(), minlength=10) / (draws.shape[1] * 20_000)
+            conditional = np.where(np.arange(10) == x, 0.0, expected / (1.0 - expected[x]))
+            assert np.abs(empirical - conditional).max() < 0.01
 
-    def test_exclude_is_resampled(self):
-        rng = np.random.default_rng(5)
+    def test_small_vocabulary_needs_several_redraw_rounds(self):
+        # Token 0 carries ~97% of the mass: most draws of a row that
+        # excludes it collide and are redrawn, round after round.
+        rng = _CountingRng(5)
         sampler = NegativeSampler(np.array([100, 1]), 0.75)
-        draws = sampler.draw(rng, 5000, exclude=0)
-        assert (draws != 0).all()
+        exclude = np.array([0, 1, 0, 0])
+        draws = sampler.draw(rng, exclude, 25)
+        assert (draws != exclude[:, None]).all()
+        assert rng.sizes[0] == 100 and len(rng.sizes) > 3
+        assert all(later <= earlier for earlier, later in zip(rng.sizes[1:], rng.sizes[2:]))
 
     def test_degenerate_vocabulary_fatal(self):
         rng = np.random.default_rng(5)
         sampler = NegativeSampler(np.array([3]), 0.75)
         with pytest.raises(DataError, match="entire sampling mass"):
-            sampler.draw(rng, 4, exclude=0)
+            sampler.draw(rng, np.array([0]), 4)
 
     def test_one_token_vocabulary_fatal_in_training(self):
         cfg = TrainConfig(window=1, dim=4, negatives=2, epochs=1, seed=1)
@@ -109,12 +141,17 @@ class TestNegativeSampler:
         # Token 1 keeps 1e-12 of the mass: every redraw hits token 0 again.
         rng = np.random.default_rng(5)
         sampler = NegativeSampler(np.array([10**12, 1]), 1.0)
-        with pytest.raises(DataError, match="1000 resampling rounds"):
-            sampler.draw(rng, 4, exclude=0)
+        with pytest.raises(DataError, match="token index 0 after 1000 resampling rounds"):
+            sampler.draw(rng, np.array([1, 0, 1]), 4)
 
     def test_zero_counts_rejected(self):
         with pytest.raises(ValueError):
             NegativeSampler(np.array([1, 0, 2]), 0.75)
+
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf, 1e6, -1e6])
+    def test_weights_that_are_not_finite_and_positive_rejected(self, exponent):
+        with pytest.raises(ValueError, match="not finite and positive"):
+            NegativeSampler(np.array([1, 3, 2]), exponent)
 
 
 class TestPairUpdate:
@@ -209,6 +246,11 @@ class TestTrainConfig:
             for value in (2.5, 1.5, 4.0, "5", True, None):
                 with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
                     TrainConfig(**{name: value})
+        for name in ("initial_lr", "final_lr", "ns_exponent"):
+            for value in (math.nan, math.inf, -math.inf, True, "0.01", None):
+                with pytest.raises(ValueError, match=re.escape(f"{name} must be a finite number, got {value!r}")):
+                    TrainConfig(**{name: value})
+        assert TrainConfig(ns_exponent=1, initial_lr=1).ns_exponent == 1
         cfg = TrainConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.window = 2
@@ -303,11 +345,13 @@ class TestTrainSkipgram:
 def replay_training(sentences, config):
     """Training re-enacted pair by pair with sgns_pair_update.
 
-    Makes the trainer's RNG calls in its order (one window draw per
-    center, one NegativeSampler.draw per pair) on the same schedule and
-    applies each pair to views of the syn0/syn1 rows. Returns (input
-    vectors, output vectors, epoch losses, pairs whose rows were all
-    distinct, pairs).
+    Makes the trainer's draws in its documented order with its own
+    code: for each sentence, one window draw for all its centers, then
+    one block of negatives for all its pairs, then rounds that redraw,
+    in row-major order, every negative equal to its pair's context. It
+    applies each pair on the same learning-rate schedule to views of the
+    syn0/syn1 rows. Returns (input vectors, output vectors, epoch
+    losses, pairs whose rows were all distinct, pairs per epoch).
     """
     vocab = build_vocabulary(sentences, config.min_count)
     encoded = [[vocab.index[t] for t in s.tokens if t in vocab.index] for s in sentences]
@@ -315,29 +359,53 @@ def replay_training(sentences, config):
     init_rng = np.random.default_rng(config.seed)
     syn0 = (init_rng.random((len(vocab), config.dim)) - 0.5) / config.dim
     syn1 = np.zeros((len(vocab), config.dim))
-    sampler = NegativeSampler(vocab.counts, config.ns_exponent)
+    cumulative = np.cumsum(vocab.counts.astype(np.float64) ** config.ns_exponent)
+    cumulative /= cumulative[-1]
+    cumulative[-1] = 1.0
+    cumulative = cumulative.tolist()
+    n_neg = config.negatives
     rng = np.random.default_rng([config.seed, 0])
     total = config.epochs * sum(len(ids) for ids in encoded)
     lr_span = config.initial_lr - config.final_lr
-    visit = distinct = pairs = 0
-    losses = []
+    visit = distinct = 0
+    losses, pairs = [], []
     for _ in range(config.epochs):
         loss_sum, n_pairs = 0.0, 0
         for sent in encoded:
-            for pos, center in enumerate(sent):
+            spans = rng.integers(1, config.window + 1, size=len(sent)).tolist()
+            sentence_pairs = []
+            for pos, b in enumerate(spans):
+                for pos2 in range(max(pos - b, 0), min(pos + b + 1, len(sent))):
+                    if pos2 != pos:
+                        sentence_pairs.append((pos, sent[pos2]))
+            draws = rng.random(len(sentence_pairs) * n_neg).tolist() if n_neg else []
+            negs = [
+                [bisect.bisect_right(cumulative, u) for u in draws[i * n_neg:(i + 1) * n_neg]]
+                for i in range(len(sentence_pairs))
+            ]
+            while True:
+                hits = [
+                    (i, j)
+                    for i, (_pos, context) in enumerate(sentence_pairs)
+                    for j in range(n_neg)
+                    if negs[i][j] == context
+                ]
+                if not hits:
+                    break
+                for (i, j), u in zip(hits, rng.random(len(hits)).tolist()):
+                    negs[i][j] = bisect.bisect_right(cumulative, u)
+            centers = [[] for _ in sent]
+            for (pos, context), row in zip(sentence_pairs, negs):
+                centers[pos].append((context, row))
+            for center, its_pairs in zip(sent, centers):
                 lr = max(config.initial_lr - lr_span * (visit / total), config.final_lr)
                 visit += 1
-                b = int(rng.integers(1, config.window + 1))
-                for pos2 in range(max(pos - b, 0), min(pos + b + 1, len(sent))):
-                    if pos2 == pos:
-                        continue
-                    context = sent[pos2]
-                    negs = sampler.draw(rng, config.negatives, exclude=context).tolist() if config.negatives else []
-                    distinct += len({context, *negs}) == len(negs) + 1
-                    loss_sum += sgns_pair_update(syn0[center], syn1[context], [syn1[n] for n in negs], lr)
+                for context, row in its_pairs:
+                    distinct += len({context, *row}) == len(row) + 1
+                    loss_sum += sgns_pair_update(syn0[center], syn1[context], [syn1[n] for n in row], lr)
                     n_pairs += 1
         losses.append(loss_sum / n_pairs)
-        pairs += n_pairs
+        pairs.append(n_pairs)
     return syn0, syn1, losses, distinct, pairs
 
 
@@ -352,14 +420,12 @@ class TestTrainingReplay:
         assert np.array_equal(table.epoch_losses, losses)
         return distinct, pairs
 
-    def test_every_pair_repeats_rows(self, monkeypatch):
-        # 26 output rows over a 20-token vocabulary always repeat some,
-        # and a small loss chunk makes the loss sum cross many chunks.
-        monkeypatch.setattr(embed, "_LOSS_CHUNK", 7)
+    def test_every_pair_repeats_rows(self):
+        # 26 output rows over a 20-token vocabulary always repeat some.
         sentences, _a, _b = synthdata.two_clique_corpus(seed=3, n_sentences=30)
         cfg = TrainConfig(window=8, dim=16, negatives=25, epochs=2, seed=4)
         distinct, pairs = self.assert_replayed(sentences, cfg)
-        assert distinct == 0 and pairs > 0
+        assert distinct == 0 and min(pairs) > 0
 
     def test_mostly_distinct_rows_at_dim_150(self):
         _ratings, _catalog, sentences = synthdata.genre_world(
@@ -367,7 +433,7 @@ class TestTrainingReplay:
         )
         cfg = TrainConfig(window=8, dim=150, negatives=5, epochs=2, seed=6)
         distinct, pairs = self.assert_replayed(sentences, cfg)
-        assert pairs > distinct > pairs // 2
+        assert sum(pairs) > distinct > sum(pairs) // 2
 
     def test_without_negatives(self):
         _ratings, _catalog, sentences = synthdata.genre_world(
@@ -375,6 +441,29 @@ class TestTrainingReplay:
         )
         cfg = TrainConfig(window=5, dim=12, negatives=0, epochs=2, seed=7)
         self.assert_replayed(sentences, cfg)
+
+    def test_one_token_sentences_have_no_pairs(self):
+        # A one-token sentence draws its window and no negatives, and
+        # its center still counts as a visit of the learning-rate schedule.
+        sentences = sentences_of(["a"], ["a", "b", "c"], ["d"], ["b", "c", "d", "a"], ["c"])
+        cfg = TrainConfig(window=2, dim=6, negatives=3, epochs=3, seed=8)
+        _distinct, pairs = self.assert_replayed(sentences, cfg)
+        assert min(pairs) > 0
+
+    def test_epoch_log_line_counts_the_replayed_pairs(self, caplog):
+        # perfbench/tracer.py reads embed.pairs_per_s from "(N pairs)" here.
+        caplog.set_level(logging.INFO, logger="relfrec.embed")
+        _ratings, _catalog, sentences = synthdata.genre_world(
+            seed=5, n_users=4, n_items=20, ratings_per_user=3
+        )
+        sentences += sentences_of(["g0_dir0"])
+        cfg = TrainConfig(window=4, dim=8, negatives=3, epochs=3, seed=9)
+        train_skipgram(sentences, cfg)
+        _syn0, _syn1, losses, _distinct, pairs = replay_training(sentences, cfg)
+        lines = [r.getMessage() for r in caplog.records if r.name == "relfrec.embed"]
+        logged = [re.fullmatch(r"epoch (\d+)/3: mean pair loss (\S+) \((\d+) pairs\)", line).groups()
+                  for line in lines]
+        assert logged == [(str(e), f"{loss:.6f}", str(n)) for e, (loss, n) in enumerate(zip(losses, pairs), 1)]
 
 
 class TestEmbeddingTable:
