@@ -20,7 +20,6 @@ Logs go to stderr, outputs to stdout or the chosen files. Exit codes:
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import logging
 import sys
@@ -78,24 +77,10 @@ def _predictor_list(text):
     return names
 
 
-def _coerce_config_value(text):
-    low = text.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    try:
-        return ast.literal_eval(text)
-    except (ValueError, SyntaxError, TypeError):
-        return text
-
-
 def load_config_file(path):
-    """Read a config file: JSON (a saved manifest) or key = value lines."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: config is not UTF-8 text: {exc}") from None
+    """Read a config file: JSON (a saved manifest) or key = value lines of flag text."""
+    with text_stream(path) as stream:
+        text = stream.read()
     if text.lstrip().startswith("{"):
         try:
             mapping = json.loads(text)
@@ -112,13 +97,13 @@ def load_config_file(path):
             key, sep, value = line.partition("=")
             if not sep:
                 raise DataError(f"{path}:{lineno}: expected 'key = value'")
-            mapping[key.strip()] = _coerce_config_value(value.strip())
+            mapping[key.strip()] = value.strip()
     return {str(key).replace("-", "_"): value for key, value in mapping.items()}
 
 
 def _option_text(value):
-    """A config value as flag text: argparse runs an option's converter
-    on string defaults only, so ``ks = 35`` must reach it as "35"."""
+    """A JSON config value as flag text: argparse runs an option's converter
+    on string defaults only, so ``"ks": 35`` must reach it as "35"."""
     if isinstance(value, (list, tuple)):
         return ",".join(map(str, value))
     return str(value)
@@ -159,7 +144,6 @@ def _add_scale(sub):
 
 
 def _add_prediction(sub):
-    sub.add_argument("--k", type=int, default=PredictionConfig.k, help="neighborhood size")
     sub.add_argument("--min-neighbors", type=int, default=PredictionConfig.min_neighbors,
                      help="fallback below this many neighbors")
     sub.add_argument("--no-clamp", dest="clamp", action="store_false", help="do not clamp predictions to the rating scale")
@@ -218,6 +202,7 @@ def build_parser():
                    help="comma-separated subset of cf,cb,hybrid (default all)")
     p.add_argument("--split", default="kfold(5)", help="kfold(F) | holdout(RATIO) | cold-start(FRACTION)")
     p.add_argument("--seed", type=int, default=1, help="split seed")
+    p.add_argument("--k", type=int, default=PredictionConfig.k, help="neighborhood size")
     _add_prediction(p)
     p.add_argument("--out-dir", help="directory for results.csv + manifest.json (required)")
     p.set_defaults(func=cmd_evaluate)
@@ -245,6 +230,7 @@ def build_parser():
     p.add_argument("--user", type=int, default=None, help="user id (with --item)")
     p.add_argument("--item", type=int, default=None, help="item id (with --user)")
     p.add_argument("--pairs", default=None, help="CSV of user,item pairs (batch mode)")
+    p.add_argument("--k", type=int, default=PredictionConfig.k, help="neighborhood size")
     _add_prediction(p)
     p.set_defaults(func=cmd_predict)
 
@@ -263,6 +249,9 @@ def build_parser():
     _add_policy(p)
     p.set_defaults(func=cmd_similar)
 
+    for sub in commands.values():
+        # Flags match exactly: as a prefix, sweep-k's `--k` would be taken for `--ks`.
+        sub.allow_abbrev = False
     parser.subcommands = commands
     return parser
 
@@ -360,6 +349,8 @@ def cmd_evaluate(args):
 
 def cmd_sweep_k(args):
     _require(args, "bundle", "out_dir", "ks")
+    # sweep_k predicts at the largest k and reads every smaller k from that ranking.
+    args.k = max(args.ks)
     return _run_grid(args, "sweep-k", args.ks, {"ks": ",".join(str(k) for k in args.ks)})
 
 
@@ -440,18 +431,23 @@ def main(argv=None):
             sub = parser.subcommands.get(command)
             if sub is None:
                 raise DataError("--config must follow a subcommand")
-            options = {action.dest for action in sub._actions}
-            unknown = sorted(mapping.keys() - options - _IGNORED_CONFIG_KEYS)
+            options = {action.dest: action for action in sub._actions}
+            unknown = sorted(mapping.keys() - options.keys() - _IGNORED_CONFIG_KEYS)
             if unknown:
                 raise DataError(f"{config_path}: {', '.join(unknown)} is no option of {command}")
-            typed = {action.dest for action in sub._actions if action.type is not None}
-            for key in sorted(mapping.keys() & {action.dest for action in sub._actions if action.nargs != 0} - typed):
-                if not isinstance(mapping[key], (str, type(None))):
-                    raise DataError(f"{config_path}: {key} must be text, got {mapping[key]!r}")
+            defaults = {}
+            for key in sorted(mapping.keys() & options.keys()):
+                value, action = mapping[key], options[key]
+                if action.nargs == 0 and isinstance(value, str):
+                    value = {"true": True, "false": False}.get(value.lower(), value)
+                elif action.type is not None:
+                    value = _option_text(value)
+                elif action.nargs != 0 and not isinstance(value, (str, type(None))):
+                    raise DataError(f"{config_path}: {key} must be text, got {value!r}")
+                defaults[key] = value
             # Config values become the subcommand's defaults, so flags
             # given on the command line still win.
-            sub.set_defaults(**{key: _option_text(value) if key in typed else value
-                                for key, value in mapping.items() if key in options})
+            sub.set_defaults(**defaults)
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -53,7 +53,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, NumericDivergenceError, check_finite, check_integers
-from .ingest import text_stream
+from .ingest import stream_name, text_stream
 
 log = logging.getLogger(__name__)
 
@@ -460,10 +460,10 @@ def load_embeddings(source):
     alone, whatever lies beside it. An input path that cannot be
     opened, malformed headers, row arity/count mismatches and
     non-finite components (nan, inf) are DataErrors, reported with the
-    file and line number. The file is decoded as strict UTF-8.
+    file and line number; so is text that is not UTF-8, with the file.
     """
     with text_stream(source) as stream:
-        tokens, vectors = _read_vector_rows(stream, getattr(stream, "name", "<stream>"))
+        tokens, vectors = _read_vector_rows(stream, stream_name(stream))
     vocab = Vocabulary(tokens=tokens, counts=np.ones(len(tokens), dtype=np.int64))
     return EmbeddingTable(vocab=vocab, input_vectors=vectors)
 

@@ -28,7 +28,7 @@ import io
 import json
 import logging
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -273,27 +273,35 @@ class CorpusBundle:
         return json.dumps(self.report, sort_keys=True)
 
 
+def stream_name(stream):
+    """The name a message gives ``stream``: its file name, or ``<stream>``."""
+    return getattr(stream, "name", "<stream>")
+
+
 @contextmanager
-def text_stream(source, mode="r", errors="strict"):
+def text_stream(source, mode="r"):
     """Yield a text stream for ``source``, a path or an open stream.
 
-    A path is opened as UTF-8 and closed on exit; writes use
+    A path is opened as strict UTF-8 and closed on exit; writes use
     ``newline=""``, so lines go out exactly as the caller writes them.
     An input path that cannot be opened is a DataError naming it. A
-    stream is yielded as is and left open.
+    stream is yielded as is and left open. Text that is not UTF-8 is a
+    DataError naming the file, whenever the caller reads it.
     """
     if not isinstance(source, (str, Path)):
-        yield source
-        return
-    if mode == "r":
+        opened = nullcontext(source)
+    elif mode == "r":
         try:
-            stream = open(source, encoding="utf-8", errors=errors)
+            opened = open(source, encoding="utf-8")
         except OSError as exc:
             raise DataError(f"cannot read {source}: {exc}") from exc
     else:
-        stream = open(source, mode, encoding="utf-8", errors=errors, newline="")
-    with stream:
-        yield stream
+        opened = open(source, mode, encoding="utf-8", newline="")
+    with opened as stream:
+        try:
+            yield stream
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{stream_name(stream)}: not UTF-8 text: {exc}") from None
 
 
 def csv_rows(lines, name):
@@ -301,8 +309,8 @@ def csv_rows(lines, name):
 
     A record the reader rejects, such as one with a field longer than
     csv.field_size_limit(), is a DataError naming the file and line.
-    Text that is not UTF-8 is a DataError naming the file: the decoder
-    reads ahead in chunks, so the failing line is not known.
+    Decoding is left to the stream: read through text_stream, text that
+    is not UTF-8 is a DataError naming the file.
     """
     reader = csv.reader(lines)
     try:
@@ -310,8 +318,6 @@ def csv_rows(lines, name):
             yield reader.line_num, row
     except csv.Error as exc:
         raise DataError(f"{name}:{reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{name}: not UTF-8 text: {exc}") from None
 
 
 def _sniff_rating_format(first_line):
@@ -328,17 +334,18 @@ def parse_ratings(source, fmt=None, scale=(1.0, 5.0)):
     ``fmt`` is "dat" (``user::item::rating::timestamp``), "csv"
     (header ``userId,movieId,rating,timestamp``), or None to sniff from
     the first line. Malformed lines are counted and skipped with a
-    warning; an unreadable stream or CSV record, zero valid records, or
-    a valid line whose id or timestamp does not fit in 64 bits is fatal.
+    warning; a source that cannot be read or is not UTF-8, a CSV record
+    the reader rejects, zero valid records, or a valid line whose id or
+    timestamp does not fit in 64 bits (naming file and line) is fatal.
 
     A ``.dat`` file whose every line has the four-field form is read in
     one strict pass into columns; any other file is parsed line by line,
     with the same result.
     """
     r_min, r_max = float(scale[0]), float(scale[1])
-    with text_stream(source, errors="replace") as stream:
+    with text_stream(source) as stream:
         lines = stream.readlines()
-        name = getattr(stream, "name", "<stream>")
+        name = stream_name(stream)
     if not lines:
         raise DataError("rating source is empty")
     if fmt is None:
@@ -347,8 +354,8 @@ def parse_ratings(source, fmt=None, scale=(1.0, 5.0)):
         raise DataError(f"unknown rating format {fmt!r}")
     read = _read_dat_columns(lines, r_min, r_max) if fmt == "dat" else None
     if read is None:
-        records, malformed = (_parse_dat_lines(lines, r_min, r_max) if fmt == "dat"
-                              else _parse_csv_lines(lines, r_min, r_max, name))
+        parse = _parse_dat_lines if fmt == "dat" else _parse_csv_lines
+        records, malformed = parse(lines, r_min, r_max, name)
         read = _record_columns(records), malformed
     columns, malformed = read
     if malformed:
@@ -390,25 +397,30 @@ def _read_dat_columns(lines, r_min, r_max):
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
-def _check_int64(rec, lineno):
-    """A parsed record whose ids and timestamp fit the int64 columns, or a DataError naming the line."""
-    for what, value in zip(("user id", "item id", None, "timestamp"), rec):
-        if what and not _INT64_MIN <= value <= _INT64_MAX:
-            raise DataError(f"rating line {lineno}: {what} {value} does not fit in 64 bits")
-    return rec
+def _collect_records(parsed, r_min, r_max, name):
+    """(records, malformed count) of ``(line number, record or None)`` pairs read from the file ``name``.
 
-
-def _parse_dat_lines(lines, r_min, r_max):
-    """The per-line ``.dat`` parser: (records, malformed count)."""
+    None, or a rating off the scale (NaN included), marks a malformed
+    line. A record whose ids or timestamp do not fit the int64 columns
+    is a DataError naming the file and line.
+    """
     records = []
     malformed = 0
-    for lineno, line in enumerate(lines, start=1):
-        rec = _parse_dat_line(line, r_min, r_max)
-        if rec is None:
+    for lineno, rec in parsed:
+        if rec is None or not r_min <= rec[2] <= r_max:
             malformed += 1
-        else:
-            records.append(_check_int64(rec, lineno))
+            continue
+        for what, value in zip(("user id", "item id", None, "timestamp"), rec):
+            if what and not _INT64_MIN <= value <= _INT64_MAX:
+                raise DataError(f"{name}:{lineno}: {what} {value} does not fit in 64 bits")
+        records.append(rec)
     return records, malformed
+
+
+def _parse_dat_lines(lines, r_min, r_max, name):
+    """The per-line ``.dat`` parser: (records, malformed count)."""
+    return _collect_records(((lineno, _parse_dat_line(line)) for lineno, line in enumerate(lines, start=1)),
+                            r_min, r_max, name)
 
 
 def _parse_csv_lines(lines, r_min, r_max, name):
@@ -422,20 +434,11 @@ def _parse_csv_lines(lines, r_min, r_max, name):
     except ValueError:
         raise DataError(f"rating CSV header missing required columns: {lines[0]!r}")
     it = header.index("timestamp") if "timestamp" in header else None
-    records = []
-    malformed = 0
-    for lineno, row in rows:
-        if not row:
-            continue
-        rec = _parse_csv_row(row, iu, ii, ir, it, r_min, r_max)
-        if rec is None:
-            malformed += 1
-        else:
-            records.append(_check_int64(rec, lineno))
-    return records, malformed
+    return _collect_records(((lineno, _parse_csv_row(row, iu, ii, ir, it)) for lineno, row in rows if row),
+                            r_min, r_max, name)
 
 
-def _parse_dat_line(line, r_min, r_max):
+def _parse_dat_line(line):
     line = line.strip()
     if not line:
         return None
@@ -449,20 +452,16 @@ def _parse_dat_line(line, r_min, r_max):
         ts = int(parts[3]) if len(parts) == 4 else 0
     except ValueError:
         return None
-    if not r_min <= rating <= r_max:
-        return None
     return (user, item, rating, ts)
 
 
-def _parse_csv_row(row, iu, ii, ir, it, r_min, r_max):
+def _parse_csv_row(row, iu, ii, ir, it):
     try:
         user = int(row[iu])
         item = int(row[ii])
         rating = float(row[ir])
         ts = int(float(row[it])) if it is not None and row[it].strip() else 0
     except (ValueError, IndexError, OverflowError):
-        return None
-    if not r_min <= rating <= r_max:
         return None
     return (user, item, rating, ts)
 
@@ -474,13 +473,14 @@ def parse_item_features(source):
     ``|``-separated, order-significant multi-value fields. Cast lists
     are truncated to the first MAX_CAST people. Duplicate item rows:
     last wins, counted. Rows with an empty or non-integer item id are
-    skipped, counted; a record the CSV reader rejects is fatal.
+    skipped, counted; a record the CSV reader rejects, or text that is
+    not UTF-8, is fatal.
     """
     entries: dict = {}
     duplicates = 0
     skipped = 0
-    with text_stream(source, errors="replace") as stream:
-        rows = csv_rows(stream, getattr(stream, "name", "<stream>"))
+    with text_stream(source) as stream:
+        rows = csv_rows(stream, stream_name(stream))
         _lineno, header = next(rows, (None, None))
         if header is None:
             raise DataError("metadata source is empty")

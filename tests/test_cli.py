@@ -68,6 +68,13 @@ def exit_code(argv):
 LONG_FIELD = "9" * (csv.field_size_limit() + 1)
 
 
+def latin1_vector_file(workdir):
+    """The CLI world's vector file with its second token spelt in latin-1."""
+    lines = (workdir / "vecs.txt").read_bytes().splitlines(keepends=True)
+    lines[2] = b"jos\xe9" + lines[2][lines[2].index(b" "):]
+    return b"".join(lines)
+
+
 def read_results(out_dir):
     with open(Path(out_dir) / "results.csv", newline="") as stream:
         return list(csv.reader(stream))
@@ -129,6 +136,26 @@ class TestIngest:
             "--out", str(tmp_path / "bundle"),
         ])
         assert rc == EXIT_INPUT
+        assert not (tmp_path / "bundle").exists()
+
+    @pytest.mark.parametrize("bad", ["r.dat", "r.csv", "f.csv"])
+    def test_not_utf8_exit_code(self, tmp_path, caplog, bad):
+        """Latin-1 bytes are an input error naming the file: decoded with
+        replacement, "José Luis" and "Josè Luis" would become one token."""
+        files = {
+            "r.dat": "1::1::4::10\n2::2::3::11\n3::\u00e9::2::12\n",
+            "r.csv": "userId,movieId,rating,timestamp\n1,1,4,10\n2,2,3,11\n3,\u00e9,2,12\n",
+            "f.csv": "itemId,directors,screenwriters,cast\n1,Jos\u00e9 Luis,,Some Actor\n2,Jos\u00e8 Luis,,Some Actor\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_bytes(text.encode("latin-1" if name == bad else "utf-8"))
+        ratings = "r.csv" if bad == "r.csv" else "r.dat"
+        rc = main([
+            "ingest", "--ratings", str(tmp_path / ratings), "--metadata", str(tmp_path / "f.csv"),
+            "--out", str(tmp_path / "bundle"),
+        ])
+        assert rc == EXIT_INPUT
+        assert f"{tmp_path / bad}: not UTF-8 text" in caplog.text
         assert not (tmp_path / "bundle").exists()
 
     def test_disjoint_ratings_and_metadata(self, tmp_path):
@@ -220,6 +247,18 @@ class TestEvaluate:
         assert rc == EXIT_INPUT
         assert not (tmp_path / "run").exists()
 
+    def test_not_utf8_embeddings_exit_code(self, workdir, tmp_path, caplog):
+        bad = tmp_path / "vecs.txt"
+        bad.write_bytes(latin1_vector_file(workdir))
+        rc = main([
+            "evaluate", "--bundle", str(workdir / "bundle"),
+            "--embeddings", str(bad), "--predictors", "cf",
+            "--out-dir", str(tmp_path / "run"),
+        ])
+        assert rc == EXIT_INPUT
+        assert f"{bad}: not UTF-8 text" in caplog.text
+        assert not (tmp_path / "run").exists()
+
     def test_repeated_predictor_exit_code(self, workdir, tmp_path):
         # Each fold would otherwise be evaluated and written twice.
         rc = main([
@@ -273,6 +312,20 @@ class TestSweepK:
         ])
         assert rc == EXIT_INPUT
         assert not (tmp_path / "run").exists()
+
+    def test_no_k_option_and_manifest_replays(self, workdir, tmp_path):
+        """sweep-k predicts at the largest of --ks, so it has no --k; its
+        manifest, which names no k, replays byte for byte."""
+        common = ["--bundle", str(workdir / "bundle"), "--predictors", "cf", "--ks", "2,10", "--split", "kfold(3)"]
+        assert exit_code(["sweep-k", *common, "--k", "5", "--out-dir", str(tmp_path / "k")]) == EXIT_INPUT
+        assert not (tmp_path / "k").exists()
+        first = tmp_path / "first"
+        assert main(["sweep-k", *common, "--out-dir", str(first)]) == EXIT_OK
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert "k" not in manifest
+        (tmp_path / "replay.json").write_text(json.dumps({**manifest, "out_dir": str(tmp_path / "replay")}))
+        assert main(["sweep-k", "--config", str(tmp_path / "replay.json")]) == EXIT_OK
+        assert (first / "results.csv").read_bytes() == (tmp_path / "replay" / "results.csv").read_bytes()
 
     def test_missing_ks(self, workdir, tmp_path):
         rc = main([
@@ -388,6 +441,14 @@ class TestSimilar:
         ])
         assert rc == EXIT_UNKNOWN_ID
 
+    def test_feature_not_utf8_embeddings(self, workdir, tmp_path, caplog, capsys):
+        bad = tmp_path / "vecs.txt"
+        bad.write_bytes(latin1_vector_file(workdir))
+        rc = main(["similar", "--feature", "g0_dir0", "--embeddings", str(bad)])
+        assert rc == EXIT_INPUT
+        assert f"{bad}: not UTF-8 text" in caplog.text
+        assert capsys.readouterr().out == ""
+
     def test_feature_requires_embeddings(self, workdir):
         rc = main(["similar", "--feature", "g0_dir0"])
         assert rc == EXIT_INPUT
@@ -497,17 +558,36 @@ class TestConfigFile:
             assert [(r[0], r[3]) for r in rows[1:]] == [("cf", "35")]
             assert (tmp_path / out / "results.csv").read_bytes() == (tmp_path / "flags" / "results.csv").read_bytes()
 
+    @pytest.mark.parametrize("command, key, text", [
+        ("sweep-k", "ks", "5,10"),
+        ("sweep-k", "ks", "(5, 10)"),
+        ("evaluate", "k", "5.0"),
+        ("evaluate", "embeddings", "123"),
+    ])
+    def test_config_value_is_flag_text(self, workdir, tmp_path, monkeypatch, command, key, text):
+        """A `key = value` line and the same text given as its flag end
+        the same way: the same exit code and the same results.csv."""
+        monkeypatch.chdir(tmp_path)
+        common = ["--bundle", str(workdir / "bundle"), "--predictors", "cf", "--split", "holdout(0.8)"]
+        (tmp_path / "run.cfg").write_text(f"{key} = {text}\n")
+        outcomes = []
+        for name, given in (("flag", [f"--{key}", text]), ("cfg", ["--config", "run.cfg"])):
+            rc = exit_code([command, *common, *given, "--out-dir", name])
+            results = tmp_path / name / "results.csv"
+            outcomes.append((rc, results.read_bytes() if results.exists() else None))
+        assert outcomes[0] == outcomes[1]
+
     def test_unconvertible_config_value(self, workdir, tmp_path):
-        for name, text in (
-            ("ks.cfg", "ks = 3.5\n"),
-            ("k.cfg", "k = 2.5\n"),
-            ("ks.json", json.dumps({"ks": [5, "x"]})),
-            ("predictors.json", json.dumps({"predictors": "cf,bogus"})),
+        for command, name, text in (
+            ("sweep-k", "ks.cfg", "ks = 3.5\n"),
+            ("evaluate", "k.cfg", "k = 2.5\n"),
+            ("sweep-k", "ks.json", json.dumps({"ks": [5, "x"]})),
+            ("sweep-k", "predictors.json", json.dumps({"predictors": "cf,bogus"})),
         ):
             cfg = tmp_path / name
             cfg.write_text(text)
             with pytest.raises(SystemExit) as err:
-                main(["sweep-k", "--config", str(cfg), "--bundle", str(workdir / "bundle"),
+                main([command, "--config", str(cfg), "--bundle", str(workdir / "bundle"),
                       "--out-dir", str(tmp_path / "run")])
             assert err.value.code == EXIT_INPUT
         assert not (tmp_path / "run").exists()
@@ -596,9 +676,9 @@ class TestConfigFile:
         ("deep.json", ['{"k": ' + "[" * 100_000 + "]" * 100_000 + "}"]),
     ])
     def test_bad_config_value_exit_code(self, workdir, tmp_path, capsys, name, lines):
-        """An undecodable file, JSON nested too deep to decode, a literal
-        Python cannot evaluate, or a non-text value for a text option is
-        an input error, not a crash."""
+        """An undecodable file, JSON nested too deep to decode, text an
+        option's conversion rejects, or a non-text JSON value for a text
+        option is an input error, not a crash."""
         cfg = tmp_path / name
         cfg.write_bytes("\n".join(lines).encode("latin-1"))
         rc = exit_code([

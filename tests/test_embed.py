@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from relfrec.embed import (
+    EmbeddingTable,
     NegativeSampler,
     TrainConfig,
     Vocabulary,
@@ -572,3 +573,84 @@ class TestPersistence:
         )
         with pytest.raises(DataError):
             save_embeddings(table, io.StringIO())
+
+
+# Texts the vector-file fuzz puts in place of one component: some parse, some do not.
+FUZZ_COMPONENTS = ["nan", "NaN", "inf", "-inf", "Infinity", "1e400", "x", "0x10", "1,5", "--1", "", "1_0", "+.5",
+                   "1E3", "-0.0", "１"]
+
+
+def vector_fuzz_inputs(seed, n_inputs):
+    """Seeded vector files: a valid save_embeddings file with up to two
+    header or row mutations, then at times CRLF line ends, a BOM or
+    bytes that are not UTF-8."""
+    rng = np.random.default_rng(seed)
+    pick = lambda options: options[int(rng.integers(len(options)))]  # noqa: E731
+    table = EmbeddingTable(
+        vocab=Vocabulary(tokens=["a", "josé", "g0_dir1", "b_c"], counts=np.ones(4, dtype=np.int64)),
+        input_vectors=rng.normal(size=(4, 3)),
+    )
+    stream = io.StringIO()
+    save_embeddings(table, stream)
+    valid = stream.getvalue().splitlines()
+    for _ in range(n_inputs):
+        header, rows, trailer = valid[0].split(), [line.split() for line in valid[1:]], ""
+        for _ in range(int(rng.integers(0, 3))):
+            row = pick(rows)
+            kind = pick(["header-cut", "header-value", "arity", "component", "duplicate", "extra-row", "blank-trailer"])
+            if kind == "header-cut":
+                header = header[:int(rng.integers(0, 2))]
+            elif kind == "header-value" and len(header) == 2:
+                header[int(rng.integers(2))] = pick(["0", "-1", "-3", "2", "5"])
+            elif kind == "arity":
+                row[1:] = row[1:-1] if rng.random() < 0.5 else [*row[1:], "0.5"]
+            elif kind == "component" and len(row) > 1:
+                row[int(rng.integers(1, len(row)))] = pick(FUZZ_COMPONENTS)
+            elif kind == "duplicate":
+                row[0] = pick(rows)[0]
+            elif kind == "extra-row":
+                rows.append(["extra", *(["0.25"] * (len(row) - 1))])
+            elif kind == "blank-trailer":
+                trailer += pick(["\n", "   \n", "\n\n"])
+        text = "".join(" ".join(line) + "\n" for line in [header, *rows]) + trailer
+        if rng.random() < 0.15:
+            text = text.replace("\n", "\r\n")
+        data = text.encode("utf-8")
+        if rng.random() < 0.1:
+            data = b"\xef\xbb\xbf" + data
+        if rng.random() < 0.12:
+            data = text.encode("latin-1") if rng.random() < 0.5 else data.replace(b"\n", b"\xff\n", 1)
+        yield data
+
+
+class TestVectorFileFuzz:
+    """Every vector file either loads or raises DataError, the same way from a path as from a stream."""
+
+    @staticmethod
+    def outcome(source, path):
+        try:
+            table = load_embeddings(source)
+        except DataError as exc:
+            return "DataError", str(exc).replace(str(path), "<stream>")
+        return table.vocab.tokens, table.input_vectors.tolist()
+
+    def test_each_file_loads_or_raises_data_error(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        outcomes = {"loaded": 0, "DataError": 0, "not UTF-8": 0}
+        for data in vector_fuzz_inputs(seed=41, n_inputs=400):
+            path.write_bytes(data)
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError:
+                with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+                    load_embeddings(path)
+                outcomes["not UTF-8"] += 1
+                continue
+            try:
+                got = self.outcome(path, path)
+            except Exception as exc:
+                pytest.fail(f"{type(exc).__name__}: {exc} on input {data!r}")
+            assert self.outcome(io.StringIO(text), path) == got, data
+            outcomes["DataError" if got[0] == "DataError" else "loaded"] += 1
+        # Each outcome occurs often.
+        assert min(outcomes.values()) > 30, outcomes

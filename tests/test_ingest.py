@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from relfrec import ingest
-from relfrec.embed import EmbeddingTable, Vocabulary, save_embeddings
+from relfrec.embed import EmbeddingTable, Vocabulary, load_embeddings, save_embeddings
 from relfrec.errors import DataError, EmptyJoinError
 from relfrec.evaluation import write_manifest, write_results_csv
 from relfrec.ingest import (
@@ -136,7 +136,7 @@ class TestParseRatings:
         ("csv", "userId,movieId,rating,timestamp\n9223372036854775808,1,3,11\n1,1,4,10\n"),
     ], ids=["dat-user", "dat-item", "dat-timestamp", "csv-user"])
     def test_value_beyond_int64_is_fatal_naming_the_line(self, fmt, text):
-        with pytest.raises(DataError, match="rating line 2: .* does not fit in 64 bits"):
+        with pytest.raises(DataError, match="^<stream>:2: .* does not fit in 64 bits"):
             parse_ratings(io.StringIO(text), fmt=fmt)
 
     def test_overlong_csv_field_is_fatal_naming_file_and_line(self, tmp_path):
@@ -196,24 +196,34 @@ class TestDatFuzz:
         return [c.tolist() for c in (ds.user, ds.item, ds.rating, ds.timestamp)], ds.n_malformed
 
     @staticmethod
-    def per_line(lines):
-        records, malformed = ingest._parse_dat_lines(lines, 1.0, 5.0)
+    def per_line(lines, name):
+        records, malformed = ingest._parse_dat_lines(lines, 1.0, 5.0, name)
         if not records:
             raise DataError("no valid rating records found")
         return [list(c) for c in zip(*records)], malformed
 
     def test_columnar_read_matches_per_line_parser(self, tmp_path):
+        """A path whose bytes are not UTF-8 is a DataError naming it; any
+        other path, and every decoded in-memory source, reads as the
+        per-line parser reads its lines."""
         path = tmp_path / "ratings.dat"
-        sources = {"fast": 0, "fallback": 0}
+        sources = {"fast": 0, "fallback": 0, "not UTF-8": 0}
         for data in fuzz_inputs(seed=23, n_inputs=300):
             path.write_bytes(data)
-            with open(path, encoding="utf-8", errors="replace") as stream:
-                file_lines = stream.readlines()
             text = data.decode("utf-8", errors="replace")
-            for source, lines in ((path, file_lines), (io.StringIO(text), io.StringIO(text).readlines())):
-                expected = self.outcome(lambda: self.per_line(lines))
-                if isinstance(source, io.StringIO):
-                    source.seek(0)
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError:
+                with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+                    parse_ratings(path, fmt="dat")
+                sources["not UTF-8"] += 1
+                routes = [(io.StringIO(text), io.StringIO(text).readlines(), "<stream>")]
+            else:
+                with open(path, encoding="utf-8") as stream:
+                    routes = [(path, stream.readlines(), str(path)),
+                              (io.StringIO(text), io.StringIO(text).readlines(), "<stream>")]
+            for source, lines, name in routes:
+                expected = self.outcome(lambda: self.per_line(lines, name))
                 assert self.outcome(lambda: self.columns(parse_ratings(source, fmt="dat"))) == expected, data
                 read = ingest._read_dat_columns(lines, 1.0, 5.0)
                 sources["fallback" if read is None else "fast"] += 1
@@ -221,8 +231,8 @@ class TestDatFuzz:
                     columns, malformed = read
                     got = [c.tolist() for c in columns], malformed
                     assert got == expected or (not columns[0].size and "no valid" in expected), data
-        # Both routes are exercised.
-        assert min(sources.values()) > 100, sources
+        # Every route is exercised.
+        assert min(sources["fast"], sources["fallback"]) > 100 and sources["not UTF-8"] > 10, sources
 
 
 # Field and header pieces of the CSV fuzz; the first header of each list is the valid one.
@@ -591,3 +601,22 @@ class TestTextStream:
             write(tmp_path / name)
             assert not stream.closed
             assert (tmp_path / name).read_bytes() == stream.getvalue().encode("utf-8"), name
+
+    @pytest.mark.parametrize("read, text", [
+        (parse_ratings, "1::1::4::10\n3::é::3::4\n2::2::3::11\n"),
+        (parse_ratings, "userId,movieId,rating,timestamp\n1,1,4,10\n3,é,3,4\n"),
+        (parse_item_features, "itemId,directors,screenwriters,cast\n1,José Luis,,\n2,Josè Luis,,\n"),
+        (load_embeddings, "2 2\njosé_luis 0.1 0.2\njosè_luis 0.3 0.4\n"),
+    ], ids=["ratings-dat", "ratings-csv", "metadata", "vectors"])
+    def test_readers_reject_text_that_is_not_utf8(self, tmp_path, read, text):
+        """Latin-1 input is a DataError naming the file, from a path or
+        an open stream; decoded with replacement, "José Luis" and "Josè
+        Luis" were one token and an undecodable rating line was skipped."""
+        path = tmp_path / "input"
+        path.write_bytes(text.encode("latin-1"))
+        with open(path, encoding="utf-8") as stream:
+            for source in (path, str(path), stream):
+                with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+                    read(source)
+        with pytest.raises(DataError, match="^<stream>: not UTF-8 text"):
+            read(io.TextIOWrapper(io.BytesIO(text.encode("latin-1")), encoding="utf-8"))
