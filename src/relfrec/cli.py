@@ -90,7 +90,7 @@ def load_config_file(path):
             raise DataError(f"{path}: JSON config must be an object")
     else:
         mapping = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

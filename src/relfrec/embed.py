@@ -16,27 +16,32 @@ total planned number of center-word visits. Input vectors start uniform
 in [-0.5/dim, +0.5/dim]; output vectors start at zero. Training runs
 on one thread, so a fixed seed gives bit-reproducible vectors.
 
-The sentence is the unit of randomness. For each epoch and sentence, in
-this order:
+Sentences are trained in rounds of 32 consecutive sentences (the last
+round of an epoch may hold fewer). For each epoch and round, in this
+order:
 
-1. one draw gives the reduced windows of all its centers;
-2. its (center, context) pairs are listed in corpus order: by center,
-   then by context position;
+1. one draw gives the reduced windows of all the round's centers;
+2. its (center, context) pairs are listed in corpus order: by
+   sentence, then by center, then by context position;
 3. one draw gives a block of negatives, one row per pair, in row-major
    order; then, in rounds over the whole block, every negative equal to
    its pair's context is redrawn, in row-major order, with one draw per
    round (at most 1000 rounds).
 
-There is no batch size: the pairs are then trained one after another,
-each exactly as sgns_pair_update would apply it to the rows of the
-input and output matrices, so the trained vectors equal that
-pair-by-pair reference bit for bit. A pair's output rows (context
-first, then negatives) gain their updates at once; where a row repeats
-(a negative drawn twice), each later occurrence instead adds its update
-to the row as its previous occurrence left it, found for the whole
-sentence by one stable sort along each pair, and only the last
-occurrence is written back. The losses are computed per sentence from
-the kept scores and added pair by pair.
+The round is then trained in lockstep. Step t trains the t-th pair of
+every sentence in the round that has one, in sentence order, and every
+pair reads the input and output rows as the previous step left them.
+A pair's scores, loss and gradient are sgns_pair_update's, and its
+center moves by the same ``grad @ rows``, so a sentence's centers still
+move pair by pair; a center that two sentences share in a step gains
+both updates, in sentence order. Each output row touched in a step
+gains, in one GEMM, the step's incoming center vectors weighted by the
+row's summed gradient in each sentence. Where every row of a step is
+distinct, this equals sgns_pair_update pair by pair, bit for bit. A row
+that repeats within a pair sums its gradients before they scale the
+center, and the GEMM sums the updates of a row that sentences share.
+Each center's learning rate comes from its visit index in corpus order,
+and the losses are added in corpus order.
 
 A table is saved as one word2vec-format text file of input vectors
 only, which is all that content similarity downstream reads.
@@ -46,7 +51,6 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from itertools import islice
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +62,8 @@ from .ingest import stream_name, text_stream
 log = logging.getLogger(__name__)
 
 _MAX_RESAMPLE_ROUNDS = 1000
+# Sentences trained side by side, one pair of each per step.
+_LOCKSTEP = 32
 
 
 @dataclass(frozen=True)
@@ -267,7 +273,7 @@ def _add_pair_losses(total, scores):
 
     Row r holds one pair's scores, context first. Each row's loss is
     computed as sgns_pair_update computes it, and the losses are added
-    one at a time, left to right, in the order the pairs were trained.
+    one at a time, left to right, in corpus order.
     """
     losses = np.logaddexp(0.0, -scores[:, 0]) + np.logaddexp(0.0, scores[:, 1:]).sum(axis=1)
     for loss in losses.tolist():
@@ -275,26 +281,67 @@ def _add_pair_losses(total, scores):
     return total
 
 
-def _repeat_plan(out, spare):
-    """Where the output rows of each pair (row of ``out``) repeat.
+def _add_in_turn(mat, index, rows):
+    """Add each ``rows[s]`` to ``mat[index[s]]`` in turn, in order of s, as np.add.at does.
 
-    Returns (repeats, dest). ``repeats[p]`` lists, as (position,
-    previous position of the same row), every occurrence of a row after
-    its first in pair p, in order along the pair. ``dest`` is ``out``
-    with every position that is not the last occurrence of its row sent
-    to the row ``spare``. A stable sort along each pair ranks equal rows
-    by position.
+    The first occurrence of every index is added as one block, then
+    each later occurrence on its own.
     """
-    order = np.argsort(out, axis=1, kind="stable")
-    ranked = np.take_along_axis(out, order, axis=1)
-    pair, j = np.nonzero(ranked[:, 1:] == ranked[:, :-1])
-    earlier = order[pair, j]
-    repeats = [[] for _ in range(len(out))]
-    for p, r, prev in zip(pair.tolist(), order[pair, j + 1].tolist(), earlier.tolist()):
-        repeats[p].append((r, prev))
-    dest = out.copy()
-    dest[pair, earlier] = spare
-    return repeats, dest
+    index_list = index.tolist()
+    first = {}
+    for s, i in enumerate(index_list):
+        first.setdefault(i, s)
+    lead = list(first.values())
+    mat[index[lead]] += rows[lead]
+    for s, i in enumerate(index_list):
+        if first[i] != s:
+            mat[i] += rows[s]
+
+
+def _train_step(syn0, syn1, centers, out, lr, work):
+    """Train one pair of each of S sentences at once; return the (S, 1 + negatives) scores.
+
+    Pair s has center row ``centers[s]`` of syn0, output rows ``out[s]``
+    of syn1 (context first, then negatives) and learning rate ``lr[s]``.
+    Every pair reads the rows as the previous step left them. Its scores
+    and gradient are sgns_pair_update's, from stacked matmuls that equal
+    the per-pair ``rows @ v`` and ``grad @ rows`` bit for bit. Each
+    center gains ``grad @ rows``; a center shared by several pairs gains
+    their updates in turn, in pair order. Each distinct output row (in
+    ascending order) gains row u of ``M @ V``, where ``M[u, s]`` sums,
+    left to right along pair s, the gradients of row u's occurrences
+    there and V stacks the incoming centers. For a row that occurs once
+    that is exactly ``grad * v``, as in sgns_pair_update.
+
+    ``work`` is scratch space of at least ``2 * out.size`` rows as wide
+    as syn1. Reusing it keeps the step's large arrays off the allocator,
+    which can otherwise hand each one back to the system and fault its
+    pages in again on the next step.
+    """
+    n, n_out = out.shape
+    v = syn0[centers]
+    # Every index is in range; "clip" lets take fill the buffer directly.
+    rows = syn1.take(out, axis=0, out=work[:out.size].reshape(n, n_out, -1), mode="clip")
+    scores = np.matmul(rows, v[:, :, None])[:, :, 0]
+    e = expit(scores)
+    grad = e * -lr[:, None]
+    grad[:, 0] = (1.0 - e[:, 0]) * lr
+    _add_in_turn(syn0, centers, np.matmul(grad[:, None, :], rows)[:, 0])
+    # The distinct output rows, ascending, and each occurrence's place among them.
+    seen = np.zeros(len(syn1), dtype=bool)
+    seen[out] = True
+    uniq = np.flatnonzero(seen)
+    where = np.empty(len(syn1), dtype=np.intp)
+    where[uniq] = np.arange(len(uniq))
+    # bincount adds its weights in input order, which is pair by pair,
+    # then along each pair.
+    sums = np.bincount(where[out].ravel() * n + np.arange(n).repeat(n_out),
+                       weights=grad.ravel(), minlength=len(uniq) * n)
+    # The rows are read; their space takes the update.
+    update = np.matmul(sums.reshape(len(uniq), n), v, out=work[:len(uniq)])
+    update += syn1.take(uniq, axis=0, out=work[out.size:out.size + len(uniq)], mode="clip")
+    syn1[uniq] = update
+    return scores
 
 
 class _Trainer:
@@ -302,38 +349,19 @@ class _Trainer:
         self.encoded = encoded
         self.config = config
         self.vocab = vocab
-        v = len(vocab)
         init_rng = np.random.default_rng(config.seed)
-        self.syn0 = (init_rng.random((v, config.dim)) - 0.5) / config.dim
-        # numpy leaves open which write wins when a fancy assignment
-        # repeats an index, so the writes of a repeated output row that a
-        # later occurrence supersedes go to one spare row past the vocabulary.
-        self._syn1_spare = np.zeros((v + 1, config.dim))
-        self.syn1 = self._syn1_spare[:v]
+        self.syn0 = (init_rng.random((len(vocab), config.dim)) - 0.5) / config.dim
+        self.syn1 = np.zeros((len(vocab), config.dim))
         self.sampler = NegativeSampler(vocab.counts, config.ns_exponent) if config.negatives else None
         self.total_visits = config.epochs * sum(len(s) for s in encoded)
+        self.work = np.empty((2 * _LOCKSTEP * (config.negatives + 1), config.dim))
 
     def run(self):
-        """Train every epoch; return the mean pair loss of each.
-
-        Each sentence draws its reduced windows, then the negatives of
-        all its pairs as one block, then plans its repeated rows. Each
-        pair is then sgns_pair_update on rows of syn0 and syn1: the
-        output rows gain grad[n] * center in turn, the center gains
-        grad @ rows, both at the incoming values.
-        """
+        """Train every epoch; return the mean pair loss of each."""
         cfg = self.config
         # Sampling draws from its own stream, apart from the init rng.
         rng = np.random.default_rng([cfg.seed, 0])
-        syn0, syn1, sampler = self.syn0, self._syn1_spare, self.sampler
-        spare = len(self.vocab)
-        window, n_neg = cfg.window, cfg.negatives
-        n_out = n_neg + 1
-        rows = np.empty((n_out, cfg.dim))
-        upd = np.empty((n_out, cfg.dim))
-        row_of, upd_of = list(rows), list(upd)
-        lr_span = cfg.initial_lr - cfg.final_lr
-        total = self.total_visits
+        rounds = [self.encoded[i:i + _LOCKSTEP] for i in range(0, len(self.encoded), _LOCKSTEP)]
         visit = 0
         epoch_losses = []
         for epoch in range(1, cfg.epochs + 1):
@@ -342,50 +370,54 @@ class _Trainer:
             # Overflow in a diverging run is caught by _check_finite at the
             # epoch boundary; the interim numpy warnings are just noise.
             with np.errstate(over="ignore", invalid="ignore"):
-                for sent in self.encoded:
-                    spans = rng.integers(1, window + 1, size=len(sent)).tolist()
-                    contexts, n_contexts = [], []
-                    for pos, b in enumerate(spans):
-                        ctx = sent[max(pos - b, 0):pos] + sent[pos + 1:pos + b + 1]
-                        contexts += ctx
-                        n_contexts.append(len(ctx))
-                    out = np.empty((len(contexts), n_out), dtype=np.int64)
-                    out[:, 0] = contexts
-                    if n_neg:
-                        out[:, 1:] = sampler.draw(rng, out[:, 0], n_neg)
-                    repeats, dest = _repeat_plan(out, spare)
-                    scores = np.empty(out.shape)
-                    pairs = zip(out, dest, scores, repeats)
-                    for center, n_ctx in zip(sent, n_contexts):
-                        lr = cfg.initial_lr - lr_span * (visit / total)
-                        visit += 1
-                        if lr < cfg.final_lr:
-                            lr = cfg.final_lr
-                        v = syn0[center]
-                        for out_idx, dest_idx, score, pair_repeats in islice(pairs, n_ctx):
-                            # Every index is in range; "clip" lets take fill
-                            # rows without first copying to a buffer.
-                            syn1.take(out_idx, axis=0, out=rows, mode="clip")
-                            np.matmul(rows, v, out=score)
-                            e = expit(score)
-                            grad = e * -lr
-                            grad[0] = (1.0 - e[0]) * lr
-                            dv = grad @ rows
-                            np.multiply(grad[:, None], v, out=upd)
-                            rows += upd
-                            # A repeated row adds its update to the row as its
-                            # previous occurrence left it.
-                            for r, prev in pair_repeats:
-                                np.add(row_of[prev], upd_of[r], out=row_of[r])
-                            syn1[dest_idx] = rows
-                            v += dv
+                for sentences in rounds:
+                    scores = self._train_round(rng, sentences, visit)
                     loss_sum = _add_pair_losses(loss_sum, scores)
-                    n_pairs += len(out)
+                    n_pairs += len(scores)
+                    visit += sum(map(len, sentences))
             mean_loss = loss_sum / n_pairs if n_pairs else 0.0
             self._check_finite(epoch)
             epoch_losses.append(mean_loss)
             log.info("epoch %d/%d: mean pair loss %.6f (%d pairs)", epoch, cfg.epochs, mean_loss, n_pairs)
         return epoch_losses
+
+    def _train_round(self, rng, sentences, visit):
+        """Draw and train one round of sentences; return its pairs' scores in corpus order.
+
+        ``visit`` is the visit index of the round's first center.
+        """
+        cfg = self.config
+        lengths = np.array([len(s) for s in sentences])
+        tokens = np.concatenate(sentences)
+        sentence = np.arange(len(sentences)).repeat(lengths)
+        pos = np.arange(len(tokens)) - (lengths.cumsum() - lengths)[sentence]
+        spans = rng.integers(1, cfg.window + 1, size=len(tokens))
+        left = np.minimum(spans, pos)
+        n_ctx = left + np.minimum(spans, lengths[sentence] - 1 - pos)
+        # Each pair's center, listed in corpus order: by center, then by context position.
+        center = np.arange(len(tokens)).repeat(n_ctx)
+        # The k-th context of a center lies k places into its window, past the center itself.
+        k = np.arange(len(center)) - (n_ctx.cumsum() - n_ctx)[center]
+        k += k >= left[center]
+        out = np.empty((len(center), cfg.negatives + 1), dtype=np.int64)
+        out[:, 0] = tokens[center - left[center] + k]
+        if cfg.negatives:
+            out[:, 1:] = self.sampler.draw(rng, out[:, 0], cfg.negatives)
+        progress = (visit + np.arange(len(tokens))) / self.total_visits
+        lr = np.maximum(cfg.initial_lr - (cfg.initial_lr - cfg.final_lr) * progress, cfg.final_lr)[center]
+        # Step t trains the t-th pair of every sentence that has one, in
+        # sentence order.
+        pairs_per = np.bincount(sentence[center], minlength=len(sentences))
+        step = np.arange(len(center)) - (pairs_per.cumsum() - pairs_per).repeat(pairs_per)
+        order = step.argsort(kind="stable")
+        bounds = np.bincount(step).cumsum().tolist()
+        centers, out, lr = tokens[center][order], out[order], lr[order]
+        scores = np.empty(out.shape)
+        a = 0
+        for b in bounds:
+            scores[order[a:b]] = _train_step(self.syn0, self.syn1, centers[a:b], out[a:b], lr[a:b], self.work)
+            a = b
+        return scores
 
     def _check_finite(self, epoch):
         for name, mat in (("input", self.syn0), ("output", self.syn1)):

@@ -282,23 +282,31 @@ def stream_name(stream):
 def text_stream(source, mode="r"):
     """Yield a text stream for ``source``, a path or an open stream.
 
-    A path is opened as strict UTF-8 and closed on exit; writes use
-    ``newline=""``, so lines go out exactly as the caller writes them.
-    An input path that cannot be opened is a DataError naming it. A
-    stream is yielded as is and left open. Text that is not UTF-8 is a
-    DataError naming the file, whenever the caller reads it.
+    Read from a path or from a stream, the same text gives the same
+    lines: a leading U+FEFF (a UTF-8 byte order mark) is dropped, and
+    LF, CR LF and a lone CR each end a line and read as LF (Python's
+    universal newlines). A path is opened as strict UTF-8 and closed on
+    exit; an input path that cannot be opened is a DataError naming it.
+    A stream to read is read whole and left open; its text is served by
+    a new stream under the given one's name. Text that is not UTF-8 is
+    a DataError naming the file, whenever the caller reads it. Writes
+    to a path use ``newline=""``, so lines go out exactly as the caller
+    writes them; a stream to write to is yielded as is and left open.
     """
     if not isinstance(source, (str, Path)):
         opened = nullcontext(source)
     elif mode == "r":
         try:
-            opened = open(source, encoding="utf-8")
+            opened = open(source, encoding="utf-8-sig")
         except OSError as exc:
             raise DataError(f"cannot read {source}: {exc}") from exc
     else:
         opened = open(source, mode, encoding="utf-8", newline="")
     with opened as stream:
         try:
+            if stream is source and mode == "r":
+                stream = io.StringIO(source.read().removeprefix("\ufeff"), newline=None)
+                stream.name = stream_name(source)
             yield stream
         except UnicodeDecodeError as exc:
             raise DataError(f"{stream_name(stream)}: not UTF-8 text: {exc}") from None
@@ -320,12 +328,12 @@ def csv_rows(lines, name):
         raise DataError(f"{name}:{reader.line_num}: {exc}") from None
 
 
-def _sniff_rating_format(first_line):
+def _sniff_rating_format(first_line, name):
     if "::" in first_line:
         return "dat"
     if "," in first_line:
         return "csv"
-    raise DataError(f"cannot detect rating file format from line: {first_line!r}")
+    raise DataError(f"{name}:1: cannot detect rating file format from line: {first_line!r}")
 
 
 def parse_ratings(source, fmt=None, scale=(1.0, 5.0)):
@@ -347,9 +355,9 @@ def parse_ratings(source, fmt=None, scale=(1.0, 5.0)):
         lines = stream.readlines()
         name = stream_name(stream)
     if not lines:
-        raise DataError("rating source is empty")
+        raise DataError(f"{name}: rating source is empty")
     if fmt is None:
-        fmt = _sniff_rating_format(lines[0])
+        fmt = _sniff_rating_format(lines[0], name)
     if fmt not in ("dat", "csv"):
         raise DataError(f"unknown rating format {fmt!r}")
     read = _read_dat_columns(lines, r_min, r_max) if fmt == "dat" else None
@@ -432,7 +440,7 @@ def _parse_csv_lines(lines, r_min, r_max, name):
         ii = header.index("movieid")
         ir = header.index("rating")
     except ValueError:
-        raise DataError(f"rating CSV header missing required columns: {lines[0]!r}")
+        raise DataError(f"{name}:1: rating CSV header missing required columns: {lines[0]!r}")
     it = header.index("timestamp") if "timestamp" in header else None
     return _collect_records(((lineno, _parse_csv_row(row, iu, ii, ir, it)) for lineno, row in rows if row),
                             r_min, r_max, name)
@@ -480,10 +488,11 @@ def parse_item_features(source):
     duplicates = 0
     skipped = 0
     with text_stream(source) as stream:
-        rows = csv_rows(stream, stream_name(stream))
-        _lineno, header = next(rows, (None, None))
+        name = stream_name(stream)
+        rows = csv_rows(stream, name)
+        lineno, header = next(rows, (None, None))
         if header is None:
-            raise DataError("metadata source is empty")
+            raise DataError(f"{name}: metadata source is empty")
         header = [h.strip().lower() for h in header]
         try:
             ii = header.index("itemid")
@@ -491,7 +500,7 @@ def parse_item_features(source):
             iwri = header.index("screenwriters")
             icast = header.index("cast")
         except ValueError:
-            raise DataError(f"metadata CSV header missing required columns: {header}")
+            raise DataError(f"{name}:{lineno}: metadata CSV header missing required columns: {header}")
         for _lineno, row in rows:
             if not row:
                 continue

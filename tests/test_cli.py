@@ -138,6 +138,41 @@ class TestIngest:
         assert rc == EXIT_INPUT
         assert not (tmp_path / "bundle").exists()
 
+    @pytest.mark.parametrize("bad, text, message", [
+        ("r.csv", "\ufeffuserId,itemId,rating\n1,1,4\n", "r.csv:1: rating CSV header missing required columns"),
+        ("f.csv", "\ufeffitemId,directors,cast\n1,Some Director,Some Actor\n",
+         "f.csv:1: metadata CSV header missing required columns"),
+        ("r.csv", "\ufeff1 1 4 10\n", "r.csv:1: cannot detect rating file format"),
+    ], ids=["ratings-header", "metadata-header", "sniff"])
+    def test_header_error_exit_code(self, tmp_path, caplog, bad, text, message):
+        files = {
+            "r.csv": "\ufeffuserId,movieId,rating,timestamp\n1,1,4,10\n",
+            "f.csv": "\ufeffitemId,directors,screenwriters,cast\n1,Some Director,,Some Actor\n",
+        }
+        files[bad] = text
+        for name, content in files.items():
+            (tmp_path / name).write_text(content, encoding="utf-8")
+        rc = main([
+            "ingest", "--ratings", str(tmp_path / "r.csv"), "--metadata", str(tmp_path / "f.csv"),
+            "--out", str(tmp_path / "bundle"),
+        ])
+        assert rc == EXIT_INPUT
+        assert f"{tmp_path / message}" in caplog.text
+        assert not (tmp_path / "bundle").exists()
+
+    def test_byte_order_marks_are_dropped(self, tmp_path):
+        (tmp_path / "r.csv").write_text("\ufeffuserId,movieId,rating,timestamp\r1,1,4,10\r\n", encoding="utf-8")
+        (tmp_path / "f.csv").write_text("\ufeffitemId,directors,screenwriters,cast\n1,Some Director,,Some Actor\n",
+                                        encoding="utf-8")
+        rc = main([
+            "ingest", "--ratings", str(tmp_path / "r.csv"), "--metadata", str(tmp_path / "f.csv"),
+            "--out", str(tmp_path / "bundle"),
+        ])
+        assert rc == EXIT_OK
+        bundle, _catalog = load_bundle(tmp_path / "bundle")
+        assert bundle.ratings.records == [(1, 1, 4.0, 10)]
+        assert bundle.sentences[0].tokens == ("some_director", "some_actor")
+
     @pytest.mark.parametrize("bad", ["r.dat", "r.csv", "f.csv"])
     def test_not_utf8_exit_code(self, tmp_path, caplog, bad):
         """Latin-1 bytes are an input error naming the file: decoded with
@@ -694,6 +729,13 @@ class TestConfigFile:
         cfg.write_text("this line has no equals sign\n")
         rc = main(["evaluate", "--config", str(cfg)])
         assert rc == EXIT_INPUT
+
+    def test_config_lines_end_where_every_input_file_ends_them(self, tmp_path, capsys):
+        # A form feed or U+2028 ends no line; a lone CR does.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes("# page one\x0c k = 2\u2028 k = 3\rno equals sign\n".encode())
+        assert main(["evaluate", "--config", str(cfg)]) == EXIT_INPUT
+        assert f"{cfg}:2: expected 'key = value'" in capsys.readouterr().err
 
 
 class TestHelp:

@@ -9,12 +9,14 @@ import re
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from relfrec.embed import (
     EmbeddingTable,
     NegativeSampler,
     TrainConfig,
     Vocabulary,
+    _train_step,
     build_vocabulary,
     load_embeddings,
     save_embeddings,
@@ -343,16 +345,27 @@ class TestTrainSkipgram:
         assert (intra_a + intra_b) / 2 > inter
 
 
+# Sentences per training round, as the embed module documents it.
+LOCKSTEP = 32
+
+
 def replay_training(sentences, config):
-    """Training re-enacted pair by pair with sgns_pair_update.
+    """Training re-enacted from its documented schedule, one pair at a time.
 
     Makes the trainer's draws in its documented order with its own
-    code: for each sentence, one window draw for all its centers, then
-    one block of negatives for all its pairs, then rounds that redraw,
-    in row-major order, every negative equal to its pair's context. It
-    applies each pair on the same learning-rate schedule to views of the
-    syn0/syn1 rows. Returns (input vectors, output vectors, epoch
-    losses, pairs whose rows were all distinct, pairs per epoch).
+    code: for each round of LOCKSTEP sentences, one window draw for
+    all its centers, then one block of negatives for all its pairs in
+    corpus order, then rounds that redraw, in row-major order, every
+    negative equal to its pair's context. Step t then trains the t-th
+    pair of every sentence of the round that has one, reading the rows
+    the previous step left. Each pair takes the per-pair ``rows @ v``,
+    loss and gradient of sgns_pair_update and moves its center by
+    ``grad @ rows`` in turn. Each output row gains its row of ``M @ V``:
+    M sums, as Python floats, the row's gradients in each sentence, and
+    V stacks the step's incoming centers. Returns (input vectors,
+    output vectors, epoch losses, counts, pairs per epoch); counts has
+    the pairs whose rows were all distinct, and the output rows and
+    centers that a step shared between sentences.
     """
     vocab = build_vocabulary(sentences, config.min_count)
     encoded = [[vocab.index[t] for t in s.tokens if t in vocab.index] for s in sentences]
@@ -368,26 +381,32 @@ def replay_training(sentences, config):
     rng = np.random.default_rng([config.seed, 0])
     total = config.epochs * sum(len(ids) for ids in encoded)
     lr_span = config.initial_lr - config.final_lr
-    visit = distinct = 0
+    visit = 0
+    counts = {"distinct pairs": 0, "shared rows": 0, "shared centers": 0}
     losses, pairs = [], []
     for _ in range(config.epochs):
         loss_sum, n_pairs = 0.0, 0
-        for sent in encoded:
-            spans = rng.integers(1, config.window + 1, size=len(sent)).tolist()
-            sentence_pairs = []
-            for pos, b in enumerate(spans):
-                for pos2 in range(max(pos - b, 0), min(pos + b + 1, len(sent))):
-                    if pos2 != pos:
-                        sentence_pairs.append((pos, sent[pos2]))
-            draws = rng.random(len(sentence_pairs) * n_neg).tolist() if n_neg else []
+        for start in range(0, len(encoded), LOCKSTEP):
+            batch = encoded[start:start + LOCKSTEP]
+            spans = iter(rng.integers(1, config.window + 1, size=sum(map(len, batch))).tolist())
+            round_pairs = []  # (sentence, center, lr, context), in corpus order
+            for s, sent in enumerate(batch):
+                for pos, center in enumerate(sent):
+                    b = next(spans)
+                    lr = max(config.initial_lr - lr_span * (visit / total), config.final_lr)
+                    visit += 1
+                    for pos2 in range(max(pos - b, 0), min(pos + b + 1, len(sent))):
+                        if pos2 != pos:
+                            round_pairs.append((s, center, lr, sent[pos2]))
+            draws = rng.random(len(round_pairs) * n_neg).tolist() if n_neg else []
             negs = [
                 [bisect.bisect_right(cumulative, u) for u in draws[i * n_neg:(i + 1) * n_neg]]
-                for i in range(len(sentence_pairs))
+                for i in range(len(round_pairs))
             ]
             while True:
                 hits = [
                     (i, j)
-                    for i, (_pos, context) in enumerate(sentence_pairs)
+                    for i, (_s, _center, _lr, context) in enumerate(round_pairs)
                     for j in range(n_neg)
                     if negs[i][j] == context
                 ]
@@ -395,60 +414,86 @@ def replay_training(sentences, config):
                     break
                 for (i, j), u in zip(hits, rng.random(len(hits)).tolist()):
                     negs[i][j] = bisect.bisect_right(cumulative, u)
-            centers = [[] for _ in sent]
-            for (pos, context), row in zip(sentence_pairs, negs):
-                centers[pos].append((context, row))
-            for center, its_pairs in zip(sent, centers):
-                lr = max(config.initial_lr - lr_span * (visit / total), config.final_lr)
-                visit += 1
-                for context, row in its_pairs:
-                    distinct += len({context, *row}) == len(row) + 1
-                    loss_sum += sgns_pair_update(syn0[center], syn1[context], [syn1[n] for n in row], lr)
-                    n_pairs += 1
+            queues = [[] for _ in batch]
+            for i, ((s, center, lr, context), row) in enumerate(zip(round_pairs, negs)):
+                queues[s].append((i, center, lr, [context] + row))
+            pair_losses = [None] * len(round_pairs)
+            for t in range(max(map(len, queues))):
+                step = [queue[t] for queue in queues if t < len(queue)]
+                incoming = np.array([syn0[center] for _i, center, _lr, _outs in step])
+                sums = {}  # output row -> {sentence column: gradient sum}
+                for col, ((i, center, lr, outs), v) in enumerate(zip(step, incoming)):
+                    rows = syn1[outs]
+                    scores = rows @ v
+                    pair_losses[i] = float(np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum())
+                    grad = -expit(scores)
+                    grad[0] += 1.0
+                    grad *= lr
+                    syn0[center] += grad @ rows
+                    counts["distinct pairs"] += len(set(outs)) == len(outs)
+                    for row, g in zip(outs, grad.tolist()):
+                        cell = sums.setdefault(row, {})
+                        cell[col] = cell.get(col, 0.0) + g
+                counts["shared centers"] += len(step) - len({center for _i, center, _lr, _outs in step})
+                touched = sorted(sums)
+                m = np.zeros((len(touched), len(step)))
+                for u, row in enumerate(touched):
+                    for col, g in sums[row].items():
+                        m[u, col] = g
+                    counts["shared rows"] += len(sums[row]) > 1
+                syn1[touched] += m @ incoming
+            for loss in pair_losses:
+                loss_sum += loss
+            n_pairs += len(round_pairs)
         losses.append(loss_sum / n_pairs)
         pairs.append(n_pairs)
-    return syn0, syn1, losses, distinct, pairs
+    return syn0, syn1, losses, counts, pairs
 
 
 class TestTrainingReplay:
-    """train_skipgram equals pair-by-pair sgns_pair_update bit for bit."""
+    """train_skipgram equals an independent replay of its lockstep schedule bit for bit."""
 
     def assert_replayed(self, sentences, config):
         table = train_skipgram(sentences, config)
-        syn0, syn1, losses, distinct, pairs = replay_training(sentences, config)
+        syn0, syn1, losses, counts, pairs = replay_training(sentences, config)
         assert np.array_equal(table.input_vectors, syn0)
         assert np.array_equal(table.output_vectors, syn1)
         assert np.array_equal(table.epoch_losses, losses)
-        return distinct, pairs
+        return counts, pairs
 
     def test_every_pair_repeats_rows(self):
-        # 26 output rows over a 20-token vocabulary always repeat some.
+        # 26 output rows over a 20-token vocabulary always repeat some,
+        # and the 30 sentences of one round share rows and centers.
         sentences, _a, _b = synthdata.two_clique_corpus(seed=3, n_sentences=30)
         cfg = TrainConfig(window=8, dim=16, negatives=25, epochs=2, seed=4)
-        distinct, pairs = self.assert_replayed(sentences, cfg)
-        assert distinct == 0 and min(pairs) > 0
+        counts, pairs = self.assert_replayed(sentences, cfg)
+        assert counts["distinct pairs"] == 0 and min(pairs) > 0
+        assert counts["shared rows"] > 0 and counts["shared centers"] > 0
 
     def test_mostly_distinct_rows_at_dim_150(self):
+        # 40 sentences: a round of 32, then a round of 8.
         _ratings, _catalog, sentences = synthdata.genre_world(
             seed=5, n_users=4, n_items=40, ratings_per_user=3
         )
         cfg = TrainConfig(window=8, dim=150, negatives=5, epochs=2, seed=6)
-        distinct, pairs = self.assert_replayed(sentences, cfg)
-        assert sum(pairs) > distinct > sum(pairs) // 2
+        counts, pairs = self.assert_replayed(sentences, cfg)
+        assert sum(pairs) > counts["distinct pairs"] > sum(pairs) // 2
 
     def test_without_negatives(self):
         _ratings, _catalog, sentences = synthdata.genre_world(
             seed=5, n_users=4, n_items=20, ratings_per_user=3
         )
         cfg = TrainConfig(window=5, dim=12, negatives=0, epochs=2, seed=7)
-        self.assert_replayed(sentences, cfg)
+        counts, _pairs = self.assert_replayed(sentences, cfg)
+        assert counts["shared rows"] > 0
 
     def test_one_token_sentences_have_no_pairs(self):
         # A one-token sentence draws its window and no negatives, and
-        # its center still counts as a visit of the learning-rate schedule.
-        sentences = sentences_of(["a"], ["a", "b", "c"], ["d"], ["b", "c", "d", "a"], ["c"])
+        # its center still counts as a visit of the learning-rate
+        # schedule; the first round of 32 has no pair at all.
+        sentences = sentences_of(*[["a"]] * 32, ["a"], ["a", "b", "c"], ["d"], ["b", "c", "d", "a"], ["c"])
         cfg = TrainConfig(window=2, dim=6, negatives=3, epochs=3, seed=8)
-        _distinct, pairs = self.assert_replayed(sentences, cfg)
+        _counts, pairs = self.assert_replayed(sentences, cfg)
         assert min(pairs) > 0
 
     def test_epoch_log_line_counts_the_replayed_pairs(self, caplog):
@@ -460,11 +505,69 @@ class TestTrainingReplay:
         sentences += sentences_of(["g0_dir0"])
         cfg = TrainConfig(window=4, dim=8, negatives=3, epochs=3, seed=9)
         train_skipgram(sentences, cfg)
-        _syn0, _syn1, losses, _distinct, pairs = replay_training(sentences, cfg)
+        _syn0, _syn1, losses, _counts, pairs = replay_training(sentences, cfg)
         lines = [r.getMessage() for r in caplog.records if r.name == "relfrec.embed"]
         logged = [re.fullmatch(r"epoch (\d+)/3: mean pair loss (\S+) \((\d+) pairs\)", line).groups()
                   for line in lines]
         assert logged == [(str(e), f"{loss:.6f}", str(n)) for e, (loss, n) in enumerate(zip(losses, pairs), 1)]
+
+
+class TestTrainStep:
+    """One lockstep step on its own, against sgns_pair_update."""
+
+    @staticmethod
+    def matrices(seed, n_rows=16, dim=7):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(n_rows, dim)), rng.normal(size=(n_rows, dim)) * 0.3
+
+    @pytest.mark.parametrize("negatives", [0, 3])
+    def test_distinct_rows_equal_sequential_pair_updates(self, negatives):
+        syn0, syn1 = self.matrices(1)
+        centers = np.array([4, 0, 9])
+        out = np.arange(3 * (negatives + 1)).reshape(3, negatives + 1)[::-1].copy()
+        lr = np.array([0.025, 0.5, 0.1])
+        ref0, ref1 = syn0.copy(), syn1.copy()
+        ref_losses = [
+            sgns_pair_update(ref0[c], ref1[o[0]], [ref1[n] for n in o[1:]], rate)
+            for c, o, rate in zip(centers, out, lr)
+        ]
+        scores = _train_step(syn0, syn1, centers, out, lr, np.empty((2 * out.size, syn1.shape[1])))
+        losses = np.logaddexp(0.0, -scores[:, 0]) + np.logaddexp(0.0, scores[:, 1:]).sum(axis=1)
+        assert np.array_equal(syn0, ref0)
+        assert np.array_equal(syn1, ref1)
+        assert losses.tolist() == ref_losses
+
+    def test_shared_center_and_output_row_sum_their_updates(self):
+        syn0, syn1 = self.matrices(2)
+        # Center 3 and output row 5 serve both pairs; row 6 repeats within
+        # the first pair, row 8 occurs once.
+        centers = np.array([3, 3])
+        out = np.array([[5, 6, 6], [5, 7, 8]])
+        lr = np.array([0.2, 0.3])
+        v = syn0[3].copy()
+        grads, updates = [], []
+        for o, rate in zip(out, lr):
+            rows = syn1[o]
+            grad = -expit(rows @ v)
+            grad[0] += 1.0
+            grad *= rate
+            grads.append(grad)
+            updates.append(grad @ rows)
+        runs = []
+        for _ in range(2):
+            s0, s1 = syn0.copy(), syn1.copy()
+            _train_step(s0, s1, centers, out, lr, np.empty((2 * out.size, syn1.shape[1])))
+            runs.append((s0, s1))
+        (s0, s1), (again0, again1) = runs
+        assert np.array_equal(s0, again0) and np.array_equal(s1, again1)
+        assert np.array_equal(s0[3], (v + updates[0]) + updates[1])
+        np.testing.assert_allclose(s1[5], syn1[5] + (grads[0][0] + grads[1][0]) * v, rtol=1e-13)
+        assert np.array_equal(s1[6], syn1[6] + (grads[0][1] + grads[0][2]) * v)
+        assert np.array_equal(s1[8], syn1[8] + grads[1][2] * v)
+        untouched = np.setdiff1d(np.arange(len(syn0)), [3])
+        assert np.array_equal(s0[untouched], syn0[untouched])
+        untouched = np.setdiff1d(np.arange(len(syn1)), [5, 6, 7, 8])
+        assert np.array_equal(s1[untouched], syn1[untouched])
 
 
 class TestEmbeddingTable:

@@ -153,6 +153,59 @@ class TestParseRatings:
 # One field longer than the csv module accepts.
 LONG_FIELD = "x" * (csv.field_size_limit() + 1)
 
+def rating_columns(ds):
+    return [c.tolist() for c in (ds.user, ds.item, ds.rating, ds.timestamp)], ds.n_malformed
+
+
+def catalog_contents(catalog):
+    return catalog.entries, catalog.n_dropped_duplicates, catalog.n_skipped_rows
+
+
+class TestOneReadingRule:
+    """The same bytes read the same from a path and from a stream of their text."""
+
+    @staticmethod
+    def both_routes(tmp_path, data, parse, name="input"):
+        path = tmp_path / name
+        path.write_bytes(data)
+        return parse(path), parse(io.StringIO(data.decode("utf-8")))
+
+    @pytest.mark.parametrize("data, parse, expected", [
+        (b"1::2::3::4\r5::6::3::7\n", lambda s: rating_columns(parse_ratings(s)),
+         ([[1, 5], [2, 6], [3.0, 3.0], [4, 7]], 0)),
+        (b"userId,movieId,rating,timestamp\r1,2,3,4\r5,6,3,7", lambda s: rating_columns(parse_ratings(s)),
+         ([[1, 5], [2, 6], [3.0, 3.0], [4, 7]], 0)),
+        (b"itemId,directors,screenwriters,cast\r1,A B,,C\r\n2,D,E,\"F|G\"\r",
+         lambda s: catalog_contents(parse_item_features(s)),
+         ({1: CatalogEntry(["a_b"], [], ["c"]), 2: CatalogEntry(["d"], ["e"], ["f", "g"])}, 0, 0)),
+    ], ids=["dat", "ratings-csv", "metadata-csv"])
+    def test_lone_carriage_return_ends_a_line(self, tmp_path, data, parse, expected):
+        assert self.both_routes(tmp_path, data, parse) == (expected, expected)
+
+    @pytest.mark.parametrize("data, parse", [
+        (b"1::2::3::4\n5::6::3::7\n", lambda s: rating_columns(parse_ratings(s))),
+        (b"userId,movieId,rating,timestamp\n1,2,3,4\n", lambda s: rating_columns(parse_ratings(s))),
+        (b"itemId,directors,screenwriters,cast\n1,A,,C\n", lambda s: catalog_contents(parse_item_features(s))),
+    ], ids=["dat", "ratings-csv", "metadata-csv"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, data, parse):
+        plain = parse(io.StringIO(data.decode("utf-8")))
+        assert self.both_routes(tmp_path, b"\xef\xbb\xbf" + data, parse) == (plain, plain)
+
+    @pytest.mark.parametrize("data, parse, message", [
+        (b"userId,itemId,rating\n1,2,3\n", parse_ratings, "1: rating CSV header missing required columns"),
+        (b"\xef\xbb\xbfitemId;directors;screenwriters;cast\n", parse_item_features,
+         "1: metadata CSV header missing required columns"),
+        (b"1 2 3 4\n", parse_ratings, "1: cannot detect rating file format"),
+        (b"\xef\xbb\xbf", parse_ratings, " rating source is empty"),
+    ], ids=["ratings-header", "metadata-header", "sniff", "empty"])
+    def test_header_errors_name_the_file(self, tmp_path, data, parse, message):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        for source, name in ((path, str(path)), (io.StringIO(data.decode("utf-8")), "<stream>")):
+            with pytest.raises(DataError, match=f"^{re.escape(name)}:{message}"):
+                parse(source)
+
+
 # One-line variants the .dat fuzz mixes into well-formed files.
 FUZZ_LINES = [
     b"\n", b"   \n", b"# 1::2::3::4\n", b"#1::2::3::4\n",
@@ -192,10 +245,6 @@ class TestDatFuzz:
             return f"DataError: {exc}"
 
     @staticmethod
-    def columns(ds):
-        return [c.tolist() for c in (ds.user, ds.item, ds.rating, ds.timestamp)], ds.n_malformed
-
-    @staticmethod
     def per_line(lines, name):
         records, malformed = ingest._parse_dat_lines(lines, 1.0, 5.0, name)
         if not records:
@@ -205,26 +254,27 @@ class TestDatFuzz:
     def test_columnar_read_matches_per_line_parser(self, tmp_path):
         """A path whose bytes are not UTF-8 is a DataError naming it; any
         other path, and every decoded in-memory source, reads as the
-        per-line parser reads its lines."""
+        per-line parser reads the file's lines, split as Python's
+        universal newlines split them."""
         path = tmp_path / "ratings.dat"
         sources = {"fast": 0, "fallback": 0, "not UTF-8": 0}
         for data in fuzz_inputs(seed=23, n_inputs=300):
             path.write_bytes(data)
             text = data.decode("utf-8", errors="replace")
+            with open(path, encoding="utf-8", errors="replace") as stream:
+                lines = stream.readlines()
             try:
                 data.decode("utf-8")
             except UnicodeDecodeError:
                 with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
                     parse_ratings(path, fmt="dat")
                 sources["not UTF-8"] += 1
-                routes = [(io.StringIO(text), io.StringIO(text).readlines(), "<stream>")]
+                routes = [(io.StringIO(text), "<stream>")]
             else:
-                with open(path, encoding="utf-8") as stream:
-                    routes = [(path, stream.readlines(), str(path)),
-                              (io.StringIO(text), io.StringIO(text).readlines(), "<stream>")]
-            for source, lines, name in routes:
+                routes = [(path, str(path)), (io.StringIO(text), "<stream>")]
+            for source, name in routes:
                 expected = self.outcome(lambda: self.per_line(lines, name))
-                assert self.outcome(lambda: self.columns(parse_ratings(source, fmt="dat"))) == expected, data
+                assert self.outcome(lambda: rating_columns(parse_ratings(source, fmt="dat"))) == expected, data
                 read = ingest._read_dat_columns(lines, 1.0, 5.0)
                 sources["fallback" if read is None else "fast"] += 1
                 if read is not None:
@@ -271,7 +321,8 @@ def csv_fuzz_inputs(seed, n_inputs, headers, fields):
 
 
 class TestCsvFuzz:
-    """Every ratings or metadata CSV either parses or raises DataError."""
+    """Every ratings or metadata CSV either parses or raises DataError;
+    UTF-8 bytes read the same from a path as from a stream of their text."""
 
     @staticmethod
     def check(parse, inputs, tmp_path):
@@ -279,24 +330,28 @@ class TestCsvFuzz:
         outcomes = {"parsed": 0, "DataError": 0}
         for data in inputs:
             path.write_bytes(data)
+            got = []
             for source in (path, io.StringIO(data.decode("utf-8", errors="replace"))):
                 try:
-                    parse(source)
+                    got.append(parse(source))
                     outcomes["parsed"] += 1
-                except DataError:
+                except DataError as exc:
+                    got.append(str(exc).replace(str(path), "<stream>"))
                     outcomes["DataError"] += 1
                 except Exception as exc:
                     pytest.fail(f"{type(exc).__name__}: {exc} on input {data[:300]!r}")
+            if data.decode("utf-8", errors="replace").encode() == data:
+                assert got[0] == got[1], data[:300]
         # Both outcomes occur.
         assert min(outcomes.values()) > 100, outcomes
 
     def test_ratings_csv(self, tmp_path):
         inputs = csv_fuzz_inputs(31, 400, RATING_CSV_HEADERS, RATING_CSV_FIELDS)
-        self.check(lambda source: parse_ratings(source, fmt="csv"), inputs, tmp_path)
+        self.check(lambda source: rating_columns(parse_ratings(source, fmt="csv")), inputs, tmp_path)
 
     def test_metadata_csv(self, tmp_path):
         inputs = csv_fuzz_inputs(37, 400, METADATA_CSV_HEADERS, METADATA_CSV_FIELDS)
-        self.check(parse_item_features, inputs, tmp_path)
+        self.check(lambda source: catalog_contents(parse_item_features(source)), inputs, tmp_path)
 
 
 class TestRatingDataset:
