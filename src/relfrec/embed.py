@@ -116,6 +116,14 @@ class Vocabulary:
     def __contains__(self, token):
         return token in self.index
 
+    def encode(self, sentences):
+        """(indices, counts): every sentence's in-vocabulary token indices
+        as one int64 array in corpus order, and how many each sentence has."""
+        indices = np.fromiter((self.index.get(t, -1) for s in sentences for t in s.tokens), dtype=np.int64)
+        sentence = np.arange(len(sentences)).repeat([len(s.tokens) for s in sentences])
+        known = indices >= 0
+        return indices[known], np.bincount(sentence[known], minlength=len(sentences))
+
 
 def build_vocabulary(sentences, min_count=1):
     """Count tokens across sentences and keep those with count >= min_count."""
@@ -345,15 +353,15 @@ def _train_step(syn0, syn1, centers, out, lr, work):
 
 
 class _Trainer:
-    def __init__(self, encoded, config, vocab):
-        self.encoded = encoded
+    def __init__(self, tokens, lengths, config, vocab):
+        self.tokens, self.lengths = tokens, lengths
         self.config = config
         self.vocab = vocab
         init_rng = np.random.default_rng(config.seed)
         self.syn0 = (init_rng.random((len(vocab), config.dim)) - 0.5) / config.dim
         self.syn1 = np.zeros((len(vocab), config.dim))
         self.sampler = NegativeSampler(vocab.counts, config.ns_exponent) if config.negatives else None
-        self.total_visits = config.epochs * sum(len(s) for s in encoded)
+        self.total_visits = config.epochs * len(tokens)
         self.work = np.empty((2 * _LOCKSTEP * (config.negatives + 1), config.dim))
 
     def run(self):
@@ -361,7 +369,9 @@ class _Trainer:
         cfg = self.config
         # Sampling draws from its own stream, apart from the init rng.
         rng = np.random.default_rng([cfg.seed, 0])
-        rounds = [self.encoded[i:i + _LOCKSTEP] for i in range(0, len(self.encoded), _LOCKSTEP)]
+        # Each round's tokens, back to back, and its sentences' lengths.
+        cuts = np.arange(_LOCKSTEP, len(self.lengths), _LOCKSTEP)
+        rounds = list(zip(np.split(self.tokens, self.lengths.cumsum()[cuts - 1]), np.split(self.lengths, cuts)))
         visit = 0
         epoch_losses = []
         for epoch in range(1, cfg.epochs + 1):
@@ -370,26 +380,24 @@ class _Trainer:
             # Overflow in a diverging run is caught by _check_finite at the
             # epoch boundary; the interim numpy warnings are just noise.
             with np.errstate(over="ignore", invalid="ignore"):
-                for sentences in rounds:
-                    scores = self._train_round(rng, sentences, visit)
+                for tokens, lengths in rounds:
+                    scores = self._train_round(rng, tokens, lengths, visit)
                     loss_sum = _add_pair_losses(loss_sum, scores)
                     n_pairs += len(scores)
-                    visit += sum(map(len, sentences))
+                    visit += len(tokens)
             mean_loss = loss_sum / n_pairs if n_pairs else 0.0
             self._check_finite(epoch)
             epoch_losses.append(mean_loss)
             log.info("epoch %d/%d: mean pair loss %.6f (%d pairs)", epoch, cfg.epochs, mean_loss, n_pairs)
         return epoch_losses
 
-    def _train_round(self, rng, sentences, visit):
+    def _train_round(self, rng, tokens, lengths, visit):
         """Draw and train one round of sentences; return its pairs' scores in corpus order.
 
         ``visit`` is the visit index of the round's first center.
         """
         cfg = self.config
-        lengths = np.array([len(s) for s in sentences])
-        tokens = np.concatenate(sentences)
-        sentence = np.arange(len(sentences)).repeat(lengths)
+        sentence = np.arange(len(lengths)).repeat(lengths)
         pos = np.arange(len(tokens)) - (lengths.cumsum() - lengths)[sentence]
         spans = rng.integers(1, cfg.window + 1, size=len(tokens))
         left = np.minimum(spans, pos)
@@ -407,7 +415,7 @@ class _Trainer:
         lr = np.maximum(cfg.initial_lr - (cfg.initial_lr - cfg.final_lr) * progress, cfg.final_lr)[center]
         # Step t trains the t-th pair of every sentence that has one, in
         # sentence order.
-        pairs_per = np.bincount(sentence[center], minlength=len(sentences))
+        pairs_per = np.bincount(sentence[center], minlength=len(lengths))
         step = np.arange(len(center)) - (pairs_per.cumsum() - pairs_per).repeat(pairs_per)
         order = step.argsort(kind="stable")
         bounds = np.bincount(step).cumsum().tolist()
@@ -438,14 +446,10 @@ def train_skipgram(sentences, config=None):
     """
     config = config or TrainConfig()
     vocab = build_vocabulary(sentences, config.min_count)
-    encoded = []
-    for sent in sentences:
-        ids = [vocab.index[t] for t in sent.tokens if t in vocab.index]
-        if ids:
-            encoded.append(ids)
-    if not encoded:
+    tokens, counts = vocab.encode(sentences)
+    if not len(tokens):
         raise DataError("no trainable sentences after vocabulary filtering")
-    trainer = _Trainer(encoded, config, vocab)
+    trainer = _Trainer(tokens, counts[counts > 0], config, vocab)
     epoch_losses = trainer.run()
     return EmbeddingTable(
         vocab=vocab,

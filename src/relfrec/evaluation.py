@@ -204,10 +204,10 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
     are predicted with predict_rating in (item, user) order, once each
     at the largest k, so each item's similarity row is computed once
     per fold and predictor; the metric sums do not depend on that
-    order. Every smaller k is read from the same ranking by values_at,
-    bit for bit what predict_rating gives at that k, and the fallbacks
-    are the same at every k. Item vectors come from metadata, not
-    ratings, so a shared index leaks nothing across folds.
+    order. Every k is read from that ranking by values_at, bit for bit
+    what predict_rating gives at that k, and the fallbacks are the same
+    at every k. Item vectors come from metadata, not ratings, so a
+    shared index leaks nothing across folds.
 
     Returns a list of (predictor, k, MetricReport): predictors outer,
     ks inner.
@@ -223,7 +223,6 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
         if repeated is not None:
             raise ValueError(f"{what} {repeated!r} is given more than once; each fold would count twice")
     top = replace(config, k=max(ks))
-    smaller = [k for k in ks if k != top.k]
     fold_reports = {(predictor, k): [] for predictor in predictors for k in ks}
     for fold_idx, train_idx, test_idx in plan.folds():
         train = ratings.subset(train_idx)
@@ -236,14 +235,10 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
             values, n_fallbacks = [], 0
             for group in item_groups:
                 for pred in predict_batch(group, train, provider, top):
-                    values.append(pred.value)
-                    if smaller:
-                        values += values_at(pred, smaller, train, top)
+                    values += values_at(pred, ks, train, top)
                     n_fallbacks += pred.is_fallback
             predicted = np.array(values, dtype=np.float64).reshape(-1, len(ks))
-            columns = dict(zip([top.k, *smaller], predicted.T))
-            for k in ks:
-                column = columns[k]
+            for k, column in zip(ks, predicted.T):
                 report = MetricReport(
                     rmse=rmse(column, actual),
                     mae=mae(column, actual),

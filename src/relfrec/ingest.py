@@ -481,8 +481,9 @@ def parse_item_features(source):
     ``|``-separated, order-significant multi-value fields. Cast lists
     are truncated to the first MAX_CAST people. Duplicate item rows:
     last wins, counted. Rows with an empty or non-integer item id are
-    skipped, counted; a record the CSV reader rejects, or text that is
-    not UTF-8, is fatal.
+    skipped, counted; a record the CSV reader rejects, text that is not
+    UTF-8, or an item id that does not fit in 64 bits (naming file and
+    line) is fatal.
     """
     entries: dict = {}
     duplicates = 0
@@ -501,18 +502,16 @@ def parse_item_features(source):
             icast = header.index("cast")
         except ValueError:
             raise DataError(f"{name}:{lineno}: metadata CSV header missing required columns: {header}")
-        for _lineno, row in rows:
+        for lineno, row in rows:
             if not row:
                 continue
             try:
-                raw_id = row[ii].strip()
-                if not raw_id:
-                    skipped += 1
-                    continue
-                item = int(raw_id)
+                item = int(row[ii].strip())
             except (ValueError, IndexError):
                 skipped += 1
                 continue
+            if not _INT64_MIN <= item <= _INT64_MAX:
+                raise DataError(f"{name}:{lineno}: item id {item} does not fit in 64 bits")
             directors = _split_people(row, idir)
             writers = _split_people(row, iwri)
             cast = _split_people(row, icast)[:MAX_CAST]
@@ -525,14 +524,8 @@ def parse_item_features(source):
 
 
 def _split_people(row, col):
-    if col >= len(row):
-        return []
-    tokens = []
-    for part in row[col].split("|"):
-        tok = canonical_token(part)
-        if tok is not None:
-            tokens.append(tok)
-    return tokens
+    parts = row[col].split("|") if col < len(row) else []
+    return [tok for tok in map(canonical_token, parts) if tok is not None]
 
 
 def build_sentences(catalog):
@@ -542,14 +535,9 @@ def build_sentences(catalog):
     zero tokens are excluded (logged, not an error); callers can count
     exclusions as ``len(catalog) - len(sentences)``.
     """
-    sentences = []
-    excluded = 0
-    for item_id in catalog.entries:
-        tokens = catalog.entries[item_id].tokens()
-        if tokens:
-            sentences.append(FeatureSentence(item_id=item_id, tokens=tuple(tokens)))
-        else:
-            excluded += 1
+    sentences = [FeatureSentence(item_id=item_id, tokens=tokens)
+                 for item_id, entry in catalog.entries.items() if (tokens := tuple(entry.tokens()))]
+    excluded = len(catalog) - len(sentences)
     if excluded:
         log.info("excluded %d item(s) with no feature tokens", excluded)
     return sentences

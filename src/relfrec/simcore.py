@@ -20,19 +20,22 @@ the one provider type, SimilarityProvider, from such a name.
 A provider serves rows: one target item against each id of a sorted
 id array, NaN where undefined. Rating cosine rows are computed from
 three sparse products in blocks of contiguous rated items of at most
-_BLOCK_CELLS cells, then gathered onto the requested ids; content rows
-from one product of the item matrix with the target's vector, the same
-loop for every row, so identical vectors give identical cells; hybrid
-rows pick between the two per cell. Only the latest block and row are
-kept, so no full item-by-item matrix is ever materialized. Prediction
-and the neighbour ranking of top_similar_items both read rows.
+_BLOCK_CELLS cells; content rows from one product of the rows of an
+ItemVectorIndex (one matrix over sorted item ids) with the target's
+vector, the same loop for every row, so identical vectors give
+identical cells; hybrid rows pick between the two per cell. Only the
+latest block and row are kept, so no item-by-item matrix is ever
+materialized. Prediction and top_similar_items both read rows.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from math import sqrt
+from operator import attrgetter
+from types import MappingProxyType
 
 import numpy as np
 
@@ -113,20 +116,39 @@ def _raters(item, ratings):
     return dict(zip(rated.indices[users].tolist(), rated.data[users].tolist()))
 
 
-@dataclass
-class ItemVectorIndex:
-    """Item id -> mean feature vector, with per-item token coverage."""
+def _locate(ids, items):
+    """(place in the sorted id array ids, whether it is there) of an id or each id of an array."""
+    if not len(ids):
+        return np.zeros(np.shape(items), dtype=np.intp), np.zeros(np.shape(items), dtype=bool)
+    at = np.minimum(ids.searchsorted(items), len(ids) - 1)
+    return at, ids[at] == items
 
-    vectors: dict
-    coverage: dict
-    dim: int
+
+@dataclass(eq=False)
+class ItemVectorIndex:
+    """Mean feature vectors as one matrix over sorted int64 item ids.
+
+    Row r is item ids[r]'s, from coverage[r] tokens; ``vectors`` is a read-only id -> row view."""
+
+    ids: np.ndarray
+    matrix: np.ndarray
+    coverage: np.ndarray
     n_excluded: int = 0
 
+    def find(self, item_id):
+        """The row of item_id, or None if it has no vector."""
+        at, found = _locate(self.ids, item_id)
+        return int(at) if found else None
+
+    @cached_property
+    def vectors(self):
+        return MappingProxyType(dict(zip(self.ids.tolist(), self.matrix)))
+
     def __contains__(self, item_id):
-        return item_id in self.vectors
+        return self.find(item_id) is not None
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.ids)
 
 
 def build_item_vectors(sentences, table):
@@ -134,23 +156,25 @@ def build_item_vectors(sentences, table):
 
     Coverage counts token occurrences found in the vocabulary; items
     with zero coverage are left out of the index entirely (reported in
-    ``n_excluded``), never stored as zero vectors.
+    ``n_excluded``), never stored as zero vectors; of an item's sentences
+    the last one with coverage counts. One sparse product with 0/1 token
+    weights sums each sentence's vectors left to right.
     """
-    vectors = {}
-    coverage = {}
-    excluded = 0
-    vocab_index = table.vocab.index
-    mat = table.input_vectors
-    for sent in sentences:
-        ids = [vocab_index[t] for t in sent.tokens if t in vocab_index]
-        if not ids:
-            excluded += 1
-            continue
-        vectors[sent.item_id] = mat[ids].mean(axis=0)
-        coverage[sent.item_id] = len(ids)
+    # scipy.sparse is imported only once item vectors are built.
+    from scipy import sparse
+
+    tokens, counts = table.vocab.encode(sentences)
+    item_ids = np.fromiter(map(attrgetter("item_id"), sentences), dtype=np.int64, count=len(sentences))
+    covered = np.flatnonzero(counts)[::-1]
+    ids, last = np.unique(item_ids[covered], return_index=True)
+    rows = covered[last]
+    weights = sparse.csr_matrix((np.ones(len(tokens)), tokens, np.append(0, counts.cumsum())),
+                                shape=(len(counts), len(table.vocab)))
+    matrix = (weights @ table.input_vectors)[rows] / counts[rows, None]
+    excluded = len(counts) - len(covered)
     if excluded:
         log.info("item vector index: %d item(s) had no in-vocabulary tokens", excluded)
-    return ItemVectorIndex(vectors=vectors, coverage=coverage, dim=table.dim, n_excluded=excluded)
+    return ItemVectorIndex(ids=ids, matrix=matrix, coverage=counts[rows], n_excluded=excluded)
 
 
 def relf_sim(i, j, index):
@@ -158,16 +182,16 @@ def relf_sim(i, j, index):
 
     Undefined (None) when either item is absent from the index.
     """
-    vi = index.vectors.get(i)
-    vj = index.vectors.get(j)
-    if vi is None or vj is None:
+    ti, tj = index.find(i), index.find(j)
+    if ti is None or tj is None:
         return None
+    vi, vj = index.matrix[ti], index.matrix[tj]
     ni = np.linalg.norm(vi)
     nj = np.linalg.norm(vj)
     if ni == 0.0 or nj == 0.0:
         return None
     value = float(vi @ vj / (ni * nj))
-    support = min(index.coverage[i], index.coverage[j])
+    support = int(min(index.coverage[ti], index.coverage[tj]))
     return SimilarityValue(value=value, support=support, source=SOURCE_CONTENT)
 
 
@@ -235,8 +259,7 @@ class _RatingBlocks:
         values, warm = self.values[t], None if self.warm is None else self.warm[t]
         if items is arrays.items:
             return values, warm
-        at = np.minimum(arrays.items.searchsorted(items), len(arrays.items) - 1)
-        seen = arrays.items[at] == items
+        at, seen = _locate(arrays.items, items)
         return np.where(seen, values[at], np.nan), None if warm is None else seen & warm[at]
 
     def _compute(self, arrays, t):
@@ -264,33 +287,33 @@ class _RatingBlocks:
 class _ContentRows:
     """RELFsim rows: one matrix-vector product per target item.
 
-    Holds the vectors and norms of one id array's items (zeros for an
-    item without a vector); a cell is NaN where either vector is
-    missing or zero. einsum runs the same loop for every row, where a
-    BLAS product may sum trailing rows another way, so identical
+    Gathers the vectors and norms of one id array's items from the index
+    (zeros for an item without a vector); a cell is NaN where either
+    vector is missing or zero. einsum runs the same loop for every row,
+    where a BLAS product may sum trailing rows another way, so identical
     vectors give identical cells and rows are exactly symmetric.
     """
 
     def __init__(self, index):
         self.index = index
+        self.index_norms = np.linalg.norm(index.matrix, axis=1)
         self.items = None
 
     def row(self, item, items):
         if items is not self.items:
-            zero = np.zeros(self.index.dim)
-            self.matrix = np.array([self.index.vectors.get(i, zero) for i in items.tolist()])
-            self.norms = np.linalg.norm(self.matrix, axis=1)
+            at, seen = _locate(self.index.ids, items)
+            self.matrix = np.zeros((len(items), self.index.matrix.shape[1]))
+            self.norms = np.zeros(len(items))
+            self.matrix[seen], self.norms[seen] = self.index.matrix[at[seen]], self.index_norms[at[seen]]
             self.defined = self.norms > 0.0
             self.items = items
         out = np.full(len(items), np.nan)
-        vector = self.index.vectors.get(item)
-        norm = 0.0 if vector is None else np.linalg.norm(vector[None], axis=1)[0]
-        if norm == 0.0:
+        t = self.index.find(item)
+        if t is None or self.index_norms[t] == 0.0:
             return out
-        np.divide(np.einsum("ij,j->i", self.matrix, vector), self.norms * norm, out=out, where=self.defined)
-        t = items.searchsorted(item)
-        if t < len(items) and items[t] == item:
-            out[t] = np.nan
+        norms = self.norms * self.index_norms[t]
+        np.divide(np.einsum("ij,j->i", self.matrix, self.index.matrix[t]), norms, out=out, where=self.defined)
+        out[items == item] = np.nan
         return out
 
 
@@ -299,8 +322,8 @@ class SimilarityProvider:
 
     ``row(item, items)`` gives item's similarity to each id of a sorted
     id array: a float array, NaN where undefined and at item itself.
-    ``items`` holds the ids the source can compare. The latest row is
-    kept, since evaluation asks for one item's row once per test user.
+    ``items`` is the sorted array of ids it can compare. The latest row
+    is kept, since evaluation asks for one item's row once per test user.
     Build providers with make_provider.
     """
 
@@ -344,10 +367,10 @@ def make_provider(kind, ratings=None, index=None, policy=None):
             rating = blocks.row(item, items)
             return np.full(len(items), np.nan) if rating is None else rating[0], True
 
-        return SimilarityProvider(cf_row, frozenset(ratings.arrays.items.tolist()))
+        return SimilarityProvider(cf_row, ratings.arrays.items)
     content = _ContentRows(index)
     if kind == "cb":
-        return SimilarityProvider(lambda item, items: (content.row(item, items), False), frozenset(index.vectors))
+        return SimilarityProvider(lambda item, items: (content.row(item, items), False), index.ids)
     policy = policy or HybridPolicy()
     blocks = _RatingBlocks(ratings, policy)
 
@@ -360,18 +383,18 @@ def make_provider(kind, ratings=None, index=None, policy=None):
         from_rating = warm | np.isnan(row)
         return np.where(from_rating, values, row), from_rating
 
-    return SimilarityProvider(hybrid_row, frozenset(ratings.arrays.items.tolist()).union(index.vectors))
+    return SimilarityProvider(hybrid_row, np.union1d(ratings.arrays.items, index.ids))
 
 
 def top_similar_items(provider, item_id, n):
     """Top-n (neighbor, value, source) for one item over the provider's items.
 
-    Ranks item_id's row over sorted(provider.items) by descending
-    value, ties by ascending id; undefined cells are left out.
+    Ranks item_id's row over provider.items by descending value, ties
+    by ascending id; undefined cells are left out.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    ids = np.array(sorted(provider.items))
+    ids = provider.items
     values, from_rating = provider._computed(item_id, ids)
     from_rating = np.broadcast_to(from_rating, values.shape)
     defined = np.flatnonzero(~np.isnan(values))

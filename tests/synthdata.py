@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from relfrec.ingest import CatalogEntry, FeatureCatalog, FeatureSentence, RatingDataset, build_sentences
+from relfrec.simcore import ItemVectorIndex
 
 
 def two_clique_corpus(seed=11, n_sentences=200, clique_size=10, sentence_len=8):
@@ -53,6 +54,13 @@ def mean_pairwise_cosine(table, tokens_a, tokens_b=None):
     mat_b = np.stack([table.vector(t) for t in tokens_b])
     mat_b = mat_b / np.linalg.norm(mat_b, axis=1, keepdims=True)
     return float((mat_a @ mat_b.T).mean())
+
+
+def item_index(vectors, dim, coverage=1):
+    """The ItemVectorIndex of {item id: vector}, every item with the given token coverage."""
+    ids = np.array(sorted(vectors), dtype=np.int64)
+    matrix = np.array([vectors[i] for i in ids.tolist()], dtype=np.float64).reshape(len(ids), dim)
+    return ItemVectorIndex(ids=ids, matrix=matrix, coverage=np.full(len(ids), coverage))
 
 
 def genre_world(seed=7, n_users=500, n_items=300, n_genres=6, ratings_per_user=40):

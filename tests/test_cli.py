@@ -138,6 +138,20 @@ class TestIngest:
         assert rc == EXIT_INPUT
         assert not (tmp_path / "bundle").exists()
 
+    def test_metadata_id_beyond_int64_exit_code(self, tmp_path, caplog):
+        (tmp_path / "r.dat").write_text("1::1::4::10\n")
+        (tmp_path / "f.csv").write_text(
+            f"itemId,directors,screenwriters,cast\n1,Some Director,,Some Actor\n{2**66},Other Director,,\n")
+        rc = main([
+            "ingest",
+            "--ratings", str(tmp_path / "r.dat"),
+            "--metadata", str(tmp_path / "f.csv"),
+            "--out", str(tmp_path / "bundle"),
+        ])
+        assert rc == EXIT_INPUT
+        assert f"{tmp_path / 'f.csv'}:3: item id {2**66} does not fit in 64 bits" in caplog.text
+        assert not (tmp_path / "bundle").exists()
+
     @pytest.mark.parametrize("bad, text, message", [
         ("r.csv", "\ufeffuserId,itemId,rating\n1,1,4\n", "r.csv:1: rating CSV header missing required columns"),
         ("f.csv", "\ufeffitemId,directors,cast\n1,Some Director,Some Actor\n",
@@ -404,6 +418,15 @@ class TestPredict:
         ])
         assert rc == EXIT_UNKNOWN_ID
 
+    @pytest.mark.parametrize("model", ["cf", "cb", "hybrid"])
+    @pytest.mark.parametrize("item", [2**70, -2**70])
+    def test_item_beyond_int64_is_unknown(self, workdir, model, item):
+        rc = main([
+            "predict", "--bundle", str(workdir / "bundle"), "--embeddings", str(workdir / "vecs.txt"),
+            "--model", model, "--user", "1", f"--item={item}",
+        ])
+        assert rc == EXIT_UNKNOWN_ID
+
     def test_builds_no_record_tuples(self, workdir, monkeypatch, capsys):
         def unread(self):
             raise AssertionError("predict read the per-record tuples")
@@ -542,6 +565,16 @@ class TestSimilar:
             "similar", "--item", "99999", "--model", "cf", "--bundle", str(workdir / "bundle"),
         ])
         assert rc == EXIT_UNKNOWN_ID
+
+    @pytest.mark.parametrize("model", ["cf", "cb", "hybrid"])
+    @pytest.mark.parametrize("item", [2**70, -2**70])
+    def test_item_beyond_int64_is_unknown(self, workdir, capsys, model, item):
+        rc = main([
+            "similar", f"--item={item}", "--model", model,
+            "--bundle", str(workdir / "bundle"), "--embeddings", str(workdir / "vecs.txt"),
+        ])
+        assert rc == EXIT_UNKNOWN_ID
+        assert capsys.readouterr().out == ""
 
     def test_n_below_one_rejected(self, workdir, capsys):
         queries = (

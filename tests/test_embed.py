@@ -76,6 +76,16 @@ class TestVocabulary:
             vocab = build_vocabulary(sents, min_count=1)
             assert sorted(vocab.index.values()) == list(range(len(vocab)))
 
+    def test_encode_matches_a_per_sentence_loop(self):
+        sents = sentences_of(["a", "x", "a", "b"], ["x"], [], ["c", "b", "y"], ["a"])
+        vocab = build_vocabulary(sentences_of(["a", "b", "c"]), min_count=1)
+        indices, counts = vocab.encode(sents)
+        per_sentence = [[vocab.index[t] for t in s.tokens if t in vocab] for s in sents]
+        assert indices.dtype == np.int64 and counts.tolist() == [3, 0, 0, 2, 1]
+        assert indices.tolist() == [i for ids in per_sentence for i in ids]
+        empty_indices, empty_counts = vocab.encode([])
+        assert empty_indices.dtype == np.int64 and len(empty_indices) == 0 and len(empty_counts) == 0
+
 
 class _CountingRng:
     """A Generator that records the size of each ``random`` call."""

@@ -26,7 +26,9 @@ from relfrec.evaluation import (
 from relfrec import predict, simcore
 from relfrec.ingest import RatingDataset, parse_ratings
 from relfrec.predict import PredictionConfig, predict_batch
-from relfrec.simcore import ItemVectorIndex, make_provider
+from relfrec.simcore import make_provider
+
+import synthdata
 
 
 def dataset(rows):
@@ -47,7 +49,7 @@ def random_world(seed, n_users=12, n_items=8, density=0.7):
 def full_coverage_index(item_ids, seed=9):
     rng = np.random.default_rng(seed)
     vectors = {i: rng.uniform(0.1, 1.0, 4) for i in item_ids}
-    return ItemVectorIndex(vectors=vectors, coverage={i: 3 for i in item_ids}, dim=4)
+    return synthdata.item_index(vectors, dim=4, coverage=3)
 
 
 class TestMetrics:

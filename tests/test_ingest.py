@@ -509,6 +509,16 @@ class TestParseItemFeatures:
         with pytest.raises(DataError):
             parse_item_features(io.StringIO("itemId,directors\n1,x\n"))
 
+    @pytest.mark.parametrize("item", [2**63, -2**63 - 1, 2**66])
+    def test_item_id_beyond_int64_is_fatal_naming_line(self, item):
+        text = f"itemId,directors,screenwriters,cast\n5,z,,\n\n{item},y,,\n"
+        with pytest.raises(DataError, match=f"^<stream>:4: item id {item} does not fit in 64 bits$"):
+            parse_item_features(io.StringIO(text))
+
+    def test_int64_bounds_are_item_ids(self):
+        text = f"itemId,directors,screenwriters,cast\n{2**63 - 1},y,,\n{-2**63},z,,\n"
+        assert list(parse_item_features(io.StringIO(text)).entries) == [2**63 - 1, -2**63]
+
     def test_overlong_field_is_fatal_naming_file_and_line(self, tmp_path):
         path = tmp_path / "features.csv"
         path.write_text(f"itemId,directors,screenwriters,cast\n1,a,b,c\n\n2,{LONG_FIELD},b,c\n")

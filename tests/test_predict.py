@@ -16,7 +16,9 @@ from relfrec.predict import (
     predict_rating,
     values_at,
 )
-from relfrec.simcore import ItemVectorIndex, make_provider, relf_sim
+from relfrec.simcore import make_provider, relf_sim
+
+import synthdata
 
 
 def dataset(rows, r_min=1.0, r_max=5.0):
@@ -167,7 +169,7 @@ class TestPredictRating:
     def index_of(items):
         rng = np.random.default_rng(5)
         vectors = {i: rng.uniform(0.1, 1.0, 3) for i in items}
-        return ItemVectorIndex(vectors=vectors, coverage=dict.fromkeys(vectors, 1), dim=3)
+        return synthdata.item_index(vectors, dim=3)
 
     def test_content_provider_from_index_alone(self):
         # README: make_provider("cb", index=...) predicts without ratings of its own.
@@ -320,7 +322,7 @@ def sparse_world(seed, n_users=24, n_items=30):
         density = rng.uniform(0.05, 0.9)
         rows += [(u + 1, i + 1, float(rng.integers(1, 6))) for i in range(n_items) if rng.random() < density]
     vectors = {i + 1: rng.normal(0.3, 1.0, size=5) for i in range(n_items)}
-    index = ItemVectorIndex(vectors=vectors, coverage={i: 3 for i in vectors}, dim=5)
+    index = synthdata.item_index(vectors, dim=5, coverage=3)
     return dataset(rows), index
 
 

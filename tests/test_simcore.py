@@ -15,7 +15,6 @@ from relfrec.simcore import (
     SOURCE_CONTENT,
     SOURCE_RATING,
     HybridPolicy,
-    ItemVectorIndex,
     SimilarityProvider,
     build_item_vectors,
     hybrid_sim,
@@ -142,8 +141,8 @@ class TestBuildItemVectors:
         table = make_table({"a": [1.0, 2.0], "b": [0.0, 1.0]})
         index = build_item_vectors(sentences_of([(5, ["a"])]), table)
         assert np.array_equal(index.vectors[5], [1.0, 2.0])
-        assert index.coverage[5] == 1
-        assert index.dim == 2
+        assert index.coverage.tolist() == [1]
+        assert index.matrix.shape == (1, 2)
 
     def test_mean_pooling(self):
         table = make_table({"a": [1.0, 0.0], "b": [0.0, 1.0]})
@@ -154,13 +153,13 @@ class TestBuildItemVectors:
         table = make_table({"a": [3.0, 0.0], "b": [0.0, 3.0]})
         index = build_item_vectors(sentences_of([(1, ["a", "a", "b"])]), table)
         assert np.allclose(index.vectors[1], [2.0, 1.0], atol=1e-15)
-        assert index.coverage[1] == 3
+        assert index.coverage.tolist() == [3]
 
     def test_out_of_vocabulary_tokens_skipped(self):
         table = make_table({"a": [2.0, 4.0]})
         index = build_item_vectors(sentences_of([(1, ["a", "zz"])]), table)
         assert np.array_equal(index.vectors[1], [2.0, 4.0])
-        assert index.coverage[1] == 1
+        assert index.coverage.tolist() == [1]
 
     def test_zero_coverage_item_excluded(self):
         table = make_table({"a": [1.0, 0.0]})
@@ -169,6 +168,78 @@ class TestBuildItemVectors:
         assert 1 in index
         assert index.n_excluded == 1
         assert len(index) == 1
+
+    @staticmethod
+    def random_corpus(seed, dim, n_sentences=200):
+        """A table of 80 tokens plus sentences of 1-60 tokens, some repeated, some out of vocabulary."""
+        rng = np.random.default_rng(seed)
+        table = make_table({f"t{n}": rng.normal(size=dim) for n in range(80)})
+        sentences = [
+            FeatureSentence(item_id=s, tokens=tuple(f"t{t}" for t in rng.integers(0, 90, size=rng.integers(1, 61))))
+            for s in range(n_sentences)
+        ]
+        return table, sentences
+
+    @staticmethod
+    def known(sentence, table):
+        return [table.vocab.index[t] for t in sentence.tokens if t in table.vocab.index]
+
+    @pytest.mark.parametrize("dim", [2, 3, 150])
+    def test_mean_is_numpy_mean_bit_for_bit(self, dim):
+        table, sentences = self.random_corpus(dim, dim)
+        index = build_item_vectors(sentences, table)
+        assert index.ids.dtype == np.int64 and index.matrix.shape == (len(index), dim)
+        for sent in sentences:
+            ids = self.known(sent, table)
+            if not ids:
+                assert sent.item_id not in index
+                continue
+            row = index.find(sent.item_id)
+            assert index.coverage[row] == len(ids)
+            assert index.matrix[row].tobytes() == table.input_vectors[ids].mean(axis=0).tobytes(), sent.item_id
+
+    def test_dim_one_mean_is_a_left_fold(self):
+        table, sentences = self.random_corpus(1, 1)
+        index = build_item_vectors(sentences, table)
+        for sent in sentences:
+            ids = self.known(sent, table)
+            total = 0.0
+            for i in ids:
+                total += float(table.input_vectors[i, 0])
+            assert index.vectors[sent.item_id][0] == total / len(ids), sent.item_id
+
+    def test_last_covered_sentence_of_an_item_wins(self):
+        table = make_table({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [1.0, 1.0]})
+        sents = sentences_of([(7, ["a"]), (3, ["b"]), (7, ["c", "b"]), (7, ["zz"]), (5, ["qq"]), (3, ["a", "a"])])
+        index = build_item_vectors(sents, table)
+        assert index.ids.tolist() == [3, 7]
+        assert index.matrix.tolist() == [[1.0, 0.0], [0.5, 1.0]]
+        assert index.coverage.tolist() == [2, 2]
+        assert index.n_excluded == 2
+        assert dict(index.vectors).keys() == {3, 7}
+
+    @pytest.mark.parametrize("sents", [[], [(1, ["zz"]), (2, ["qq", "zz"])]], ids=["no-sentences", "no-coverage"])
+    def test_empty_index(self, sents):
+        index = build_item_vectors(sentences_of(sents), make_table({"a": [1.0, 0.0]}))
+        assert len(index) == 0 and index.n_excluded == len(sents)
+        assert index.ids.dtype == np.int64 and index.matrix.shape == (0, 2) and len(index.coverage) == 0
+        assert 1 not in index and relf_sim(1, 2, index) is None
+        provider = make_provider("cb", index=index)
+        assert provider.items.dtype == np.int64 and len(provider.items) == 0
+        ids = np.array([1, 2, 3])
+        for item in (1, 4):
+            assert np.isnan(provider.row(item, ids)).all()
+
+    def test_ids_beyond_int64_are_absent(self):
+        index = build_item_vectors(sentences_of([(1, ["a"]), (2, ["a"])]), make_table({"a": [1.0, 0.5]}))
+        for item in (2**70, -2**70, 2**63, -2**63 - 1):
+            assert item not in index
+            assert relf_sim(item, 1, index) is None and relf_sim(1, item, index) is None
+        # Beyond int64, a binary search compares as float64, where 2**63 - 1 and 2**63 are one value.
+        edges = synthdata.item_index({-2**63: [1.0, 0.0], 2**63 - 1: [0.0, 1.0]}, dim=2)
+        assert -2**63 in edges and 2**63 - 1 in edges
+        assert 2**63 not in edges and -2**63 - 1 not in edges
+        assert relf_sim(2**63, -2**63, edges) is None and relf_sim(2**63 - 1, -2**63, edges).value == 0.0
 
 
 class TestRelfSim:
@@ -205,11 +276,7 @@ class TestRelfSim:
         assert type(relf_sim(1, 3, index).value) is float
 
     def test_zero_vector_undefined(self):
-        index = ItemVectorIndex(
-            vectors={1: np.array([0.0, 0.0]), 2: np.array([1.0, 0.0])},
-            coverage={1: 1, 2: 1},
-            dim=2,
-        )
+        index = synthdata.item_index({1: np.array([0.0, 0.0]), 2: np.array([1.0, 0.0])}, dim=2)
         assert relf_sim(1, 2, index) is None
 
     def test_clique_items_cluster(self, clique_model):
@@ -262,14 +329,14 @@ class TestHybridSim:
     def test_cold_route_falls_back_to_rating_when_content_missing(self):
         # pair fails the warm test and item 12 misses from this index,
         # yet a rating value exists -> return it rather than None
-        index = ItemVectorIndex(vectors={}, coverage={}, dim=2)
+        index = synthdata.item_index({}, dim=2)
         sv = hybrid_sim(10, 12, self.ratings, index, self.policy)
         assert sv is not None
         assert sv.source == SOURCE_RATING
         assert sv.value == rating_cosine(10, 12, self.ratings).value
 
     def test_undefined_only_when_both_routes_undefined(self):
-        index = ItemVectorIndex(vectors={}, coverage={}, dim=2)
+        index = synthdata.item_index({}, dim=2)
         rows = [(1, 30, 4), (2, 31, 5)]  # no co-raters, no content
         assert hybrid_sim(30, 31, dataset(rows), index, self.policy) is None
 
@@ -284,7 +351,7 @@ class TestHybridSim:
         ]
         ratings = dataset(rows)
         policy = HybridPolicy(tau_pair=1, tau_item=0)
-        empty_index = ItemVectorIndex(vectors={}, coverage={}, dim=2)
+        empty_index = synthdata.item_index({}, dim=2)
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 if i == j:
@@ -380,7 +447,8 @@ class TestProviders:
         )
         for provider, items, (i, j), source in cases:
             assert isinstance(provider, SimilarityProvider)
-            assert provider.items == items
+            assert provider.items.dtype == np.int64
+            assert np.array_equal(provider.items, sorted(items))
             sources = {k: s for k, _value, s in top_similar_items(provider, i, len(items))}
             assert sources[j] == source
 
@@ -406,7 +474,7 @@ class TestDuplicatePairs:
         duplicated, last, first = dataset(stale + rows), dataset(rows), dataset(rows + stale)
         assert len(duplicated) == len(rows) + len(stale) and len(stale) > 10
         vectors = {i: rng.normal(size=4) for i in range(1, 11)}
-        index = ItemVectorIndex(vectors=vectors, coverage=dict.fromkeys(vectors, 1), dim=4)
+        index = synthdata.item_index(vectors, dim=4)
         items = list(range(1, 11))
         counts = sorted(last.arrays.counts.tolist())
         policies = [HybridPolicy(), HybridPolicy(tau_pair=1, tau_item=counts[len(counts) // 2])]
@@ -443,7 +511,7 @@ def row_world(seed, step):
     ids = [i for i in first_rated + [101, 102, 103] if i != 1 and rng.random() < 0.85]
     vectors = {i: rng.normal(size=5) for i in ids}
     vectors[2] = vectors[103] = np.zeros(5)
-    index = ItemVectorIndex(vectors=vectors, coverage=dict.fromkeys(vectors, 1), dim=5)
+    index = synthdata.item_index(vectors, dim=5)
     return ratings, index
 
 
@@ -578,7 +646,7 @@ class TestRows:
         vectors = {i: rng.normal(size=dim) for i in range(1, 84)}
         for j in tied[1:]:
             vectors[j] = vectors[3].copy()
-        index = ItemVectorIndex(vectors=vectors, coverage=dict.fromkeys(vectors, 1), dim=dim)
+        index = synthdata.item_index(vectors, dim=dim)
         deviation = {j: r - ratings.item_means[j] for j, r in zip(tied, (5.0, 4.0, 2.0, 1.0))}
         assert len(set(deviation.values())) == len(tied)
         ids = ratings.arrays.items
@@ -614,7 +682,7 @@ def stub_provider(values):
         ]
         return np.array([v for v, _ in cells]), np.array([r for _, r in cells])
 
-    return SimilarityProvider(row, frozenset(j for pair in values for j in pair))
+    return SimilarityProvider(row, np.array(sorted({j for pair in values for j in pair})))
 
 
 class TestTopSimilar:
@@ -640,8 +708,8 @@ class TestTopSimilar:
             "cb": lambda i, j: relf_sim(i, j, index),
             "hybrid": lambda i, j: hybrid_sim(i, j, ratings, index, HybridPolicy()),
         }[kind]
-        for i in sorted(provider.items):
-            scored = [(j, reference(i, j)) for j in sorted(provider.items) if j != i]
+        for i in provider.items.tolist():
+            scored = [(j, reference(i, j)) for j in provider.items.tolist() if j != i]
             want = sorted(((j, sv) for j, sv in scored if sv is not None), key=lambda t: (-t[1].value, t[0]))
             got = top_similar_items(provider, i, n=len(provider.items))
             assert [(j, sv.source) for j, sv in want] == [(j, source) for j, _, source in got]
