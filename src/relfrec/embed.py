@@ -24,11 +24,17 @@ order:
 2. its (center, context) pairs are listed in corpus order: by
    sentence, then by center, then by context position;
 3. one draw gives a block of negatives, one row per pair, in row-major
-   order; then, in rounds over the whole block, every negative equal to
-   its pair's context is redrawn, in row-major order, with one draw per
-   round (at most 1000 rounds).
+   order; then, in rounds, every negative equal to its pair's context
+   is redrawn, in row-major order, with one draw per round (at most
+   1000 rounds). A negative that was not redrawn cannot start to
+   collide, so a round revisits only the negatives redrawn in the
+   round before. Each draw becomes a token index through a lookup
+   table that gives exactly the binary search's index (NegativeSampler).
 
-The round is then trained in lockstep. Step t trains the t-th pair of
+The round is then trained in lockstep. What each step needs to know
+about its pairs (its distinct output rows, where each occurrence's
+gradient is summed, which centers repeat) is worked out once for the
+whole round, before its first step. Step t trains the t-th pair of
 every sentence in the round that has one, in sentence order, and every
 pair reads the input and output rows as the previous step left them.
 A pair's scores, loss and gradient are sgns_pair_update's, and its
@@ -62,8 +68,12 @@ from .ingest import stream_name, text_stream
 log = logging.getLogger(__name__)
 
 _MAX_RESAMPLE_ROUNDS = 1000
+# The negative sampler's lookup table has at most 2**_TABLE_BITS buckets.
+_TABLE_BITS = 16
 # Sentences trained side by side, one pair of each per step.
 _LOCKSTEP = 32
+# Cells of the (step, output row) table a round's plan marks rows in.
+_PLAN_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -140,7 +150,17 @@ def build_vocabulary(sentences, min_count=1):
 
 
 class NegativeSampler:
-    """Draws vocabulary indices with probability proportional to count^exponent."""
+    """Draws vocabulary indices with probability proportional to count^exponent.
+
+    A draw u in [0, 1) becomes ``cumulative.searchsorted(u, side="right")``.
+    Most draws read that index from a table of 2**bits buckets, bucket b
+    holding the draws in [b, b + 1) / 2**bits: where no cumulative value
+    lies in a bucket, every draw in it has the same index, the count of
+    values below the bucket, which the table stores; the other buckets
+    hold -1 and their draws take the binary search. ``u * 2**bits`` is
+    exact, so a draw's bucket is too. bits grows with the vocabulary, up
+    to _TABLE_BITS, which keeps the table small.
+    """
 
     def __init__(self, counts, ns_exponent=0.75):
         counts = np.asarray(counts, dtype=np.float64)
@@ -159,18 +179,34 @@ class NegativeSampler:
         self.cumulative = cumulative
         # Tokens that leave no mass to draw anything else from.
         self._sole = self.probabilities >= 1.0
+        self._scale = float(2 ** min(counts.size.bit_length() + 5, _TABLE_BITS))
+        below = cumulative.searchsorted(np.arange(self._scale + 1) / self._scale)
+        self._table = np.where(below[:-1] == below[1:], below[:-1], -1)
 
     @property
     def probabilities(self):
         return np.diff(self.cumulative, prepend=0.0)
 
+    def _lookup(self, u):
+        """``cumulative.searchsorted(u, side="right")``, from the table where it decides."""
+        # The cast truncates, which for u >= 0 is the floor. A bucket fits
+        # in int32, which keeps this temporary half the size of the draws.
+        bucket = np.multiply(u, self._scale, out=np.empty(u.shape, dtype=np.int32), casting="unsafe")
+        idx = self._table[bucket]
+        miss = idx < 0
+        if miss.any():
+            idx[miss] = self.cumulative.searchsorted(u[miss], side="right")
+        return idx
+
     def draw(self, rng, exclude, n):
         """One row of n indices per index of ``exclude``, none equal to it.
 
         The block is drawn in row-major order from one ``rng.random``
-        call. Then, in rounds over the whole block, every draw equal to
-        its row's excluded index is redrawn, in row-major order, from one
-        ``rng.random`` call per round.
+        call. Then, in rounds, every draw equal to its row's excluded
+        index is redrawn, in row-major order, from one ``rng.random``
+        call per round. A draw that was not redrawn cannot start to
+        collide, so each round revisits only the draws redrawn in the
+        round before. Draws read the sampler's lookup table.
         """
         exclude = np.asarray(exclude, dtype=np.int64)
         sole = exclude[self._sole[exclude]]
@@ -179,16 +215,16 @@ class NegativeSampler:
                 f"cannot draw negatives distinct from token index {sole[0]}; "
                 "it carries the entire sampling mass"
             )
-        cumulative = self.cumulative
-        idx = cumulative.searchsorted(rng.random((exclude.size, n)), side="right")
-        column = exclude[:, None]
+        idx = self._lookup(rng.random((exclude.size, n)))
+        # Row-major positions of the draws that equal their row's excluded index.
+        hits = np.flatnonzero(idx == exclude[:, None])
         for _ in range(_MAX_RESAMPLE_ROUNDS):
-            mask = idx == column
-            hits = np.count_nonzero(mask)
-            if not hits:
+            if not hits.size:
                 return idx
-            idx[mask] = cumulative.searchsorted(rng.random(hits), side="right")
-        stuck = exclude[mask.any(axis=1)][0]
+            stuck = exclude[hits[0] // n]
+            redrawn = self._lookup(rng.random(hits.size))
+            idx.put(hits, redrawn)
+            hits = hits[redrawn == exclude[hits // n]]
         raise DataError(
             f"cannot draw negatives distinct from token index {stuck} "
             f"after {_MAX_RESAMPLE_ROUNDS} resampling rounds"
@@ -276,46 +312,104 @@ def sgns_pair_update(center_vec, context_vec, negative_vecs, lr):
     return loss
 
 
-def _add_pair_losses(total, scores):
-    """total plus each row's sgns_pair_update loss, added in row order.
+def _pair_losses(scores):
+    """Each row's loss as sgns_pair_update computes it.
 
-    Row r holds one pair's scores, context first. Each row's loss is
-    computed as sgns_pair_update computes it, and the losses are added
-    one at a time, left to right, in corpus order.
+    Row r holds one pair's scores, context first.
     """
-    losses = np.logaddexp(0.0, -scores[:, 0]) + np.logaddexp(0.0, scores[:, 1:]).sum(axis=1)
-    for loss in losses.tolist():
-        total += loss
-    return total
+    return np.logaddexp(0.0, -scores[:, 0]) + np.logaddexp(0.0, scores[:, 1:]).sum(axis=1)
 
 
-def _add_in_turn(mat, index, rows):
-    """Add each ``rows[s]`` to ``mat[index[s]]`` in turn, in order of s, as np.add.at does.
+def _add_pair_losses(total, losses):
+    """total plus the losses, added one at a time, left to right.
 
-    The first occurrence of every index is added as one block, then
-    each later occurrence on its own.
+    cumsum is a left fold where np.sum would add pairwise.
     """
-    index_list = index.tolist()
-    first = {}
-    for s, i in enumerate(index_list):
-        first.setdefault(i, s)
-    lead = list(first.values())
-    mat[index[lead]] += rows[lead]
-    for s, i in enumerate(index_list):
-        if first[i] != s:
-            mat[i] += rows[s]
+    return float(np.concatenate(([total], losses)).cumsum()[-1])
 
 
-def _train_step(syn0, syn1, centers, out, lr, work):
-    """Train one pair of each of S sentences at once; return the (S, 1 + negatives) scores.
+def _plan_round(centers, out, sizes, n_rows):
+    """Each step's bookkeeping, fixed once the round's pairs are drawn.
 
-    Pair s has center row ``centers[s]`` of syn0, output rows ``out[s]``
-    of syn1 (context first, then negatives) and learning rate ``lr[s]``.
-    Every pair reads the rows as the previous step left them. Its scores
-    and gradient are sgns_pair_update's, from stacked matmuls that equal
-    the per-pair ``rows @ v`` and ``grad @ rows`` bit for bit. Each
-    center gains ``grad @ rows``; a center shared by several pairs gains
-    their updates in turn, in pair order. Each distinct output row (in
+    The round's pairs are listed step by step: ``sizes[t]`` pairs of
+    step t, each with center row ``centers[p]`` and output rows
+    ``out[p]`` of a table of ``n_rows`` rows. Returns one tuple
+    (pairs, rows, slots, lead, repeats) per step:
+
+    - pairs: the step's slice of the round's pairs;
+    - rows: its distinct output rows, ascending;
+    - slots: each occurrence's slot in the step's bincount, its row's
+      place among ``rows`` times the step's size plus its column (its
+      pair's place in the step);
+    - lead: None if every center of the step is distinct; otherwise the
+      columns of each center's first occurrence, ascending;
+    - repeats: the columns of the other occurrences, ascending, as a list.
+
+    Rows are marked in a (step, row) table of at most _PLAN_CELLS cells
+    (or one step's ``n_rows``), reused for as many steps as it holds.
+    """
+    n_pairs = len(out)
+    if not n_pairs:
+        return []
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    step = np.arange(len(sizes)).repeat(sizes)
+    column = np.arange(n_pairs) - starts[step]
+    per = max(1, _PLAN_CELLS // n_rows)
+    seen = np.zeros(min(per, len(sizes)) * n_rows, dtype=bool)
+    # A slot is below a step's distinct rows times its size, so int32
+    # holds it, at half the size of the round's largest plan array.
+    where = np.empty(len(seen), dtype=np.int32)
+    slots = np.empty(out.shape, dtype=np.int32)
+    marked, done = [], 0
+    for t in range(0, len(sizes), per):
+        a, b = starts[t], ends[min(t + per, len(sizes)) - 1]
+        cell = slots[a:b]
+        np.add(out[a:b], ((step[a:b] - t) * n_rows)[:, None], out=cell)
+        seen[cell] = True
+        cells = np.flatnonzero(seen)
+        seen[cells] = False
+        # Each marked (step, row) cell's place in the round, in cell order.
+        where[cells] = np.arange(done, done + len(cells))
+        done += len(cells)
+        cell[...] = where[cell]
+        marked.append(cells + t * n_rows)
+    cells = np.concatenate(marked)
+    row_counts = np.bincount(cells // n_rows, minlength=len(sizes))
+    slots -= (row_counts.cumsum() - row_counts)[step, None]
+    slots *= sizes[step, None]
+    slots += column[:, None]
+    rows = cells % n_rows
+    first = np.zeros(n_pairs, dtype=bool)
+    first[np.unique(step * n_rows + centers, return_index=True)[1]] = True
+    n_first = np.bincount(step[first], minlength=len(sizes))
+    leads, repeated = column[first], column[~first]
+
+    def spans(counts):
+        edges = counts.cumsum().tolist()
+        return zip([0] + edges[:-1], edges)
+
+    return [
+        (slice(a, b), rows[r:r_end], slots[a:b], leads[f:f_end] if q < q_end else None,
+         repeated[q:q_end].tolist())
+        for (a, b), (r, r_end), (f, f_end), (q, q_end)
+        in zip(spans(sizes), spans(row_counts), spans(n_first), spans(sizes - n_first))
+    ]
+
+
+def _train_step(syn0, syn1, centers, out, lr, scores, step, work):
+    """Train one step of a round: one pair of each of n sentences at once.
+
+    ``step`` is the step's plan from _plan_round; its slice of the
+    round's pairs picks pair s's center row ``centers[s]`` of syn0, its
+    output rows ``out[s]`` of syn1 (context first, then negatives) and
+    its learning rate ``lr[s]``, and receives its scores in ``scores[s]``
+    (one row of 1 + negatives). Every pair reads the rows as the
+    previous step left them. Its scores and gradient are
+    sgns_pair_update's, from stacked matmuls that equal the per-pair
+    ``rows @ v`` and ``grad @ rows`` bit for bit. Each center gains
+    ``grad @ rows``; a center shared by several pairs gains their
+    updates in turn, in pair order. Each distinct output row (in
     ascending order) gains row u of ``M @ V``, where ``M[u, s]`` sums,
     left to right along pair s, the gradients of row u's occurrences
     there and V stacks the incoming centers. For a row that occurs once
@@ -326,30 +420,32 @@ def _train_step(syn0, syn1, centers, out, lr, work):
     which can otherwise hand each one back to the system and fault its
     pages in again on the next step.
     """
+    pairs, uniq, slots, lead, repeats = step
+    centers, out, lr, scores = centers[pairs], out[pairs], lr[pairs], scores[pairs]
     n, n_out = out.shape
     v = syn0[centers]
     # Every index is in range; "clip" lets take fill the buffer directly.
     rows = syn1.take(out, axis=0, out=work[:out.size].reshape(n, n_out, -1), mode="clip")
-    scores = np.matmul(rows, v[:, :, None])[:, :, 0]
+    np.matmul(rows, v[:, :, None], out=scores[:, :, None])
     e = expit(scores)
     grad = e * -lr[:, None]
     grad[:, 0] = (1.0 - e[:, 0]) * lr
-    _add_in_turn(syn0, centers, np.matmul(grad[:, None, :], rows)[:, 0])
-    # The distinct output rows, ascending, and each occurrence's place among them.
-    seen = np.zeros(len(syn1), dtype=bool)
-    seen[out] = True
-    uniq = np.flatnonzero(seen)
-    where = np.empty(len(syn1), dtype=np.intp)
-    where[uniq] = np.arange(len(uniq))
+    moves = np.matmul(grad[:, None, :], rows)[:, 0]
+    if lead is None:
+        syn0[centers] += moves
+    else:
+        # The first occurrence of every center as one block, then each
+        # later one on its own, in pair order, as np.add.at adds them.
+        syn0[centers[lead]] += moves[lead]
+        for s in repeats:
+            syn0[centers[s]] += moves[s]
     # bincount adds its weights in input order, which is pair by pair,
     # then along each pair.
-    sums = np.bincount(where[out].ravel() * n + np.arange(n).repeat(n_out),
-                       weights=grad.ravel(), minlength=len(uniq) * n)
+    sums = np.bincount(slots.ravel(), weights=grad.ravel(), minlength=len(uniq) * n)
     # The rows are read; their space takes the update.
     update = np.matmul(sums.reshape(len(uniq), n), v, out=work[:len(uniq)])
     update += syn1.take(uniq, axis=0, out=work[out.size:out.size + len(uniq)], mode="clip")
     syn1[uniq] = update
-    return scores
 
 
 class _Trainer:
@@ -381,9 +477,9 @@ class _Trainer:
             # epoch boundary; the interim numpy warnings are just noise.
             with np.errstate(over="ignore", invalid="ignore"):
                 for tokens, lengths in rounds:
-                    scores = self._train_round(rng, tokens, lengths, visit)
-                    loss_sum = _add_pair_losses(loss_sum, scores)
-                    n_pairs += len(scores)
+                    losses = self._train_round(rng, tokens, lengths, visit)
+                    loss_sum = _add_pair_losses(loss_sum, losses)
+                    n_pairs += len(losses)
                     visit += len(tokens)
             mean_loss = loss_sum / n_pairs if n_pairs else 0.0
             self._check_finite(epoch)
@@ -392,7 +488,7 @@ class _Trainer:
         return epoch_losses
 
     def _train_round(self, rng, tokens, lengths, visit):
-        """Draw and train one round of sentences; return its pairs' scores in corpus order.
+        """Draw and train one round of sentences; return its pairs' losses in corpus order.
 
         ``visit`` is the visit index of the round's first center.
         """
@@ -418,14 +514,14 @@ class _Trainer:
         pairs_per = np.bincount(sentence[center], minlength=len(lengths))
         step = np.arange(len(center)) - (pairs_per.cumsum() - pairs_per).repeat(pairs_per)
         order = step.argsort(kind="stable")
-        bounds = np.bincount(step).cumsum().tolist()
         centers, out, lr = tokens[center][order], out[order], lr[order]
+        plan = _plan_round(centers, out, np.bincount(step), len(self.syn1))
         scores = np.empty(out.shape)
-        a = 0
-        for b in bounds:
-            scores[order[a:b]] = _train_step(self.syn0, self.syn1, centers[a:b], out[a:b], lr[a:b], self.work)
-            a = b
-        return scores
+        for planned in plan:
+            _train_step(self.syn0, self.syn1, centers, out, lr, scores, planned, self.work)
+        losses = np.empty(len(scores))
+        losses[order] = _pair_losses(scores)
+        return losses
 
     def _check_finite(self, epoch):
         for name, mat in (("input", self.syn0), ("output", self.syn1)):
@@ -472,8 +568,8 @@ def save_embeddings(table, sink):
             raise DataError(f"token {token!r} contains whitespace and cannot be saved")
     with text_stream(sink, "w") as stream:
         stream.write(f"{len(table.vocab)} {table.dim}\n")
-        for token, vec in zip(table.vocab.tokens, table.input_vectors):
-            stream.write(token + " " + " ".join(repr(float(x)) for x in vec) + "\n")
+        for token, row in zip(table.vocab.tokens, table.input_vectors.tolist()):
+            stream.write(token + " " + " ".join(map(repr, row)) + "\n")
 
 
 def _parse_header(line, where):

@@ -39,7 +39,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import UnknownIdError, check_integers
+from .errors import DataError, UnknownIdError, check_integers
 
 log = logging.getLogger(__name__)
 
@@ -158,13 +158,18 @@ def build_item_vectors(sentences, table):
     with zero coverage are left out of the index entirely (reported in
     ``n_excluded``), never stored as zero vectors; of an item's sentences
     the last one with coverage counts. One sparse product with 0/1 token
-    weights sums each sentence's vectors left to right.
+    weights sums each sentence's vectors left to right. A sentence whose
+    item id does not fit in 64 bits is a DataError naming the id.
     """
     # scipy.sparse is imported only once item vectors are built.
     from scipy import sparse
 
+    try:
+        item_ids = np.fromiter(map(attrgetter("item_id"), sentences), dtype=np.int64, count=len(sentences))
+    except OverflowError:
+        bad = next(s.item_id for s in sentences if not -2**63 <= s.item_id < 2**63)
+        raise DataError(f"item id {bad} does not fit in 64 bits") from None
     tokens, counts = table.vocab.encode(sentences)
-    item_ids = np.fromiter(map(attrgetter("item_id"), sentences), dtype=np.int64, count=len(sentences))
     covered = np.flatnonzero(counts)[::-1]
     ids, last = np.unique(item_ids[covered], return_index=True)
     rows = covered[last]

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from relfrec import embed
 from relfrec.embed import (
     EmbeddingTable,
     NegativeSampler,
     TrainConfig,
     Vocabulary,
+    _plan_round,
     _train_step,
     build_vocabulary,
     load_embeddings,
@@ -99,6 +101,34 @@ class _CountingRng:
         return self.rng.random(size)
 
 
+def reference_draw(cumulative, rng, exclude, n):
+    """The documented redraw rule, plainly: binary searches, and rounds
+    that redraw over the whole block."""
+    idx = cumulative.searchsorted(rng.random((exclude.size, n)), side="right")
+    for _ in range(1000):
+        mask = idx == exclude[:, None]
+        if not mask.any():
+            return idx
+        idx[mask] = cumulative.searchsorted(rng.random(np.count_nonzero(mask)), side="right")
+    raise DataError(
+        f"cannot draw negatives distinct from token index {exclude[mask.any(axis=1)][0]} "
+        "after 1000 resampling rounds"
+    )
+
+
+# Vocabularies for the sampler's lookup table: tiny ones, the size of
+# the benchmark's train-embed vocabulary, one token with ~97% of the
+# mass, cumulative values on bucket edges, and one past the table's cap.
+SAMPLER_COUNTS = {
+    "2": [3, 1],
+    "3": [5, 2, 1],
+    "276": np.sort(np.random.default_rng(3).integers(1, 400, size=276))[::-1],
+    "skewed": [1000, 1, 1, 1, 1, 1],
+    "edges": [1, 1, 1, 1],
+    "cap": np.random.default_rng(4).integers(1, 50, size=5000),
+}
+
+
 class TestNegativeSampler:
     def test_probabilities_sum_to_one(self):
         sampler = NegativeSampler(np.array([5, 1, 3, 9]), 0.75)
@@ -156,6 +186,47 @@ class TestNegativeSampler:
         sampler = NegativeSampler(np.array([10**12, 1]), 1.0)
         with pytest.raises(DataError, match="token index 0 after 1000 resampling rounds"):
             sampler.draw(rng, np.array([1, 0, 1]), 4)
+
+    @pytest.mark.parametrize("name", list(SAMPLER_COUNTS))
+    def test_table_lookup_equals_binary_search(self, name):
+        sampler = NegativeSampler(np.asarray(SAMPLER_COUNTS[name]), 0.75)
+        cumulative, buckets = sampler.cumulative, len(sampler._table)
+        assert buckets <= 2**16 and (buckets == 2**16) == (name == "cap")
+        assert (sampler._table >= 0).mean() > 0.9
+        edges = np.arange(1, buckets) / buckets
+        below_one = np.nextafter(1.0, 0.0)
+        u = np.concatenate(([0.0, below_one], edges, np.nextafter(edges, 0.0),
+                            cumulative, np.nextafter(cumulative, 0.0), np.nextafter(cumulative, 1.0)))
+        u = u[u < 1.0]
+        assert np.array_equal(sampler._lookup(u), cumulative.searchsorted(u, side="right"))
+        # Any shape, and uniform draws too.
+        u = np.random.default_rng(5).random((400, 25))
+        assert np.array_equal(sampler._lookup(u), cumulative.searchsorted(u, side="right"))
+
+    @pytest.mark.parametrize("name", ["2", "3", "276", "skewed"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_draw_equals_the_whole_block_redraw_rule(self, name, seed):
+        sampler = NegativeSampler(np.asarray(SAMPLER_COUNTS[name]), 0.75)
+        exclude = np.random.default_rng([seed, 1]).integers(0, len(sampler.cumulative), size=300)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = sampler.draw(rng, exclude, 25)
+        expected = reference_draw(sampler.cumulative, ref_rng, exclude, 25)
+        assert draws.dtype == expected.dtype and np.array_equal(draws, expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("exclude", [[1, 0, 1], [0, 0, 1, 0], [1, 1, 0, 1]])
+    def test_exhaustion_names_the_token_the_whole_block_rule_names(self, exclude):
+        # One token keeps 1e-12 of the mass: rows excluding the other never finish.
+        exclude = np.array(exclude)
+        for counts in ([10**12, 1], [1, 10**12]):
+            sampler = NegativeSampler(np.array(counts), 1.0)
+            rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+            with pytest.raises(DataError) as expected:
+                reference_draw(sampler.cumulative, ref_rng, exclude, 4)
+            with pytest.raises(DataError) as raised:
+                sampler.draw(rng, exclude, 4)
+            assert str(raised.value) == str(expected.value)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_zero_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -522,6 +593,16 @@ class TestTrainingReplay:
         assert logged == [(str(e), f"{loss:.6f}", str(n)) for e, (loss, n) in enumerate(zip(losses, pairs), 1)]
 
 
+def train_steps(syn0, syn1, centers, out, lr, sizes):
+    """Train pairs listed step by step (``sizes[t]`` in step t) as the
+    trainer does, through _plan_round; return their scores."""
+    scores = np.empty(out.shape)
+    work = np.empty((2 * out.size, syn1.shape[1]))
+    for step in _plan_round(centers, out, np.asarray(sizes), len(syn1)):
+        _train_step(syn0, syn1, centers, out, lr, scores, step, work)
+    return scores
+
+
 class TestTrainStep:
     """One lockstep step on its own, against sgns_pair_update."""
 
@@ -529,6 +610,10 @@ class TestTrainStep:
     def matrices(seed, n_rows=16, dim=7):
         rng = np.random.default_rng(seed)
         return rng.normal(size=(n_rows, dim)), rng.normal(size=(n_rows, dim)) * 0.3
+
+    @staticmethod
+    def train_step(syn0, syn1, centers, out, lr):
+        return train_steps(syn0, syn1, centers, out, lr, [len(centers)])
 
     @pytest.mark.parametrize("negatives", [0, 3])
     def test_distinct_rows_equal_sequential_pair_updates(self, negatives):
@@ -541,7 +626,7 @@ class TestTrainStep:
             sgns_pair_update(ref0[c], ref1[o[0]], [ref1[n] for n in o[1:]], rate)
             for c, o, rate in zip(centers, out, lr)
         ]
-        scores = _train_step(syn0, syn1, centers, out, lr, np.empty((2 * out.size, syn1.shape[1])))
+        scores = self.train_step(syn0, syn1, centers, out, lr)
         losses = np.logaddexp(0.0, -scores[:, 0]) + np.logaddexp(0.0, scores[:, 1:]).sum(axis=1)
         assert np.array_equal(syn0, ref0)
         assert np.array_equal(syn1, ref1)
@@ -566,7 +651,7 @@ class TestTrainStep:
         runs = []
         for _ in range(2):
             s0, s1 = syn0.copy(), syn1.copy()
-            _train_step(s0, s1, centers, out, lr, np.empty((2 * out.size, syn1.shape[1])))
+            self.train_step(s0, s1, centers, out, lr)
             runs.append((s0, s1))
         (s0, s1), (again0, again1) = runs
         assert np.array_equal(s0, again0) and np.array_equal(s1, again1)
@@ -578,6 +663,85 @@ class TestTrainStep:
         assert np.array_equal(s0[untouched], syn0[untouched])
         untouched = np.setdiff1d(np.arange(len(syn1)), [5, 6, 7, 8])
         assert np.array_equal(s1[untouched], syn1[untouched])
+
+
+    def test_center_shared_by_three_sentences_moves_in_turn(self):
+        syn0, syn1 = self.matrices(3)
+        # Center 2 serves sentences 0, 2 and 3. Row 5 repeats within
+        # pair 0 and again in pair 2; row 6 is in pairs 0 and 3.
+        centers = np.array([2, 9, 2, 2])
+        out = np.array([[5, 6, 5], [7, 8, 10], [5, 11, 12], [13, 6, 14]])
+        lr = np.array([0.2, 0.3, 0.4, 0.1])
+        ((_pairs, rows, _slots, lead, repeats),) = _plan_round(centers, out, np.array([4]), len(syn1))
+        assert rows.tolist() == sorted(set(out.ravel().tolist()))
+        assert lead.tolist() == [0, 1] and repeats == [2, 3]
+        incoming = syn0[centers]
+        grads, moves = [], []
+        for c, o, rate in zip(centers, out, lr):
+            grad = -expit(syn1[o] @ syn0[c])
+            grad[0] += 1.0
+            grad *= rate
+            grads.append(grad)
+            moves.append(grad @ syn1[o])
+        m = np.zeros((len(rows), 4))
+        for s, (o, grad) in enumerate(zip(out, grads)):
+            for row, g in zip(o.tolist(), grad.tolist()):
+                m[rows.tolist().index(row), s] += g
+        s0, s1 = syn0.copy(), syn1.copy()
+        scores = self.train_step(s0, s1, centers, out, lr)
+        assert np.array_equal(scores, np.stack([syn1[o] @ v for o, v in zip(out, incoming)]))
+        assert np.array_equal(s0[2], ((syn0[2] + moves[0]) + moves[2]) + moves[3])
+        assert np.array_equal(s0[9], syn0[9] + moves[1])
+        assert np.array_equal(s1[rows], syn1[rows] + m @ incoming)
+        np.testing.assert_allclose(s1[5], syn1[5] + (grads[0][0] + grads[0][2] + grads[2][0]) * syn0[2], rtol=1e-13)
+        assert np.array_equal(s1[8], syn1[8] + grads[1][1] * syn0[9])
+        untouched = np.setdiff1d(np.arange(len(syn1)), rows)
+        assert np.array_equal(s1[untouched], syn1[untouched])
+        assert np.array_equal(np.delete(s0, [2, 9], axis=0), np.delete(syn0, [2, 9], axis=0))
+
+    @staticmethod
+    def reference_plan(centers, out, sizes):
+        """Each step's (rows, slots, lead, repeats), one step at a time."""
+        plan, a = [], 0
+        for n in sizes:
+            c, o = centers[a:a + n].tolist(), out[a:a + n]
+            rows = np.unique(o)
+            slots = rows.searchsorted(o) * n + np.arange(n)[:, None]
+            lead = [s for s in range(n) if c.index(c[s]) == s]
+            repeats = [s for s in range(n) if s not in lead]
+            plan.append((rows.tolist(), slots.tolist(), lead if repeats else None, repeats))
+            a += n
+        return plan
+
+    @pytest.mark.parametrize("cells", [None, 1, 40, 3 * 16])
+    def test_round_plan_matches_a_per_step_reference(self, cells, monkeypatch):
+        # The plan marks rows in a table of _PLAN_CELLS cells, as many
+        # steps at a time as it holds: here all of them, one, two or three.
+        if cells is not None:
+            monkeypatch.setattr(embed, "_PLAN_CELLS", cells)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            pairs_per_sentence = rng.integers(0, 9, size=rng.integers(1, 33))
+            sizes = np.array([np.count_nonzero(pairs_per_sentence > t) for t in range(pairs_per_sentence.max())],
+                             dtype=np.int64)
+            centers = rng.integers(0, 6, size=sizes.sum())
+            out = rng.integers(0, 16, size=(sizes.sum(), 4))
+            plan = _plan_round(centers, out, sizes, 16)
+            assert [p[0] for p in plan] == [slice(a - n, a) for a, n in zip(sizes.cumsum().tolist(), sizes.tolist())]
+            got = [(rows.tolist(), slots.tolist(), None if lead is None else lead.tolist(), repeats)
+                   for _pairs, rows, slots, lead, repeats in plan]
+            assert got == self.reference_plan(centers, out, sizes)
+
+    @pytest.mark.parametrize("cells", [1, 300])
+    def test_plan_table_size_changes_no_bit(self, cells, monkeypatch):
+        sentences, _a, _b = synthdata.two_clique_corpus(seed=3, n_sentences=40)
+        cfg = TrainConfig(window=8, dim=16, negatives=25, epochs=2, seed=4)
+        expected = train_skipgram(sentences, cfg)
+        monkeypatch.setattr(embed, "_PLAN_CELLS", cells)
+        table = train_skipgram(sentences, cfg)
+        assert np.array_equal(table.input_vectors, expected.input_vectors)
+        assert np.array_equal(table.output_vectors, expected.output_vectors)
+        assert table.epoch_losses == expected.epoch_losses
 
 
 class TestEmbeddingTable:

@@ -6,9 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from relfrec.embed import EmbeddingTable, Vocabulary
-from relfrec.errors import UnknownIdError
-from relfrec.ingest import FeatureSentence, RatingDataset
+from relfrec.embed import EmbeddingTable, TrainConfig, Vocabulary, train_skipgram
+from relfrec.errors import DataError, UnknownIdError
+from relfrec.ingest import CatalogEntry, FeatureCatalog, FeatureSentence, RatingDataset, clean_and_join
 from relfrec.predict import PredictionConfig, predict_rating
 from relfrec.simcore import (
     PREDICTORS,
@@ -240,6 +240,25 @@ class TestBuildItemVectors:
         assert -2**63 in edges and 2**63 - 1 in edges
         assert 2**63 not in edges and -2**63 - 1 not in edges
         assert relf_sim(2**63, -2**63, edges) is None and relf_sim(2**63 - 1, -2**63, edges).value == 0.0
+
+    @pytest.mark.parametrize("item", [2**64, 2**63, -2**63 - 1])
+    def test_sentence_id_beyond_int64_is_a_data_error_naming_it(self, item):
+        table = make_table({"a": [1.0, 0.5]})
+        # Named even when the sentence has no in-vocabulary token, and
+        # the first such id in sentence order.
+        for tokens in (["a"], ["zz"]):
+            sentences = sentences_of([(1, ["a"]), (item, tokens), (2**70, ["a"])])
+            with pytest.raises(DataError, match=f"^item id {item} does not fit in 64 bits$"):
+                build_item_vectors(sentences, table)
+
+    def test_hand_built_catalog_id_beyond_int64_fails_at_item_vectors(self):
+        # clean_and_join keeps the sentence and training reads only its
+        # tokens; the item vectors are where the id is refused.
+        catalog = FeatureCatalog(entries={i: CatalogEntry([f"dir{i}"], ["wri"], ["act"]) for i in (1, 2**64)})
+        bundle = clean_and_join(RatingDataset(records=[(1, 1, 4.0, 0)]), catalog)
+        table = train_skipgram(bundle.sentences, TrainConfig(window=2, dim=4, negatives=2, epochs=1))
+        with pytest.raises(DataError, match=f"item id {2**64} does not fit in 64 bits"):
+            build_item_vectors(bundle.sentences, table)
 
 
 class TestRelfSim:
