@@ -10,9 +10,10 @@ The pipeline is staged through on-disk artifacts so the slow step
     predict      predict one (user, item) pair or a CSV of pairs
     similar      nearest feature tokens, or nearest items by similarity
 
-Every run writes a manifest.json capturing its full configuration;
-`--config manifest.json` replays it (flags still override). The config
-file may equally be plain `key = value` lines mirroring the flag names.
+Every evaluate and sweep-k run writes its parsed options to manifest.json;
+`--config manifest.json` replays it. A config file may equally be plain
+`key = value` lines. Each entry is read as its flag, placed before the
+command line's own flags, so those still override.
 Logs go to stderr, outputs to stdout or the chosen files. Exit codes:
 0 ok, 2 input error, 3 numeric divergence, 4 unknown id.
 """
@@ -102,8 +103,8 @@ def load_config_file(path):
 
 
 def _option_text(value):
-    """A JSON config value as flag text: argparse runs an option's converter
-    on string defaults only, so ``"ks": 35`` must reach it as "35"."""
+    """A value as flag text: a list is joined with commas, so ``"ks": [35, 1]``
+    reads as ``--ks=35,1`` and a parsed list is written back as it was given."""
     if isinstance(value, (list, tuple)):
         return ",".join(map(str, value))
     return str(value)
@@ -126,8 +127,8 @@ def _add_common(sub):
 
 
 def _require(args, *names):
-    """Options that may come from a config file are checked here, not
-    by argparse, so a manifest alone can satisfy them."""
+    """Required options are checked here, not by argparse, so a missing
+    one is a DataError that main returns as an input error."""
     for name in names:
         if getattr(args, name, None) in (None, ""):
             raise DataError(f"missing required option --{name.replace('_', '-')}")
@@ -269,8 +270,10 @@ def _load_artifacts(args, need_embeddings):
 
 
 def _config(cls, args):
-    """A config dataclass built from the options named after its fields."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+    """A config dataclass built from the options named after its fields; a
+    field the subcommand has no option for keeps its default (sweep-k has
+    no --k: sweep_k ranks at the largest of its ks)."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
 
 
 def cmd_ingest(args):
@@ -297,35 +300,9 @@ def _needs_content(predictors):
     return any(p in ("cb", "hybrid") for p in predictors)
 
 
-def _run_manifest(args, command, extra):
-    manifest = {
-        "command": command,
-        "bundle": args.bundle,
-        "embeddings": getattr(args, "embeddings", None),
-        "rating_min": args.rating_min,
-        "rating_max": args.rating_max,
-        "split": args.split,
-        "seed": args.seed,
-        "min_neighbors": args.min_neighbors,
-        "clamp": args.clamp,
-        "tau_pair": args.tau_pair,
-        "tau_item": args.tau_item,
-        "out_dir": args.out_dir,
-    }
-    manifest.update(extra)
-    return manifest
-
-
-def _write_run_outputs(args, rows, manifest):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_results_csv(rows, out_dir / RESULTS_FILE)
-    write_manifest(manifest, out_dir / MANIFEST_FILE)
-    log.info("results in %s", out_dir / RESULTS_FILE)
-
-
-def _run_grid(args, command, ks, manifest_extra):
-    """Evaluate args.predictors at each k on one plan, print and write the cells."""
+def _run_grid(args, ks):
+    """Evaluate args.predictors at each k on one plan, print and write the
+    cells, and write the parsed options as the run's manifest."""
     bundle, index = _load_artifacts(args, need_embeddings=_needs_content(args.predictors))
     plan = make_split(bundle.ratings, args.split, args.seed)
     table = sweep_k(ks, args.predictors, plan, bundle.ratings,
@@ -337,21 +314,24 @@ def _run_grid(args, command, ks, manifest_extra):
             f"{predictor} {plan.label} k={k}: rmse={report.rmse:.6f} mae={report.mae:.6f} "
             f"predictions={report.n_predictions} fallbacks={report.n_fallbacks}"
         )
-    manifest = _run_manifest(args, command, {"predictors": ",".join(args.predictors), **manifest_extra})
-    _write_run_outputs(args, rows, manifest)
+    manifest = {key: _option_text(value) if isinstance(value, list) else value
+                for key, value in vars(args).items() if key not in ("config", "verbose", "func")}
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_results_csv(rows, out_dir / RESULTS_FILE)
+    write_manifest(manifest, out_dir / MANIFEST_FILE)
+    log.info("results in %s", out_dir / RESULTS_FILE)
     return EXIT_OK
 
 
 def cmd_evaluate(args):
     _require(args, "bundle", "out_dir")
-    return _run_grid(args, "evaluate", [args.k], {"k": args.k})
+    return _run_grid(args, [args.k])
 
 
 def cmd_sweep_k(args):
     _require(args, "bundle", "out_dir", "ks")
-    # sweep_k predicts at the largest k and reads every smaller k from that ranking.
-    args.k = max(args.ks)
-    return _run_grid(args, "sweep-k", args.ks, {"ks": ",".join(str(k) for k in args.ks)})
+    return _run_grid(args, args.ks)
 
 
 def _read_pairs_csv(path):
@@ -431,23 +411,26 @@ def main(argv=None):
             sub = parser.subcommands.get(command)
             if sub is None:
                 raise DataError("--config must follow a subcommand")
-            options = {action.dest: action for action in sub._actions}
+            options = {action.dest: action for action in sub._actions if action.dest not in ("help", "config")}
             unknown = sorted(mapping.keys() - options.keys() - _IGNORED_CONFIG_KEYS)
             if unknown:
                 raise DataError(f"{config_path}: {', '.join(unknown)} is no option of {command}")
-            defaults = {}
-            for key in sorted(mapping.keys() & options.keys()):
+            # A config line is its flag, placed before the command line's
+            # own flags, which win by argparse's last-wins rule; null adds nothing.
+            flags = []
+            for key in sorted(key for key in mapping.keys() & options.keys() if mapping[key] is not None):
                 value, action = mapping[key], options[key]
-                if action.nargs == 0 and isinstance(value, str):
-                    value = {"true": True, "false": False}.get(value.lower(), value)
-                elif action.type is not None:
-                    value = _option_text(value)
-                elif action.nargs != 0 and not isinstance(value, (str, type(None))):
+                if action.nargs == 0:
+                    text = str(value).lower() if isinstance(value, (str, bool)) else None
+                    if text not in ("true", "false"):
+                        raise DataError(f"{config_path}: {key} must be true or false, got {value!r}")
+                    if (text == "true") != action.default:
+                        flags.append(action.option_strings[0])
+                elif action.type is None and not isinstance(value, str):
                     raise DataError(f"{config_path}: {key} must be text, got {value!r}")
-                defaults[key] = value
-            # Config values become the subcommand's defaults, so flags
-            # given on the command line still win.
-            sub.set_defaults(**defaults)
+                else:
+                    flags.append(f"{action.option_strings[0]}={_option_text(value)}")
+            argv[1:1] = flags
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

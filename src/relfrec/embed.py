@@ -206,7 +206,8 @@ class NegativeSampler:
         index is redrawn, in row-major order, from one ``rng.random``
         call per round. A draw that was not redrawn cannot start to
         collide, so each round revisits only the draws redrawn in the
-        round before. Draws read the sampler's lookup table.
+        round before. Draws read the sampler's lookup table. A collision
+        left after the last round is a DataError naming its token.
         """
         exclude = np.asarray(exclude, dtype=np.int64)
         sole = exclude[self._sole[exclude]]
@@ -220,15 +221,16 @@ class NegativeSampler:
         hits = np.flatnonzero(idx == exclude[:, None])
         for _ in range(_MAX_RESAMPLE_ROUNDS):
             if not hits.size:
-                return idx
-            stuck = exclude[hits[0] // n]
+                break
             redrawn = self._lookup(rng.random(hits.size))
             idx.put(hits, redrawn)
             hits = hits[redrawn == exclude[hits // n]]
-        raise DataError(
-            f"cannot draw negatives distinct from token index {stuck} "
-            f"after {_MAX_RESAMPLE_ROUNDS} resampling rounds"
-        )
+        if hits.size:
+            raise DataError(
+                f"cannot draw negatives distinct from token index {exclude[hits[0] // n]} "
+                f"after {_MAX_RESAMPLE_ROUNDS} resampling rounds"
+            )
+        return idx
 
 
 @dataclass

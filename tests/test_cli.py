@@ -771,6 +771,106 @@ class TestConfigFile:
         assert f"{cfg}:2: expected 'key = value'" in capsys.readouterr().err
 
 
+class TestConfigLinesAreFlags:
+    """A config entry is read as its flag, placed before the command line's."""
+
+    def run(self, argv, capsys):
+        rc = exit_code(argv)
+        return rc, capsys.readouterr().out
+
+    @pytest.mark.parametrize("model", ["cb", "hybrid"])
+    def test_item_query_from_a_config(self, workdir, tmp_path, capsys, model):
+        common = ["similar", "--bundle", str(workdir / "bundle"), "--embeddings", str(workdir / "vecs.txt"),
+                  "--model", model]
+        (tmp_path / "c.cfg").write_text("item = 7\n")
+        flagged = self.run([*common, "--item", "7"], capsys)
+        assert flagged[0] == EXIT_OK and flagged[1]
+        assert self.run([*common, "--config", str(tmp_path / "c.cfg")], capsys) == flagged
+
+    def test_feature_query_from_a_config(self, workdir, tmp_path, capsys):
+        common = ["similar", "--embeddings", str(workdir / "vecs.txt")]
+        (tmp_path / "c.cfg").write_text("feature = g0_dir1\n")
+        flagged = self.run([*common, "--feature", "g0_dir1"], capsys)
+        assert flagged[0] == EXIT_OK and flagged[1]
+        assert self.run([*common, "--config", str(tmp_path / "c.cfg")], capsys) == flagged
+
+    @pytest.mark.parametrize("line, query", [("feature = g0_dir1", ["--item", "7"]),
+                                             ("item = 7", ["--feature", "g0_dir1"])])
+    def test_config_query_and_command_line_query_conflict(self, workdir, tmp_path, capsys, line, query):
+        (tmp_path / "c.cfg").write_text(line + "\n")
+        rc = exit_code(["similar", "--config", str(tmp_path / "c.cfg"), *query, "--bundle",
+                        str(workdir / "bundle"), "--embeddings", str(workdir / "vecs.txt")])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (EXIT_INPUT, "")
+        assert "not allowed with argument" in captured.err
+
+    def test_command_line_query_repeats_win(self, workdir, tmp_path, capsys):
+        common = ["similar", "--bundle", str(workdir / "bundle"), "--model", "cf"]
+        (tmp_path / "c.cfg").write_text("item = 7\n")
+        flagged = self.run([*common, "--item", "9"], capsys)
+        assert self.run([*common, "--config", str(tmp_path / "c.cfg"), "--item", "9"], capsys) == flagged
+
+    @pytest.mark.parametrize("key, text", [("help", "help = true\n"), ("config", "config = x\n"),
+                                           ("help", '{"help": true}')])
+    def test_help_and_config_are_no_config_keys(self, workdir, tmp_path, capsys, key, text):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        rc = exit_code(["evaluate", "--config", str(cfg), "--bundle", str(workdir / "bundle"),
+                        "--predictors", "cf", "--out-dir", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (EXIT_INPUT, "")
+        assert f"{cfg}: {key} is no option of evaluate" in captured.err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("text", ["clamp = TRUE\nverbose = False\n", '{"clamp": true, "verbose": false}',
+                                      '{"clamp": null, "verbose": null, "k": null}'])
+    def test_switch_at_its_default_adds_no_flag(self, workdir, tmp_path, text):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        common = ["--bundle", str(workdir / "bundle"), "--predictors", "cf", "--split", "holdout(0.8)"]
+        assert main(["evaluate", *common, "--out-dir", str(tmp_path / "flags")]) == EXIT_OK
+        assert main(["evaluate", "--config", str(cfg), *common, "--out-dir", str(tmp_path / "cfg")]) == EXIT_OK
+        manifest = json.loads((tmp_path / "cfg" / "manifest.json").read_text())
+        assert manifest["clamp"] is True
+        assert (tmp_path / "cfg" / "results.csv").read_bytes() == (tmp_path / "flags" / "results.csv").read_bytes()
+
+    @pytest.mark.parametrize("value", ["yes", "1", 1, 0.0, ["true"]])
+    def test_switch_takes_only_true_or_false(self, workdir, tmp_path, capsys, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"clamp": value}))
+        rc = main(["evaluate", "--config", str(cfg), "--bundle", str(workdir / "bundle"),
+                   "--predictors", "cf", "--out-dir", str(tmp_path / "run")])
+        assert rc == EXIT_INPUT and not (tmp_path / "run").exists()
+        assert f"{cfg}: clamp must be true or false" in capsys.readouterr().err
+
+
+class TestManifestRoundTrip:
+    """A run's manifest is its parsed options, and replaying it reruns the run."""
+
+    @pytest.mark.parametrize("command, argv", [
+        ("evaluate", ["--predictors", "cb,cf", "--split", "holdout(0.75)", "--k", "6"]),
+        ("sweep-k", ["--predictors", "hybrid,cb", "--split", "kfold(3)", "--ks", "9,2,4"]),
+    ])
+    def test_manifest_replays_every_option(self, workdir, tmp_path, command, argv):
+        argv = [command, *argv, "--bundle", str(workdir / "bundle"), "--embeddings", str(workdir / "vecs.txt"),
+                "--seed", "5", "--min-neighbors", "2", "--no-clamp", "--tau-pair", "3", "--tau-item", "3",
+                "--rating-min", "0.5", "--rating-max", "6.0"]
+        sub = build_parser().subcommands[command]
+        dests = {action.dest for action in sub._actions} - {"help", "config", "verbose"}
+        parsed = build_parser().parse_args(argv)
+        assert [dest for dest in sorted(dests) if getattr(parsed, dest) == sub.get_default(dest)] == ["out_dir"]
+
+        first = tmp_path / "first"
+        assert main([*argv, "--out-dir", str(first)]) == EXIT_OK
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest.keys() == dests | {"command"}
+        replay = tmp_path / "replay"
+        (tmp_path / "replay.json").write_text(json.dumps({**manifest, "out_dir": str(replay)}))
+        assert main([command, "--config", str(tmp_path / "replay.json")]) == EXIT_OK
+        assert json.loads((replay / "manifest.json").read_text()) == {**manifest, "out_dir": str(replay)}
+        assert (replay / "results.csv").read_bytes() == (first / "results.csv").read_bytes()
+
+
 class TestHelp:
     def test_evaluate_help_lists_options(self, capsys):
         with pytest.raises(SystemExit) as err:

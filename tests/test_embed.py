@@ -103,17 +103,21 @@ class _CountingRng:
 
 def reference_draw(cumulative, rng, exclude, n):
     """The documented redraw rule, plainly: binary searches, and rounds
-    that redraw over the whole block."""
+    that redraw over the whole block. Only a collision that the last
+    round leaves is an error."""
     idx = cumulative.searchsorted(rng.random((exclude.size, n)), side="right")
     for _ in range(1000):
         mask = idx == exclude[:, None]
         if not mask.any():
             return idx
         idx[mask] = cumulative.searchsorted(rng.random(np.count_nonzero(mask)), side="right")
-    raise DataError(
-        f"cannot draw negatives distinct from token index {exclude[mask.any(axis=1)][0]} "
-        "after 1000 resampling rounds"
-    )
+    mask = idx == exclude[:, None]
+    if mask.any():
+        raise DataError(
+            f"cannot draw negatives distinct from token index {exclude[mask.any(axis=1)][0]} "
+            "after 1000 resampling rounds"
+        )
+    return idx
 
 
 # Vocabularies for the sampler's lookup table: tiny ones, the size of
@@ -227,6 +231,18 @@ class TestNegativeSampler:
                 sampler.draw(rng, exclude, 4)
             assert str(raised.value) == str(expected.value)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_last_redraw_round_may_clear_the_block(self):
+        # Token 1 has 0.1% of the mass; at this seed the 1000th redraw is the first to give it.
+        sampler = NegativeSampler([999, 1], 1.0)
+        rng, ref_rng = np.random.default_rng(1106), np.random.default_rng(1106)
+        draws = sampler.draw(rng, [0], 1)
+        assert draws.tolist() == [[1]]
+        expected = reference_draw(sampler.cumulative, ref_rng, np.array([0]), 1)
+        assert draws.dtype == expected.dtype and np.array_equal(draws, expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # The initial draw and the first 999 redraws all give token 0.
+        assert np.random.default_rng(1106).random(1001)[:1000].max() < sampler.cumulative[0]
 
     def test_zero_counts_rejected(self):
         with pytest.raises(ValueError):

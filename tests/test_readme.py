@@ -1,12 +1,13 @@
-"""README's library example imports only names the package exports,
-and its Defaults table gives the defaults the code has."""
+"""README's library example imports only names the package exports, its
+Defaults table gives the defaults the code has, and its config section
+names the config keys the CLI ignores."""
 
 import re
 from dataclasses import fields
 from pathlib import Path
 
 import relfrec
-from relfrec.cli import build_parser
+from relfrec.cli import _IGNORED_CONFIG_KEYS, build_parser
 
 CONFIGS = (relfrec.TrainConfig, relfrec.PredictionConfig, relfrec.HybridPolicy)
 
@@ -63,3 +64,11 @@ def test_defaults_table_lists_every_numeric_config_field():
     listed = {flag[2:].replace("-", "_") for flag, _text in defaults_table()}
     numeric = {f.name for cls in CONFIGS for f in fields(cls) if f.type in ("int", "float")}
     assert numeric - listed == set()
+
+
+def test_config_section_lists_the_ignored_keys():
+    section = README.read_text(encoding="utf-8").split("\n### Config files and reproducible runs\n", 1)[1]
+    sentence = re.search(r"Only ((?:`\w+`(?:, | and )?)+) are ignored", section.split("\n#", 1)[0].replace("\n", " "))
+    assert sentence, "no 'Only ... are ignored' sentence"
+    names = re.findall(r"`(\w+)`", sentence.group(1))
+    assert sorted(names) == sorted(_IGNORED_CONFIG_KEYS)
