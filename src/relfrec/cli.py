@@ -12,8 +12,10 @@ The pipeline is staged through on-disk artifacts so the slow step
 
 Every evaluate and sweep-k run writes its parsed options to manifest.json;
 `--config manifest.json` replays it. A config file may equally be plain
-`key = value` lines. Each entry is read as its flag, placed before the
-command line's own flags, so those still override.
+`key = value` lines. main parses the command line, reads the one
+`--config` file it names, and parses again with each entry as its flag,
+placed right after the subcommand, so the command line's own flags
+still override.
 Logs go to stderr, outputs to stdout or the chosen files. Exit codes:
 0 ok, 2 input error, 3 numeric divergence, 4 unknown id.
 """
@@ -31,6 +33,8 @@ from .embed import TrainConfig, load_embeddings, save_embeddings, train_skipgram
 from .errors import DataError, NumericDivergenceError, UnknownIdError
 from .evaluation import make_split, results_rows, sweep_k, write_manifest, write_results_csv
 from .ingest import (
+    FEATURES_FILE,
+    build_sentences,
     canonical_token,
     clean_and_join,
     csv_rows,
@@ -110,25 +114,10 @@ def _option_text(value):
     return str(value)
 
 
-def _find_config_path(argv):
-    for pos, arg in enumerate(argv):
-        if arg == "--config":
-            if pos + 1 >= len(argv):
-                raise DataError("--config needs a file path")
-            return argv[pos + 1]
-        if arg.startswith("--config="):
-            return arg.split("=", 1)[1]
-    return None
-
-
-def _add_common(sub):
-    sub.add_argument("--config", help="config file (key = value lines, or a saved manifest.json)")
-    sub.add_argument("--verbose", action="store_true", help="debug logging")
-
-
 def _require(args, *names):
-    """Required options are checked here, not by argparse, so a missing
-    one is a DataError that main returns as an input error."""
+    """Required options are checked here, not by argparse: the first parse,
+    which finds --config, cannot see the options that come from that file.
+    A missing one is a DataError, which main returns as an input error."""
     for name in names:
         if getattr(args, name, None) in (None, ""):
             raise DataError(f"missing required option --{name.replace('_', '-')}")
@@ -136,6 +125,7 @@ def _require(args, *names):
 
 def _add_bundle(sub):
     sub.add_argument("--bundle", help="bundle directory written by ingest (required)")
+    sub.add_argument("--embeddings", default=None, help="embedding file (needed for cb/hybrid)")
     _add_scale(sub)
 
 
@@ -158,6 +148,17 @@ def _add_policy(sub):
                      help="hybrid: min ratings per item to count as warm")
 
 
+def _add_grid(sub, predictors, split):
+    """The options evaluate and sweep-k share; they differ in these defaults and in --k / --ks."""
+    _add_bundle(sub)
+    sub.add_argument("--predictors", type=_predictor_list, default=predictors,
+                     help="comma-separated subset of cf,cb,hybrid")
+    sub.add_argument("--split", default=split, help="kfold(F) | holdout(RATIO) | cold-start(FRACTION)")
+    sub.add_argument("--seed", type=int, default=1, help="split seed")
+    _add_prediction(sub)
+    sub.add_argument("--out-dir", help="directory for results.csv + manifest.json (required)")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="relfrec",
@@ -168,7 +169,6 @@ def build_parser():
 
     p = commands["ingest"] = subparsers.add_parser(
         "ingest", help="parse and clean ratings + item metadata into a bundle")
-    _add_common(p)
     p.add_argument("--ratings", help="ratings file (user::item::rating::ts or CSV) (required)")
     p.add_argument("--metadata", help="item features CSV (itemId,directors,screenwriters,cast) (required)")
     p.add_argument("--out", help="output bundle directory (required)")
@@ -178,8 +178,7 @@ def build_parser():
 
     p = commands["train-embed"] = subparsers.add_parser(
         "train-embed", help="train feature embeddings on the bundle's sentences")
-    _add_common(p)
-    _add_bundle(p)
+    p.add_argument("--bundle", help="bundle directory written by ingest; only features.csv is read (required)")
     p.add_argument("--out", help="embedding text file to write (required)")
     p.add_argument("--window", type=int, default=TrainConfig.window, help="max context window")
     p.add_argument("--dim", type=int, default=TrainConfig.dim, help="vector dimension")
@@ -196,37 +195,19 @@ def build_parser():
 
     p = commands["evaluate"] = subparsers.add_parser(
         "evaluate", help="RMSE/MAE of predictors over a split plan")
-    _add_common(p)
-    _add_bundle(p)
-    p.add_argument("--embeddings", default=None, help="embedding file (needed for cb/hybrid)")
-    p.add_argument("--predictors", type=_predictor_list, default=["cf", "cb", "hybrid"],
-                   help="comma-separated subset of cf,cb,hybrid (default all)")
-    p.add_argument("--split", default="kfold(5)", help="kfold(F) | holdout(RATIO) | cold-start(FRACTION)")
-    p.add_argument("--seed", type=int, default=1, help="split seed")
+    _add_grid(p, ["cf", "cb", "hybrid"], "kfold(5)")
     p.add_argument("--k", type=int, default=PredictionConfig.k, help="neighborhood size")
-    _add_prediction(p)
-    p.add_argument("--out-dir", help="directory for results.csv + manifest.json (required)")
     p.set_defaults(func=cmd_evaluate)
 
     p = commands["sweep-k"] = subparsers.add_parser(
         "sweep-k", help="evaluate a grid of neighborhood sizes")
-    _add_common(p)
-    _add_bundle(p)
-    p.add_argument("--embeddings", default=None, help="embedding file (needed for cb/hybrid)")
-    p.add_argument("--predictors", type=_predictor_list, default=["cf", "hybrid"],
-                   help="comma-separated subset of cf,cb,hybrid")
+    _add_grid(p, ["cf", "hybrid"], "holdout(0.8)")
     p.add_argument("--ks", type=_int_list, help="comma-separated neighborhood sizes (required)")
-    p.add_argument("--split", default="holdout(0.8)", help="split plan reused for every cell")
-    p.add_argument("--seed", type=int, default=1, help="split seed")
-    _add_prediction(p)
-    p.add_argument("--out-dir", help="directory for results.csv + manifest.json (required)")
     p.set_defaults(func=cmd_sweep_k)
 
     p = commands["predict"] = subparsers.add_parser(
         "predict", help="predict one (user, item) pair or a CSV of pairs")
-    _add_common(p)
     _add_bundle(p)
-    p.add_argument("--embeddings", default=None, help="embedding file (needed for cb/hybrid)")
     p.add_argument("--model", choices=PREDICTORS, default="hybrid", help="similarity source")
     p.add_argument("--user", type=int, default=None, help="user id (with --item)")
     p.add_argument("--item", type=int, default=None, help="item id (with --user)")
@@ -237,8 +218,7 @@ def build_parser():
 
     p = commands["similar"] = subparsers.add_parser(
         "similar", help="nearest feature tokens or nearest items")
-    _add_common(p)
-    group = p.add_mutually_exclusive_group(required=True)
+    group = p.add_mutually_exclusive_group()
     group.add_argument("--feature", help="feature token (or raw name) to query")
     group.add_argument("--item", type=int, help="item id to query")
     p.add_argument("--n", type=int, default=10, help="how many neighbors to print")
@@ -251,6 +231,9 @@ def build_parser():
     p.set_defaults(func=cmd_similar)
 
     for sub in commands.values():
+        sub.add_argument("--config", action="append",
+                         help="one config file per run (key = value lines, or a saved manifest.json)")
+        sub.add_argument("--verbose", action="store_true", help="debug logging")
         # Flags match exactly: as a prefix, sweep-k's `--k` would be taken for `--ks`.
         sub.allow_abbrev = False
     parser.subcommands = commands
@@ -261,9 +244,8 @@ def _load_artifacts(args, need_embeddings):
     """Common loading for commands that consume a bundle (+ embeddings)."""
     bundle, _catalog = load_bundle(args.bundle, scale=(args.rating_min, args.rating_max))
     index = None
-    embeddings = getattr(args, "embeddings", None)
-    if embeddings:
-        index = build_item_vectors(bundle.sentences, load_embeddings(embeddings))
+    if args.embeddings:
+        index = build_item_vectors(bundle.sentences, load_embeddings(args.embeddings))
     elif need_embeddings:
         raise DataError("this run needs --embeddings (content similarity has no vectors otherwise)")
     return bundle, index
@@ -289,8 +271,8 @@ def cmd_ingest(args):
 
 def cmd_train_embed(args):
     _require(args, "bundle", "out")
-    bundle, _index = _load_artifacts(args, need_embeddings=False)
-    table = train_skipgram(bundle.sentences, _config(TrainConfig, args))
+    sentences = build_sentences(parse_item_features(Path(args.bundle) / FEATURES_FILE))
+    table = train_skipgram(sentences, _config(TrainConfig, args))
     save_embeddings(table, args.out)
     log.info("wrote %d vectors of dimension %d to %s", len(table), table.dim, args.out)
     return EXIT_OK
@@ -379,6 +361,8 @@ def cmd_predict(args):
 
 
 def cmd_similar(args):
+    if args.feature is None and args.item is None:
+        raise DataError("similar needs --item or --feature")
     if args.feature is not None:
         if not args.embeddings:
             raise DataError("similar --feature needs --embeddings")
@@ -403,18 +387,20 @@ def cmd_similar(args):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    try:
-        config_path = _find_config_path(argv)
-        if config_path:
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        try:
+            if len(args.config) > 1:
+                raise DataError(f"one --config per run, got {' and '.join(args.config)}")
+            (config_path,) = args.config
+            if not config_path:
+                raise DataError("--config needs a file path")
             mapping = load_config_file(config_path)
-            command = argv[0] if argv and not argv[0].startswith("-") else None
-            sub = parser.subcommands.get(command)
-            if sub is None:
-                raise DataError("--config must follow a subcommand")
+            sub = parser.subcommands[args.command]
             options = {action.dest: action for action in sub._actions if action.dest not in ("help", "config")}
             unknown = sorted(mapping.keys() - options.keys() - _IGNORED_CONFIG_KEYS)
             if unknown:
-                raise DataError(f"{config_path}: {', '.join(unknown)} is no option of {command}")
+                raise DataError(f"{config_path}: {', '.join(unknown)} is no option of {args.command}")
             # A config line is its flag, placed before the command line's
             # own flags, which win by argparse's last-wins rule; null adds nothing.
             flags = []
@@ -431,10 +417,10 @@ def main(argv=None):
                 else:
                     flags.append(f"{action.option_strings[0]}={_option_text(value)}")
             argv[1:1] = flags
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    args = parser.parse_args(argv)
+        except (DataError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        args = parser.parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.DEBUG if args.verbose else logging.INFO,

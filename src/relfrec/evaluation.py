@@ -22,9 +22,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, replace
-from itertools import groupby
 from numbers import Integral
-from operator import itemgetter
 
 import numpy as np
 
@@ -201,9 +199,9 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
 
     Per fold, the training side is built once from the train records
     alone, and one provider per predictor serves every k. Test records
-    are predicted with predict_rating in (item, user) order, once each
-    at the largest k, so each item's similarity row is computed once
-    per fold and predictor; the metric sums do not depend on that
+    are predicted by one predict_batch call in (item, user) order, once
+    each at the largest k, so each item's similarity row is computed
+    once per fold and predictor; the metric sums do not depend on that
     order. Every k is read from that ranking by values_at, bit for bit
     what predict_rating gives at that k, and the fallbacks are the same
     at every k. Item vectors come from metadata, not ratings, so a
@@ -227,16 +225,14 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
     for fold_idx, train_idx, test_idx in plan.folds():
         train = ratings.subset(train_idx)
         test = test_idx[np.lexsort((ratings.user[test_idx], ratings.item[test_idx]))]
-        test_pairs = zip(ratings.user[test].tolist(), ratings.item[test].tolist())
-        item_groups = [list(group) for _item, group in groupby(test_pairs, key=itemgetter(1))]
+        test_pairs = list(zip(ratings.user[test].tolist(), ratings.item[test].tolist()))
         actual = ratings.rating[test]
         for predictor in predictors:
             provider = make_provider(predictor, train, index, policy)
             values, n_fallbacks = [], 0
-            for group in item_groups:
-                for pred in predict_batch(group, train, provider, top):
-                    values += values_at(pred, ks, train, top)
-                    n_fallbacks += pred.is_fallback
+            for pred in predict_batch(test_pairs, train, provider, top):
+                values += values_at(pred, ks, train, top)
+                n_fallbacks += pred.is_fallback
             predicted = np.array(values, dtype=np.float64).reshape(-1, len(ks))
             for k, column in zip(ks, predicted.T):
                 report = MetricReport(

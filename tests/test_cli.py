@@ -241,6 +241,30 @@ class TestTrainEmbed:
         ])
         assert rc == EXIT_NUMERIC
 
+    def test_reads_only_the_bundles_features(self, workdir, tmp_path):
+        """A bundle rated on a 0-10 scale trains with no scale option, into
+        the vectors of any bundle with the same features."""
+        ratings = tmp_path / "ratings.dat"
+        ratings.write_text("".join(
+            f"{user}::{item}::{int(rating) + 5}::{ts}\n"
+            for user, item, rating, ts in (line.split("::") for line in (workdir / "ratings.dat").read_text().split())
+        ))
+        assert main(["ingest", "--ratings", str(ratings), "--metadata", str(workdir / "features.csv"),
+                     "--out", str(tmp_path / "bundle"), "--rating-min", "0", "--rating-max", "10"]) == EXIT_OK
+        out = tmp_path / "vecs.txt"
+        assert main([
+            "train-embed", "--bundle", str(tmp_path / "bundle"), "--out", str(out),
+            "--window", "4", "--dim", "16", "--negatives", "5", "--epochs", "4", "--seed", "3",
+        ]) == EXIT_OK
+        assert out.read_bytes() == (workdir / "vecs.txt").read_bytes()
+
+    @pytest.mark.parametrize("given", [["--rating-max", "9"], ["--config", "scale.cfg"]])
+    def test_takes_no_rating_scale(self, workdir, tmp_path, monkeypatch, given):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "scale.cfg").write_text("rating_min = 0\n")
+        rc = exit_code(["train-embed", "--bundle", str(workdir / "bundle"), "--out", "v.txt", *given])
+        assert rc == EXIT_INPUT and not (tmp_path / "v.txt").exists()
+
 
 class TestEvaluate:
     def test_cf_only_needs_no_embeddings(self, workdir, tmp_path, capsys):
@@ -507,6 +531,13 @@ class TestSimilar:
         assert f"{bad}: not UTF-8 text" in caplog.text
         assert capsys.readouterr().out == ""
 
+    def test_needs_a_query(self, workdir, caplog, capsys):
+        rc = exit_code(["similar", "--bundle", str(workdir / "bundle"), "--embeddings", str(workdir / "vecs.txt")])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (EXIT_INPUT, "")
+        message = caplog.text + captured.err
+        assert "--item" in message and "--feature" in message
+
     def test_feature_requires_embeddings(self, workdir):
         rc = main(["similar", "--feature", "g0_dir0"])
         assert rc == EXIT_INPUT
@@ -724,7 +755,18 @@ class TestConfigFile:
     def test_config_before_subcommand_rejected(self, tmp_path):
         cfg = tmp_path / "x.cfg"
         cfg.write_text("k = 5\n")
-        assert main(["--config", str(cfg)]) == EXIT_INPUT
+        assert exit_code(["--config", str(cfg)]) == EXIT_INPUT
+
+    def test_one_config_per_run(self, workdir, tmp_path, capsys):
+        for name, text in (("a.cfg", "k = 5\n"), ("b.cfg", "k = 9\n")):
+            (tmp_path / name).write_text(text)
+        common = ["evaluate", "--bundle", str(workdir / "bundle"), "--predictors", "cf",
+                  "--out-dir", str(tmp_path / "run")]
+        assert main([*common, "--config", str(tmp_path / "a.cfg"), "--config", str(tmp_path / "b.cfg")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(tmp_path / "a.cfg") in err and str(tmp_path / "b.cfg") in err
+        assert main([*common, "--config="]) == EXIT_INPUT
+        assert not (tmp_path / "run").exists()
 
     def test_missing_config_file(self, workdir, tmp_path):
         rc = main([
