@@ -10,6 +10,8 @@ The pipeline is staged through on-disk artifacts so the slow step
     predict      predict one (user, item) pair or a CSV of pairs
     similar      nearest feature tokens, or nearest items by similarity
 
+Ingest validates ratings on --rating-min / --rating-max and records that
+scale in the bundle's report.json, where every later stage reads it.
 Every evaluate and sweep-k run writes its parsed options to manifest.json;
 `--config manifest.json` replays it. A config file may equally be plain
 `key = value` lines. main parses the command line, reads the one
@@ -126,12 +128,6 @@ def _require(args, *names):
 def _add_bundle(sub):
     sub.add_argument("--bundle", help="bundle directory written by ingest (required)")
     sub.add_argument("--embeddings", default=None, help="embedding file (needed for cb/hybrid)")
-    _add_scale(sub)
-
-
-def _add_scale(sub):
-    sub.add_argument("--rating-min", type=float, default=1.0, help="lower end of the rating scale")
-    sub.add_argument("--rating-max", type=float, default=5.0, help="upper end of the rating scale")
 
 
 def _add_prediction(sub):
@@ -173,7 +169,8 @@ def build_parser():
     p.add_argument("--metadata", help="item features CSV (itemId,directors,screenwriters,cast) (required)")
     p.add_argument("--out", help="output bundle directory (required)")
     p.add_argument("--fmt", choices=("dat", "csv"), default=None, help="ratings format (default: sniff)")
-    _add_scale(p)
+    p.add_argument("--rating-min", type=float, default=1.0, help="lower end of the rating scale the bundle records")
+    p.add_argument("--rating-max", type=float, default=5.0, help="upper end of the rating scale the bundle records")
     p.set_defaults(func=cmd_ingest)
 
     p = commands["train-embed"] = subparsers.add_parser(
@@ -226,7 +223,6 @@ def build_parser():
                    help="similarity source for --item queries")
     p.add_argument("--embeddings", default=None, help="embedding file")
     p.add_argument("--bundle", default=None, help="bundle directory (for --item queries)")
-    _add_scale(p)
     _add_policy(p)
     p.set_defaults(func=cmd_similar)
 
@@ -242,7 +238,7 @@ def build_parser():
 
 def _load_artifacts(args, need_embeddings):
     """Common loading for commands that consume a bundle (+ embeddings)."""
-    bundle, _catalog = load_bundle(args.bundle, scale=(args.rating_min, args.rating_max))
+    bundle = load_bundle(args.bundle)
     index = None
     if args.embeddings:
         index = build_item_vectors(bundle.sentences, load_embeddings(args.embeddings))

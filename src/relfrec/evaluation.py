@@ -38,6 +38,9 @@ KIND_COLD_START = "cold-start"
 
 _DEFAULT_PARAMS = {KIND_KFOLD: 5, KIND_HOLDOUT: 0.8, KIND_COLD_START: 0.05}
 
+# Test pairs per predict_batch call, so a fold never holds all its Predictions at once.
+BATCH_PAIRS = 256
+
 RESULTS_HEADER = ["predictor", "split", "seed", "k", "fold", "rmse", "mae", "n_predictions", "n_fallbacks"]
 
 
@@ -199,13 +202,14 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
 
     Per fold, the training side is built once from the train records
     alone, and one provider per predictor serves every k. Test records
-    are predicted by one predict_batch call in (item, user) order, once
-    each at the largest k, so each item's similarity row is computed
-    once per fold and predictor; the metric sums do not depend on that
-    order. Every k is read from that ranking by values_at, bit for bit
-    what predict_rating gives at that k, and the fallbacks are the same
-    at every k. Item vectors come from metadata, not ratings, so a
-    shared index leaks nothing across folds.
+    are predicted in (item, user) order, by predict_batch calls over
+    slices of at most BATCH_PAIRS pairs, once each at the largest k, so
+    each item's similarity row is computed once per fold and predictor;
+    the metric sums do not depend on that order. Every k is read from
+    that ranking by values_at, bit for bit what predict_rating gives at
+    that k, and the fallbacks are the same at every k. Item vectors
+    come from metadata, not ratings, so a shared index leaks nothing
+    across folds.
 
     Returns a list of (predictor, k, MetricReport): predictors outer,
     ks inner.
@@ -230,9 +234,10 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
         for predictor in predictors:
             provider = make_provider(predictor, train, index, policy)
             values, n_fallbacks = [], 0
-            for pred in predict_batch(test_pairs, train, provider, top):
-                values += values_at(pred, ks, train, top)
-                n_fallbacks += pred.is_fallback
+            for start in range(0, len(test_pairs), BATCH_PAIRS):
+                for pred in predict_batch(test_pairs[start:start + BATCH_PAIRS], train, provider, top):
+                    values += values_at(pred, ks, train, top)
+                    n_fallbacks += pred.is_fallback
             predicted = np.array(values, dtype=np.float64).reshape(-1, len(ks))
             for k, column in zip(ks, predicted.T):
                 report = MetricReport(

@@ -572,6 +572,7 @@ def clean_and_join(ratings, catalog):
         "n_sentences": len(sentences),
         "n_malformed_rating_lines": ratings.n_malformed,
         "n_catalog_duplicates": catalog.n_dropped_duplicates,
+        "rating_scale": [ratings.r_min, ratings.r_max],
     }
     return CorpusBundle(ratings=cleaned, sentences=sentences, report=report)
 
@@ -620,13 +621,21 @@ def save_bundle(bundle, catalog, out_dir):
     return out
 
 
-def load_bundle(bundle_dir, scale=(1.0, 5.0)):
-    """Load a bundle directory written by save_bundle."""
+def load_bundle(bundle_dir):
+    """Load a bundle directory written by save_bundle, on the rating scale its
+    report records (1-5 in a report from before ingest recorded one). A
+    ratings.csv line that is malformed or off that scale is a DataError."""
     bdir = Path(bundle_dir)
     ratings_path = bdir / RATINGS_FILE
     features_path = bdir / FEATURES_FILE
     if not ratings_path.exists() or not features_path.exists():
         raise DataError(f"{bundle_dir} is not a bundle directory (missing {RATINGS_FILE}/{FEATURES_FILE})")
-    ratings = parse_ratings(ratings_path, fmt="csv", scale=scale)
-    catalog = parse_item_features(features_path)
-    return clean_and_join(ratings, catalog), catalog
+    try:
+        with text_stream(bdir / REPORT_FILE) as stream:
+            r_min, r_max = map(float, json.loads(stream.read()).get("rating_scale", (1.0, 5.0)))
+    except (ValueError, TypeError, AttributeError, RecursionError):
+        raise DataError(f"{bdir / REPORT_FILE}: expected a JSON object whose rating_scale is [min, max]") from None
+    ratings = parse_ratings(ratings_path, fmt="csv", scale=(r_min, r_max))
+    if ratings.n_malformed:
+        raise DataError(f"{ratings_path}: {ratings.n_malformed} line(s) malformed or off the scale [{r_min}, {r_max}]")
+    return clean_and_join(ratings, parse_item_features(features_path))

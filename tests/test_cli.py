@@ -2,13 +2,15 @@
 
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from relfrec.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_UNKNOWN_ID, _config, build_parser, main
 from relfrec.embed import TrainConfig, load_embeddings
-from relfrec.ingest import RatingDataset, load_bundle
+from relfrec.evaluation import evaluate, make_split, results_rows, write_results_csv
+from relfrec.ingest import RatingDataset, clean_and_join, load_bundle, parse_item_features, parse_ratings
 from relfrec.predict import PredictionConfig
 from relfrec.simcore import HybridPolicy, build_item_vectors, hybrid_sim, rating_cosine, relf_sim
 
@@ -183,7 +185,7 @@ class TestIngest:
             "--out", str(tmp_path / "bundle"),
         ])
         assert rc == EXIT_OK
-        bundle, _catalog = load_bundle(tmp_path / "bundle")
+        bundle = load_bundle(tmp_path / "bundle")
         assert bundle.ratings.records == [(1, 1, 4.0, 10)]
         assert bundle.sentences[0].tokens == ("some_director", "some_actor")
 
@@ -567,7 +569,7 @@ class TestSimilar:
 
     @pytest.mark.parametrize("taus", [[], ["--tau-pair", "1", "--tau-item", "0"]], ids=["default-taus", "all-warm"])
     def test_item_neighbors_match_reference_functions(self, workdir, unrated_bundle, capsys, taus):
-        bundle, _catalog = load_bundle(unrated_bundle)
+        bundle = load_bundle(unrated_bundle)
         ratings = bundle.ratings
         index = build_item_vectors(bundle.sentences, load_embeddings(workdir / "vecs.txt"))
         policy = HybridPolicy(*(int(v) for v in taus[1::2])) if taus else HybridPolicy()
@@ -617,6 +619,67 @@ class TestSimilar:
                 rc = main(["similar", *query, "--n", n, "--embeddings", str(workdir / "vecs.txt")])
                 assert rc == EXIT_INPUT
         assert capsys.readouterr().out == ""
+
+
+class TestBundleRatingScale:
+    """Ingest records the rating scale in the bundle; later stages read it from there."""
+
+    COMMANDS = {
+        "evaluate": ["--predictors", "cf", "--out-dir", "run"],
+        "sweep-k": ["--predictors", "cf", "--ks", "3", "--out-dir", "run"],
+        "predict": ["--model", "cf", "--user", "1", "--item", "1"],
+        "similar": ["--model", "cf", "--item", "1"],
+    }
+
+    @pytest.mark.parametrize("given, key", [(["--rating-max", "9"], "--rating-max"),
+                                            (["--config", "scale.cfg"], "rating_min")], ids=["flag", "config"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_takes_no_rating_scale(self, workdir, tmp_path, monkeypatch, capsys, command, given, key):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "scale.cfg").write_text("rating_min = 0\n")
+        rc = exit_code([command, "--bundle", str(workdir / "bundle"), *self.COMMANDS[command], *given])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (EXIT_INPUT, "")
+        assert key in captured.err and not (tmp_path / "run").exists()
+
+    def test_evaluates_on_the_ingested_scale(self, workdir, tmp_path):
+        """A 0-10 bundle evaluates with no scale option, clamped to 0-10 as
+        the library clamps a dataset parsed on that scale."""
+        assert main(["ingest", "--ratings", str(workdir / "ratings.dat"), "--metadata", str(workdir / "features.csv"),
+                     "--out", str(tmp_path / "bundle"), "--rating-min", "0", "--rating-max", "10"]) == EXIT_OK
+        assert json.loads((tmp_path / "bundle" / "report.json").read_text())["rating_scale"] == [0.0, 10.0]
+        common = ["--predictors", "cf", "--split", "holdout(0.8)", "--k", "3"]
+        for bundle, out in ((tmp_path / "bundle", "wide"), (workdir / "bundle", "default")):
+            assert main(["evaluate", "--bundle", str(bundle), *common, "--out-dir", str(tmp_path / out)]) == EXIT_OK
+        wide = clean_and_join(parse_ratings(workdir / "ratings.dat", scale=(0, 10)),
+                              parse_item_features(workdir / "features.csv")).ratings
+        plan = make_split(wide, "holdout(0.8)", 1)
+        write_results_csv(results_rows("cf", plan, 3, evaluate("cf", plan, wide, PredictionConfig(k=3))),
+                          tmp_path / "library.csv")
+        results = (tmp_path / "wide" / "results.csv").read_bytes()
+        assert results == (tmp_path / "library.csv").read_bytes()
+        assert results != (tmp_path / "default" / "results.csv").read_bytes()
+
+    @pytest.mark.parametrize("line", ["1,1,7,0", "1,1,four,0"], ids=["off-scale", "malformed"])
+    def test_bad_bundle_rating_line_is_an_input_error(self, workdir, tmp_path, caplog, line):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        with open(bundle / "ratings.csv", "a") as stream:
+            stream.write(line + "\n")
+        rc = main(["evaluate", "--bundle", str(bundle), "--predictors", "cf", "--out-dir", str(tmp_path / "run")])
+        assert rc == EXIT_INPUT and not (tmp_path / "run").exists()
+        assert f"{bundle / 'ratings.csv'}: 1 line(s) malformed or off the scale [1.0, 5.0]" in caplog.text
+
+    def test_report_without_a_scale_reads_on_one_to_five(self, workdir, tmp_path):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        report = json.loads((bundle / "report.json").read_text())
+        report.pop("rating_scale", None)
+        (bundle / "report.json").write_text(json.dumps(report))
+        common = ["--predictors", "cf", "--split", "holdout(0.8)", "--k", "3"]
+        for source, out in ((bundle, "older"), (workdir / "bundle", "current")):
+            assert main(["evaluate", "--bundle", str(source), *common, "--out-dir", str(tmp_path / out)]) == EXIT_OK
+        assert read_results(tmp_path / "older") == read_results(tmp_path / "current")
 
 
 class TestConfigFile:
@@ -895,8 +958,7 @@ class TestManifestRoundTrip:
     ])
     def test_manifest_replays_every_option(self, workdir, tmp_path, command, argv):
         argv = [command, *argv, "--bundle", str(workdir / "bundle"), "--embeddings", str(workdir / "vecs.txt"),
-                "--seed", "5", "--min-neighbors", "2", "--no-clamp", "--tau-pair", "3", "--tau-item", "3",
-                "--rating-min", "0.5", "--rating-max", "6.0"]
+                "--seed", "5", "--min-neighbors", "2", "--no-clamp", "--tau-pair", "3", "--tau-item", "3"]
         sub = build_parser().subcommands[command]
         dests = {action.dest for action in sub._actions} - {"help", "config", "verbose"}
         parsed = build_parser().parse_args(argv)
@@ -911,6 +973,21 @@ class TestManifestRoundTrip:
         assert main([command, "--config", str(tmp_path / "replay.json")]) == EXIT_OK
         assert json.loads((replay / "manifest.json").read_text()) == {**manifest, "out_dir": str(replay)}
         assert (replay / "results.csv").read_bytes() == (first / "results.csv").read_bytes()
+
+    def test_older_manifest_with_a_rating_scale_is_an_input_error(self, workdir, tmp_path, capsys):
+        """A bundle records its rating scale, so a manifest that sets one exits 2 naming both keys."""
+        first = tmp_path / "first"
+        assert main(["evaluate", "--bundle", str(workdir / "bundle"), "--predictors", "cf",
+                     "--split", "holdout(0.8)", "--out-dir", str(first)]) == EXIT_OK
+        manifest = json.loads((first / "manifest.json").read_text())
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps({**manifest, "rating_min": 1.0, "rating_max": 5.0, "out_dir": str(tmp_path / "r")}))
+        capsys.readouterr()
+        rc = main(["evaluate", "--config", str(older)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (EXIT_INPUT, "")
+        assert f"{older}: rating_max, rating_min is no option of evaluate" in captured.err
+        assert not (tmp_path / "r").exists()
 
 
 class TestHelp:

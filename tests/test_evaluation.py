@@ -23,7 +23,7 @@ from relfrec.evaluation import (
     write_manifest,
     write_results_csv,
 )
-from relfrec import predict, simcore
+from relfrec import evaluation, predict, simcore
 from relfrec.ingest import RatingDataset, parse_ratings
 from relfrec.predict import PredictionConfig, predict_batch
 from relfrec.simcore import make_provider
@@ -435,6 +435,26 @@ class TestSweepK:
             sweep_k([5, 3, 5], ["cf"], plan, ds)
         with pytest.raises(ValueError, match="predictor 'cf' is given more than once"):
             sweep_k([5], ("cf", "cf"), plan, ds)
+
+    def test_predict_batch_calls_are_bounded(self, monkeypatch):
+        """No predict_batch call gets more than BATCH_PAIRS test pairs; the
+        slices keep the (item, user) order, and the cells do not change."""
+        ds = random_world(23, n_users=80, n_items=20, density=0.8)
+        plan = make_split(ds, "kfold(2)", seed=4)
+        calls = []
+
+        def spied(pairs, *args, **kwargs):
+            calls.append(list(pairs))
+            return predict_batch(pairs, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "predict_batch", spied)
+        table = sweep_k([1, 5], ["cf"], plan, ds)
+        assert max(map(len, calls)) == evaluation.BATCH_PAIRS and len(calls) > 2 * plan.n_folds
+        ordered = [(u, i) for _f, _train, test_idx in plan.folds()
+                   for i, u in sorted((ds.records[r][1], ds.records[r][0]) for r in test_idx)]
+        assert [pair for call in calls for pair in call] == ordered
+        monkeypatch.setattr(evaluation, "BATCH_PAIRS", len(ds))
+        assert sweep_k([1, 5], ["cf"], plan, ds) == table
 
 
 class TestResultsOutput:

@@ -629,11 +629,29 @@ class TestBundleIO:
         catalog = make_catalog([1, 2, 3])
         bundle = clean_and_join(ratings, catalog)
         out = save_bundle(bundle, catalog, tmp_path / "bundle")
-        loaded, loaded_catalog = load_bundle(out)
+        loaded = load_bundle(out)
         assert loaded.ratings.records == bundle.ratings.records
         assert loaded.sentences == bundle.sentences
-        assert loaded_catalog.entries == catalog.entries
+        assert parse_item_features(out / "features.csv").entries == catalog.entries
         assert (out / "report.json").exists()
+
+    @pytest.mark.parametrize("scale", [(1.0, 5.0), (0.0, 10.0)])
+    def test_report_records_the_scale(self, tmp_path, scale):
+        ratings = RatingDataset(records=[(1, 1, 4.0, 11), (2, 1, 0.5 + scale[0], 12)], r_min=scale[0], r_max=scale[1])
+        catalog = make_catalog([1])
+        out = save_bundle(clean_and_join(ratings, catalog), catalog, tmp_path / "bundle")
+        assert json.loads((out / "report.json").read_text())["rating_scale"] == list(scale)
+        loaded = load_bundle(out)
+        assert (loaded.ratings.r_min, loaded.ratings.r_max) == scale
+        assert loaded.report["rating_scale"] == list(scale)
+
+    @pytest.mark.parametrize("report", ["", "[1, 5]", '{"rating_scale": [1]}', '{"rating_scale": "high"}'])
+    def test_load_bundle_rejects_a_bad_report(self, tmp_path, report):
+        catalog = make_catalog([1])
+        out = save_bundle(clean_and_join(RatingDataset(records=[(1, 1, 4.0, 11)]), catalog), catalog, tmp_path / "b")
+        (out / "report.json").write_text(report)
+        with pytest.raises(DataError, match=re.escape(f"{out / 'report.json'}: expected a JSON object")):
+            load_bundle(out)
 
     def test_load_bundle_missing_dir_fatal(self, tmp_path):
         with pytest.raises(DataError):
