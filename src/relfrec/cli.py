@@ -11,7 +11,8 @@ The pipeline is staged through on-disk artifacts so the slow step
     similar      nearest feature tokens, or nearest items by similarity
 
 Ingest validates ratings on --rating-min / --rating-max and records that
-scale in the bundle's report.json, where every later stage reads it.
+scale in the bundle's report.json, where every later stage reads it;
+predictions are always clamped to it.
 Every evaluate and sweep-k run writes its parsed options to manifest.json;
 `--config manifest.json` replays it. A config file may equally be plain
 `key = value` lines. main parses the command line, reads the one
@@ -130,13 +131,6 @@ def _add_bundle(sub):
     sub.add_argument("--embeddings", default=None, help="embedding file (needed for cb/hybrid)")
 
 
-def _add_prediction(sub):
-    sub.add_argument("--min-neighbors", type=int, default=PredictionConfig.min_neighbors,
-                     help="fallback below this many neighbors")
-    sub.add_argument("--no-clamp", dest="clamp", action="store_false", help="do not clamp predictions to the rating scale")
-    _add_policy(sub)
-
-
 def _add_policy(sub):
     sub.add_argument("--tau-pair", type=int, default=HybridPolicy.tau_pair,
                      help="hybrid: min co-raters to trust a rating similarity")
@@ -151,7 +145,7 @@ def _add_grid(sub, predictors, split):
                      help="comma-separated subset of cf,cb,hybrid")
     sub.add_argument("--split", default=split, help="kfold(F) | holdout(RATIO) | cold-start(FRACTION)")
     sub.add_argument("--seed", type=int, default=1, help="split seed")
-    _add_prediction(sub)
+    _add_policy(sub)
     sub.add_argument("--out-dir", help="directory for results.csv + manifest.json (required)")
 
 
@@ -210,7 +204,7 @@ def build_parser():
     p.add_argument("--item", type=int, default=None, help="item id (with --user)")
     p.add_argument("--pairs", default=None, help="CSV of user,item pairs (batch mode)")
     p.add_argument("--k", type=int, default=PredictionConfig.k, help="neighborhood size")
-    _add_prediction(p)
+    _add_policy(p)
     p.set_defaults(func=cmd_predict)
 
     p = commands["similar"] = subparsers.add_parser(

@@ -236,7 +236,7 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
             values, n_fallbacks = [], 0
             for start in range(0, len(test_pairs), BATCH_PAIRS):
                 for pred in predict_batch(test_pairs[start:start + BATCH_PAIRS], train, provider, top):
-                    values += values_at(pred, ks, train, top)
+                    values += values_at(pred, ks, train)
                     n_fallbacks += pred.is_fallback
             predicted = np.array(values, dtype=np.float64).reshape(-1, len(ks))
             for k, column in zip(ks, predicted.T):

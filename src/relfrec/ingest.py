@@ -341,16 +341,31 @@ def parse_ratings(source, fmt=None, scale=(1.0, 5.0)):
 
     ``fmt`` is "dat" (``user::item::rating::timestamp``), "csv"
     (header ``userId,movieId,rating,timestamp``), or None to sniff from
-    the first line. Malformed lines are counted and skipped with a
-    warning; a source that cannot be read or is not UTF-8, a CSV record
-    the reader rejects, zero valid records, or a valid line whose id or
-    timestamp does not fit in 64 bits (naming file and line) is fatal.
+    the first line. Malformed lines are skipped with a warning naming
+    the first; a source that cannot be read or is not UTF-8, a CSV
+    record the reader rejects, zero valid records, or a valid line whose
+    id or timestamp does not fit in 64 bits (naming file and line) is
+    fatal. A scale that is not two finite numbers with min below max is a
+    ValueError, raised before any line is read.
 
     A ``.dat`` file whose every line has the four-field form is read in
     one strict pass into columns; any other file is parsed line by line,
     with the same result.
     """
-    r_min, r_max = float(scale[0]), float(scale[1])
+    return _read_ratings(source, fmt, scale, strict=False)
+
+
+def _rating_scale(scale):
+    """(r_min, r_max) as floats; a ValueError unless both are finite and r_min < r_max."""
+    r_min, r_max = map(float, scale)
+    if np.isfinite((r_min, r_max)).all() and r_min < r_max:
+        return r_min, r_max
+    raise ValueError(f"rating scale [{r_min}, {r_max}] must be two finite numbers, min below max")
+
+
+def _read_ratings(source, fmt, scale, strict):
+    """parse_ratings, or with ``strict`` a DataError at the first malformed line instead of a skip."""
+    r_min, r_max = _rating_scale(scale)
     with text_stream(source) as stream:
         lines = stream.readlines()
         name = stream_name(stream)
@@ -362,19 +377,19 @@ def parse_ratings(source, fmt=None, scale=(1.0, 5.0)):
         raise DataError(f"unknown rating format {fmt!r}")
     read = _read_dat_columns(lines, r_min, r_max) if fmt == "dat" else None
     if read is None:
-        parse = _parse_dat_lines if fmt == "dat" else _parse_csv_lines
-        records, malformed = parse(lines, r_min, r_max, name)
-        read = _record_columns(records), malformed
-    columns, malformed = read
-    if malformed:
-        log.warning("skipped %d malformed rating line(s)", malformed)
+        read = (_parse_dat_lines if fmt == "dat" else _parse_csv_lines)(lines, r_min, r_max, name)
+    columns, bad = read
+    if bad and strict:
+        raise DataError(f"{name}:{bad[0]}: malformed or off the scale [{r_min}, {r_max}]")
+    if bad:
+        log.warning("skipped %d malformed rating line(s), the first at %s:%d", len(bad), name, bad[0])
     if not len(columns[0]):
-        raise DataError("no valid rating records found")
-    return RatingDataset._from_columns(*columns, r_min, r_max, n_malformed=malformed)
+        raise DataError(f"{name}: no valid rating records found")
+    return RatingDataset._from_columns(*columns, r_min, r_max, n_malformed=len(bad))
 
 
 def _read_dat_columns(lines, r_min, r_max):
-    """``.dat`` lines as (columns, malformed count) in one strict pass.
+    """``.dat`` lines as (columns, malformed line numbers) in one strict pass.
 
     Returns None, leaving the lines to the per-line parser, unless every
     line is ``u::i::r::ts`` with integer ids and timestamp that fit in
@@ -399,40 +414,39 @@ def _read_dat_columns(lines, r_min, r_max):
         return None
     rating = table["rating"]
     valid = (r_min <= rating) & (rating <= r_max)
-    return tuple(table[name][valid] for name in _RECORD.names), len(table) - int(valid.sum())
+    return tuple(table[name][valid] for name in _RECORD.names), (np.flatnonzero(~valid) + 1).tolist()
 
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def _collect_records(parsed, r_min, r_max, name):
-    """(records, malformed count) of ``(line number, record or None)`` pairs read from the file ``name``.
+    """(columns, malformed line numbers) of ``(line number, record or None)`` pairs read from the file ``name``.
 
     None, or a rating off the scale (NaN included), marks a malformed
     line. A record whose ids or timestamp do not fit the int64 columns
     is a DataError naming the file and line.
     """
-    records = []
-    malformed = 0
+    records, bad = [], []
     for lineno, rec in parsed:
         if rec is None or not r_min <= rec[2] <= r_max:
-            malformed += 1
+            bad.append(lineno)
             continue
         for what, value in zip(("user id", "item id", None, "timestamp"), rec):
             if what and not _INT64_MIN <= value <= _INT64_MAX:
                 raise DataError(f"{name}:{lineno}: {what} {value} does not fit in 64 bits")
         records.append(rec)
-    return records, malformed
+    return _record_columns(records), bad
 
 
 def _parse_dat_lines(lines, r_min, r_max, name):
-    """The per-line ``.dat`` parser: (records, malformed count)."""
+    """The per-line ``.dat`` parser: (columns, malformed line numbers)."""
     return _collect_records(((lineno, _parse_dat_line(line)) for lineno, line in enumerate(lines, start=1)),
                             r_min, r_max, name)
 
 
 def _parse_csv_lines(lines, r_min, r_max, name):
-    """The CSV parser: (records, malformed count)."""
+    """The CSV parser: (columns, malformed line numbers)."""
     rows = csv_rows(lines, name)
     header = [h.strip().lower() for h in next(rows)[1]]
     try:
@@ -624,7 +638,7 @@ def save_bundle(bundle, catalog, out_dir):
 def load_bundle(bundle_dir):
     """Load a bundle directory written by save_bundle, on the rating scale its
     report records (1-5 in a report from before ingest recorded one). A
-    ratings.csv line that is malformed or off that scale is a DataError."""
+    ratings.csv line malformed or off that scale is a DataError naming it."""
     bdir = Path(bundle_dir)
     ratings_path = bdir / RATINGS_FILE
     features_path = bdir / FEATURES_FILE
@@ -632,10 +646,8 @@ def load_bundle(bundle_dir):
         raise DataError(f"{bundle_dir} is not a bundle directory (missing {RATINGS_FILE}/{FEATURES_FILE})")
     try:
         with text_stream(bdir / REPORT_FILE) as stream:
-            r_min, r_max = map(float, json.loads(stream.read()).get("rating_scale", (1.0, 5.0)))
+            scale = _rating_scale(json.loads(stream.read()).get("rating_scale", (1.0, 5.0)))
     except (ValueError, TypeError, AttributeError, RecursionError):
         raise DataError(f"{bdir / REPORT_FILE}: expected a JSON object whose rating_scale is [min, max]") from None
-    ratings = parse_ratings(ratings_path, fmt="csv", scale=(r_min, r_max))
-    if ratings.n_malformed:
-        raise DataError(f"{ratings_path}: {ratings.n_malformed} line(s) malformed or off the scale [{r_min}, {r_max}]")
+    ratings = _read_ratings(ratings_path, "csv", scale, strict=True)
     return clean_and_join(ratings, parse_item_features(features_path))

@@ -12,8 +12,9 @@ the neighborhood, which keeps the denominator positive. All means come
 from the training ratings; a target item with no training ratings is
 anchored on the global mean instead.
 
-When the neighborhood is too small the prediction falls back to the
-item mean, or the global mean for an unrated item. Every Prediction
+When no rated item has a positive similarity the prediction falls
+back to the item mean, or the global mean for an unrated item; every
+value is clamped to the dataset's rating scale. Every Prediction
 records which route produced it. The predictor is indifferent to where
 similarities come from: cf, cb and hybrid differ only in the similarity
 rows of the SimilarityProvider that simcore.make_provider builds. A
@@ -43,16 +44,12 @@ DETAIL_GLOBAL_MEAN = "global-mean-fallback"
 
 @dataclass(frozen=True)
 class PredictionConfig:
-    """Neighborhood size and clamping behavior for the predictor."""
+    """Neighborhood size of the predictor."""
 
     k: int = 35
-    min_neighbors: int = 1
-    clamp: bool = True
 
     def __post_init__(self):
-        check_integers(self, k=1, min_neighbors=1)
-        if not isinstance(self.clamp, bool):
-            raise ValueError(f"clamp must be True or False, got {self.clamp!r}")
+        check_integers(self, k=1)
 
 
 @dataclass(frozen=True)
@@ -77,17 +74,15 @@ class Prediction:
         return self.detail != DETAIL_FULL
 
 
-def _clamp(value, ratings, config):
-    if config.clamp:
-        value = min(max(value, ratings.r_min), ratings.r_max)
-    return float(value)
+def _clamp(value, ratings):
+    return float(min(max(value, ratings.r_min), ratings.r_max))
 
 
-def _mean_fallback(item, ratings, config):
+def _mean_fallback(item, ratings):
     mean = ratings.item_means.get(item)
     if mean is not None:
-        return Prediction(_clamp(mean, ratings, config), DETAIL_ITEM_MEAN)
-    return Prediction(_clamp(ratings.global_mean, ratings, config), DETAIL_GLOBAL_MEAN)
+        return Prediction(_clamp(mean, ratings), DETAIL_ITEM_MEAN)
+    return Prediction(_clamp(ratings.global_mean, ratings), DETAIL_GLOBAL_MEAN)
 
 
 def predict_rating(user, item, ratings, provider, config=None):
@@ -97,30 +92,30 @@ def predict_rating(user, item, ratings, provider, config=None):
     Otherwise candidates are the user's rated items with defined,
     strictly positive similarity to the target in the provider's row
     over ``ratings.arrays.items``; the k largest enter the weighted
-    sum, ties broken by ascending item id, summed in that order. Fewer
-    than min_neighbors candidates trips the mean fallback chain.
+    sum, ties broken by ascending item id, summed in that order. No
+    candidate at all trips the mean fallback chain.
     """
     config = config or PredictionConfig()
     arrays = ratings.arrays
     user_row = arrays.rows.get(user)
     if user_row is None:
-        return Prediction(_clamp(ratings.global_mean, ratings, config), DETAIL_GLOBAL_MEAN)
+        return Prediction(_clamp(ratings.global_mean, ratings), DETAIL_GLOBAL_MEAN)
     columns, deviations = user_row
     sims = provider.row(item, arrays.items)[columns]
     positive = sims > 0.0
     sims = sims[positive]
-    if len(sims) < config.min_neighbors:
-        return _mean_fallback(item, ratings, config)
+    if not len(sims):
+        return _mean_fallback(item, ratings)
     top = (-sims).argsort(kind="stable")[: config.k]
     weights = sims[top]
     num = (weights * deviations[positive][top]).cumsum()
     den = weights.cumsum()
     anchor = ratings.item_means.get(item, ratings.global_mean)
-    value = _clamp(anchor + float(num[-1]) / float(den[-1]), ratings, config)
+    value = _clamp(anchor + float(num[-1]) / float(den[-1]), ratings)
     return Prediction(value, DETAIL_FULL, len(top), (anchor, num, den))
 
 
-def values_at(prediction, ks, ratings, config=None):
+def values_at(prediction, ks, ratings):
     """The prediction's value at each k of ks, bit for bit predict_rating's at that k.
 
     Every k must be at most the k the prediction was made at. Its k best
@@ -128,20 +123,18 @@ def values_at(prediction, ks, ratings, config=None):
     prefix of a sequential cumsum is the cumsum of that prefix, so the
     value reads index min(k, neighbors_used) - 1 of the running sums; at
     the last index it is the prediction's own value. A fallback has its
-    value at every k: the min_neighbors gate does not depend on k.
+    value at every k: whether any candidate is left does not depend on k.
     """
     if prediction.running_sums is None:
         return [prediction.value] * len(ks)
-    config = config or PredictionConfig()
     anchor, num, den = prediction.running_sums
     n = prediction.neighbors_used
     return [
-        prediction.value if k >= n else _clamp(anchor + float(num[k - 1]) / float(den[k - 1]), ratings, config)
+        prediction.value if k >= n else _clamp(anchor + float(num[k - 1]) / float(den[k - 1]), ratings)
         for k in ks
     ]
 
 
 def predict_batch(pairs, ratings, provider, config=None):
     """Predictions for a sequence of (user, item) pairs, order kept."""
-    config = config or PredictionConfig()
     return [predict_rating(u, i, ratings, provider, config) for u, i in pairs]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import shutil
 from pathlib import Path
 
@@ -664,11 +665,42 @@ class TestBundleRatingScale:
     def test_bad_bundle_rating_line_is_an_input_error(self, workdir, tmp_path, caplog, line):
         bundle = tmp_path / "bundle"
         shutil.copytree(workdir / "bundle", bundle)
+        n_lines = len((bundle / "ratings.csv").read_text().splitlines())
         with open(bundle / "ratings.csv", "a") as stream:
             stream.write(line + "\n")
         rc = main(["evaluate", "--bundle", str(bundle), "--predictors", "cf", "--out-dir", str(tmp_path / "run")])
         assert rc == EXIT_INPUT and not (tmp_path / "run").exists()
-        assert f"{bundle / 'ratings.csv'}: 1 line(s) malformed or off the scale [1.0, 5.0]" in caplog.text
+        assert f"{bundle / 'ratings.csv'}:{n_lines + 1}: malformed or off the scale [1.0, 5.0]" in caplog.text
+        assert "skipped" not in caplog.text
+
+    def test_first_bad_bundle_line_is_named_and_none_is_skipped(self, workdir, tmp_path, caplog):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        lines = (bundle / "ratings.csv").read_text().splitlines()
+        lines[2] = "oops"
+        (bundle / "ratings.csv").write_text("\n".join([*lines, "1,1,7,0"]) + "\n")
+        rc = main(["evaluate", "--bundle", str(bundle), "--predictors", "cf", "--out-dir", str(tmp_path / "run")])
+        assert rc == EXIT_INPUT and not (tmp_path / "run").exists()
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+            f"{bundle / 'ratings.csv'}:3: malformed or off the scale [1.0, 5.0]"]
+
+    @pytest.mark.parametrize("scale", [("5", "1"), ("3", "3"), ("nan", "5"), ("1", "inf")],
+                             ids=["inverted", "equal", "nan", "inf"])
+    def test_bad_scale_is_an_input_error(self, workdir, tmp_path, caplog, scale):
+        """Ingest refuses the scale before reading a line; a bundle whose report holds it is refused too."""
+        rc = main(["ingest", "--ratings", str(workdir / "ratings.dat"), "--metadata", str(workdir / "features.csv"),
+                   "--out", str(tmp_path / "bundle"), f"--rating-min={scale[0]}", f"--rating-max={scale[1]}"])
+        assert rc == EXIT_INPUT and not (tmp_path / "bundle").exists()
+        r_min, r_max = map(float, scale)
+        assert f"rating scale [{r_min}, {r_max}] must be two finite numbers, min below max" in caplog.text
+        assert "skipped" not in caplog.text
+        bundle = tmp_path / "copy"
+        shutil.copytree(workdir / "bundle", bundle)
+        report = json.loads((bundle / "report.json").read_text())
+        (bundle / "report.json").write_text(json.dumps({**report, "rating_scale": [r_min, r_max]}))
+        rc = main(["evaluate", "--bundle", str(bundle), "--predictors", "cf", "--out-dir", str(tmp_path / "run")])
+        assert rc == EXIT_INPUT and not (tmp_path / "run").exists()
+        assert f"{bundle / 'report.json'}: expected a JSON object whose rating_scale is [min, max]" in caplog.text
 
     def test_report_without_a_scale_reads_on_one_to_five(self, workdir, tmp_path):
         bundle = tmp_path / "bundle"
@@ -927,26 +959,35 @@ class TestConfigLinesAreFlags:
         assert f"{cfg}: {key} is no option of evaluate" in captured.err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("text", ["clamp = TRUE\nverbose = False\n", '{"clamp": true, "verbose": false}',
-                                      '{"clamp": null, "verbose": null, "k": null}'])
-    def test_switch_at_its_default_adds_no_flag(self, workdir, tmp_path, text):
+    def switch_run(self, workdir, tmp_path, monkeypatch, text):
+        """The log level of a flagless evaluate run and of its run with a config of ``text``,
+        which must give the same results."""
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text)
+        levels = []
+        monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: levels.append(kwargs["level"]))
         common = ["--bundle", str(workdir / "bundle"), "--predictors", "cf", "--split", "holdout(0.8)"]
         assert main(["evaluate", *common, "--out-dir", str(tmp_path / "flags")]) == EXIT_OK
         assert main(["evaluate", "--config", str(cfg), *common, "--out-dir", str(tmp_path / "cfg")]) == EXIT_OK
-        manifest = json.loads((tmp_path / "cfg" / "manifest.json").read_text())
-        assert manifest["clamp"] is True
         assert (tmp_path / "cfg" / "results.csv").read_bytes() == (tmp_path / "flags" / "results.csv").read_bytes()
+        return levels
+
+    @pytest.mark.parametrize("text", ["verbose = False\n", '{"verbose": false}', '{"verbose": null, "k": null}'])
+    def test_switch_at_its_default_adds_no_flag(self, workdir, tmp_path, monkeypatch, text):
+        assert self.switch_run(workdir, tmp_path, monkeypatch, text) == [logging.INFO, logging.INFO]
+
+    @pytest.mark.parametrize("text", ["verbose = TRUE\n", '{"verbose": true}'])
+    def test_switch_set_adds_its_flag(self, workdir, tmp_path, monkeypatch, text):
+        assert self.switch_run(workdir, tmp_path, monkeypatch, text) == [logging.INFO, logging.DEBUG]
 
     @pytest.mark.parametrize("value", ["yes", "1", 1, 0.0, ["true"]])
     def test_switch_takes_only_true_or_false(self, workdir, tmp_path, capsys, value):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"clamp": value}))
+        cfg.write_text(json.dumps({"verbose": value}))
         rc = main(["evaluate", "--config", str(cfg), "--bundle", str(workdir / "bundle"),
                    "--predictors", "cf", "--out-dir", str(tmp_path / "run")])
         assert rc == EXIT_INPUT and not (tmp_path / "run").exists()
-        assert f"{cfg}: clamp must be true or false" in capsys.readouterr().err
+        assert f"{cfg}: verbose must be true or false" in capsys.readouterr().err
 
 
 class TestManifestRoundTrip:
@@ -958,7 +999,7 @@ class TestManifestRoundTrip:
     ])
     def test_manifest_replays_every_option(self, workdir, tmp_path, command, argv):
         argv = [command, *argv, "--bundle", str(workdir / "bundle"), "--embeddings", str(workdir / "vecs.txt"),
-                "--seed", "5", "--min-neighbors", "2", "--no-clamp", "--tau-pair", "3", "--tau-item", "3"]
+                "--seed", "5", "--tau-pair", "3", "--tau-item", "3"]
         sub = build_parser().subcommands[command]
         dests = {action.dest for action in sub._actions} - {"help", "config", "verbose"}
         parsed = build_parser().parse_args(argv)
@@ -989,6 +1030,47 @@ class TestManifestRoundTrip:
         assert f"{older}: rating_max, rating_min is no option of evaluate" in captured.err
         assert not (tmp_path / "r").exists()
 
+    def test_older_manifest_with_prediction_options_is_an_input_error(self, workdir, tmp_path, capsys):
+        """A manifest from when predictions took --min-neighbors and --no-clamp exits 2 naming both
+        keys. It holds the one formula's values, so without those lines it replays the run."""
+        first = tmp_path / "first"
+        assert main(["evaluate", "--bundle", str(workdir / "bundle"), "--predictors", "cf",
+                     "--split", "holdout(0.8)", "--out-dir", str(first)]) == EXIT_OK
+        manifest = {**json.loads((first / "manifest.json").read_text()), "out_dir": str(tmp_path / "r")}
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps({**manifest, "clamp": True, "min_neighbors": 1}))
+        capsys.readouterr()
+        rc = main(["evaluate", "--config", str(older)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (EXIT_INPUT, "")
+        assert f"{older}: clamp, min_neighbors is no option of evaluate" in captured.err
+        assert not (tmp_path / "r").exists()
+        older.write_text(json.dumps(manifest))
+        assert main(["evaluate", "--config", str(older)]) == EXIT_OK
+        assert (tmp_path / "r" / "results.csv").read_bytes() == (first / "results.csv").read_bytes()
+
+
+class TestOneFormula:
+    """Predictions always clamp and fall back only when no neighbor is positive: no option changes that."""
+
+    COMMANDS = {command: TestBundleRatingScale.COMMANDS[command] for command in ("evaluate", "sweep-k", "predict")}
+
+    @pytest.mark.parametrize("given, message", [
+        (["--no-clamp"], "unrecognized arguments: --no-clamp"),
+        (["--min-neighbors", "2"], "unrecognized arguments: --min-neighbors 2"),
+        (["--config", "a.cfg"], "clamp is no option of {}"),
+        (["--config", "b.cfg"], "min_neighbors is no option of {}"),
+    ], ids=["no-clamp-flag", "min-neighbors-flag", "clamp-config", "min-neighbors-config"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_takes_no_prediction_options(self, workdir, tmp_path, monkeypatch, capsys, command, given, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.cfg").write_text("clamp = false\n")
+        (tmp_path / "b.cfg").write_text("min_neighbors = 2\n")
+        rc = exit_code([command, "--bundle", str(workdir / "bundle"), *self.COMMANDS[command], *given])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (EXIT_INPUT, "")
+        assert message.format(command) in captured.err and not (tmp_path / "run").exists()
+
 
 class TestHelp:
     def test_evaluate_help_lists_options(self, capsys):
@@ -997,9 +1079,10 @@ class TestHelp:
         assert err.value.code == 0
         text = capsys.readouterr().out
         for flag in ("--bundle", "--embeddings", "--predictors", "--split",
-                     "--seed", "--k", "--min-neighbors", "--tau-pair",
+                     "--seed", "--k", "--tau-pair",
                      "--tau-item", "--out-dir", "--config"):
             assert flag in text
+        assert "--min-neighbors" not in text and "--no-clamp" not in text
 
     def test_top_level_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -1018,7 +1101,7 @@ class TestConfigObjects:
             (["train-embed", "--window", "3", "--final-lr", "0.001", "--seed", "9"], TrainConfig,
              TrainConfig(window=3, final_lr=0.001, seed=9)),
             (["evaluate"], PredictionConfig, PredictionConfig()),
-            (["predict", "--k", "4", "--no-clamp"], PredictionConfig, PredictionConfig(k=4, clamp=False)),
+            (["predict", "--k", "4"], PredictionConfig, PredictionConfig(k=4)),
             (["sweep-k", "--tau-item", "0"], HybridPolicy, HybridPolicy(tau_item=0)),
             (["similar", "--item", "1"], HybridPolicy, HybridPolicy()),
             (["similar", "--item", "1", "--tau-pair", "3"], HybridPolicy, HybridPolicy(tau_pair=3)),
@@ -1045,9 +1128,3 @@ class TestConfigObjects:
                    "--dim", "4", "--epochs", "1", f"{flag}={value}"])
         assert rc == EXIT_INPUT and not out.exists()
         assert message in caplog.text
-
-    def test_clamp_from_a_config_file_must_be_a_bool(self, workdir, tmp_path):
-        config = tmp_path / "run.cfg"
-        config.write_text(f"bundle = {workdir / 'bundle'}\nclamp = no\n")
-        rc = main(["evaluate", "--config", str(config), "--predictors", "cf", "--out-dir", str(tmp_path / "run")])
-        assert rc == EXIT_INPUT and not (tmp_path / "run").exists()

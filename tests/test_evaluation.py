@@ -343,13 +343,11 @@ class TestSweepK:
         plan = make_split(ds, "kfold(3)", seed=4)
         index = full_coverage_index(dict.fromkeys(ds.item.tolist()))
         ks = (35, 1, 500, 3)
-        for clamp in (True, False):
-            cfg = PredictionConfig(min_neighbors=2, clamp=clamp)
-            table = sweep_k(ks, ("cf", "cb", "hybrid"), plan, ds, config=cfg, index=index)
-            assert [(p, k) for p, k, _ in table] == [(p, k) for p in ("cf", "cb", "hybrid") for k in ks]
-            for predictor, k, report in table:
-                assert report == evaluate(predictor, plan, ds, config=replace(cfg, k=k), index=index)
-                assert len(report.per_fold) == 3
+        table = sweep_k(ks, ("cf", "cb", "hybrid"), plan, ds, index=index)
+        assert [(p, k) for p, k, _ in table] == [(p, k) for p in ("cf", "cb", "hybrid") for k in ks]
+        for predictor, k, report in table:
+            assert report == evaluate(predictor, plan, ds, config=PredictionConfig(k=k), index=index)
+            assert len(report.per_fold) == 3
 
     @pytest.mark.parametrize("kind", ["cold-start(0.25)", "kfold(3)"])
     def test_content_rows_computed_once_per_item_across_ks(self, monkeypatch, kind):

@@ -93,6 +93,24 @@ class TestParseRatings:
         assert len(ds) == 3
         assert ds.n_malformed == 1
 
+    @pytest.mark.parametrize("fmt, text, n_bad, first", [
+        ("dat", "1::10::5::1\n1::abc::5::0\n2::10::4::2\n3::11::9::3\n", 2, 2),
+        ("dat", "1::10::5::1\n2::10::4::2\n3::11::9::3\n4::11::0::3\n", 2, 3),
+        ("csv", "userId,movieId,rating,timestamp\n1,10,5,1\n\n1,x,5,0\n2,10,4,2\n", 1, 4),
+    ], ids=["dat-per-line", "dat-one-pass", "csv"])
+    def test_skip_warning_names_the_first_skipped_line(self, caplog, fmt, text, n_bad, first):
+        ds = parse_ratings(io.StringIO(text), fmt=fmt)
+        assert ds.n_malformed == n_bad
+        assert f"skipped {n_bad} malformed rating line(s), the first at <stream>:{first}" in caplog.text
+
+    @pytest.mark.parametrize("scale", [(5.0, 1.0), (3.0, 3.0), (float("nan"), 5.0), (1.0, float("inf")),
+                                       (float("-inf"), 5.0)], ids=["inverted", "equal", "nan", "inf", "-inf"])
+    def test_bad_scale_is_refused_before_reading(self, scale):
+        source = io.StringIO("1::1::3::0\n")
+        with pytest.raises(ValueError, match=re.escape(f"rating scale [{scale[0]}, {scale[1]}] must be two finite")):
+            parse_ratings(source, fmt="dat", scale=scale)
+        assert source.tell() == 0
+
     def test_out_of_scale_rating_is_malformed(self):
         ds = parse_ratings(io.StringIO("1::1::9::0\n2::1::4::0\n"), fmt="dat")
         assert len(ds) == 1
@@ -246,10 +264,11 @@ class TestDatFuzz:
 
     @staticmethod
     def per_line(lines, name):
-        records, malformed = ingest._parse_dat_lines(lines, 1.0, 5.0, name)
-        if not records:
-            raise DataError("no valid rating records found")
-        return [list(c) for c in zip(*records)], malformed
+        """The per-line parser's columns and malformed line numbers."""
+        columns, bad = ingest._parse_dat_lines(lines, 1.0, 5.0, name)
+        if not len(columns[0]):
+            raise DataError(f"{name}: no valid rating records found")
+        return [c.tolist() for c in columns], bad
 
     def test_columnar_read_matches_per_line_parser(self, tmp_path):
         """A path whose bytes are not UTF-8 is a DataError naming it; any
@@ -274,12 +293,13 @@ class TestDatFuzz:
                 routes = [(path, str(path)), (io.StringIO(text), "<stream>")]
             for source, name in routes:
                 expected = self.outcome(lambda: self.per_line(lines, name))
-                assert self.outcome(lambda: rating_columns(parse_ratings(source, fmt="dat"))) == expected, data
+                counted = expected if isinstance(expected, str) else (expected[0], len(expected[1]))
+                assert self.outcome(lambda: rating_columns(parse_ratings(source, fmt="dat"))) == counted, data
                 read = ingest._read_dat_columns(lines, 1.0, 5.0)
                 sources["fallback" if read is None else "fast"] += 1
                 if read is not None:
-                    columns, malformed = read
-                    got = [c.tolist() for c in columns], malformed
+                    columns, bad = read
+                    got = [c.tolist() for c in columns], bad
                     assert got == expected or (not columns[0].size and "no valid" in expected), data
         # Every route is exercised.
         assert min(sources["fast"], sources["fallback"]) > 100 and sources["not UTF-8"] > 10, sources
@@ -645,7 +665,9 @@ class TestBundleIO:
         assert (loaded.ratings.r_min, loaded.ratings.r_max) == scale
         assert loaded.report["rating_scale"] == list(scale)
 
-    @pytest.mark.parametrize("report", ["", "[1, 5]", '{"rating_scale": [1]}', '{"rating_scale": "high"}'])
+    @pytest.mark.parametrize("report", ["", "[1, 5]", '{"rating_scale": [1]}', '{"rating_scale": "high"}',
+                                        '{"rating_scale": [5, 1]}', '{"rating_scale": [3, 3]}',
+                                        '{"rating_scale": [NaN, 5]}', '{"rating_scale": [1, Infinity]}'])
     def test_load_bundle_rejects_a_bad_report(self, tmp_path, report):
         catalog = make_catalog([1])
         out = save_bundle(clean_and_join(RatingDataset(records=[(1, 1, 4.0, 11)]), catalog), catalog, tmp_path / "b")

@@ -1,6 +1,6 @@
 """Item-based k-NN prediction: formula, fallbacks, batching, prefix reads."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -69,25 +69,21 @@ def mean_anchored_oracle(user, item, matrix, k, r_min=1.0, r_max=5.0):
 
 class TestPredictionConfig:
     def test_defaults(self):
-        cfg = PredictionConfig()
-        assert (cfg.k, cfg.min_neighbors, cfg.clamp) == (35, 1, True)
+        assert PredictionConfig().k == 35
+
+    def test_neighborhood_size_is_the_only_field(self):
+        assert [f.name for f in fields(PredictionConfig)] == ["k"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PredictionConfig(k=0)
-        with pytest.raises(ValueError):
-            PredictionConfig(min_neighbors=0)
-        for name in ("k", "min_neighbors"):
-            for value in (2.5, 1.5, 5.0, "5", True, None):
-                with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
-                    PredictionConfig(**{name: value})
-        for value in ("no", 0, 1, None):
-            with pytest.raises(ValueError, match=f"clamp must be True or False, got {value!r}"):
-                PredictionConfig(clamp=value)
+        for value in (2.5, 1.5, 5.0, "5", True, None):
+            with pytest.raises(ValueError, match=f"k must be an integer, got {value!r}"):
+                PredictionConfig(k=value)
 
     def test_numpy_integers_accepted(self):
-        cfg = PredictionConfig(k=np.int64(7), min_neighbors=np.int32(2))
-        assert (cfg.k, cfg.min_neighbors) == (7, 2)
+        assert PredictionConfig(k=np.int64(7)).k == 7
+        assert PredictionConfig(k=np.int32(2)).k == 2
 
 
 class TestPredictRating:
@@ -139,15 +135,6 @@ class TestPredictRating:
         assert pred.value == ds.global_mean
         assert pred.detail == DETAIL_GLOBAL_MEAN
 
-    def test_min_neighbors_gate(self):
-        ds, provider = self.hand_world()
-        cfg = PredictionConfig(min_neighbors=3)
-        pred = predict_rating(1, 100, ds, provider, cfg)
-        assert pred.detail == DETAIL_ITEM_MEAN
-        assert pred.value == pytest.approx(3.5)
-        ok = predict_rating(1, 100, ds, provider, PredictionConfig(min_neighbors=2))
-        assert ok.detail == DETAIL_FULL
-
     def test_non_positive_similarities_excluded(self):
         ds, _ = self.hand_world()
         pred = predict_rating(1, 100, ds, StubProvider({(100, 101): -0.9, (100, 102): 0.0}))
@@ -186,23 +173,23 @@ class TestPredictRating:
             assert pred.neighbors_used == len(sims)
             assert pred.value == pytest.approx(anchor + num / sum(sims.values()), abs=1e-12)
 
-    @pytest.mark.parametrize("clamp", [True, False])
-    def test_value_is_a_plain_float_on_every_route(self, clamp):
+    @pytest.mark.parametrize("integer_scale", [True, False])
+    def test_value_is_a_plain_float_on_every_route(self, integer_scale):
         # An integer scale must not leak into the clamped value either.
+        r_min, r_max = (1, 5) if integer_scale else (1.0, 5.0)
         ds = RatingDataset(records=[(1, 10, 5.0, 0), (1, 11, 2.0, 0), (2, 10, 1.0, 0), (2, 12, 4.0, 0)],
-                           r_min=1, r_max=5)
-        cfg = PredictionConfig(clamp=clamp)
+                           r_min=r_min, r_max=r_max)
         none = StubProvider({})
         routes = {
-            # 4.0 + (5 - 3) = 6.0, clamped to the scale's integer 5
-            DETAIL_FULL: predict_rating(1, 12, ds, StubProvider({(10, 12): 1.0}), cfg),
-            DETAIL_ITEM_MEAN: predict_rating(2, 11, ds, none, cfg),
-            DETAIL_GLOBAL_MEAN: predict_rating(99, 10, ds, none, cfg),
-            "unrated item": predict_rating(1, 999, ds, none, cfg),
+            # 4.0 + (5 - 3) = 6.0, clamped to the scale's 5
+            DETAIL_FULL: predict_rating(1, 12, ds, StubProvider({(10, 12): 1.0})),
+            DETAIL_ITEM_MEAN: predict_rating(2, 11, ds, none),
+            DETAIL_GLOBAL_MEAN: predict_rating(99, 10, ds, none),
+            "unrated item": predict_rating(1, 999, ds, none),
         }
         for route, pred in routes.items():
             assert type(pred.value) is float, route  # np.float64 would pass isinstance
-        assert routes[DETAIL_FULL].value == (5.0 if clamp else 6.0)
+        assert routes[DETAIL_FULL].value == 5.0
         assert routes[DETAIL_FULL].detail == DETAIL_FULL
         assert routes[DETAIL_ITEM_MEAN].detail == DETAIL_ITEM_MEAN
         assert routes[DETAIL_GLOBAL_MEAN].detail == routes["unrated item"].detail == DETAIL_GLOBAL_MEAN
@@ -239,8 +226,9 @@ class TestPredictRating:
         provider = StubProvider({(100, 101): 1.0})
         clamped = predict_rating(1, 100, ds, provider)
         assert clamped.value == 5.0
-        raw = predict_rating(1, 100, ds, provider, PredictionConfig(clamp=False))
-        assert raw.value == pytest.approx(7.0)
+        assert clamped.detail == DETAIL_FULL
+        # The unclamped value: 5.0 + 1.0 * (5 - 3) / 1.0
+        assert ds.item_means[100] + (5 - ds.item_means[101]) == 7.0
 
     def test_clamping_lower_bound(self):
         ds = dataset(
@@ -332,29 +320,27 @@ class TestValuesAt:
         ds, index = sparse_world(41)
         test = np.random.default_rng(43).choice(len(ds), size=60, replace=False)
         train = ds.subset(np.setdiff1d(np.arange(len(ds)), test))
+        # User 998 rated only item 31, which no one else rated and which has
+        # no vector, so no source has a candidate for them: the item mean stands in.
+        train = RatingDataset(records=train.records + [(998, 31, 3.0, 0)])
         pairs = list(zip(ds.user[test].tolist(), ds.item[test].tolist()))
         users, counts = np.unique(train.user, return_counts=True)
-        pairs += [(u, i) for u in users[counts <= 3].tolist() for i in (1, 2, 3)]  # below min_neighbors=3
-        pairs += [(999, 3), (2, 999)]  # a user and an item the training side never saw
+        pairs += [(u, i) for u in users[counts <= 3].tolist() for i in (1, 2, 3)]  # small neighborhoods
+        pairs += [(999, 3), (2, 999), (998, 5)]  # a user and an item the training side never saw; no candidate
         provider = make_provider(predictor, train, index)
         big = 30
         ks = list(range(1, big + 1))
         details, longest = set(), 0
-        for min_neighbors in (1, 3):
-            for clamp in (True, False):
-                cfg = PredictionConfig(k=big, min_neighbors=min_neighbors, clamp=clamp)
-                outside = False
-                for user, item in pairs:
-                    pred = predict_rating(user, item, train, provider, cfg)
-                    got = values_at(pred, ks, train, cfg)
-                    want = [predict_rating(user, item, train, provider, replace(cfg, k=k)).value for k in ks]
-                    assert got == want, (user, item, min_neighbors, clamp)
-                    assert all(type(v) is float for v in got)
-                    assert got[-1] == pred.value
-                    details.add(pred.detail)
-                    longest = max(longest, pred.neighbors_used)
-                    outside = outside or any(not 1.0 <= v <= 5.0 for v in got)
-                assert outside == (not clamp)
+        cfg = PredictionConfig(k=big)
+        for user, item in pairs:
+            pred = predict_rating(user, item, train, provider, cfg)
+            got = values_at(pred, ks, train)
+            want = [predict_rating(user, item, train, provider, replace(cfg, k=k)).value for k in ks]
+            assert got == want, (user, item)
+            assert all(type(v) is float and 1.0 <= v <= 5.0 for v in got)
+            assert got[-1] == pred.value
+            details.add(pred.detail)
+            longest = max(longest, pred.neighbors_used)
         # Every route is covered, and neighborhoods reach past numpy's
         # eight-way pairwise unrolling, where a pairwise sum would differ.
         assert details == {DETAIL_FULL, DETAIL_ITEM_MEAN, DETAIL_GLOBAL_MEAN}
