@@ -22,32 +22,33 @@ order:
 
 1. one draw gives the reduced windows of all the round's centers;
 2. its (center, context) pairs are listed in corpus order: by
-   sentence, then by center, then by context position;
-3. one draw gives a block of negatives, one row per pair, in row-major
-   order; then, in rounds, every negative equal to its pair's context
-   is redrawn, in row-major order, with one draw per round (at most
-   1000 rounds). A negative that was not redrawn cannot start to
-   collide, so a round revisits only the negatives redrawn in the
-   round before. Each draw becomes a token index through a lookup
-   table that gives exactly the binary search's index (NegativeSampler).
+   sentence, then by center, then by context position; step t holds
+   the t-th pair of every sentence of the round that has one, in
+   sentence order;
+3. one draw gives a block of negatives, one row per step, in step
+   order. Each draw becomes a token index through a lookup table that
+   gives exactly the binary search's index (NegativeSampler). Every
+   pair of a step trains on its step's row. A negative that equals the
+   pair's context is skipped for that pair, as word2vec's C code skips
+   it: its gradient is zero and its term is left out of the pair's loss.
 
 The round is then trained in lockstep. What each step needs to know
 about its pairs (its distinct output rows, where each occurrence's
 gradient is summed, which centers repeat) is worked out once for the
-whole round, before its first step. Step t trains the t-th pair of
-every sentence in the round that has one, in sentence order, and every
-pair reads the input and output rows as the previous step left them.
-A pair's scores, loss and gradient are sgns_pair_update's, and its
-center moves by the same ``grad @ rows``, so a sentence's centers still
-move pair by pair; a center that two sentences share in a step gains
-both updates, in sentence order. Each output row touched in a step
-gains, in one GEMM, the step's incoming center vectors weighted by the
-row's summed gradient in each sentence. Where every row of a step is
-distinct, this equals sgns_pair_update pair by pair, bit for bit. A row
-that repeats within a pair sums its gradients before they scale the
-center, and the GEMM sums the updates of a row that sentences share.
-Each center's learning rate comes from its visit index in corpus order,
-and the losses are added in corpus order.
+whole round, before its first step. Every pair reads the input and
+output rows as the previous step left them. A pair's scores, loss and
+gradient are sgns_pair_update's over its kept negatives, and its center
+moves by the same ``grad @ rows``, so a sentence's centers still move
+pair by pair; a center that two sentences share in a step gains both
+updates, in sentence order. Each output row touched in a step gains, in
+one GEMM, the step's incoming center vectors weighted by the row's
+summed gradient in each sentence. Where every row of a step is distinct,
+this equals sgns_pair_update pair by pair, bit for bit. A row that
+repeats within a pair sums its gradients before they scale the center,
+and the GEMM sums the updates of a row that sentences share, such as the
+step's shared negatives. Each center's learning rate comes from its
+visit index in corpus order, and the losses are added in corpus order.
+The epoch log line counts the pairs and the skipped negatives.
 
 A table is saved as one word2vec-format text file of input vectors
 only, which is all that content similarity downstream reads.
@@ -67,7 +68,6 @@ from .ingest import stream_name, text_stream
 
 log = logging.getLogger(__name__)
 
-_MAX_RESAMPLE_ROUNDS = 1000
 # The negative sampler's lookup table has at most 2**_TABLE_BITS buckets.
 _TABLE_BITS = 16
 # Sentences trained side by side, one pair of each per step.
@@ -159,7 +159,8 @@ class NegativeSampler:
     values below the bucket, which the table stores; the other buckets
     hold -1 and their draws take the binary search. ``u * 2**bits`` is
     exact, so a draw's bucket is too. bits grows with the vocabulary, up
-    to _TABLE_BITS, which keeps the table small.
+    to _TABLE_BITS, which keeps the table small. Counts where one token
+    carries the entire mass are a DataError: every negative would be it.
     """
 
     def __init__(self, counts, ns_exponent=0.75):
@@ -177,8 +178,12 @@ class NegativeSampler:
         cumulative /= cumulative[-1]
         cumulative[-1] = 1.0
         self.cumulative = cumulative
-        # Tokens that leave no mass to draw anything else from.
-        self._sole = self.probabilities >= 1.0
+        sole = np.flatnonzero(self.probabilities >= 1.0)
+        if sole.size:
+            raise DataError(
+                f"cannot sample negatives: token index {sole[0]} carries the entire sampling mass, "
+                "so every negative would equal it"
+            )
         self._scale = float(2 ** min(counts.size.bit_length() + 5, _TABLE_BITS))
         below = cumulative.searchsorted(np.arange(self._scale + 1) / self._scale)
         self._table = np.where(below[:-1] == below[1:], below[:-1], -1)
@@ -198,39 +203,9 @@ class NegativeSampler:
             idx[miss] = self.cumulative.searchsorted(u[miss], side="right")
         return idx
 
-    def draw(self, rng, exclude, n):
-        """One row of n indices per index of ``exclude``, none equal to it.
-
-        The block is drawn in row-major order from one ``rng.random``
-        call. Then, in rounds, every draw equal to its row's excluded
-        index is redrawn, in row-major order, from one ``rng.random``
-        call per round. A draw that was not redrawn cannot start to
-        collide, so each round revisits only the draws redrawn in the
-        round before. Draws read the sampler's lookup table. A collision
-        left after the last round is a DataError naming its token.
-        """
-        exclude = np.asarray(exclude, dtype=np.int64)
-        sole = exclude[self._sole[exclude]]
-        if sole.size:
-            raise DataError(
-                f"cannot draw negatives distinct from token index {sole[0]}; "
-                "it carries the entire sampling mass"
-            )
-        idx = self._lookup(rng.random((exclude.size, n)))
-        # Row-major positions of the draws that equal their row's excluded index.
-        hits = np.flatnonzero(idx == exclude[:, None])
-        for _ in range(_MAX_RESAMPLE_ROUNDS):
-            if not hits.size:
-                break
-            redrawn = self._lookup(rng.random(hits.size))
-            idx.put(hits, redrawn)
-            hits = hits[redrawn == exclude[hits // n]]
-        if hits.size:
-            raise DataError(
-                f"cannot draw negatives distinct from token index {exclude[hits[0] // n]} "
-                f"after {_MAX_RESAMPLE_ROUNDS} resampling rounds"
-            )
-        return idx
+    def draw(self, rng, shape):
+        """Token indices of one ``rng.random(shape)`` block, in row-major order."""
+        return self._lookup(rng.random(shape))
 
 
 @dataclass
@@ -314,12 +289,14 @@ def sgns_pair_update(center_vec, context_vec, negative_vecs, lr):
     return loss
 
 
-def _pair_losses(scores):
-    """Each row's loss as sgns_pair_update computes it.
+def _pair_losses(scores, keep):
+    """Each row's loss as sgns_pair_update computes it, over its kept negatives.
 
-    Row r holds one pair's scores, context first.
+    Row r holds one pair's scores, context first; ``keep[r]`` marks the
+    negatives whose terms count. A skipped term adds 0.0.
     """
-    return np.logaddexp(0.0, -scores[:, 0]) + np.logaddexp(0.0, scores[:, 1:]).sum(axis=1)
+    negatives = np.where(keep, np.logaddexp(0.0, scores[:, 1:]), 0.0)
+    return np.logaddexp(0.0, -scores[:, 0]) + negatives.sum(axis=1)
 
 
 def _add_pair_losses(total, losses):
@@ -408,7 +385,8 @@ def _train_step(syn0, syn1, centers, out, lr, scores, step, work):
     its learning rate ``lr[s]``, and receives its scores in ``scores[s]``
     (one row of 1 + negatives). Every pair reads the rows as the
     previous step left them. Its scores and gradient are
-    sgns_pair_update's, from stacked matmuls that equal the per-pair
+    sgns_pair_update's, with a zero gradient for each negative equal to
+    its context, from stacked matmuls that equal the per-pair
     ``rows @ v`` and ``grad @ rows`` bit for bit. Each center gains
     ``grad @ rows``; a center shared by several pairs gains their
     updates in turn, in pair order. Each distinct output row (in
@@ -432,6 +410,7 @@ def _train_step(syn0, syn1, centers, out, lr, scores, step, work):
     e = expit(scores)
     grad = e * -lr[:, None]
     grad[:, 0] = (1.0 - e[:, 0]) * lr
+    grad[:, 1:] *= out[:, 1:] != out[:, :1]
     moves = np.matmul(grad[:, None, :], rows)[:, 0]
     if lead is None:
         syn0[centers] += moves
@@ -474,23 +453,28 @@ class _Trainer:
         epoch_losses = []
         for epoch in range(1, cfg.epochs + 1):
             loss_sum = 0.0
-            n_pairs = 0
+            n_pairs = n_skipped = 0
             # Overflow in a diverging run is caught by _check_finite at the
             # epoch boundary; the interim numpy warnings are just noise.
             with np.errstate(over="ignore", invalid="ignore"):
                 for tokens, lengths in rounds:
-                    losses = self._train_round(rng, tokens, lengths, visit)
+                    losses, skipped = self._train_round(rng, tokens, lengths, visit)
                     loss_sum = _add_pair_losses(loss_sum, losses)
                     n_pairs += len(losses)
+                    n_skipped += skipped
                     visit += len(tokens)
             mean_loss = loss_sum / n_pairs if n_pairs else 0.0
             self._check_finite(epoch)
             epoch_losses.append(mean_loss)
-            log.info("epoch %d/%d: mean pair loss %.6f (%d pairs)", epoch, cfg.epochs, mean_loss, n_pairs)
+            log.info("epoch %d/%d: mean pair loss %.6f (%d pairs), %d negatives skipped",
+                     epoch, cfg.epochs, mean_loss, n_pairs, n_skipped)
         return epoch_losses
 
     def _train_round(self, rng, tokens, lengths, visit):
-        """Draw and train one round of sentences; return its pairs' losses in corpus order.
+        """Draw and train one round of sentences.
+
+        Returns its pairs' losses in corpus order and how many negatives
+        were skipped for equalling their pair's context.
 
         ``visit`` is the visit index of the round's first center.
         """
@@ -505,25 +489,28 @@ class _Trainer:
         # The k-th context of a center lies k places into its window, past the center itself.
         k = np.arange(len(center)) - (n_ctx.cumsum() - n_ctx)[center]
         k += k >= left[center]
-        out = np.empty((len(center), cfg.negatives + 1), dtype=np.int64)
-        out[:, 0] = tokens[center - left[center] + k]
-        if cfg.negatives:
-            out[:, 1:] = self.sampler.draw(rng, out[:, 0], cfg.negatives)
         progress = (visit + np.arange(len(tokens))) / self.total_visits
         lr = np.maximum(cfg.initial_lr - (cfg.initial_lr - cfg.final_lr) * progress, cfg.final_lr)[center]
         # Step t trains the t-th pair of every sentence that has one, in
         # sentence order.
         pairs_per = np.bincount(sentence[center], minlength=len(lengths))
         step = np.arange(len(center)) - (pairs_per.cumsum() - pairs_per).repeat(pairs_per)
+        sizes = np.bincount(step)
         order = step.argsort(kind="stable")
-        centers, out, lr = tokens[center][order], out[order], lr[order]
-        plan = _plan_round(centers, out, np.bincount(step), len(self.syn1))
+        centers, lr = tokens[center][order], lr[order]
+        out = np.empty((len(center), cfg.negatives + 1), dtype=np.int64)
+        out[:, 0] = tokens[center - left[center] + k][order]
+        if cfg.negatives:
+            # One row of negatives per step, shared by the step's pairs.
+            out[:, 1:] = self.sampler.draw(rng, (len(sizes), cfg.negatives)).repeat(sizes, axis=0)
+        keep = out[:, 1:] != out[:, :1]
+        plan = _plan_round(centers, out, sizes, len(self.syn1))
         scores = np.empty(out.shape)
         for planned in plan:
             _train_step(self.syn0, self.syn1, centers, out, lr, scores, planned, self.work)
         losses = np.empty(len(scores))
-        losses[order] = _pair_losses(scores)
-        return losses
+        losses[order] = _pair_losses(scores, keep)
+        return losses, np.count_nonzero(~keep)
 
     def _check_finite(self, epoch):
         for name, mat in (("input", self.syn0), ("output", self.syn1)):

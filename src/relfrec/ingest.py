@@ -27,6 +27,7 @@ import csv
 import io
 import json
 import logging
+import math
 import warnings
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -70,7 +71,9 @@ class RatingDataset:
     ``(user, item, rating, timestamp)`` tuples, kept as the list
     ``records``, with ``RatingDataset(records=...)``; the parsers,
     ``clean_and_join`` and ``subset`` fill the columns directly. Every
-    rating must lie on the scale ``[r_min, r_max]``.
+    rating must lie on the scale ``[r_min, r_max]``, two finite numbers
+    with r_min below r_max; any other scale is a ValueError, raised
+    before a rating is read.
 
     There, ``records`` (the tuples) is a view built on first read. Readers
     that want the ratings by user or by item use ``arrays``
@@ -92,6 +95,7 @@ class RatingDataset:
         return dataset
 
     def _set_columns(self, user, item, rating, timestamp, r_min, r_max, n_malformed):
+        _check_scale(r_min, r_max)
         if not len(user):
             raise DataError("rating dataset contains no records")
         self.user, self.item, self.rating, self.timestamp = user, item, rating, timestamp
@@ -356,11 +360,20 @@ def parse_ratings(source, fmt=None, scale=(1.0, 5.0)):
 
 
 def _rating_scale(scale):
-    """(r_min, r_max) as floats; a ValueError unless both are finite and r_min < r_max."""
+    """(r_min, r_max) as floats, checked by _check_scale."""
     r_min, r_max = map(float, scale)
-    if np.isfinite((r_min, r_max)).all() and r_min < r_max:
-        return r_min, r_max
-    raise ValueError(f"rating scale [{r_min}, {r_max}] must be two finite numbers, min below max")
+    _check_scale(r_min, r_max)
+    return r_min, r_max
+
+
+def _check_scale(r_min, r_max):
+    """A ValueError unless r_min and r_max are finite numbers and r_min < r_max."""
+    if not (math.isfinite(r_min) and math.isfinite(r_max) and r_min < r_max):
+        raise ValueError(f"rating scale [{r_min}, {r_max}] must be two finite numbers, min below max")
+
+
+def _malformed(name, lineno, r_min, r_max):
+    return DataError(f"{name}:{lineno}: malformed or off the scale [{r_min}, {r_max}]")
 
 
 def _read_ratings(source, fmt, scale, strict):
@@ -377,10 +390,10 @@ def _read_ratings(source, fmt, scale, strict):
         raise DataError(f"unknown rating format {fmt!r}")
     read = _read_dat_columns(lines, r_min, r_max) if fmt == "dat" else None
     if read is None:
-        read = (_parse_dat_lines if fmt == "dat" else _parse_csv_lines)(lines, r_min, r_max, name)
+        read = (_parse_dat_lines if fmt == "dat" else _parse_csv_lines)(lines, r_min, r_max, name, strict)
     columns, bad = read
     if bad and strict:
-        raise DataError(f"{name}:{bad[0]}: malformed or off the scale [{r_min}, {r_max}]")
+        raise _malformed(name, bad[0], r_min, r_max)
     if bad:
         log.warning("skipped %d malformed rating line(s), the first at %s:%d", len(bad), name, bad[0])
     if not len(columns[0]):
@@ -420,16 +433,19 @@ def _read_dat_columns(lines, r_min, r_max):
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
-def _collect_records(parsed, r_min, r_max, name):
+def _collect_records(parsed, r_min, r_max, name, strict=False):
     """(columns, malformed line numbers) of ``(line number, record or None)`` pairs read from the file ``name``.
 
     None, or a rating off the scale (NaN included), marks a malformed
-    line. A record whose ids or timestamp do not fit the int64 columns
-    is a DataError naming the file and line.
+    line; with ``strict`` it is a DataError naming the file and line. A
+    record whose ids or timestamp do not fit the int64 columns is one
+    too, so a strict read names the first bad line of either kind.
     """
     records, bad = [], []
     for lineno, rec in parsed:
         if rec is None or not r_min <= rec[2] <= r_max:
+            if strict:
+                raise _malformed(name, lineno, r_min, r_max)
             bad.append(lineno)
             continue
         for what, value in zip(("user id", "item id", None, "timestamp"), rec):
@@ -439,13 +455,13 @@ def _collect_records(parsed, r_min, r_max, name):
     return _record_columns(records), bad
 
 
-def _parse_dat_lines(lines, r_min, r_max, name):
+def _parse_dat_lines(lines, r_min, r_max, name, strict=False):
     """The per-line ``.dat`` parser: (columns, malformed line numbers)."""
     return _collect_records(((lineno, _parse_dat_line(line)) for lineno, line in enumerate(lines, start=1)),
-                            r_min, r_max, name)
+                            r_min, r_max, name, strict)
 
 
-def _parse_csv_lines(lines, r_min, r_max, name):
+def _parse_csv_lines(lines, r_min, r_max, name, strict=False):
     """The CSV parser: (columns, malformed line numbers)."""
     rows = csv_rows(lines, name)
     header = [h.strip().lower() for h in next(rows)[1]]
@@ -457,7 +473,7 @@ def _parse_csv_lines(lines, r_min, r_max, name):
         raise DataError(f"{name}:1: rating CSV header missing required columns: {lines[0]!r}")
     it = header.index("timestamp") if "timestamp" in header else None
     return _collect_records(((lineno, _parse_csv_row(row, iu, ii, ir, it)) for lineno, row in rows if row),
-                            r_min, r_max, name)
+                            r_min, r_max, name, strict)
 
 
 def _parse_dat_line(line):

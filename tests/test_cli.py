@@ -684,6 +684,25 @@ class TestBundleRatingScale:
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
             f"{bundle / 'ratings.csv'}:3: malformed or off the scale [1.0, 5.0]"]
 
+    def test_malformed_line_before_an_id_beyond_int64_is_named(self, workdir, tmp_path, caplog):
+        # The strict read names the first bad line in file order, whichever kind it is.
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        lines = (bundle / "ratings.csv").read_text().splitlines()
+        lines[2] = "oops"
+        (bundle / "ratings.csv").write_text("\n".join([*lines, "9223372036854775808,1,3,0"]) + "\n")
+        rc = main(["evaluate", "--bundle", str(bundle), "--predictors", "cf", "--out-dir", str(tmp_path / "run")])
+        assert rc == EXIT_INPUT and not (tmp_path / "run").exists()
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+            f"{bundle / 'ratings.csv'}:3: malformed or off the scale [1.0, 5.0]"]
+        # Without the malformed line, the id is named.
+        lines[2] = lines[3]
+        (bundle / "ratings.csv").write_text("\n".join([*lines, "9223372036854775808,1,3,0"]) + "\n")
+        caplog.clear()
+        assert main(["evaluate", "--bundle", str(bundle), "--predictors", "cf",
+                     "--out-dir", str(tmp_path / "run")]) == EXIT_INPUT
+        assert f"ratings.csv:{len(lines) + 1}: user id 9223372036854775808 does not fit in 64 bits" in caplog.text
+
     @pytest.mark.parametrize("scale", [("5", "1"), ("3", "3"), ("nan", "5"), ("1", "inf")],
                              ids=["inverted", "equal", "nan", "inf"])
     def test_bad_scale_is_an_input_error(self, workdir, tmp_path, caplog, scale):

@@ -89,37 +89,6 @@ class TestVocabulary:
         assert empty_indices.dtype == np.int64 and len(empty_indices) == 0 and len(empty_counts) == 0
 
 
-class _CountingRng:
-    """A Generator that records the size of each ``random`` call."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.sizes = []
-
-    def random(self, size):
-        self.sizes.append(int(np.prod(size)))
-        return self.rng.random(size)
-
-
-def reference_draw(cumulative, rng, exclude, n):
-    """The documented redraw rule, plainly: binary searches, and rounds
-    that redraw over the whole block. Only a collision that the last
-    round leaves is an error."""
-    idx = cumulative.searchsorted(rng.random((exclude.size, n)), side="right")
-    for _ in range(1000):
-        mask = idx == exclude[:, None]
-        if not mask.any():
-            return idx
-        idx[mask] = cumulative.searchsorted(rng.random(np.count_nonzero(mask)), side="right")
-    mask = idx == exclude[:, None]
-    if mask.any():
-        raise DataError(
-            f"cannot draw negatives distinct from token index {exclude[mask.any(axis=1)][0]} "
-            "after 1000 resampling rounds"
-        )
-    return idx
-
-
 # Vocabularies for the sampler's lookup table: tiny ones, the size of
 # the benchmark's train-embed vocabulary, one token with ~97% of the
 # mass, cumulative values on bucket edges, and one past the table's cap.
@@ -139,57 +108,28 @@ class TestNegativeSampler:
         assert sampler.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
         assert (sampler.probabilities > 0).all()
 
-    def test_exclude_is_resampled(self):
-        rng = np.random.default_rng(5)
-        sampler = NegativeSampler(np.array([100, 1, 5, 40]), 0.75)
-        exclude = rng.integers(0, 4, size=3000)
-        draws = sampler.draw(rng, exclude, 7)
-        assert draws.shape == (3000, 7)
-        assert (draws != exclude[:, None]).all()
-        assert sampler.draw(rng, np.array([], dtype=np.int64), 7).shape == (0, 7)
-
     def test_empirical_distribution_matches_power_law(self):
-        # A row excluding x draws token i with probability p_i / (1 - p_x).
         rng = np.random.default_rng(123)
         counts = np.arange(1, 11, dtype=np.int64) * 3
         sampler = NegativeSampler(counts, 0.75)
         expected = counts**0.75 / (counts**0.75).sum()
         assert np.allclose(sampler.probabilities, expected, atol=1e-15)
-        exclude = np.arange(200_000) % 10
-        draws = sampler.draw(rng, exclude, 5)
-        for x in range(10):
-            empirical = np.bincount(draws[exclude == x].ravel(), minlength=10) / (draws.shape[1] * 20_000)
-            conditional = np.where(np.arange(10) == x, 0.0, expected / (1.0 - expected[x]))
-            assert np.abs(empirical - conditional).max() < 0.01
-
-    def test_small_vocabulary_needs_several_redraw_rounds(self):
-        # Token 0 carries ~97% of the mass: most draws of a row that
-        # excludes it collide and are redrawn, round after round.
-        rng = _CountingRng(5)
-        sampler = NegativeSampler(np.array([100, 1]), 0.75)
-        exclude = np.array([0, 1, 0, 0])
-        draws = sampler.draw(rng, exclude, 25)
-        assert (draws != exclude[:, None]).all()
-        assert rng.sizes[0] == 100 and len(rng.sizes) > 3
-        assert all(later <= earlier for earlier, later in zip(rng.sizes[1:], rng.sizes[2:]))
+        draws = sampler.draw(rng, (200_000, 5))
+        assert draws.shape == (200_000, 5) and draws.dtype == np.int64
+        empirical = np.bincount(draws.ravel(), minlength=10) / draws.size
+        assert np.abs(empirical - expected).max() < 0.002
+        assert sampler.draw(rng, (0, 7)).shape == (0, 7)
 
     def test_degenerate_vocabulary_fatal(self):
-        rng = np.random.default_rng(5)
-        sampler = NegativeSampler(np.array([3]), 0.75)
-        with pytest.raises(DataError, match="entire sampling mass"):
-            sampler.draw(rng, np.array([0]), 4)
+        # In the second, token 1's weight vanishes next to token 0's.
+        for counts, exponent in (([3], 0.75), ([10**20, 1], 1.0)):
+            with pytest.raises(DataError, match="token index 0 carries the entire sampling mass"):
+                NegativeSampler(np.array(counts), exponent)
 
     def test_one_token_vocabulary_fatal_in_training(self):
         cfg = TrainConfig(window=1, dim=4, negatives=2, epochs=1, seed=1)
         with pytest.raises(DataError, match="entire sampling mass"):
             train_skipgram(sentences_of(["a", "a"]), cfg)
-
-    def test_exhausted_resampling_fatal(self):
-        # Token 1 keeps 1e-12 of the mass: every redraw hits token 0 again.
-        rng = np.random.default_rng(5)
-        sampler = NegativeSampler(np.array([10**12, 1]), 1.0)
-        with pytest.raises(DataError, match="token index 0 after 1000 resampling rounds"):
-            sampler.draw(rng, np.array([1, 0, 1]), 4)
 
     @pytest.mark.parametrize("name", list(SAMPLER_COUNTS))
     def test_table_lookup_equals_binary_search(self, name):
@@ -210,39 +150,14 @@ class TestNegativeSampler:
     @pytest.mark.parametrize("name", ["2", "3", "276", "skewed"])
     @pytest.mark.parametrize("seed", range(4))
     def test_draw_equals_the_whole_block_redraw_rule(self, name, seed):
+        # With nothing excluded the whole-block rule has no redraw round:
+        # one rng.random block of the whole shape, read in row-major order.
         sampler = NegativeSampler(np.asarray(SAMPLER_COUNTS[name]), 0.75)
-        exclude = np.random.default_rng([seed, 1]).integers(0, len(sampler.cumulative), size=300)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        draws = sampler.draw(rng, exclude, 25)
-        expected = reference_draw(sampler.cumulative, ref_rng, exclude, 25)
+        draws = sampler.draw(rng, (300, 25))
+        expected = sampler.cumulative.searchsorted(ref_rng.random((300, 25)), side="right")
         assert draws.dtype == expected.dtype and np.array_equal(draws, expected)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-    @pytest.mark.parametrize("exclude", [[1, 0, 1], [0, 0, 1, 0], [1, 1, 0, 1]])
-    def test_exhaustion_names_the_token_the_whole_block_rule_names(self, exclude):
-        # One token keeps 1e-12 of the mass: rows excluding the other never finish.
-        exclude = np.array(exclude)
-        for counts in ([10**12, 1], [1, 10**12]):
-            sampler = NegativeSampler(np.array(counts), 1.0)
-            rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-            with pytest.raises(DataError) as expected:
-                reference_draw(sampler.cumulative, ref_rng, exclude, 4)
-            with pytest.raises(DataError) as raised:
-                sampler.draw(rng, exclude, 4)
-            assert str(raised.value) == str(expected.value)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-    def test_last_redraw_round_may_clear_the_block(self):
-        # Token 1 has 0.1% of the mass; at this seed the 1000th redraw is the first to give it.
-        sampler = NegativeSampler([999, 1], 1.0)
-        rng, ref_rng = np.random.default_rng(1106), np.random.default_rng(1106)
-        draws = sampler.draw(rng, [0], 1)
-        assert draws.tolist() == [[1]]
-        expected = reference_draw(sampler.cumulative, ref_rng, np.array([0]), 1)
-        assert draws.dtype == expected.dtype and np.array_equal(draws, expected)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        # The initial draw and the first 999 redraws all give token 0.
-        assert np.random.default_rng(1106).random(1001)[:1000].max() < sampler.cumulative[0]
 
     def test_zero_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -451,18 +366,20 @@ def replay_training(sentences, config):
 
     Makes the trainer's draws in its documented order with its own
     code: for each round of LOCKSTEP sentences, one window draw for
-    all its centers, then one block of negatives for all its pairs in
-    corpus order, then rounds that redraw, in row-major order, every
-    negative equal to its pair's context. Step t then trains the t-th
-    pair of every sentence of the round that has one, reading the rows
-    the previous step left. Each pair takes the per-pair ``rows @ v``,
-    loss and gradient of sgns_pair_update and moves its center by
-    ``grad @ rows`` in turn. Each output row gains its row of ``M @ V``:
-    M sums, as Python floats, the row's gradients in each sentence, and
-    V stacks the step's incoming centers. Returns (input vectors,
-    output vectors, epoch losses, counts, pairs per epoch); counts has
-    the pairs whose rows were all distinct, and the output rows and
-    centers that a step shared between sentences.
+    all its centers, then one block of negatives with one row per step,
+    in step order. Step t then trains the t-th pair of every sentence
+    of the round that has one, reading the rows the previous step left,
+    and every pair of the step takes the step's row of negatives. Each
+    pair takes the per-pair ``rows @ v``, loss and gradient of
+    sgns_pair_update, with a negative that equals its context skipped:
+    its gradient is zeroed and its term left out of the loss. It moves
+    its center by ``grad @ rows`` in turn. Each output row gains its row
+    of ``M @ V``: M sums, as Python floats, the row's gradients in each
+    sentence, and V stacks the step's incoming centers. Returns (input
+    vectors, output vectors, epoch losses, counts, pairs per epoch,
+    skipped negatives per epoch); counts has the pairs whose rows were
+    all distinct, and the output rows and centers that a step shared
+    between sentences.
     """
     vocab = build_vocabulary(sentences, config.min_count)
     encoded = [[vocab.index[t] for t in s.tokens if t in vocab.index] for s in sentences]
@@ -480,13 +397,14 @@ def replay_training(sentences, config):
     lr_span = config.initial_lr - config.final_lr
     visit = 0
     counts = {"distinct pairs": 0, "shared rows": 0, "shared centers": 0}
-    losses, pairs = [], []
+    losses, pairs, skipped = [], [], []
     for _ in range(config.epochs):
-        loss_sum, n_pairs = 0.0, 0
+        loss_sum, n_pairs, n_skipped = 0.0, 0, 0
         for start in range(0, len(encoded), LOCKSTEP):
             batch = encoded[start:start + LOCKSTEP]
             spans = iter(rng.integers(1, config.window + 1, size=sum(map(len, batch))).tolist())
-            round_pairs = []  # (sentence, center, lr, context), in corpus order
+            queues = [[] for _ in batch]  # per sentence: (index in corpus order, center, lr, context)
+            n_round = 0
             for s, sent in enumerate(batch):
                 for pos, center in enumerate(sent):
                     b = next(spans)
@@ -494,44 +412,38 @@ def replay_training(sentences, config):
                     visit += 1
                     for pos2 in range(max(pos - b, 0), min(pos + b + 1, len(sent))):
                         if pos2 != pos:
-                            round_pairs.append((s, center, lr, sent[pos2]))
-            draws = rng.random(len(round_pairs) * n_neg).tolist() if n_neg else []
-            negs = [
-                [bisect.bisect_right(cumulative, u) for u in draws[i * n_neg:(i + 1) * n_neg]]
-                for i in range(len(round_pairs))
+                            queues[s].append((n_round, center, lr, sent[pos2]))
+                            n_round += 1
+            n_steps = max(map(len, queues))
+            draws = rng.random(n_steps * n_neg).tolist() if n_neg else []
+            step_negatives = [
+                [bisect.bisect_right(cumulative, u) for u in draws[t * n_neg:(t + 1) * n_neg]]
+                for t in range(n_steps)
             ]
-            while True:
-                hits = [
-                    (i, j)
-                    for i, (_s, _center, _lr, context) in enumerate(round_pairs)
-                    for j in range(n_neg)
-                    if negs[i][j] == context
-                ]
-                if not hits:
-                    break
-                for (i, j), u in zip(hits, rng.random(len(hits)).tolist()):
-                    negs[i][j] = bisect.bisect_right(cumulative, u)
-            queues = [[] for _ in batch]
-            for i, ((s, center, lr, context), row) in enumerate(zip(round_pairs, negs)):
-                queues[s].append((i, center, lr, [context] + row))
-            pair_losses = [None] * len(round_pairs)
-            for t in range(max(map(len, queues))):
+            pair_losses = [None] * n_round
+            for t, negatives in enumerate(step_negatives):
                 step = [queue[t] for queue in queues if t < len(queue)]
-                incoming = np.array([syn0[center] for _i, center, _lr, _outs in step])
+                incoming = np.array([syn0[center] for _i, center, _lr, _context in step])
                 sums = {}  # output row -> {sentence column: gradient sum}
-                for col, ((i, center, lr, outs), v) in enumerate(zip(step, incoming)):
+                for col, ((i, center, lr, context), v) in enumerate(zip(step, incoming)):
+                    outs = [context] + negatives
+                    skip = np.array([n == context for n in negatives], dtype=bool)
+                    n_skipped += int(skip.sum())
                     rows = syn1[outs]
                     scores = rows @ v
-                    pair_losses[i] = float(np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum())
+                    terms = np.logaddexp(0.0, scores[1:])
+                    terms[skip] = 0.0
+                    pair_losses[i] = float(np.logaddexp(0.0, -scores[0]) + terms.sum())
                     grad = -expit(scores)
                     grad[0] += 1.0
                     grad *= lr
+                    grad[1:][skip] = 0.0
                     syn0[center] += grad @ rows
                     counts["distinct pairs"] += len(set(outs)) == len(outs)
                     for row, g in zip(outs, grad.tolist()):
                         cell = sums.setdefault(row, {})
                         cell[col] = cell.get(col, 0.0) + g
-                counts["shared centers"] += len(step) - len({center for _i, center, _lr, _outs in step})
+                counts["shared centers"] += len(step) - len({center for _i, center, _lr, _context in step})
                 touched = sorted(sums)
                 m = np.zeros((len(touched), len(step)))
                 for u, row in enumerate(touched):
@@ -541,10 +453,11 @@ def replay_training(sentences, config):
                 syn1[touched] += m @ incoming
             for loss in pair_losses:
                 loss_sum += loss
-            n_pairs += len(round_pairs)
+            n_pairs += n_round
         losses.append(loss_sum / n_pairs)
         pairs.append(n_pairs)
-    return syn0, syn1, losses, counts, pairs
+        skipped.append(n_skipped)
+    return syn0, syn1, losses, counts, pairs, skipped
 
 
 class TestTrainingReplay:
@@ -552,19 +465,20 @@ class TestTrainingReplay:
 
     def assert_replayed(self, sentences, config):
         table = train_skipgram(sentences, config)
-        syn0, syn1, losses, counts, pairs = replay_training(sentences, config)
+        syn0, syn1, losses, counts, pairs, skipped = replay_training(sentences, config)
         assert np.array_equal(table.input_vectors, syn0)
         assert np.array_equal(table.output_vectors, syn1)
         assert np.array_equal(table.epoch_losses, losses)
-        return counts, pairs
+        return counts, pairs, skipped
 
     def test_every_pair_repeats_rows(self):
         # 26 output rows over a 20-token vocabulary always repeat some,
-        # and the 30 sentences of one round share rows and centers.
+        # and the 30 sentences of one round share rows and centers. Many
+        # contexts are among their step's 25 negatives.
         sentences, _a, _b = synthdata.two_clique_corpus(seed=3, n_sentences=30)
         cfg = TrainConfig(window=8, dim=16, negatives=25, epochs=2, seed=4)
-        counts, pairs = self.assert_replayed(sentences, cfg)
-        assert counts["distinct pairs"] == 0 and min(pairs) > 0
+        counts, pairs, skipped = self.assert_replayed(sentences, cfg)
+        assert counts["distinct pairs"] == 0 and min(pairs) > 0 and min(skipped) > 0
         assert counts["shared rows"] > 0 and counts["shared centers"] > 0
 
     def test_mostly_distinct_rows_at_dim_150(self):
@@ -573,7 +487,7 @@ class TestTrainingReplay:
             seed=5, n_users=4, n_items=40, ratings_per_user=3
         )
         cfg = TrainConfig(window=8, dim=150, negatives=5, epochs=2, seed=6)
-        counts, pairs = self.assert_replayed(sentences, cfg)
+        counts, pairs, _skipped = self.assert_replayed(sentences, cfg)
         assert sum(pairs) > counts["distinct pairs"] > sum(pairs) // 2
 
     def test_without_negatives(self):
@@ -581,8 +495,8 @@ class TestTrainingReplay:
             seed=5, n_users=4, n_items=20, ratings_per_user=3
         )
         cfg = TrainConfig(window=5, dim=12, negatives=0, epochs=2, seed=7)
-        counts, _pairs = self.assert_replayed(sentences, cfg)
-        assert counts["shared rows"] > 0
+        counts, _pairs, skipped = self.assert_replayed(sentences, cfg)
+        assert counts["shared rows"] > 0 and skipped == [0, 0]
 
     def test_one_token_sentences_have_no_pairs(self):
         # A one-token sentence draws its window and no negatives, and
@@ -590,11 +504,12 @@ class TestTrainingReplay:
         # schedule; the first round of 32 has no pair at all.
         sentences = sentences_of(*[["a"]] * 32, ["a"], ["a", "b", "c"], ["d"], ["b", "c", "d", "a"], ["c"])
         cfg = TrainConfig(window=2, dim=6, negatives=3, epochs=3, seed=8)
-        _counts, pairs = self.assert_replayed(sentences, cfg)
+        _counts, pairs, _skipped = self.assert_replayed(sentences, cfg)
         assert min(pairs) > 0
 
     def test_epoch_log_line_counts_the_replayed_pairs(self, caplog):
         # perfbench/tracer.py reads embed.pairs_per_s from "(N pairs)" here.
+        # One token is a third of the mass, so some negatives are skipped.
         caplog.set_level(logging.INFO, logger="relfrec.embed")
         _ratings, _catalog, sentences = synthdata.genre_world(
             seed=5, n_users=4, n_items=20, ratings_per_user=3
@@ -602,11 +517,14 @@ class TestTrainingReplay:
         sentences += sentences_of(["g0_dir0"])
         cfg = TrainConfig(window=4, dim=8, negatives=3, epochs=3, seed=9)
         train_skipgram(sentences, cfg)
-        _syn0, _syn1, losses, _counts, pairs = replay_training(sentences, cfg)
+        _syn0, _syn1, losses, _counts, pairs, skipped = replay_training(sentences, cfg)
         lines = [r.getMessage() for r in caplog.records if r.name == "relfrec.embed"]
-        logged = [re.fullmatch(r"epoch (\d+)/3: mean pair loss (\S+) \((\d+) pairs\)", line).groups()
+        logged = [re.fullmatch(r"epoch (\d+)/3: mean pair loss (\S+) \((\d+) pairs\), (\d+) negatives skipped",
+                               line).groups()
                   for line in lines]
-        assert logged == [(str(e), f"{loss:.6f}", str(n)) for e, (loss, n) in enumerate(zip(losses, pairs), 1)]
+        assert logged == [(str(e), f"{loss:.6f}", str(n), str(k))
+                          for e, (loss, n, k) in enumerate(zip(losses, pairs, skipped), 1)]
+        assert min(skipped) > 0
 
 
 def train_steps(syn0, syn1, centers, out, lr, sizes):
@@ -648,6 +566,19 @@ class TestTrainStep:
         assert np.array_equal(syn1, ref1)
         assert losses.tolist() == ref_losses
 
+    def test_negative_equal_to_the_context_is_skipped(self):
+        syn0, syn1 = self.matrices(4)
+        # The context, row 5, is two of the pair's four negatives.
+        centers, out, lr = np.array([3]), np.array([[5, 7, 5, 9, 5]]), np.array([0.3])
+        ref0, ref1 = syn0.copy(), syn1.copy()
+        ref_loss = sgns_pair_update(ref0[3], ref1[5], [ref1[7], ref1[9]], 0.3)
+        scores = self.train_step(syn0, syn1, centers, out, lr)
+        loss = embed._pair_losses(scores, out[:, 1:] != out[:, :1])
+        np.testing.assert_allclose(syn0, ref0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(syn1, ref1, rtol=0, atol=1e-12)
+        assert abs(loss[0] - ref_loss) <= 1e-12
+        assert not np.array_equal(syn1[5], self.matrices(4)[1][5])
+
     def test_shared_center_and_output_row_sum_their_updates(self):
         syn0, syn1 = self.matrices(2)
         # Center 3 and output row 5 serve both pairs; row 6 repeats within
@@ -684,7 +615,8 @@ class TestTrainStep:
     def test_center_shared_by_three_sentences_moves_in_turn(self):
         syn0, syn1 = self.matrices(3)
         # Center 2 serves sentences 0, 2 and 3. Row 5 repeats within
-        # pair 0 and again in pair 2; row 6 is in pairs 0 and 3.
+        # pair 0, as a negative equal to the context, which is skipped,
+        # and again in pair 2; row 6 is in pairs 0 and 3.
         centers = np.array([2, 9, 2, 2])
         out = np.array([[5, 6, 5], [7, 8, 10], [5, 11, 12], [13, 6, 14]])
         lr = np.array([0.2, 0.3, 0.4, 0.1])
@@ -697,6 +629,7 @@ class TestTrainStep:
             grad = -expit(syn1[o] @ syn0[c])
             grad[0] += 1.0
             grad *= rate
+            grad[1:] *= o[1:] != o[0]
             grads.append(grad)
             moves.append(grad @ syn1[o])
         m = np.zeros((len(rows), 4))

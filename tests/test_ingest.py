@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import re
 import sys
 
@@ -476,6 +477,16 @@ class TestRatingDataset:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             RatingDataset(records=[])
+
+    @pytest.mark.parametrize("r_min, r_max", [(3.0, 3.0), (-math.inf, math.inf), (5.0, 1.0), (5, 1)],
+                             ids=["equal", "infinite", "inverted", "inverted-integer"])
+    def test_bad_scale_is_refused_before_any_rating(self, r_min, r_max):
+        # Every rating lies on [3.0, 3.0] and [-inf, inf]; [5.0, 1.0] is blamed on the scale, not a rating.
+        records = [(1, 1, 3.0, 0), (2, 1, 3.0, 0), (1, 2, 3.0, 0)]
+        with pytest.raises(ValueError, match=re.escape(f"rating scale [{r_min}, {r_max}] must be two finite")):
+            RatingDataset(records=records, r_min=r_min, r_max=r_max)
+        with pytest.raises(ValueError, match="rating scale"):
+            RatingDataset(records=[], r_min=r_min, r_max=r_max)
 
     def test_records_from_a_generator(self):
         rows = [(1, 1, 4.0, 0), (2, 1, 3.0, 1), (2, 3, 5.0, 2)]
