@@ -35,19 +35,20 @@ order:
 The round is then trained in lockstep. What each step needs to know
 about its pairs (its distinct output rows, where each occurrence's
 gradient is summed, which centers repeat) is worked out once for the
-whole round, before its first step. Every pair reads the input and
-output rows as the previous step left them. A pair's scores, loss and
-gradient are sgns_pair_update's over its kept negatives, and its center
-moves by the same ``grad @ rows``, so a sentence's centers still move
-pair by pair; a center that two sentences share in a step gains both
-updates, in sentence order. Each output row touched in a step gains, in
-one GEMM, the step's incoming center vectors weighted by the row's
-summed gradient in each sentence. Where every row of a step is distinct,
-this equals sgns_pair_update pair by pair, bit for bit. A row that
-repeats within a pair sums its gradients before they scale the center,
-and the GEMM sums the updates of a row that sentences share, such as the
-step's shared negatives. Each center's learning rate comes from its
-visit index in corpus order, and the losses are added in corpus order.
+whole round, before its first step. A step reads each row it needs
+once, as the previous step left it: its centers, its contexts and its
+block. A pair's context score is the dot of its context and center;
+the negative scores of all its pairs are one GEMM of the stacked
+centers against the block. Its loss and gradient are sgns_pair_update's
+over its kept negatives, and its center moves by ``grad_neg @ block +
+grad_ctx * context``; a center that two sentences share in a step gains
+both moves, in sentence order. Each output row touched in a step gains,
+in one GEMM, the step's incoming centers weighted by the row's summed
+gradient in each sentence, so a block row gains the updates of every
+pair. The GEMMs add in another order than sgns_pair_update's per-pair
+products, so a step agrees with it to within 1e-12, not bit for bit.
+Each center's learning rate comes from its visit index in corpus order,
+and the losses are added in corpus order.
 The epoch log line counts the pairs and the skipped negatives.
 
 A table is saved as one word2vec-format text file of input vectors
@@ -307,19 +308,20 @@ def _add_pair_losses(total, losses):
     return float(np.concatenate(([total], losses)).cumsum()[-1])
 
 
-def _plan_round(centers, out, sizes, n_rows):
+def _plan_round(centers, contexts, blocks, sizes, n_rows):
     """Each step's bookkeeping, fixed once the round's pairs are drawn.
 
     The round's pairs are listed step by step: ``sizes[t]`` pairs of
-    step t, each with center row ``centers[p]`` and output rows
-    ``out[p]`` of a table of ``n_rows`` rows. Returns one tuple
+    step t, each with center row ``centers[p]`` and context row
+    ``contexts[p]`` of an output table of ``n_rows`` rows; the pairs of
+    step t share the negative rows ``blocks[t]``. Returns one tuple
     (pairs, rows, slots, lead, repeats) per step:
 
     - pairs: the step's slice of the round's pairs;
-    - rows: its distinct output rows, ascending;
-    - slots: each occurrence's slot in the step's bincount, its row's
-      place among ``rows`` times the step's size plus its column (its
-      pair's place in the step);
+    - rows: its distinct output rows, contexts and block alike, ascending;
+    - slots: per pair, its context's then its block's slots in the
+      step's bincount: the row's place among ``rows`` times the step's
+      size plus the column (the pair's place in the step);
     - lead: None if every center of the step is distinct; otherwise the
       columns of each center's first occurrence, ascending;
     - repeats: the columns of the other occurrences, ascending, as a list.
@@ -327,41 +329,43 @@ def _plan_round(centers, out, sizes, n_rows):
     Rows are marked in a (step, row) table of at most _PLAN_CELLS cells
     (or one step's ``n_rows``), reused for as many steps as it holds.
     """
-    n_pairs = len(out)
+    n_pairs, n_steps = len(contexts), len(sizes)
     if not n_pairs:
         return []
     ends = sizes.cumsum()
     starts = ends - sizes
-    step = np.arange(len(sizes)).repeat(sizes)
+    step = np.arange(n_steps).repeat(sizes)
     column = np.arange(n_pairs) - starts[step]
     per = max(1, _PLAN_CELLS // n_rows)
-    seen = np.zeros(min(per, len(sizes)) * n_rows, dtype=bool)
-    # A slot is below a step's distinct rows times its size, so int32
-    # holds it, at half the size of the round's largest plan array.
+    seen = np.zeros(min(per, n_steps) * n_rows, dtype=bool)
+    # int32 holds a place in the round, at half the size of int64.
     where = np.empty(len(seen), dtype=np.int32)
-    slots = np.empty(out.shape, dtype=np.int32)
+    context_place = np.empty(n_pairs, dtype=np.int32)
+    block_place = np.empty(blocks.shape, dtype=np.int32)
     marked, done = [], 0
-    for t in range(0, len(sizes), per):
-        a, b = starts[t], ends[min(t + per, len(sizes)) - 1]
-        cell = slots[a:b]
-        np.add(out[a:b], ((step[a:b] - t) * n_rows)[:, None], out=cell)
-        seen[cell] = True
-        cells = np.flatnonzero(seen)
-        seen[cells] = False
+    for t in range(0, n_steps, per):
+        u = min(t + per, n_steps)
+        a, b = starts[t], ends[u - 1]
+        ctx = np.add(contexts[a:b], (step[a:b] - t) * n_rows, out=context_place[a:b])
+        blk = np.add(blocks[t:u], (np.arange(u - t) * n_rows)[:, None], out=block_place[t:u])
+        seen[ctx] = seen[blk] = True
+        marks = np.flatnonzero(seen)
+        seen[marks] = False
         # Each marked (step, row) cell's place in the round, in cell order.
-        where[cells] = np.arange(done, done + len(cells))
-        done += len(cells)
-        cell[...] = where[cell]
-        marked.append(cells + t * n_rows)
-    cells = np.concatenate(marked)
-    row_counts = np.bincount(cells // n_rows, minlength=len(sizes))
+        where[marks] = np.arange(done, done + len(marks))
+        done += len(marks)
+        ctx[...], blk[...] = where[ctx], where[blk]
+        marked.append(marks + t * n_rows)
+    marks = np.concatenate(marked)
+    row_counts = np.bincount(marks // n_rows, minlength=n_steps)
+    slots = np.concatenate((context_place[:, None], block_place[step]), axis=1)
     slots -= (row_counts.cumsum() - row_counts)[step, None]
     slots *= sizes[step, None]
     slots += column[:, None]
-    rows = cells % n_rows
+    rows = marks % n_rows
     first = np.zeros(n_pairs, dtype=bool)
     first[np.unique(step * n_rows + centers, return_index=True)[1]] = True
-    n_first = np.bincount(step[first], minlength=len(sizes))
+    n_first = np.bincount(step[first], minlength=n_steps)
     leads, repeated = column[first], column[~first]
 
     def spans(counts):
@@ -376,46 +380,47 @@ def _plan_round(centers, out, sizes, n_rows):
     ]
 
 
-def _train_step(syn0, syn1, centers, out, lr, scores, step, work):
+def _train_step(syn0, syn1, centers, contexts, block, lr, step, work, scores, keep):
     """Train one step of a round: one pair of each of n sentences at once.
 
     ``step`` is the step's plan from _plan_round; its slice of the
     round's pairs picks pair s's center row ``centers[s]`` of syn0, its
-    output rows ``out[s]`` of syn1 (context first, then negatives) and
-    its learning rate ``lr[s]``, and receives its scores in ``scores[s]``
-    (one row of 1 + negatives). Every pair reads the rows as the
-    previous step left them. Its scores and gradient are
-    sgns_pair_update's, with a zero gradient for each negative equal to
-    its context, from stacked matmuls that equal the per-pair
-    ``rows @ v`` and ``grad @ rows`` bit for bit. Each center gains
-    ``grad @ rows``; a center shared by several pairs gains their
-    updates in turn, in pair order. Each distinct output row (in
-    ascending order) gains row u of ``M @ V``, where ``M[u, s]`` sums,
-    left to right along pair s, the gradients of row u's occurrences
-    there and V stacks the incoming centers. For a row that occurs once
-    that is exactly ``grad * v``, as in sgns_pair_update.
+    context row ``contexts[s]`` of syn1 and its learning rate ``lr[s]``;
+    every pair's negatives are the step's ``block`` of syn1 rows. Pair s
+    receives its scores in ``scores[s]`` (context first) and whether each
+    negative differs from its context in ``keep[s]``. The step gathers
+    its context and block rows once: the context scores are row-wise
+    dots, the negative scores one GEMM of the stacked centers against the
+    block. The gradient is sgns_pair_update's, zero for a negative equal
+    to its pair's context. Each center gains ``grad_neg @ block +
+    grad_ctx * context``; a center shared by several pairs gains their
+    moves in turn, in pair order. Each distinct output row (ascending)
+    gains row u of ``M @ V``, where ``M[u, s]`` sums, left to right
+    along pair s, the gradients of row u's occurrences there and V
+    stacks the incoming centers.
 
-    ``work`` is scratch space of at least ``2 * out.size`` rows as wide
-    as syn1. Reusing it keeps the step's large arrays off the allocator,
-    which can otherwise hand each one back to the system and fault its
-    pages in again on the next step.
+    ``work`` is scratch space of at least ``2 * (n + len(block))`` rows
+    as wide as syn1, reused for the rows the step reads from syn1.
     """
     pairs, uniq, slots, lead, repeats = step
-    centers, out, lr, scores = centers[pairs], out[pairs], lr[pairs], scores[pairs]
-    n, n_out = out.shape
+    centers, contexts, lr, scores = centers[pairs], contexts[pairs], lr[pairs], scores[pairs]
+    n, n_read = len(centers), len(centers) + len(block)
     v = syn0[centers]
     # Every index is in range; "clip" lets take fill the buffer directly.
-    rows = syn1.take(out, axis=0, out=work[:out.size].reshape(n, n_out, -1), mode="clip")
-    np.matmul(rows, v[:, :, None], out=scores[:, :, None])
+    context_rows = syn1.take(contexts, axis=0, out=work[:n], mode="clip")
+    block_rows = syn1.take(block, axis=0, out=work[n:n_read], mode="clip")
+    np.matmul(context_rows[:, None, :], v[:, :, None], out=scores[:, :1, None])
+    np.matmul(v, block_rows.T, out=scores[:, 1:])
     e = expit(scores)
     grad = e * -lr[:, None]
     grad[:, 0] = (1.0 - e[:, 0]) * lr
-    grad[:, 1:] *= out[:, 1:] != out[:, :1]
-    moves = np.matmul(grad[:, None, :], rows)[:, 0]
+    grad[:, 1:] *= np.not_equal(block, contexts[:, None], out=keep[pairs])
+    moves = grad[:, 1:] @ block_rows
+    moves += grad[:, :1] * context_rows
     if lead is None:
         syn0[centers] += moves
     else:
-        # The first occurrence of every center as one block, then each
+        # The first occurrence of every center as one batch, then each
         # later one on its own, in pair order, as np.add.at adds them.
         syn0[centers[lead]] += moves[lead]
         for s in repeats:
@@ -425,11 +430,14 @@ def _train_step(syn0, syn1, centers, out, lr, scores, step, work):
     sums = np.bincount(slots.ravel(), weights=grad.ravel(), minlength=len(uniq) * n)
     # The rows are read; their space takes the update.
     update = np.matmul(sums.reshape(len(uniq), n), v, out=work[:len(uniq)])
-    update += syn1.take(uniq, axis=0, out=work[out.size:out.size + len(uniq)], mode="clip")
+    update += syn1.take(uniq, axis=0, out=work[n_read:n_read + len(uniq)], mode="clip")
     syn1[uniq] = update
 
 
 class _Trainer:
+    """A training run. A round's negatives are one (steps, negatives)
+    block; each step trains against its own row of it."""
+
     def __init__(self, tokens, lengths, config, vocab):
         self.tokens, self.lengths = tokens, lengths
         self.config = config
@@ -439,7 +447,7 @@ class _Trainer:
         self.syn1 = np.zeros((len(vocab), config.dim))
         self.sampler = NegativeSampler(vocab.counts, config.ns_exponent) if config.negatives else None
         self.total_visits = config.epochs * len(tokens)
-        self.work = np.empty((2 * _LOCKSTEP * (config.negatives + 1), config.dim))
+        self.work = np.empty((2 * (_LOCKSTEP + config.negatives), config.dim))
 
     def run(self):
         """Train every epoch; return the mean pair loss of each."""
@@ -498,16 +506,15 @@ class _Trainer:
         sizes = np.bincount(step)
         order = step.argsort(kind="stable")
         centers, lr = tokens[center][order], lr[order]
-        out = np.empty((len(center), cfg.negatives + 1), dtype=np.int64)
-        out[:, 0] = tokens[center - left[center] + k][order]
-        if cfg.negatives:
-            # One row of negatives per step, shared by the step's pairs.
-            out[:, 1:] = self.sampler.draw(rng, (len(sizes), cfg.negatives)).repeat(sizes, axis=0)
-        keep = out[:, 1:] != out[:, :1]
-        plan = _plan_round(centers, out, sizes, len(self.syn1))
-        scores = np.empty(out.shape)
-        for planned in plan:
-            _train_step(self.syn0, self.syn1, centers, out, lr, scores, planned, self.work)
+        contexts = tokens[center - left[center] + k][order]
+        # One row of negatives per step, shared by the step's pairs.
+        blocks = (self.sampler.draw(rng, (len(sizes), cfg.negatives)) if cfg.negatives
+                  else np.empty((len(sizes), 0), dtype=np.int64))
+        plan = _plan_round(centers, contexts, blocks, sizes, len(self.syn1))
+        scores = np.empty((len(center), cfg.negatives + 1))
+        keep = np.empty((len(center), cfg.negatives), dtype=bool)
+        for block, planned in zip(blocks, plan):
+            _train_step(self.syn0, self.syn1, centers, contexts, block, lr, planned, self.work, scores, keep)
         losses = np.empty(len(scores))
         losses[order] = _pair_losses(scores, keep)
         return losses, np.count_nonzero(~keep)
@@ -579,9 +586,9 @@ def load_embeddings(source):
 
     The table has counts of 1 and no output vectors; the file is read
     alone, whatever lies beside it. An input path that cannot be
-    opened, malformed headers, row arity/count mismatches and
-    non-finite components (nan, inf) are DataErrors, reported with the
-    file and line number; so is text that is not UTF-8, with the file.
+    opened, malformed headers, row arity/count mismatches, non-finite
+    components (nan, inf) and a repeated token are DataErrors, reported
+    with the file and line number; so is text that is not UTF-8.
     """
     with text_stream(source) as stream:
         tokens, vectors = _read_vector_rows(stream, stream_name(stream))
@@ -594,30 +601,23 @@ def _read_vector_rows(stream, where):
     if not header:
         raise DataError(f"{where} line 1: empty file")
     v, dim = _parse_header(header, where)
-    tokens = []
-    rows = []
-    lineno = 1
-    for row in range(v):
+    tokens, rows = {}, []  # tokens as an insertion-ordered set
+    for lineno in range(2, v + 2):
         line = stream.readline()
-        lineno += 1
         if not line:
-            raise DataError(f"{where} line {lineno}: expected {v} rows, file ends after {row}")
+            raise DataError(f"{where} line {lineno}: expected {v} rows, file ends after {lineno - 2}")
         parts = line.split()
         if len(parts) != dim + 1:
-            raise DataError(
-                f"{where} line {lineno}: expected {dim + 1} fields, got {len(parts)}"
-            )
-        tokens.append(parts[0])
+            raise DataError(f"{where} line {lineno}: expected {dim + 1} fields, got {len(parts)}")
+        if parts[0] in tokens:
+            raise DataError(f"{where} line {lineno}: duplicate token {parts[0]!r}")
+        tokens[parts[0]] = None
         try:
             rows.append(np.array([float(x) for x in parts[1:]]))
         except ValueError:
             raise DataError(f"{where} line {lineno}: non-numeric vector component") from None
         if not np.isfinite(rows[-1]).all():
             raise DataError(f"{where} line {lineno}: non-finite vector component")
-    trailer = stream.readline()
-    lineno += 1
-    if trailer and trailer.strip():
-        raise DataError(f"{where} line {lineno}: more rows than the header declares ({v})")
-    if len(set(tokens)) != len(tokens):
-        raise DataError(f"{where}: duplicate token in vector file")
-    return tokens, np.array(rows)
+    if stream.readline().strip():
+        raise DataError(f"{where} line {v + 2}: more rows than the header declares ({v})")
+    return list(tokens), np.array(rows)

@@ -369,14 +369,16 @@ def replay_training(sentences, config):
     all its centers, then one block of negatives with one row per step,
     in step order. Step t then trains the t-th pair of every sentence
     of the round that has one, reading the rows the previous step left,
-    and every pair of the step takes the step's row of negatives. Each
-    pair takes the per-pair ``rows @ v``, loss and gradient of
-    sgns_pair_update, with a negative that equals its context skipped:
-    its gradient is zeroed and its term left out of the loss. It moves
-    its center by ``grad @ rows`` in turn. Each output row gains its row
-    of ``M @ V``: M sums, as Python floats, the row's gradients in each
-    sentence, and V stacks the step's incoming centers. Returns (input
-    vectors, output vectors, epoch losses, counts, pairs per epoch,
+    and every pair of the step takes the step's row of negatives. The
+    step's arithmetic is the kernel's: each pair's context score is its
+    row-wise dot with the center, and the negative scores are the stacked
+    incoming centers V times the step's block. Each pair takes the loss
+    and gradient of sgns_pair_update, with a negative that equals its
+    context skipped: its gradient is zeroed and its term left out of the
+    loss. The centers move by ``grad_neg @ block + grad_ctx * context``,
+    one pair at a time. Each output row gains its row of ``M @ V``: M
+    sums, as Python floats, the row's gradients in each sentence.
+    Returns (input vectors, output vectors, epoch losses, counts, pairs per epoch,
     skipped negatives per epoch); counts has the pairs whose rows were
     all distinct, and the output rows and centers that a step shared
     between sentences.
@@ -424,13 +426,17 @@ def replay_training(sentences, config):
             for t, negatives in enumerate(step_negatives):
                 step = [queue[t] for queue in queues if t < len(queue)]
                 incoming = np.array([syn0[center] for _i, center, _lr, _context in step])
+                context_rows = syn1[[context for _i, _center, _lr, context in step]]
+                block_rows = syn1[negatives]
+                context_scores = np.matmul(context_rows[:, None, :], incoming[:, :, None])[:, 0, 0]
+                negative_scores = incoming @ block_rows.T
+                grads = np.empty((len(step), n_neg + 1))
                 sums = {}  # output row -> {sentence column: gradient sum}
-                for col, ((i, center, lr, context), v) in enumerate(zip(step, incoming)):
+                for col, (i, center, lr, context) in enumerate(step):
                     outs = [context] + negatives
                     skip = np.array([n == context for n in negatives], dtype=bool)
                     n_skipped += int(skip.sum())
-                    rows = syn1[outs]
-                    scores = rows @ v
+                    scores = np.concatenate(([context_scores[col]], negative_scores[col]))
                     terms = np.logaddexp(0.0, scores[1:])
                     terms[skip] = 0.0
                     pair_losses[i] = float(np.logaddexp(0.0, -scores[0]) + terms.sum())
@@ -438,11 +444,14 @@ def replay_training(sentences, config):
                     grad[0] += 1.0
                     grad *= lr
                     grad[1:][skip] = 0.0
-                    syn0[center] += grad @ rows
+                    grads[col] = grad
                     counts["distinct pairs"] += len(set(outs)) == len(outs)
                     for row, g in zip(outs, grad.tolist()):
                         cell = sums.setdefault(row, {})
                         cell[col] = cell.get(col, 0.0) + g
+                moves = grads[:, 1:] @ block_rows + grads[:, :1] * context_rows
+                for (_i, center, _lr, _context), move in zip(step, moves):
+                    syn0[center] += move
                 counts["shared centers"] += len(step) - len({center for _i, center, _lr, _context in step})
                 touched = sorted(sums)
                 m = np.zeros((len(touched), len(step)))
@@ -527,133 +536,157 @@ class TestTrainingReplay:
         assert min(skipped) > 0
 
 
-def train_steps(syn0, syn1, centers, out, lr, sizes):
-    """Train pairs listed step by step (``sizes[t]`` in step t) as the
-    trainer does, through _plan_round; return their scores."""
-    scores = np.empty(out.shape)
-    work = np.empty((2 * out.size, syn1.shape[1]))
-    for step in _plan_round(centers, out, np.asarray(sizes), len(syn1)):
-        _train_step(syn0, syn1, centers, out, lr, scores, step, work)
-    return scores
+def train_steps(syn0, syn1, centers, contexts, blocks, lr, sizes):
+    """Train pairs listed step by step (``sizes[t]`` in step t, all
+    against negatives ``blocks[t]``) as the trainer does, through
+    _plan_round; return their scores and kept-negative masks."""
+    blocks = np.asarray(blocks, dtype=np.int64)
+    scores = np.empty((len(contexts), blocks.shape[1] + 1))
+    keep = np.empty((len(contexts), blocks.shape[1]), dtype=bool)
+    work = np.empty((2 * (max(sizes) + blocks.shape[1]), syn1.shape[1]))
+    for block, step in zip(blocks, _plan_round(centers, contexts, blocks, np.asarray(sizes), len(syn1))):
+        _train_step(syn0, syn1, centers, contexts, block, lr, step, work, scores, keep)
+    return scores, keep
+
+
+def reference_step(syn0, syn1, centers, contexts, block, lr):
+    """One step by sgns_pair_update: each pair updates copies of the
+    step's incoming rows, with the negatives that equal its context left
+    out, and every row gains the changes of all its pairs. Returns the
+    new tables and the pairs' losses."""
+    new0, new1, losses = syn0.copy(), syn1.copy(), []
+    for c, ctx, rate in zip(centers, contexts, lr):
+        kept = [n for n in block if n != ctx]
+        center, context, negatives = syn0[c].copy(), syn1[ctx].copy(), [syn1[n].copy() for n in kept]
+        losses.append(sgns_pair_update(center, context, negatives, rate))
+        new0[c] += center - syn0[c]
+        for row, vec in zip([ctx, *kept], [context, *negatives]):
+            new1[row] += vec - syn1[row]
+    return new0, new1, losses
 
 
 class TestTrainStep:
-    """One lockstep step on its own, against sgns_pair_update."""
+    """One lockstep step on its own, against sgns_pair_update to 1e-12.
+
+    The step's GEMMs add in another order than sgns_pair_update's
+    per-pair products, so the two agree to rounding, not bit for bit.
+    """
 
     @staticmethod
     def matrices(seed, n_rows=16, dim=7):
         rng = np.random.default_rng(seed)
         return rng.normal(size=(n_rows, dim)), rng.normal(size=(n_rows, dim)) * 0.3
 
-    @staticmethod
-    def train_step(syn0, syn1, centers, out, lr):
-        return train_steps(syn0, syn1, centers, out, lr, [len(centers)])
+    def assert_matches_reference(self, seed, centers, contexts, blocks, lr, sizes=None):
+        """Train steps of ``sizes`` pairs (default one step of all) from
+        ``matrices(seed)``, step t against ``blocks[t]``; check them
+        against reference_step and return (before, after, reference) tables."""
+        syn0, syn1 = self.matrices(seed)
+        centers, contexts, lr = np.array(centers), np.array(contexts), np.array(lr)
+        sizes = sizes or [len(centers)]
+        ref0, ref1, ref_losses, ref_keep, a = syn0, syn1, [], [], 0
+        for n, block in zip(sizes, blocks):
+            pairs = slice(a, a + n)
+            ref0, ref1, losses = reference_step(ref0, ref1, centers[pairs], contexts[pairs], block, lr[pairs])
+            ref_losses += losses
+            ref_keep += [[b != ctx for b in block] for ctx in contexts[pairs].tolist()]
+            a += n
+        s0, s1 = syn0.copy(), syn1.copy()
+        scores, keep = train_steps(s0, s1, centers, contexts, blocks, lr, sizes)
+        np.testing.assert_allclose(s0, ref0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(s1, ref1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(embed._pair_losses(scores, keep), ref_losses, rtol=0, atol=1e-12)
+        assert keep.tolist() == ref_keep
+        # Rows that no pair reads stay as they were, bit for bit.
+        moved0 = np.unique(centers)
+        moved1 = np.unique(np.concatenate((contexts, np.ravel(blocks))).astype(np.int64))
+        assert np.array_equal(np.delete(s0, moved0, axis=0), np.delete(syn0, moved0, axis=0))
+        assert np.array_equal(np.delete(s1, moved1, axis=0), np.delete(syn1, moved1, axis=0))
+        return (syn0, syn1), (s0, s1), (ref0, ref1)
 
     @pytest.mark.parametrize("negatives", [0, 3])
     def test_distinct_rows_equal_sequential_pair_updates(self, negatives):
-        syn0, syn1 = self.matrices(1)
-        centers = np.array([4, 0, 9])
-        out = np.arange(3 * (negatives + 1)).reshape(3, negatives + 1)[::-1].copy()
-        lr = np.array([0.025, 0.5, 0.1])
-        ref0, ref1 = syn0.copy(), syn1.copy()
-        ref_losses = [
-            sgns_pair_update(ref0[c], ref1[o[0]], [ref1[n] for n in o[1:]], rate)
-            for c, o, rate in zip(centers, out, lr)
-        ]
-        scores = self.train_step(syn0, syn1, centers, out, lr)
-        losses = np.logaddexp(0.0, -scores[:, 0]) + np.logaddexp(0.0, scores[:, 1:]).sum(axis=1)
-        assert np.array_equal(syn0, ref0)
-        assert np.array_equal(syn1, ref1)
-        assert losses.tolist() == ref_losses
+        # Distinct centers and contexts; the step's block shares no row
+        # with them, so each pair's update is sgns_pair_update's.
+        self.assert_matches_reference(1, [4, 0, 9], [8, 5, 2], [list(range(10, 10 + negatives))], [0.025, 0.5, 0.1])
 
     def test_negative_equal_to_the_context_is_skipped(self):
-        syn0, syn1 = self.matrices(4)
         # The context, row 5, is two of the pair's four negatives.
-        centers, out, lr = np.array([3]), np.array([[5, 7, 5, 9, 5]]), np.array([0.3])
-        ref0, ref1 = syn0.copy(), syn1.copy()
-        ref_loss = sgns_pair_update(ref0[3], ref1[5], [ref1[7], ref1[9]], 0.3)
-        scores = self.train_step(syn0, syn1, centers, out, lr)
-        loss = embed._pair_losses(scores, out[:, 1:] != out[:, :1])
-        np.testing.assert_allclose(syn0, ref0, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(syn1, ref1, rtol=0, atol=1e-12)
-        assert abs(loss[0] - ref_loss) <= 1e-12
-        assert not np.array_equal(syn1[5], self.matrices(4)[1][5])
+        (_syn0, syn1), (_s0, s1), _ref = self.assert_matches_reference(4, [3], [5], [[7, 5, 9, 5]], [0.3])
+        assert not np.array_equal(s1[5], syn1[5])
 
     def test_shared_center_and_output_row_sum_their_updates(self):
-        syn0, syn1 = self.matrices(2)
-        # Center 3 and output row 5 serve both pairs; row 6 repeats within
-        # the first pair, row 8 occurs once.
-        centers = np.array([3, 3])
-        out = np.array([[5, 6, 6], [5, 7, 8]])
-        lr = np.array([0.2, 0.3])
-        v = syn0[3].copy()
-        grads, updates = [], []
-        for o, rate in zip(out, lr):
-            rows = syn1[o]
-            grad = -expit(rows @ v)
+        # Center 3 and context 5 serve both pairs, as does every row of
+        # the block; each such row gains both pairs' updates.
+        (syn0, syn1), (s0, s1), _ref = self.assert_matches_reference(2, [3, 3], [5, 5], [[6, 8]], [0.2, 0.3])
+        v = syn0[3]
+        grads = []
+        for rate in (0.2, 0.3):
+            grad = -expit(syn1[[5, 6, 8]] @ v)
             grad[0] += 1.0
-            grad *= rate
-            grads.append(grad)
-            updates.append(grad @ rows)
-        runs = []
-        for _ in range(2):
-            s0, s1 = syn0.copy(), syn1.copy()
-            self.train_step(s0, s1, centers, out, lr)
-            runs.append((s0, s1))
-        (s0, s1), (again0, again1) = runs
+            grads.append(grad * rate)
+        for u, row in enumerate([5, 6, 8]):
+            np.testing.assert_allclose(s1[row], syn1[row] + (grads[0][u] + grads[1][u]) * v, rtol=0, atol=1e-12)
+        moves = [g[1:] @ syn1[[6, 8]] + g[0] * syn1[5] for g in grads]
+        np.testing.assert_allclose(s0[3], (v + moves[0]) + moves[1], rtol=0, atol=1e-12)
+        again0, again1 = syn0.copy(), syn1.copy()
+        train_steps(again0, again1, np.array([3, 3]), np.array([5, 5]), [[6, 8]], np.array([0.2, 0.3]), [2])
         assert np.array_equal(s0, again0) and np.array_equal(s1, again1)
-        assert np.array_equal(s0[3], (v + updates[0]) + updates[1])
-        np.testing.assert_allclose(s1[5], syn1[5] + (grads[0][0] + grads[1][0]) * v, rtol=1e-13)
-        assert np.array_equal(s1[6], syn1[6] + (grads[0][1] + grads[0][2]) * v)
-        assert np.array_equal(s1[8], syn1[8] + grads[1][2] * v)
-        untouched = np.setdiff1d(np.arange(len(syn0)), [3])
-        assert np.array_equal(s0[untouched], syn0[untouched])
-        untouched = np.setdiff1d(np.arange(len(syn1)), [5, 6, 7, 8])
-        assert np.array_equal(s1[untouched], syn1[untouched])
-
 
     def test_center_shared_by_three_sentences_moves_in_turn(self):
+        # Center 2 serves sentences 0, 2 and 3. Row 5 is the context of
+        # pairs 0 and 2 and a negative of the block, so those pairs skip
+        # it; row 6 is a negative of every pair.
+        centers, contexts, block = np.array([2, 9, 2, 2]), np.array([5, 7, 5, 13]), [5, 6, 11]
         syn0, syn1 = self.matrices(3)
-        # Center 2 serves sentences 0, 2 and 3. Row 5 repeats within
-        # pair 0, as a negative equal to the context, which is skipped,
-        # and again in pair 2; row 6 is in pairs 0 and 3.
-        centers = np.array([2, 9, 2, 2])
-        out = np.array([[5, 6, 5], [7, 8, 10], [5, 11, 12], [13, 6, 14]])
-        lr = np.array([0.2, 0.3, 0.4, 0.1])
-        ((_pairs, rows, _slots, lead, repeats),) = _plan_round(centers, out, np.array([4]), len(syn1))
-        assert rows.tolist() == sorted(set(out.ravel().tolist()))
+        ((_pairs, rows, _slots, lead, repeats),) = _plan_round(
+            centers, contexts, np.array([block]), np.array([4]), len(syn1))
+        assert rows.tolist() == [5, 6, 7, 11, 13]
         assert lead.tolist() == [0, 1] and repeats == [2, 3]
-        incoming = syn0[centers]
-        grads, moves = [], []
-        for c, o, rate in zip(centers, out, lr):
-            grad = -expit(syn1[o] @ syn0[c])
+        _before, (s0, _s1), _ref = self.assert_matches_reference(3, centers, contexts, [block], [0.2, 0.3, 0.4, 0.1])
+        moves = []
+        for c, ctx, rate in zip(centers, contexts, [0.2, 0.3, 0.4, 0.1]):
+            grad = -expit(syn1[[ctx, *block]] @ syn0[c])
             grad[0] += 1.0
             grad *= rate
-            grad[1:] *= o[1:] != o[0]
-            grads.append(grad)
-            moves.append(grad @ syn1[o])
-        m = np.zeros((len(rows), 4))
-        for s, (o, grad) in enumerate(zip(out, grads)):
-            for row, g in zip(o.tolist(), grad.tolist()):
-                m[rows.tolist().index(row), s] += g
-        s0, s1 = syn0.copy(), syn1.copy()
-        scores = self.train_step(s0, s1, centers, out, lr)
-        assert np.array_equal(scores, np.stack([syn1[o] @ v for o, v in zip(out, incoming)]))
-        assert np.array_equal(s0[2], ((syn0[2] + moves[0]) + moves[2]) + moves[3])
-        assert np.array_equal(s0[9], syn0[9] + moves[1])
-        assert np.array_equal(s1[rows], syn1[rows] + m @ incoming)
-        np.testing.assert_allclose(s1[5], syn1[5] + (grads[0][0] + grads[0][2] + grads[2][0]) * syn0[2], rtol=1e-13)
-        assert np.array_equal(s1[8], syn1[8] + grads[1][1] * syn0[9])
-        untouched = np.setdiff1d(np.arange(len(syn1)), rows)
-        assert np.array_equal(s1[untouched], syn1[untouched])
-        assert np.array_equal(np.delete(s0, [2, 9], axis=0), np.delete(syn0, [2, 9], axis=0))
+            grad[1:] *= np.array(block) != ctx
+            moves.append(grad[1:] @ syn1[block] + grad[0] * syn1[ctx])
+        np.testing.assert_allclose(s0[2], ((syn0[2] + moves[0]) + moves[2]) + moves[3], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(s0[9], syn0[9] + moves[1], rtol=0, atol=1e-12)
+
+    def test_block_holding_a_row_twice(self):
+        # Row 6 is two of the first step's three negatives: each pair's
+        # gradient on it counts twice. The second step's block differs,
+        # and its pairs train on it alone.
+        (_syn0, syn1), (_s0, s1), _ref = self.assert_matches_reference(
+            5, [1, 4, 4, 1], [2, 3, 3, 6], [[6, 9, 6], [10, 11, 12]], [0.3, 0.2, 0.3, 0.2], sizes=[2, 2])
+        assert not np.array_equal(s1[6], syn1[6])
+
+    def test_context_of_one_pair_is_a_negative_of_another(self):
+        # Row 7 is pair 1's context and a negative of the block: pair 0
+        # pushes it away, pair 1 pulls it in and skips it as a negative.
+        (syn0, syn1), (_s0, s1), (_ref0, ref1) = self.assert_matches_reference(
+            6, [1, 4], [2, 7], [[7, 8]], [0.3, 0.2])
+        for c, ctx, rate in ((1, 2, 0.3), (4, 7, 0.2)):
+            alone0, alone1 = syn0.copy(), syn1.copy()
+            train_steps(alone0, alone1, np.array([c]), np.array([ctx]), [[7, 8]], np.array([rate]), [1])
+            syn1_gain = alone1[7] - syn1[7]
+            assert np.abs(syn1_gain).min() > 1e-6
+            ref1[7] -= syn1_gain
+        np.testing.assert_allclose(ref1[7], syn1[7], rtol=0, atol=1e-12)
+
+    def test_empty_block_without_negatives(self):
+        # negatives=0: each pair trains on its context alone.
+        self.assert_matches_reference(7, [1, 1, 4], [2, 5, 2], np.empty((1, 0), dtype=np.int64), [0.1, 0.2, 0.3])
 
     @staticmethod
-    def reference_plan(centers, out, sizes):
+    def reference_plan(centers, contexts, blocks, sizes):
         """Each step's (rows, slots, lead, repeats), one step at a time."""
         plan, a = [], 0
-        for n in sizes:
-            c, o = centers[a:a + n].tolist(), out[a:a + n]
+        for n, block in zip(sizes, blocks):
+            c = centers[a:a + n].tolist()
+            # Each pair's output rows: its context, then the step's block.
+            o = np.concatenate((contexts[a:a + n, None], np.tile(block, (n, 1))), axis=1)
             rows = np.unique(o)
             slots = rows.searchsorted(o) * n + np.arange(n)[:, None]
             lead = [s for s in range(n) if c.index(c[s]) == s]
@@ -674,12 +707,13 @@ class TestTrainStep:
             sizes = np.array([np.count_nonzero(pairs_per_sentence > t) for t in range(pairs_per_sentence.max())],
                              dtype=np.int64)
             centers = rng.integers(0, 6, size=sizes.sum())
-            out = rng.integers(0, 16, size=(sizes.sum(), 4))
-            plan = _plan_round(centers, out, sizes, 16)
+            contexts = rng.integers(0, 16, size=sizes.sum())
+            blocks = rng.integers(0, 16, size=(len(sizes), rng.integers(0, 5)))
+            plan = _plan_round(centers, contexts, blocks, sizes, 16)
             assert [p[0] for p in plan] == [slice(a - n, a) for a, n in zip(sizes.cumsum().tolist(), sizes.tolist())]
             got = [(rows.tolist(), slots.tolist(), None if lead is None else lead.tolist(), repeats)
                    for _pairs, rows, slots, lead, repeats in plan]
-            assert got == self.reference_plan(centers, out, sizes)
+            assert got == self.reference_plan(centers, contexts, blocks, sizes)
 
     @pytest.mark.parametrize("cells", [1, 300])
     def test_plan_table_size_changes_no_bit(self, cells, monkeypatch):
@@ -784,10 +818,14 @@ class TestPersistence:
             with pytest.raises(DataError, match=f"{re.escape(str(path))} line {line}: expected"):
                 load_embeddings(path)
 
-    def test_duplicate_token_fatal(self):
-        bad = "2 2\na 0.1 0.2\na 0.3 0.4\n"
-        with pytest.raises(DataError):
-            load_embeddings(io.StringIO(bad))
+    def test_duplicate_token_fatal(self, tmp_path):
+        # The error names the token and the line it repeats on.
+        bad = "3 2\na 0.1 0.2\nb 0.5 0.6\na 0.3 0.4\n"
+        path = tmp_path / "vecs.txt"
+        path.write_text(bad)
+        for source, where in ((path, str(path)), (io.StringIO(bad), "<stream>")):
+            with pytest.raises(DataError, match=f"^{re.escape(where)} line 4: duplicate token 'a'$"):
+                load_embeddings(source)
 
     def test_whitespace_token_rejected_at_save(self):
         from relfrec.embed import EmbeddingTable
