@@ -12,7 +12,9 @@ The pipeline is staged through on-disk artifacts so the slow step
 
 Ingest validates ratings on --rating-min / --rating-max and records that
 scale in the bundle's report.json, where every later stage reads it;
-predictions are always clamped to it.
+predictions are always clamped to it. train-embed takes the paper's four
+training hyperparameters (window, dim, negatives, epochs) and a seed;
+the learning-rate schedule and sampling exponent are fixed in embed.
 Every evaluate and sweep-k run writes its parsed options to manifest.json;
 `--config manifest.json` replays it. A config file may equally be plain
 `key = value` lines. main parses the command line, reads the one
@@ -174,13 +176,7 @@ def build_parser():
     p.add_argument("--window", type=int, default=TrainConfig.window, help="max context window")
     p.add_argument("--dim", type=int, default=TrainConfig.dim, help="vector dimension")
     p.add_argument("--negatives", type=int, default=TrainConfig.negatives, help="negative samples per pair")
-    p.add_argument("--min-count", type=int, default=TrainConfig.min_count,
-                   help="min token count to enter the vocabulary")
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="training epochs")
-    p.add_argument("--initial-lr", type=float, default=TrainConfig.initial_lr, help="starting learning rate")
-    p.add_argument("--final-lr", type=float, default=TrainConfig.final_lr, help="learning-rate floor")
-    p.add_argument("--ns-exponent", type=float, default=TrainConfig.ns_exponent,
-                   help="negative-sampling distribution exponent")
     p.add_argument("--seed", type=int, default=TrainConfig.seed, help="training seed")
     p.set_defaults(func=cmd_train_embed)
 
@@ -332,6 +328,8 @@ def _check_known_pair(user, item, ratings, index):
 
 def cmd_predict(args):
     _require(args, "bundle")
+    if args.pairs is not None and (args.user is not None or args.item is not None):
+        raise DataError("predict --pairs is not allowed with --user or --item")
     if args.pairs is None and (args.user is None or args.item is None):
         raise DataError("predict needs --user and --item, or --pairs CSV")
     bundle, index = _load_artifacts(args, need_embeddings=_needs_content([args.model]))

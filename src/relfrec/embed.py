@@ -10,9 +10,11 @@ signal the content similarity downstream is built on.
 For each center position a reduced window size b is drawn uniformly
 from {1..window}; every in-bounds token within +-b of the center
 (excluding the center itself) forms one positive pair, trained together
-with `negatives` samples drawn from the unigram^0.75 distribution. The
-learning rate decays linearly from initial_lr to final_lr over the
-total planned number of center-word visits. Input vectors start uniform
+with `negatives` samples drawn from the unigram^0.75 distribution. Every
+token of the corpus enters the vocabulary. The learning rate decays
+linearly from 0.025 to 1e-4 over the total planned number of
+center-word visits; these are word2vec's reference constants, as is the
+0.75 exponent, and none of them is settable. Input vectors start uniform
 in [-0.5/dim, +0.5/dim]; output vectors start at zero. Training runs
 on one thread, so a fixed seed gives bit-reproducible vectors.
 
@@ -64,7 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .errors import DataError, NumericDivergenceError, check_finite, check_integers
+from .errors import DataError, NumericDivergenceError, check_integers
 from .ingest import stream_name, text_stream
 
 log = logging.getLogger(__name__)
@@ -75,6 +77,9 @@ _TABLE_BITS = 16
 _LOCKSTEP = 32
 # Cells of the (step, output row) table a round's plan marks rows in.
 _PLAN_CELLS = 1 << 16
+# word2vec's learning-rate endpoints and negative-sampling exponent.
+_INITIAL_LR, _FINAL_LR = 0.025, 1e-4
+_NS_EXPONENT = 0.75
 
 
 @dataclass(frozen=True)
@@ -82,28 +87,18 @@ class TrainConfig:
     """Hyperparameters for embedding training.
 
     The defaults are the pipeline's reference settings: window 8,
-    dimension 150, 25 negatives, min count 1, 20 epochs. Learning rate
-    schedule and the 0.75 sampling exponent follow common skip-gram
-    practice.
+    dimension 150, 25 negatives, 20 epochs. The learning-rate schedule
+    and the sampling exponent are module constants.
     """
 
     window: int = 8
     dim: int = 150
     negatives: int = 25
-    min_count: int = 1
     epochs: int = 20
-    initial_lr: float = 0.025
-    final_lr: float = 1e-4
-    ns_exponent: float = 0.75
     seed: int = 1
 
     def __post_init__(self):
-        check_integers(self, window=1, dim=1, negatives=0, min_count=1, epochs=1, seed=0)
-        check_finite(self, "initial_lr", "final_lr", "ns_exponent")
-        if not 0 < self.final_lr <= self.initial_lr:
-            raise ValueError(
-                f"need 0 < final_lr <= initial_lr, got {self.final_lr} / {self.initial_lr}"
-            )
+        check_integers(self, window=1, dim=1, negatives=0, epochs=1, seed=0)
 
 
 @dataclass
@@ -136,22 +131,21 @@ class Vocabulary:
         return indices[known], np.bincount(sentence[known], minlength=len(sentences))
 
 
-def build_vocabulary(sentences, min_count=1):
-    """Count tokens across sentences and keep those with count >= min_count."""
+def build_vocabulary(sentences):
+    """Count every token across sentences; a corpus without one is a DataError."""
     counter = Counter()
     for sent in sentences:
         counter.update(sent.tokens)
-    kept = [(tok, c) for tok, c in counter.items() if c >= min_count]
-    if not kept:
-        raise DataError(f"vocabulary is empty at min_count={min_count}")
-    kept.sort(key=lambda tc: (-tc[1], tc[0]))
+    if not counter:
+        raise DataError("vocabulary is empty: the sentences hold no tokens")
+    kept = sorted(counter.items(), key=lambda tc: (-tc[1], tc[0]))
     tokens = [tok for tok, _ in kept]
     counts = np.array([c for _, c in kept], dtype=np.int64)
     return Vocabulary(tokens=tokens, counts=counts)
 
 
 class NegativeSampler:
-    """Draws vocabulary indices with probability proportional to count^exponent.
+    """Draws vocabulary indices with probability proportional to count^0.75.
 
     A draw u in [0, 1) becomes ``cumulative.searchsorted(u, side="right")``.
     Most draws read that index from a table of 2**bits buckets, bucket b
@@ -164,18 +158,11 @@ class NegativeSampler:
     carries the entire mass are a DataError: every negative would be it.
     """
 
-    def __init__(self, counts, ns_exponent=0.75):
+    def __init__(self, counts):
         counts = np.asarray(counts, dtype=np.float64)
         if counts.size == 0 or (counts <= 0).any():
             raise ValueError("sampler needs positive counts for every token")
-        with np.errstate(over="ignore"):
-            weights = counts**ns_exponent
-            cumulative = np.cumsum(weights)
-        if not ((weights > 0).all() and np.isfinite(cumulative[-1])):
-            raise ValueError(
-                f"ns_exponent {ns_exponent!r} gives sampling weights counts ** ns_exponent "
-                "that are not finite and positive"
-            )
+        cumulative = np.cumsum(counts**_NS_EXPONENT)
         cumulative /= cumulative[-1]
         cumulative[-1] = 1.0
         self.cumulative = cumulative
@@ -445,7 +432,7 @@ class _Trainer:
         init_rng = np.random.default_rng(config.seed)
         self.syn0 = (init_rng.random((len(vocab), config.dim)) - 0.5) / config.dim
         self.syn1 = np.zeros((len(vocab), config.dim))
-        self.sampler = NegativeSampler(vocab.counts, config.ns_exponent) if config.negatives else None
+        self.sampler = NegativeSampler(vocab.counts) if config.negatives else None
         self.total_visits = config.epochs * len(tokens)
         self.work = np.empty((2 * (_LOCKSTEP + config.negatives), config.dim))
 
@@ -498,7 +485,7 @@ class _Trainer:
         k = np.arange(len(center)) - (n_ctx.cumsum() - n_ctx)[center]
         k += k >= left[center]
         progress = (visit + np.arange(len(tokens))) / self.total_visits
-        lr = np.maximum(cfg.initial_lr - (cfg.initial_lr - cfg.final_lr) * progress, cfg.final_lr)[center]
+        lr = np.maximum(_INITIAL_LR - (_INITIAL_LR - _FINAL_LR) * progress, _FINAL_LR)[center]
         # Step t trains the t-th pair of every sentence that has one, in
         # sentence order.
         pairs_per = np.bincount(sentence[center], minlength=len(lengths))
@@ -532,15 +519,12 @@ class _Trainer:
 def train_skipgram(sentences, config=None):
     """Train an EmbeddingTable over the given feature sentences.
 
-    Sentences whose tokens are all out of vocabulary are skipped
-    silently. Raises NumericDivergenceError if any vector turns
-    non-finite, naming the epoch and token.
+    Sentences without tokens are skipped. Raises NumericDivergenceError
+    if any vector turns non-finite, naming the epoch and token.
     """
     config = config or TrainConfig()
-    vocab = build_vocabulary(sentences, config.min_count)
+    vocab = build_vocabulary(sentences)
     tokens, counts = vocab.encode(sentences)
-    if not len(tokens):
-        raise DataError("no trainable sentences after vocabulary filtering")
     trainer = _Trainer(tokens, counts[counts > 0], config, vocab)
     epoch_losses = trainer.run()
     return EmbeddingTable(

@@ -1,13 +1,11 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes: DataError -> 2,
-NumericDivergenceError -> 3, UnknownIdError -> 4. check_integers and
-check_finite are the config types' checks of their integer and real
-fields.
+NumericDivergenceError -> 3, UnknownIdError -> 4. check_integers is
+the config types' check of their integer fields.
 """
 
-import math
-from numbers import Integral, Real
+from numbers import Integral
 
 
 class RelfrecError(Exception):
@@ -39,12 +37,3 @@ def check_integers(config, **minimums):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise ValueError(f"{name} must be >= {minimum}, got {value}")
-
-
-def check_finite(config, *names):
-    """Raise ValueError unless each named field of config is a finite
-    real number (a bool is not)."""
-    for name in names:
-        value = getattr(config, name)
-        if not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")

@@ -19,7 +19,7 @@ import synthdata
 def clique_model():
     """Two-clique corpus plus a table trained at the reference scale."""
     sentences, clique_a, clique_b = synthdata.two_clique_corpus(seed=11)
-    config = TrainConfig(window=8, dim=32, negatives=25, min_count=1, epochs=20, seed=5)
+    config = TrainConfig(window=8, dim=32, negatives=25, epochs=20, seed=5)
     start = time.perf_counter()
     table = train_skipgram(sentences, config)
     train_seconds = time.perf_counter() - start
@@ -48,7 +48,7 @@ def genre_data():
 @pytest.fixture(scope="session")
 def genre_model(genre_data):
     """Embeddings + item vector index for the genre world."""
-    config = TrainConfig(window=5, dim=32, negatives=10, min_count=1, epochs=12, seed=3)
+    config = TrainConfig(window=5, dim=32, negatives=10, epochs=12, seed=3)
     start = time.perf_counter()
     table = train_skipgram(genre_data["sentences"], config)
     train_seconds = time.perf_counter() - start

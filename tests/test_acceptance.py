@@ -201,7 +201,7 @@ class TestAcceptance:
         bundle = clean_and_join(ratings, catalog)
         n_ratings = bundle.report["n_ratings_kept"]
         n_items = bundle.report["n_items_kept"]
-        n_tokens = len(build_vocabulary(bundle.sentences, min_count=1))
+        n_tokens = len(build_vocabulary(bundle.sentences))
         counts_ok = (
             abs(n_ratings - 995138) / 995138 <= 0.01
             and abs(n_items - 3746) / 3746 <= 0.01

@@ -4,10 +4,12 @@ import csv
 import json
 import logging
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from relfrec import embed
 from relfrec.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_UNKNOWN_ID, _config, build_parser, main
 from relfrec.embed import TrainConfig, load_embeddings
 from relfrec.evaluation import evaluate, make_split, results_rows, write_results_csv
@@ -236,13 +238,35 @@ class TestTrainEmbed:
         ])
         assert rc == EXIT_INPUT
 
-    def test_divergent_learning_rate_exit_code(self, workdir, tmp_path):
+    def test_divergent_learning_rate_exit_code(self, workdir, tmp_path, monkeypatch):
+        monkeypatch.setattr(embed, "_INITIAL_LR", 1e155)
+        monkeypatch.setattr(embed, "_FINAL_LR", 1e155)
         rc = main([
             "train-embed", "--bundle", str(workdir / "bundle"), "--out", str(tmp_path / "v.txt"),
             "--window", "2", "--dim", "4", "--negatives", "5", "--epochs", "2",
-            "--initial-lr", "1e155", "--final-lr", "1e155",
         ])
-        assert rc == EXIT_NUMERIC
+        assert rc == EXIT_NUMERIC and not (tmp_path / "v.txt").exists()
+
+    def test_options_are_the_train_config_fields(self):
+        sub = build_parser().subcommands["train-embed"]
+        options = {action.dest for action in sub._actions} - {"help", "bundle", "out", "config", "verbose"}
+        assert options == {f.name for f in fields(TrainConfig)}
+
+    # word2vec's reference constants, which were options once, with the values they had.
+    CONSTANTS = {"--min-count": "1", "--initial-lr": "0.025", "--final-lr": "0.0001", "--ns-exponent": "0.75"}
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("flag", CONSTANTS)
+    def test_takes_no_reference_constants(self, workdir, tmp_path, monkeypatch, capsys, flag, form):
+        monkeypatch.chdir(tmp_path)
+        key, value = flag[2:].replace("-", "_"), self.CONSTANTS[flag]
+        (tmp_path / "c.cfg").write_text(f"{key} = {value}\n")
+        given = [flag, value] if form == "flag" else ["--config", "c.cfg"]
+        rc = exit_code(["train-embed", "--bundle", str(workdir / "bundle"), "--out", "v.txt", *given])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (EXIT_INPUT, "")
+        message = f"unrecognized arguments: {flag} {value}" if form == "flag" else f"{key} is no option of train-embed"
+        assert message in captured.err and not (tmp_path / "v.txt").exists()
 
     def test_reads_only_the_bundles_features(self, workdir, tmp_path):
         """A bundle rated on a 0-10 scale trains with no scale option, into
@@ -497,6 +521,24 @@ class TestPredict:
     def test_missing_pair_arguments(self, workdir):
         rc = main(["predict", "--bundle", str(workdir / "bundle"), "--model", "cf"])
         assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize("line, given", [
+        (None, ["--user", "2", "--item", "5"]),
+        (None, ["--user", "2"]),
+        (None, ["--item", "5"]),
+        ("user = 2", []),
+        ("item = 5", []),
+    ], ids=["user-item", "user", "item", "user-config", "item-config"])
+    def test_pairs_with_a_pair_argument_is_an_input_error(self, workdir, tmp_path, caplog, capsys, line, given):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("user,item\n1,3\n")
+        argv = ["predict", "--bundle", str(workdir / "bundle"), "--model", "cf", "--pairs", str(pairs), *given]
+        if line is not None:
+            (tmp_path / "c.cfg").write_text(line + "\n")
+            argv += ["--config", str(tmp_path / "c.cfg")]
+        assert main(argv) == EXIT_INPUT
+        assert "--pairs is not allowed with --user or --item" in caplog.text
+        assert capsys.readouterr().out == ""
 
 
 class TestSimilar:
@@ -1117,8 +1159,8 @@ class TestConfigObjects:
         parser = build_parser()
         cases = [
             (["train-embed"], TrainConfig, TrainConfig()),
-            (["train-embed", "--window", "3", "--final-lr", "0.001", "--seed", "9"], TrainConfig,
-             TrainConfig(window=3, final_lr=0.001, seed=9)),
+            (["train-embed", "--window", "3", "--negatives", "0", "--seed", "9"], TrainConfig,
+             TrainConfig(window=3, negatives=0, seed=9)),
             (["evaluate"], PredictionConfig, PredictionConfig()),
             (["predict", "--k", "4"], PredictionConfig, PredictionConfig(k=4)),
             (["sweep-k", "--tau-item", "0"], HybridPolicy, HybridPolicy(tau_item=0)),
@@ -1130,20 +1172,5 @@ class TestConfigObjects:
 
     def test_bad_training_value_is_an_input_error(self, workdir, tmp_path):
         out = tmp_path / "v.txt"
-        for flag, value in (("--seed", "-1"), ("--min-count", "0")):
-            rc = main(["train-embed", "--bundle", str(workdir / "bundle"), "--out", str(out), flag, value])
-            assert rc == EXIT_INPUT and not out.exists()
-
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--ns-exponent", "nan", "ns_exponent must be a finite number, got nan"),
-        ("--ns-exponent", "inf", "ns_exponent must be a finite number, got inf"),
-        ("--ns-exponent", "-inf", "ns_exponent must be a finite number, got -inf"),
-        ("--ns-exponent", "1e6", "ns_exponent 1000000.0 gives sampling weights"),
-        ("--initial-lr", "inf", "initial_lr must be a finite number, got inf"),
-    ])
-    def test_bad_float_training_value_is_an_input_error(self, workdir, tmp_path, caplog, flag, value, message):
-        out = tmp_path / "v.txt"
-        rc = main(["train-embed", "--bundle", str(workdir / "bundle"), "--out", str(out),
-                   "--dim", "4", "--epochs", "1", f"{flag}={value}"])
+        rc = main(["train-embed", "--bundle", str(workdir / "bundle"), "--out", str(out), "--seed", "-1"])
         assert rc == EXIT_INPUT and not out.exists()
-        assert message in caplog.text

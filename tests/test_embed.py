@@ -48,22 +48,19 @@ def pair_loss(center, context, negatives):
 
 class TestVocabulary:
     def test_counts_and_index_order(self):
-        vocab = build_vocabulary(sentences_of(["a", "b"], ["a", "c"]), min_count=1)
+        vocab = build_vocabulary(sentences_of(["a", "b"], ["a", "c"]))
         assert vocab.tokens[0] == "a"
         assert dict(zip(vocab.tokens, vocab.counts)) == {"a": 2, "b": 1, "c": 1}
         assert vocab.index["a"] == 0
 
-    def test_min_count_threshold(self):
-        vocab = build_vocabulary(sentences_of(["a", "b"], ["a", "c"]), min_count=2)
-        assert vocab.tokens == ["a"]
-
     def test_ties_broken_lexicographically(self):
-        vocab = build_vocabulary(sentences_of(["z", "b"], ["m"]), min_count=1)
+        vocab = build_vocabulary(sentences_of(["z", "b"], ["m"]))
         assert vocab.tokens == ["b", "m", "z"]
 
     def test_empty_vocabulary_fatal(self):
-        with pytest.raises(DataError):
-            build_vocabulary(sentences_of(["a"]), min_count=5)
+        for sentences in ([], sentences_of([], [])):
+            with pytest.raises(DataError, match="vocabulary is empty"):
+                build_vocabulary(sentences)
 
     def test_indices_contiguous(self):
         rng = np.random.default_rng(2)
@@ -75,12 +72,12 @@ class TestVocabulary:
                     for _ in range(n_sent)
                 ]
             )
-            vocab = build_vocabulary(sents, min_count=1)
+            vocab = build_vocabulary(sents)
             assert sorted(vocab.index.values()) == list(range(len(vocab)))
 
     def test_encode_matches_a_per_sentence_loop(self):
         sents = sentences_of(["a", "x", "a", "b"], ["x"], [], ["c", "b", "y"], ["a"])
-        vocab = build_vocabulary(sentences_of(["a", "b", "c"]), min_count=1)
+        vocab = build_vocabulary(sentences_of(["a", "b", "c"]))
         indices, counts = vocab.encode(sents)
         per_sentence = [[vocab.index[t] for t in s.tokens if t in vocab] for s in sents]
         assert indices.dtype == np.int64 and counts.tolist() == [3, 0, 0, 2, 1]
@@ -104,14 +101,14 @@ SAMPLER_COUNTS = {
 
 class TestNegativeSampler:
     def test_probabilities_sum_to_one(self):
-        sampler = NegativeSampler(np.array([5, 1, 3, 9]), 0.75)
+        sampler = NegativeSampler(np.array([5, 1, 3, 9]))
         assert sampler.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
         assert (sampler.probabilities > 0).all()
 
     def test_empirical_distribution_matches_power_law(self):
         rng = np.random.default_rng(123)
         counts = np.arange(1, 11, dtype=np.int64) * 3
-        sampler = NegativeSampler(counts, 0.75)
+        sampler = NegativeSampler(counts)
         expected = counts**0.75 / (counts**0.75).sum()
         assert np.allclose(sampler.probabilities, expected, atol=1e-15)
         draws = sampler.draw(rng, (200_000, 5))
@@ -122,9 +119,9 @@ class TestNegativeSampler:
 
     def test_degenerate_vocabulary_fatal(self):
         # In the second, token 1's weight vanishes next to token 0's.
-        for counts, exponent in (([3], 0.75), ([10**20, 1], 1.0)):
+        for counts in ([3], [1e30, 1]):
             with pytest.raises(DataError, match="token index 0 carries the entire sampling mass"):
-                NegativeSampler(np.array(counts), exponent)
+                NegativeSampler(np.array(counts))
 
     def test_one_token_vocabulary_fatal_in_training(self):
         cfg = TrainConfig(window=1, dim=4, negatives=2, epochs=1, seed=1)
@@ -133,7 +130,7 @@ class TestNegativeSampler:
 
     @pytest.mark.parametrize("name", list(SAMPLER_COUNTS))
     def test_table_lookup_equals_binary_search(self, name):
-        sampler = NegativeSampler(np.asarray(SAMPLER_COUNTS[name]), 0.75)
+        sampler = NegativeSampler(np.asarray(SAMPLER_COUNTS[name]))
         cumulative, buckets = sampler.cumulative, len(sampler._table)
         assert buckets <= 2**16 and (buckets == 2**16) == (name == "cap")
         assert (sampler._table >= 0).mean() > 0.9
@@ -152,7 +149,7 @@ class TestNegativeSampler:
     def test_draw_equals_the_whole_block_redraw_rule(self, name, seed):
         # With nothing excluded the whole-block rule has no redraw round:
         # one rng.random block of the whole shape, read in row-major order.
-        sampler = NegativeSampler(np.asarray(SAMPLER_COUNTS[name]), 0.75)
+        sampler = NegativeSampler(np.asarray(SAMPLER_COUNTS[name]))
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         draws = sampler.draw(rng, (300, 25))
         expected = sampler.cumulative.searchsorted(ref_rng.random((300, 25)), side="right")
@@ -161,12 +158,7 @@ class TestNegativeSampler:
 
     def test_zero_counts_rejected(self):
         with pytest.raises(ValueError):
-            NegativeSampler(np.array([1, 0, 2]), 0.75)
-
-    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf, 1e6, -1e6])
-    def test_weights_that_are_not_finite_and_positive_rejected(self, exponent):
-        with pytest.raises(ValueError, match="not finite and positive"):
-            NegativeSampler(np.array([1, 3, 2]), exponent)
+            NegativeSampler(np.array([1, 0, 2]))
 
 
 class TestPairUpdate:
@@ -242,7 +234,11 @@ class TestPairUpdate:
 class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
-        assert (cfg.window, cfg.dim, cfg.negatives, cfg.min_count, cfg.epochs) == (8, 150, 25, 1, 20)
+        assert (cfg.window, cfg.dim, cfg.negatives, cfg.epochs, cfg.seed) == (8, 150, 25, 20, 1)
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == ["window", "dim", "negatives", "epochs", "seed"]
+
+    def test_schedule_and_exponent_are_word2vec_constants(self):
+        assert (embed._INITIAL_LR, embed._FINAL_LR, embed._NS_EXPONENT) == (0.025, 1e-4, 0.75)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -250,22 +246,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
-            TrainConfig(initial_lr=0.01, final_lr=0.02)
-        with pytest.raises(ValueError):
             TrainConfig(negatives=-1)
-        with pytest.raises(ValueError, match="min_count must be >= 1, got 0"):
-            TrainConfig(min_count=0)
+        with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
+            TrainConfig(dim=0)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             TrainConfig(seed=-1)
-        for name in ("window", "dim", "negatives", "min_count", "epochs", "seed"):
+        for name in ("window", "dim", "negatives", "epochs", "seed"):
             for value in (2.5, 1.5, 4.0, "5", True, None):
                 with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
                     TrainConfig(**{name: value})
-        for name in ("initial_lr", "final_lr", "ns_exponent"):
-            for value in (math.nan, math.inf, -math.inf, True, "0.01", None):
-                with pytest.raises(ValueError, match=re.escape(f"{name} must be a finite number, got {value!r}")):
-                    TrainConfig(**{name: value})
-        assert TrainConfig(ns_exponent=1, initial_lr=1).ns_exponent == 1
         cfg = TrainConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.window = 2
@@ -312,35 +301,30 @@ class TestTrainSkipgram:
         # and writes 0.5 * lr * center into the context row, so both
         # scheduled rates can be read back from the trained table.
         sents = sentences_of(["a", "b"])
-        cfg = TrainConfig(
-            window=1, dim=6, negatives=0, epochs=1,
-            initial_lr=0.4, final_lr=0.1, seed=9,
-        )
+        cfg = TrainConfig(window=1, dim=6, negatives=0, epochs=1, seed=9)
         table = train_skipgram(sents, cfg)
         ia, ib = table.vocab.index["a"], table.vocab.index["b"]
         first_lr = 2.0 * table.output_vectors[ib] / table.input_vectors[ia]
-        assert np.allclose(first_lr, cfg.initial_lr, atol=1e-12)
-        # second (= last planned) visit: initial - span * 1/2, above the floor
+        assert np.allclose(first_lr, 0.025, atol=1e-12)
+        # second (= last planned) visit: 0.025 - span * 1/2, above the floor
         last_lr = 2.0 * table.output_vectors[ia] / table.input_vectors[ib]
-        expected = cfg.initial_lr - (cfg.initial_lr - cfg.final_lr) * 0.5
-        assert np.allclose(last_lr, expected, atol=1e-12)
-        assert (last_lr >= cfg.final_lr).all()
+        assert np.allclose(last_lr, 0.025 - (0.025 - 1e-4) * 0.5, atol=1e-12)
 
-    def test_oov_only_sentences_skipped(self):
-        sents = sentences_of(["a", "a", "b", "b"], ["z"])
-        # min_count=2 drops z; the second sentence becomes empty and is skipped
-        cfg = TrainConfig(window=2, dim=4, negatives=2, epochs=2, min_count=2, seed=1)
+    def test_sentence_without_tokens_skipped(self):
+        sents = sentences_of(["a", "a", "b", "b"], [], ["b", "a"])
+        cfg = TrainConfig(window=2, dim=4, negatives=2, epochs=2, seed=1)
         table = train_skipgram(sents, cfg)
-        assert set(table.vocab.tokens) == {"a", "b"}
-        assert len(table.epoch_losses) == 2
+        assert table.vocab.tokens == ["a", "b"]
+        expected = train_skipgram([s for s in sents if s.tokens], cfg)
+        assert np.array_equal(table.input_vectors, expected.input_vectors)
+        assert table.epoch_losses == expected.epoch_losses
 
-    def test_divergence_raises_with_epoch_and_token(self):
+    def test_divergence_raises_with_epoch_and_token(self, monkeypatch):
+        monkeypatch.setattr(embed, "_INITIAL_LR", 1e155)
+        monkeypatch.setattr(embed, "_FINAL_LR", 1e155)
         sents = sentences_of(*[["a", "b", "c", "a", "b"]] * 6)
-        cfg = TrainConfig(
-            window=2, dim=4, negatives=5, epochs=3,
-            initial_lr=1e155, final_lr=1e155, seed=2,
-        )
-        with pytest.raises(NumericDivergenceError, match="epoch"):
+        cfg = TrainConfig(window=2, dim=4, negatives=5, epochs=3, seed=2)
+        with pytest.raises(NumericDivergenceError, match=r"non-finite \w+ vector for token '[abc]' at epoch \d"):
             train_skipgram(sents, cfg)
 
     def test_loss_decreases_on_structured_corpus(self, clique_model):
@@ -383,20 +367,20 @@ def replay_training(sentences, config):
     all distinct, and the output rows and centers that a step shared
     between sentences.
     """
-    vocab = build_vocabulary(sentences, config.min_count)
-    encoded = [[vocab.index[t] for t in s.tokens if t in vocab.index] for s in sentences]
+    vocab = build_vocabulary(sentences)
+    encoded = [[vocab.index[t] for t in s.tokens] for s in sentences]
     encoded = [ids for ids in encoded if ids]
     init_rng = np.random.default_rng(config.seed)
     syn0 = (init_rng.random((len(vocab), config.dim)) - 0.5) / config.dim
     syn1 = np.zeros((len(vocab), config.dim))
-    cumulative = np.cumsum(vocab.counts.astype(np.float64) ** config.ns_exponent)
+    cumulative = np.cumsum(vocab.counts.astype(np.float64) ** 0.75)
     cumulative /= cumulative[-1]
     cumulative[-1] = 1.0
     cumulative = cumulative.tolist()
     n_neg = config.negatives
     rng = np.random.default_rng([config.seed, 0])
     total = config.epochs * sum(len(ids) for ids in encoded)
-    lr_span = config.initial_lr - config.final_lr
+    lr_span = embed._INITIAL_LR - embed._FINAL_LR
     visit = 0
     counts = {"distinct pairs": 0, "shared rows": 0, "shared centers": 0}
     losses, pairs, skipped = [], [], []
@@ -410,7 +394,7 @@ def replay_training(sentences, config):
             for s, sent in enumerate(batch):
                 for pos, center in enumerate(sent):
                     b = next(spans)
-                    lr = max(config.initial_lr - lr_span * (visit / total), config.final_lr)
+                    lr = max(embed._INITIAL_LR - lr_span * (visit / total), embed._FINAL_LR)
                     visit += 1
                     for pos2 in range(max(pos - b, 0), min(pos + b + 1, len(sent))):
                         if pos2 != pos:

@@ -1,10 +1,13 @@
 """README's library example imports only names the package exports, its
-Defaults table gives the defaults the code has, and its config section
-names the config keys the CLI ignores."""
+command examples parse, its Defaults table gives the defaults the code
+has, and its config section names the config keys the CLI ignores."""
 
 import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
+
+import pytest
 
 import relfrec
 from relfrec.cli import _IGNORED_CONFIG_KEYS, build_parser
@@ -31,6 +34,25 @@ def test_every_export_resolves():
     assert [name for name in relfrec.__all__ if not hasattr(relfrec, name)] == []
 
 
+def cli_examples():
+    """Each ``relfrec ...`` command of README's bash blocks, its ``\\``
+    continuations joined, as the argument list after ``relfrec``."""
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("relfrec ")]
+
+
+def test_cli_examples_parse():
+    examples = cli_examples()
+    assert len(examples) >= 9
+    parser = build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: relfrec {shlex.join(argv)}")
+
+
 def defaults_table():
     """(flag, README default) for each flag of the "Defaults" table; a
     row such as `--a` / `--b` | 1 / 2 gives one pair per flag."""
@@ -48,7 +70,7 @@ def defaults_table():
 
 def test_defaults_table_matches_configs_and_parser():
     table = defaults_table()
-    assert len(table) > 10
+    assert len(table) >= 10
     config_defaults = {f.name: f.default for cls in CONFIGS for f in fields(cls)}
     subcommands = build_parser().subcommands.values()
     for flag, text in table:
