@@ -36,8 +36,8 @@ order:
 
 The round is then trained in lockstep. What each step needs to know
 about its pairs (its distinct output rows, where each occurrence's
-gradient is summed, which centers repeat) is worked out once for the
-whole round, before its first step. A step reads each row it needs
+gradient is summed, which centers repeat) is worked out for the whole
+round by one sort, before its first step. A step reads each row it needs
 once, as the previous step left it: its centers, its contexts and its
 block. A pair's context score is the dot of its context and center;
 the negative scores of all its pairs are one GEMM of the stacked
@@ -75,8 +75,6 @@ log = logging.getLogger(__name__)
 _TABLE_BITS = 16
 # Sentences trained side by side, one pair of each per step.
 _LOCKSTEP = 32
-# Cells of the (step, output row) table a round's plan marks rows in.
-_PLAN_CELLS = 1 << 16
 # word2vec's learning-rate endpoints and negative-sampling exponent.
 _INITIAL_LR, _FINAL_LR = 0.025, 1e-4
 _NS_EXPONENT = 0.75
@@ -313,43 +311,23 @@ def _plan_round(centers, contexts, blocks, sizes, n_rows):
       columns of each center's first occurrence, ascending;
     - repeats: the columns of the other occurrences, ascending, as a list.
 
-    Rows are marked in a (step, row) table of at most _PLAN_CELLS cells
-    (or one step's ``n_rows``), reused for as many steps as it holds.
+    One sort of the round's (step, row) keys, ``step * n_rows + row``,
+    gives every step's rows and each occurrence's place among them.
     """
     n_pairs, n_steps = len(contexts), len(sizes)
     if not n_pairs:
         return []
-    ends = sizes.cumsum()
-    starts = ends - sizes
     step = np.arange(n_steps).repeat(sizes)
-    column = np.arange(n_pairs) - starts[step]
-    per = max(1, _PLAN_CELLS // n_rows)
-    seen = np.zeros(min(per, n_steps) * n_rows, dtype=bool)
-    # int32 holds a place in the round, at half the size of int64.
-    where = np.empty(len(seen), dtype=np.int32)
-    context_place = np.empty(n_pairs, dtype=np.int32)
-    block_place = np.empty(blocks.shape, dtype=np.int32)
-    marked, done = [], 0
-    for t in range(0, n_steps, per):
-        u = min(t + per, n_steps)
-        a, b = starts[t], ends[u - 1]
-        ctx = np.add(contexts[a:b], (step[a:b] - t) * n_rows, out=context_place[a:b])
-        blk = np.add(blocks[t:u], (np.arange(u - t) * n_rows)[:, None], out=block_place[t:u])
-        seen[ctx] = seen[blk] = True
-        marks = np.flatnonzero(seen)
-        seen[marks] = False
-        # Each marked (step, row) cell's place in the round, in cell order.
-        where[marks] = np.arange(done, done + len(marks))
-        done += len(marks)
-        ctx[...], blk[...] = where[ctx], where[blk]
-        marked.append(marks + t * n_rows)
-    marks = np.concatenate(marked)
-    row_counts = np.bincount(marks // n_rows, minlength=n_steps)
-    slots = np.concatenate((context_place[:, None], block_place[step]), axis=1)
+    column = np.arange(n_pairs) - (sizes.cumsum() - sizes)[step]
+    # A key for each context, in pair order, then for each block cell, step by step.
+    keys = np.concatenate((step * n_rows + contexts, (blocks + (np.arange(n_steps) * n_rows)[:, None]).ravel()))
+    cells, place = np.unique(keys, return_inverse=True)
+    row_counts = np.bincount(cells // n_rows, minlength=n_steps)
+    slots = np.concatenate((place[:n_pairs, None], place[n_pairs:].reshape(blocks.shape)[step]), axis=1)
     slots -= (row_counts.cumsum() - row_counts)[step, None]
     slots *= sizes[step, None]
     slots += column[:, None]
-    rows = marks % n_rows
+    rows = cells % n_rows
     first = np.zeros(n_pairs, dtype=bool)
     first[np.unique(step * n_rows + centers, return_index=True)[1]] = True
     n_first = np.bincount(step[first], minlength=n_steps)

@@ -654,7 +654,8 @@ def save_bundle(bundle, catalog, out_dir):
 def load_bundle(bundle_dir):
     """Load a bundle directory written by save_bundle, on the rating scale its
     report records (1-5 in a report from before ingest recorded one). A
-    ratings.csv line malformed or off that scale is a DataError naming it."""
+    ratings.csv line malformed or off that scale is a DataError naming it;
+    so is a rating the re-join would drop, which save_bundle never writes."""
     bdir = Path(bundle_dir)
     ratings_path = bdir / RATINGS_FILE
     features_path = bdir / FEATURES_FILE
@@ -666,4 +667,9 @@ def load_bundle(bundle_dir):
     except (ValueError, TypeError, AttributeError, RecursionError):
         raise DataError(f"{bdir / REPORT_FILE}: expected a JSON object whose rating_scale is [min, max]") from None
     ratings = _read_ratings(ratings_path, "csv", scale, strict=True)
-    return clean_and_join(ratings, parse_item_features(features_path))
+    bundle = clean_and_join(ratings, parse_item_features(features_path))
+    no_features, duplicates = bundle.report["n_dropped_no_features"], bundle.report["n_dropped_duplicates"]
+    if no_features or duplicates:
+        raise DataError(f"{ratings_path}: {no_features} rating(s) of items without a {FEATURES_FILE} row and "
+                        f"{duplicates} repeated (user, item) pair(s); the bundle is inconsistent")
+    return bundle

@@ -333,6 +333,30 @@ class TestEvaluate:
         rows = read_results(tmp_path / "run")
         assert [r[0] for r in rows[1:]] == ["cf", "cb", "hybrid"]
 
+    @pytest.mark.parametrize("edit", ["features", "ratings", "both"])
+    def test_inconsistent_bundle_is_an_input_error(self, workdir, tmp_path, caplog, capsys, edit):
+        """A features.csv row deleted or two ratings.csv lines repeated: the
+        re-join would drop ratings, so evaluate scores none and exits 2."""
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        features = (bundle / "features.csv").read_text().splitlines()
+        ratings = (bundle / "ratings.csv").read_text().splitlines()
+        # The first item's row goes; the repeated lines rate other items.
+        item = features[1].split(",")[0]
+        of_item = [line for line in ratings[1:] if line.split(",")[1] == item]
+        no_features, repeated = len(of_item), [line for line in ratings[1:] if line not in of_item][:2]
+        if edit == "ratings":
+            no_features = 0
+        else:
+            (bundle / "features.csv").write_text("\n".join(features[:1] + features[2:]) + "\n")
+        if edit == "features":
+            repeated = []
+        (bundle / "ratings.csv").write_text("\n".join(ratings + repeated) + "\n")
+        rc = main(["evaluate", "--bundle", str(bundle), "--predictors", "cf", "--out-dir", str(tmp_path / "run")])
+        assert (rc, capsys.readouterr().out) == (EXIT_INPUT, "") and not (tmp_path / "run").exists()
+        assert (f"{bundle / 'ratings.csv'}: {no_features} rating(s) of items without a features.csv row and "
+                f"{len(repeated)} repeated (user, item) pair(s)") in caplog.text
+
     def test_non_finite_embeddings_exit_code(self, workdir, tmp_path):
         lines = (workdir / "vecs.txt").read_text().splitlines(keepends=True)
         token, *values = lines[1].split()

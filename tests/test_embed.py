@@ -679,36 +679,25 @@ class TestTrainStep:
             a += n
         return plan
 
-    @pytest.mark.parametrize("cells", [None, 1, 40, 3 * 16])
-    def test_round_plan_matches_a_per_step_reference(self, cells, monkeypatch):
-        # The plan marks rows in a table of _PLAN_CELLS cells, as many
-        # steps at a time as it holds: here all of them, one, two or three.
-        if cells is not None:
-            monkeypatch.setattr(embed, "_PLAN_CELLS", cells)
+    # Up to 8 steps, 0-4 negatives and 16 output rows; then one row, more
+    # rows than 2**16 (step, row) keys, no negatives and one step.
+    @pytest.mark.parametrize("n_rows, max_negatives, max_steps", [
+        (16, 4, 8), (1, 4, 8), (70_000, 4, 8), (16, 0, 8), (16, 4, 1),
+    ], ids=["16-rows", "1-row", "70000-rows", "no-negatives", "one-step"])
+    def test_round_plan_matches_a_per_step_reference(self, n_rows, max_negatives, max_steps):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            pairs_per_sentence = rng.integers(0, 9, size=rng.integers(1, 33))
+            pairs_per_sentence = rng.integers(0, max_steps + 1, size=rng.integers(1, 33))
             sizes = np.array([np.count_nonzero(pairs_per_sentence > t) for t in range(pairs_per_sentence.max())],
                              dtype=np.int64)
-            centers = rng.integers(0, 6, size=sizes.sum())
-            contexts = rng.integers(0, 16, size=sizes.sum())
-            blocks = rng.integers(0, 16, size=(len(sizes), rng.integers(0, 5)))
-            plan = _plan_round(centers, contexts, blocks, sizes, 16)
+            centers = rng.integers(0, min(6, n_rows), size=sizes.sum())
+            contexts = rng.integers(0, n_rows, size=sizes.sum())
+            blocks = rng.integers(0, n_rows, size=(len(sizes), rng.integers(0, max_negatives + 1)))
+            plan = _plan_round(centers, contexts, blocks, sizes, n_rows)
             assert [p[0] for p in plan] == [slice(a - n, a) for a, n in zip(sizes.cumsum().tolist(), sizes.tolist())]
             got = [(rows.tolist(), slots.tolist(), None if lead is None else lead.tolist(), repeats)
                    for _pairs, rows, slots, lead, repeats in plan]
             assert got == self.reference_plan(centers, contexts, blocks, sizes)
-
-    @pytest.mark.parametrize("cells", [1, 300])
-    def test_plan_table_size_changes_no_bit(self, cells, monkeypatch):
-        sentences, _a, _b = synthdata.two_clique_corpus(seed=3, n_sentences=40)
-        cfg = TrainConfig(window=8, dim=16, negatives=25, epochs=2, seed=4)
-        expected = train_skipgram(sentences, cfg)
-        monkeypatch.setattr(embed, "_PLAN_CELLS", cells)
-        table = train_skipgram(sentences, cfg)
-        assert np.array_equal(table.input_vectors, expected.input_vectors)
-        assert np.array_equal(table.output_vectors, expected.output_vectors)
-        assert table.epoch_losses == expected.epoch_losses
 
 
 class TestEmbeddingTable:

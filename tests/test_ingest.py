@@ -686,6 +686,24 @@ class TestBundleIO:
         with pytest.raises(DataError, match=re.escape(f"{out / 'report.json'}: expected a JSON object")):
             load_bundle(out)
 
+    @pytest.mark.parametrize("edit, dropped", [("features", (2, 0)), ("ratings", (0, 2)), ("both", (2, 2))])
+    def test_load_bundle_rejects_an_inconsistent_bundle(self, tmp_path, edit, dropped):
+        """A bundle whose ratings the re-join would drop (no features.csv row,
+        or a repeated pair) is refused, naming ratings.csv and both counts."""
+        ratings = RatingDataset(records=[(1, 1, 4.0, 11), (2, 1, 3.5, 12), (1, 2, 5.0, 13), (2, 3, 2.0, 14)])
+        catalog = make_catalog([1, 2, 3])
+        out = save_bundle(clean_and_join(ratings, catalog), catalog, tmp_path / "bundle")
+        if edit != "ratings":
+            lines = (out / "features.csv").read_text().splitlines()
+            (out / "features.csv").write_text("\n".join(lines[:1] + lines[2:]) + "\n")  # item 1's row
+        if edit != "features":
+            lines = (out / "ratings.csv").read_text().splitlines()
+            (out / "ratings.csv").write_text("\n".join(lines + lines[3:5]) + "\n")  # items 2 and 3
+        message = (f"{out / 'ratings.csv'}: {dropped[0]} rating(s) of items without a features.csv row and "
+                   f"{dropped[1]} repeated (user, item) pair(s)")
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_bundle(out)
+
     def test_load_bundle_missing_dir_fatal(self, tmp_path):
         with pytest.raises(DataError):
             load_bundle(tmp_path / "absent")
