@@ -18,39 +18,41 @@ center-word visits; these are word2vec's reference constants, as is the
 in [-0.5/dim, +0.5/dim]; output vectors start at zero. Training runs
 on one thread, so a fixed seed gives bit-reproducible vectors.
 
-Sentences are trained in rounds of 32 consecutive sentences (the last
-round of an epoch may hold fewer). For each epoch and round, in this
-order:
+Sentences are trained in 64 lanes. For each epoch, in this order:
 
-1. one draw gives the reduced windows of all the round's centers;
+1. one draw gives the reduced windows of all the epoch's centers;
 2. its (center, context) pairs are listed in corpus order: by
-   sentence, then by center, then by context position; step t holds
-   the t-th pair of every sentence of the round that has one, in
-   sentence order;
-3. one draw gives a block of negatives, one row per step, in step
-   order. Each draw becomes a token index through a lookup table that
-   gives exactly the binary search's index (NegativeSampler). Every
-   pair of a step trains on its step's row. A negative that equals the
-   pair's context is skipped for that pair, as word2vec's C code skips
-   it: its gradient is zero and its term is left out of the pair's loss.
+   sentence, then by center, then by context position. Sentences enter
+   the lanes in corpus order, each into the first lane to free up; a
+   sentence without pairs takes none. Step t holds the next pair of
+   every sentence in a lane, in sentence order;
+3. the steps are trained in chunks of whole steps, at most 2048 pairs
+   each. For each chunk one draw gives a block of negatives, one row
+   per step, in step order; the draws come from one stream, so the
+   chunk size changes no bit. Each draw becomes a token index through
+   a lookup table that gives exactly the binary search's index
+   (NegativeSampler). Every pair of a step trains on its step's row. A
+   negative that equals the pair's context is skipped for that pair, as
+   word2vec's C code skips it: its gradient is zero and its term is
+   left out of the pair's loss.
 
-The round is then trained in lockstep. What each step needs to know
-about its pairs (its distinct output rows, where each occurrence's
-gradient is summed, which centers repeat) is worked out for the whole
-round by one sort, before its first step. A step reads each row it needs
-once, as the previous step left it: its centers, its contexts and its
-block. A pair's context score is the dot of its context and center;
-the negative scores of all its pairs are one GEMM of the stacked
-centers against the block. Its loss and gradient are sgns_pair_update's
-over its kept negatives, and its center moves by ``grad_neg @ block +
-grad_ctx * context``; a center that two sentences share in a step gains
-both moves, in sentence order. Each output row touched in a step gains,
-in one GEMM, the step's incoming centers weighted by the row's summed
-gradient in each sentence, so a block row gains the updates of every
-pair. The GEMMs add in another order than sgns_pair_update's per-pair
-products, so a step agrees with it to within 1e-12, not bit for bit.
-Each center's learning rate comes from its visit index in corpus order,
-and the losses are added in corpus order.
+What each step needs to know about its pairs (its distinct output rows,
+where each occurrence's gradient is summed, which centers repeat) is
+worked out for the whole chunk by one sort, before its first step. A
+step reads each row it needs once, as the previous step left it: its
+centers, its contexts and its block. A pair's context score is the dot
+of its context and center; the negative scores of all its pairs are
+one GEMM of the stacked centers against the block. Its loss and
+gradient are sgns_pair_update's over its kept negatives, and its center
+moves by ``grad_neg @ block + grad_ctx * context``; a center that two
+sentences share in a step gains both moves, in sentence order. Each
+output row touched in a step gains, in one GEMM, the step's incoming
+centers weighted by the row's summed gradient in each sentence, so a
+block row gains the updates of every pair. The GEMMs add in another
+order than sgns_pair_update's per-pair products, so a step agrees with
+it to within 1e-12, not bit for bit. Each center's learning rate comes
+from its visit index in corpus order, and the epoch's losses are added
+in corpus order. A corpus without a pair is a DataError.
 The epoch log line counts the pairs and the skipped negatives.
 
 A table is saved as one word2vec-format text file of input vectors
@@ -59,6 +61,7 @@ only, which is all that content similarity downstream reads.
 
 from __future__ import annotations
 
+import heapq
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
@@ -73,8 +76,10 @@ log = logging.getLogger(__name__)
 
 # The negative sampler's lookup table has at most 2**_TABLE_BITS buckets.
 _TABLE_BITS = 16
-# Sentences trained side by side, one pair of each per step.
-_LOCKSTEP = 32
+# Lanes trained side by side, one pair of a sentence in each per step.
+_LOCKSTEP = 64
+# The most pairs whose steps are planned and trained as one chunk.
+_CHUNK_PAIRS = 2048
 # word2vec's learning-rate endpoints and negative-sampling exponent.
 _INITIAL_LR, _FINAL_LR = 0.025, 1e-4
 _NS_EXPONENT = 0.75
@@ -285,25 +290,19 @@ def _pair_losses(scores, keep):
     return np.logaddexp(0.0, -scores[:, 0]) + negatives.sum(axis=1)
 
 
-def _add_pair_losses(total, losses):
-    """total plus the losses, added one at a time, left to right.
+def _plan_steps(centers, contexts, blocks, sizes, n_rows):
+    """Each step's bookkeeping, fixed once a chunk's pairs are drawn.
 
-    cumsum is a left fold where np.sum would add pairwise.
-    """
-    return float(np.concatenate(([total], losses)).cumsum()[-1])
-
-
-def _plan_round(centers, contexts, blocks, sizes, n_rows):
-    """Each step's bookkeeping, fixed once the round's pairs are drawn.
-
-    The round's pairs are listed step by step: ``sizes[t]`` pairs of
+    The chunk's pairs are listed step by step: ``sizes[t]`` pairs of
     step t, each with center row ``centers[p]`` and context row
     ``contexts[p]`` of an output table of ``n_rows`` rows; the pairs of
     step t share the negative rows ``blocks[t]``. Returns one tuple
-    (pairs, rows, slots, lead, repeats) per step:
+    (pairs, rows, firsts, slots, lead, repeats) per step:
 
-    - pairs: the step's slice of the round's pairs;
+    - pairs: the step's slice of the chunk's pairs;
     - rows: its distinct output rows, contexts and block alike, ascending;
+    - firsts: each row's first place among the rows the step gathers,
+      its contexts in pair order, then its block;
     - slots: per pair, its context's then its block's slots in the
       step's bincount: the row's place among ``rows`` times the step's
       size plus the column (the pair's place in the step);
@@ -311,8 +310,9 @@ def _plan_round(centers, contexts, blocks, sizes, n_rows):
       columns of each center's first occurrence, ascending;
     - repeats: the columns of the other occurrences, ascending, as a list.
 
-    One sort of the round's (step, row) keys, ``step * n_rows + row``,
-    gives every step's rows and each occurrence's place among them.
+    One sort of the chunk's (step, row) keys, ``step * n_rows + row``,
+    gives every step's rows, each occurrence's place among them and
+    each row's first occurrence.
     """
     n_pairs, n_steps = len(contexts), len(sizes)
     if not n_pairs:
@@ -321,13 +321,15 @@ def _plan_round(centers, contexts, blocks, sizes, n_rows):
     column = np.arange(n_pairs) - (sizes.cumsum() - sizes)[step]
     # A key for each context, in pair order, then for each block cell, step by step.
     keys = np.concatenate((step * n_rows + contexts, (blocks + (np.arange(n_steps) * n_rows)[:, None]).ravel()))
-    cells, place = np.unique(keys, return_inverse=True)
+    cells, first_key, place = np.unique(keys, return_index=True, return_inverse=True)
     row_counts = np.bincount(cells // n_rows, minlength=n_steps)
     slots = np.concatenate((place[:n_pairs, None], place[n_pairs:].reshape(blocks.shape)[step]), axis=1)
     slots -= (row_counts.cumsum() - row_counts)[step, None]
     slots *= sizes[step, None]
     slots += column[:, None]
     rows = cells % n_rows
+    # Each key's place among its step's gathered rows.
+    firsts = np.concatenate((column, (sizes[:, None] + np.arange(blocks.shape[1])).ravel()))[first_key]
     first = np.zeros(n_pairs, dtype=bool)
     first[np.unique(step * n_rows + centers, return_index=True)[1]] = True
     n_first = np.bincount(step[first], minlength=n_steps)
@@ -338,7 +340,7 @@ def _plan_round(centers, contexts, blocks, sizes, n_rows):
         return zip([0] + edges[:-1], edges)
 
     return [
-        (slice(a, b), rows[r:r_end], slots[a:b], leads[f:f_end] if q < q_end else None,
+        (slice(a, b), rows[r:r_end], firsts[r:r_end], slots[a:b], leads[f:f_end] if q < q_end else None,
          repeated[q:q_end].tolist())
         for (a, b), (r, r_end), (f, f_end), (q, q_end)
         in zip(spans(sizes), spans(row_counts), spans(n_first), spans(sizes - n_first))
@@ -346,14 +348,14 @@ def _plan_round(centers, contexts, blocks, sizes, n_rows):
 
 
 def _train_step(syn0, syn1, centers, contexts, block, lr, step, work, scores, keep):
-    """Train one step of a round: one pair of each of n sentences at once.
+    """Train one step: one pair of each of n sentences at once.
 
-    ``step`` is the step's plan from _plan_round; its slice of the
-    round's pairs picks pair s's center row ``centers[s]`` of syn0, its
+    ``step`` is the step's plan from _plan_steps; its slice of the
+    chunk's pairs picks pair s's center row ``centers[s]`` of syn0, its
     context row ``contexts[s]`` of syn1 and its learning rate ``lr[s]``;
-    every pair's negatives are the step's ``block`` of syn1 rows. Pair s
-    receives its scores in ``scores[s]`` (context first) and whether each
-    negative differs from its context in ``keep[s]``. The step gathers
+    every pair's negatives are the step's ``block`` of syn1 rows, and
+    ``keep[s]`` marks those that differ from pair s's context. Pair s
+    receives its scores in ``scores[s]`` (context first). The step gathers
     its context and block rows once: the context scores are row-wise
     dots, the negative scores one GEMM of the stacked centers against the
     block. The gradient is sgns_pair_update's, zero for a negative equal
@@ -362,12 +364,13 @@ def _train_step(syn0, syn1, centers, contexts, block, lr, step, work, scores, ke
     moves in turn, in pair order. Each distinct output row (ascending)
     gains row u of ``M @ V``, where ``M[u, s]`` sums, left to right
     along pair s, the gradients of row u's occurrences there and V
-    stacks the incoming centers.
+    stacks the incoming centers; it adds them to the copy of the row
+    that the step gathered.
 
     ``work`` is scratch space of at least ``2 * (n + len(block))`` rows
     as wide as syn1, reused for the rows the step reads from syn1.
     """
-    pairs, uniq, slots, lead, repeats = step
+    pairs, uniq, firsts, slots, lead, repeats = step
     centers, contexts, lr, scores = centers[pairs], contexts[pairs], lr[pairs], scores[pairs]
     n, n_read = len(centers), len(centers) + len(block)
     v = syn0[centers]
@@ -379,7 +382,7 @@ def _train_step(syn0, syn1, centers, contexts, block, lr, step, work, scores, ke
     e = expit(scores)
     grad = e * -lr[:, None]
     grad[:, 0] = (1.0 - e[:, 0]) * lr
-    grad[:, 1:] *= np.not_equal(block, contexts[:, None], out=keep[pairs])
+    grad[:, 1:] *= keep[pairs]
     moves = grad[:, 1:] @ block_rows
     moves += grad[:, :1] * context_rows
     if lead is None:
@@ -393,15 +396,28 @@ def _train_step(syn0, syn1, centers, contexts, block, lr, step, work, scores, ke
     # bincount adds its weights in input order, which is pair by pair,
     # then along each pair.
     sums = np.bincount(slots.ravel(), weights=grad.ravel(), minlength=len(uniq) * n)
-    # The rows are read; their space takes the update.
-    update = np.matmul(sums.reshape(len(uniq), n), v, out=work[:len(uniq)])
-    update += syn1.take(uniq, axis=0, out=work[n_read:n_read + len(uniq)], mode="clip")
+    # Every distinct row is among the rows gathered into work.
+    update = work[:n_read].take(firsts, axis=0, out=work[n_read:n_read + len(uniq)], mode="clip")
+    update += sums.reshape(len(uniq), n) @ v
     syn1[uniq] = update
 
 
+def _lane_steps(pairs_per):
+    """Each pair's step, pairs listed in corpus order.
+
+    Sentence i has ``pairs_per[i]`` pairs. Sentences enter _LOCKSTEP
+    lanes in corpus order, each into the first lane to free up, and
+    train one pair a step from there; a sentence without pairs takes no
+    lane.
+    """
+    free = [0] * _LOCKSTEP  # a heap of the steps at which the lanes free up
+    starts = np.array([heapq.heapreplace(free, free[0] + n) if n else 0 for n in pairs_per.tolist()], dtype=np.int64)
+    return np.arange(pairs_per.sum()) + (starts - (pairs_per.cumsum() - pairs_per)).repeat(pairs_per)
+
+
 class _Trainer:
-    """A training run. A round's negatives are one (steps, negatives)
-    block; each step trains against its own row of it."""
+    """A training run. Step t trains the next pair of every sentence in
+    its lanes against its own row of negatives."""
 
     def __init__(self, tokens, lengths, config, vocab):
         self.tokens, self.lengths = tokens, lengths
@@ -413,50 +429,40 @@ class _Trainer:
         self.sampler = NegativeSampler(vocab.counts) if config.negatives else None
         self.total_visits = config.epochs * len(tokens)
         self.work = np.empty((2 * (_LOCKSTEP + config.negatives), config.dim))
+        self.sentence = np.arange(len(lengths)).repeat(lengths)
+        self.pos = np.arange(len(tokens)) - (lengths.cumsum() - lengths)[self.sentence]
 
     def run(self):
         """Train every epoch; return the mean pair loss of each."""
         cfg = self.config
         # Sampling draws from its own stream, apart from the init rng.
         rng = np.random.default_rng([cfg.seed, 0])
-        # Each round's tokens, back to back, and its sentences' lengths.
-        cuts = np.arange(_LOCKSTEP, len(self.lengths), _LOCKSTEP)
-        rounds = list(zip(np.split(self.tokens, self.lengths.cumsum()[cuts - 1]), np.split(self.lengths, cuts)))
-        visit = 0
         epoch_losses = []
         for epoch in range(1, cfg.epochs + 1):
-            loss_sum = 0.0
-            n_pairs = n_skipped = 0
             # Overflow in a diverging run is caught by _check_finite at the
             # epoch boundary; the interim numpy warnings are just noise.
             with np.errstate(over="ignore", invalid="ignore"):
-                for tokens, lengths in rounds:
-                    losses, skipped = self._train_round(rng, tokens, lengths, visit)
-                    loss_sum = _add_pair_losses(loss_sum, losses)
-                    n_pairs += len(losses)
-                    n_skipped += skipped
-                    visit += len(tokens)
-            mean_loss = loss_sum / n_pairs if n_pairs else 0.0
+                losses, n_skipped = self._train_epoch(rng, (epoch - 1) * len(self.tokens))
+            # cumsum is a left fold, so the losses add in corpus order.
+            mean_loss = float(losses.cumsum()[-1]) / len(losses)
             self._check_finite(epoch)
             epoch_losses.append(mean_loss)
             log.info("epoch %d/%d: mean pair loss %.6f (%d pairs), %d negatives skipped",
-                     epoch, cfg.epochs, mean_loss, n_pairs, n_skipped)
+                     epoch, cfg.epochs, mean_loss, len(losses), n_skipped)
         return epoch_losses
 
-    def _train_round(self, rng, tokens, lengths, visit):
-        """Draw and train one round of sentences.
+    def _train_epoch(self, rng, visit):
+        """Draw and train one epoch.
 
         Returns its pairs' losses in corpus order and how many negatives
         were skipped for equalling their pair's context.
 
-        ``visit`` is the visit index of the round's first center.
+        ``visit`` is the visit index of the epoch's first center.
         """
-        cfg = self.config
-        sentence = np.arange(len(lengths)).repeat(lengths)
-        pos = np.arange(len(tokens)) - (lengths.cumsum() - lengths)[sentence]
+        cfg, tokens, sentence, pos = self.config, self.tokens, self.sentence, self.pos
         spans = rng.integers(1, cfg.window + 1, size=len(tokens))
         left = np.minimum(spans, pos)
-        n_ctx = left + np.minimum(spans, lengths[sentence] - 1 - pos)
+        n_ctx = left + np.minimum(spans, self.lengths[sentence] - 1 - pos)
         # Each pair's center, listed in corpus order: by center, then by context position.
         center = np.arange(len(tokens)).repeat(n_ctx)
         # The k-th context of a center lies k places into its window, past the center itself.
@@ -464,25 +470,34 @@ class _Trainer:
         k += k >= left[center]
         progress = (visit + np.arange(len(tokens))) / self.total_visits
         lr = np.maximum(_INITIAL_LR - (_INITIAL_LR - _FINAL_LR) * progress, _FINAL_LR)[center]
-        # Step t trains the t-th pair of every sentence that has one, in
-        # sentence order.
-        pairs_per = np.bincount(sentence[center], minlength=len(lengths))
-        step = np.arange(len(center)) - (pairs_per.cumsum() - pairs_per).repeat(pairs_per)
-        sizes = np.bincount(step)
+        # The pairs step by step, each step's in sentence order.
+        step = _lane_steps(np.bincount(sentence[center], minlength=len(self.lengths)))
         order = step.argsort(kind="stable")
+        sizes = np.bincount(step)
         centers, lr = tokens[center][order], lr[order]
         contexts = tokens[center - left[center] + k][order]
-        # One row of negatives per step, shared by the step's pairs.
-        blocks = (self.sampler.draw(rng, (len(sizes), cfg.negatives)) if cfg.negatives
-                  else np.empty((len(sizes), 0), dtype=np.int64))
-        plan = _plan_round(centers, contexts, blocks, sizes, len(self.syn1))
-        scores = np.empty((len(center), cfg.negatives + 1))
-        keep = np.empty((len(center), cfg.negatives), dtype=bool)
-        for block, planned in zip(blocks, plan):
-            _train_step(self.syn0, self.syn1, centers, contexts, block, lr, planned, self.work, scores, keep)
-        losses = np.empty(len(scores))
-        losses[order] = _pair_losses(scores, keep)
-        return losses, np.count_nonzero(~keep)
+        losses = np.empty(len(center))
+        n_skipped = 0
+        # Whole steps at a time, at most _CHUNK_PAIRS pairs; the negatives
+        # come from one stream, so the chunk size changes no bit.
+        per_chunk = max(1, _CHUNK_PAIRS // _LOCKSTEP)
+        bounds = np.append(0, sizes.cumsum())  # each step's first pair
+        for t in range(0, len(sizes), per_chunk):
+            chunk = sizes[t:t + per_chunk]
+            pairs = slice(bounds[t], bounds[t + len(chunk)])
+            # One row of negatives per step, shared by the step's pairs.
+            blocks = (self.sampler.draw(rng, (len(chunk), cfg.negatives)) if cfg.negatives
+                      else np.empty((len(chunk), 0), dtype=np.int64))
+            c, x, r = centers[pairs], contexts[pairs], lr[pairs]
+            plan = _plan_steps(c, x, blocks, chunk, len(self.syn1))
+            scores = np.empty((len(c), cfg.negatives + 1))
+            # Which negatives of each pair differ from its context.
+            keep = blocks.repeat(chunk, axis=0) != x[:, None]
+            for block, planned in zip(blocks, plan):
+                _train_step(self.syn0, self.syn1, c, x, block, r, planned, self.work, scores, keep)
+            losses[order[pairs]] = _pair_losses(scores, keep)
+            n_skipped += np.count_nonzero(~keep)
+        return losses, n_skipped
 
     def _check_finite(self, epoch):
         for name, mat in (("input", self.syn0), ("output", self.syn1)):
@@ -497,12 +512,16 @@ class _Trainer:
 def train_skipgram(sentences, config=None):
     """Train an EmbeddingTable over the given feature sentences.
 
-    Sentences without tokens are skipped. Raises NumericDivergenceError
-    if any vector turns non-finite, naming the epoch and token.
+    Sentences without tokens are skipped. A corpus without a sentence
+    of two tokens has no (center, context) pair and is a DataError.
+    Raises NumericDivergenceError if any vector turns non-finite, naming
+    the epoch and token.
     """
     config = config or TrainConfig()
     vocab = build_vocabulary(sentences)
     tokens, counts = vocab.encode(sentences)
+    if counts.max() < 2:
+        raise DataError("no (center, context) pair to train: every sentence has fewer than two tokens")
     trainer = _Trainer(tokens, counts[counts > 0], config, vocab)
     epoch_losses = trainer.run()
     return EmbeddingTable(

@@ -247,6 +247,16 @@ class TestTrainEmbed:
         ])
         assert rc == EXIT_NUMERIC and not (tmp_path / "v.txt").exists()
 
+    def test_features_without_a_pair_exit_code(self, workdir, tmp_path, caplog):
+        # Each item keeps only its directors, one token: no sentence has a pair.
+        lines = (workdir / "bundle" / "features.csv").read_text().splitlines()
+        (tmp_path / "bundle").mkdir()
+        (tmp_path / "bundle" / "features.csv").write_text(
+            "\n".join([lines[0]] + [",".join(line.split(",")[:2]) + ",," for line in lines[1:]]) + "\n")
+        rc = main(["train-embed", "--bundle", str(tmp_path / "bundle"), "--out", str(tmp_path / "v.txt")])
+        assert rc == EXIT_INPUT and not (tmp_path / "v.txt").exists()
+        assert "no (center, context) pair to train" in caplog.text
+
     def test_options_are_the_train_config_fields(self):
         sub = build_parser().subcommands["train-embed"]
         options = {action.dest for action in sub._actions} - {"help", "bundle", "out", "config", "verbose"}

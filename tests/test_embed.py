@@ -17,7 +17,7 @@ from relfrec.embed import (
     NegativeSampler,
     TrainConfig,
     Vocabulary,
-    _plan_round,
+    _plan_steps,
     _train_step,
     build_vocabulary,
     load_embeddings,
@@ -319,6 +319,12 @@ class TestTrainSkipgram:
         assert np.array_equal(table.input_vectors, expected.input_vectors)
         assert table.epoch_losses == expected.epoch_losses
 
+    def test_corpus_without_a_pair_is_a_data_error(self):
+        sents = sentences_of(["a"], ["b"], [], ["a"])
+        cfg = TrainConfig(window=2, dim=4, negatives=2, epochs=1, seed=1)
+        with pytest.raises(DataError, match=r"no \(center, context\) pair to train: every sentence has fewer than two"):
+            train_skipgram(sents, cfg)
+
     def test_divergence_raises_with_epoch_and_token(self, monkeypatch):
         monkeypatch.setattr(embed, "_INITIAL_LR", 1e155)
         monkeypatch.setattr(embed, "_FINAL_LR", 1e155)
@@ -341,31 +347,33 @@ class TestTrainSkipgram:
         assert (intra_a + intra_b) / 2 > inter
 
 
-# Sentences per training round, as the embed module documents it.
-LOCKSTEP = 32
+# Lanes trained side by side, as the embed module documents it.
+LOCKSTEP = 64
 
 
 def replay_training(sentences, config):
     """Training re-enacted from its documented schedule, one pair at a time.
 
     Makes the trainer's draws in its documented order with its own
-    code: for each round of LOCKSTEP sentences, one window draw for
-    all its centers, then one block of negatives with one row per step,
-    in step order. Step t then trains the t-th pair of every sentence
-    of the round that has one, reading the rows the previous step left,
-    and every pair of the step takes the step's row of negatives. The
-    step's arithmetic is the kernel's: each pair's context score is its
-    row-wise dot with the center, and the negative scores are the stacked
-    incoming centers V times the step's block. Each pair takes the loss
-    and gradient of sgns_pair_update, with a negative that equals its
-    context skipped: its gradient is zeroed and its term left out of the
-    loss. The centers move by ``grad_neg @ block + grad_ctx * context``,
-    one pair at a time. Each output row gains its row of ``M @ V``: M
-    sums, as Python floats, the row's gradients in each sentence.
+    code: for each epoch, one window draw for all its centers, then one
+    row of negatives per step, in step order. Sentences enter LOCKSTEP
+    lanes in corpus order, each as soon as a lane is free; a sentence
+    without pairs takes none. Step t then trains the next pair of every
+    sentence in a lane, in sentence order, reading the rows the previous
+    step left, and every pair of the step takes the step's row of
+    negatives. The step's arithmetic is the kernel's: each pair's
+    context score is its row-wise dot with the center, and the negative
+    scores are the stacked incoming centers V times the step's block.
+    Each pair takes the loss and gradient of sgns_pair_update, with a
+    negative that equals its context skipped: its gradient is zeroed and
+    its term left out of the loss. The centers move by ``grad_neg @ block
+    + grad_ctx * context``, one pair at a time. Each output row gains its
+    row of ``M @ V``: M sums, as Python floats, the row's gradients in
+    each sentence. The epoch's losses are added in corpus order.
     Returns (input vectors, output vectors, epoch losses, counts, pairs per epoch,
     skipped negatives per epoch); counts has the pairs whose rows were
-    all distinct, and the output rows and centers that a step shared
-    between sentences.
+    all distinct, the output rows and centers that a step shared between
+    sentences, and the sentences that entered a lane after the first step.
     """
     vocab = build_vocabulary(sentences)
     encoded = [[vocab.index[t] for t in s.tokens] for s in sentences]
@@ -379,74 +387,78 @@ def replay_training(sentences, config):
     cumulative = cumulative.tolist()
     n_neg = config.negatives
     rng = np.random.default_rng([config.seed, 0])
-    total = config.epochs * sum(len(ids) for ids in encoded)
+    n_tokens = sum(len(ids) for ids in encoded)
+    total = config.epochs * n_tokens
     lr_span = embed._INITIAL_LR - embed._FINAL_LR
     visit = 0
-    counts = {"distinct pairs": 0, "shared rows": 0, "shared centers": 0}
+    counts = {"distinct pairs": 0, "shared rows": 0, "shared centers": 0, "late entries": 0}
     losses, pairs, skipped = [], [], []
     for _ in range(config.epochs):
-        loss_sum, n_pairs, n_skipped = 0.0, 0, 0
-        for start in range(0, len(encoded), LOCKSTEP):
-            batch = encoded[start:start + LOCKSTEP]
-            spans = iter(rng.integers(1, config.window + 1, size=sum(map(len, batch))).tolist())
-            queues = [[] for _ in batch]  # per sentence: (index in corpus order, center, lr, context)
-            n_round = 0
-            for s, sent in enumerate(batch):
-                for pos, center in enumerate(sent):
-                    b = next(spans)
-                    lr = max(embed._INITIAL_LR - lr_span * (visit / total), embed._FINAL_LR)
-                    visit += 1
-                    for pos2 in range(max(pos - b, 0), min(pos + b + 1, len(sent))):
-                        if pos2 != pos:
-                            queues[s].append((n_round, center, lr, sent[pos2]))
-                            n_round += 1
-            n_steps = max(map(len, queues))
-            draws = rng.random(n_steps * n_neg).tolist() if n_neg else []
-            step_negatives = [
-                [bisect.bisect_right(cumulative, u) for u in draws[t * n_neg:(t + 1) * n_neg]]
-                for t in range(n_steps)
-            ]
-            pair_losses = [None] * n_round
-            for t, negatives in enumerate(step_negatives):
-                step = [queue[t] for queue in queues if t < len(queue)]
-                incoming = np.array([syn0[center] for _i, center, _lr, _context in step])
-                context_rows = syn1[[context for _i, _center, _lr, context in step]]
-                block_rows = syn1[negatives]
-                context_scores = np.matmul(context_rows[:, None, :], incoming[:, :, None])[:, 0, 0]
-                negative_scores = incoming @ block_rows.T
-                grads = np.empty((len(step), n_neg + 1))
-                sums = {}  # output row -> {sentence column: gradient sum}
-                for col, (i, center, lr, context) in enumerate(step):
-                    outs = [context] + negatives
-                    skip = np.array([n == context for n in negatives], dtype=bool)
-                    n_skipped += int(skip.sum())
-                    scores = np.concatenate(([context_scores[col]], negative_scores[col]))
-                    terms = np.logaddexp(0.0, scores[1:])
-                    terms[skip] = 0.0
-                    pair_losses[i] = float(np.logaddexp(0.0, -scores[0]) + terms.sum())
-                    grad = -expit(scores)
-                    grad[0] += 1.0
-                    grad *= lr
-                    grad[1:][skip] = 0.0
-                    grads[col] = grad
-                    counts["distinct pairs"] += len(set(outs)) == len(outs)
-                    for row, g in zip(outs, grad.tolist()):
-                        cell = sums.setdefault(row, {})
-                        cell[col] = cell.get(col, 0.0) + g
-                moves = grads[:, 1:] @ block_rows + grads[:, :1] * context_rows
-                for (_i, center, _lr, _context), move in zip(step, moves):
-                    syn0[center] += move
-                counts["shared centers"] += len(step) - len({center for _i, center, _lr, _context in step})
-                touched = sorted(sums)
-                m = np.zeros((len(touched), len(step)))
-                for u, row in enumerate(touched):
-                    for col, g in sums[row].items():
-                        m[u, col] = g
-                    counts["shared rows"] += len(sums[row]) > 1
-                syn1[touched] += m @ incoming
-            for loss in pair_losses:
-                loss_sum += loss
-            n_pairs += n_round
+        n_skipped = 0
+        spans = iter(rng.integers(1, config.window + 1, size=n_tokens).tolist())
+        queues = []  # per sentence: (index in corpus order, center, lr, context)
+        n_pairs = 0
+        for sent in encoded:
+            queue = []
+            for pos, center in enumerate(sent):
+                b = next(spans)
+                lr = max(embed._INITIAL_LR - lr_span * (visit / total), embed._FINAL_LR)
+                visit += 1
+                for pos2 in range(max(pos - b, 0), min(pos + b + 1, len(sent))):
+                    if pos2 != pos:
+                        queue.append((n_pairs, center, lr, sent[pos2]))
+                        n_pairs += 1
+            queues.append(queue)
+        waiting = [queue for queue in queues if queue]
+        lanes = []  # [queue, place of its next pair], in sentence order
+        pair_losses = [None] * n_pairs
+        t = 0
+        while lanes or waiting:
+            while waiting and len(lanes) < LOCKSTEP:
+                lanes.append([waiting.pop(0), 0])
+                counts["late entries"] += t > 0
+            step = [queue[i] for queue, i in lanes]
+            lanes = [[queue, i + 1] for queue, i in lanes if i + 1 < len(queue)]
+            t += 1
+            negatives = [bisect.bisect_right(cumulative, u) for u in rng.random(n_neg).tolist()]
+            incoming = np.array([syn0[center] for _i, center, _lr, _context in step])
+            context_rows = syn1[[context for _i, _center, _lr, context in step]]
+            block_rows = syn1[negatives]
+            context_scores = np.matmul(context_rows[:, None, :], incoming[:, :, None])[:, 0, 0]
+            negative_scores = incoming @ block_rows.T
+            grads = np.empty((len(step), n_neg + 1))
+            sums = {}  # output row -> {sentence column: gradient sum}
+            for col, (i, center, lr, context) in enumerate(step):
+                outs = [context] + negatives
+                skip = np.array([n == context for n in negatives], dtype=bool)
+                n_skipped += int(skip.sum())
+                scores = np.concatenate(([context_scores[col]], negative_scores[col]))
+                terms = np.logaddexp(0.0, scores[1:])
+                terms[skip] = 0.0
+                pair_losses[i] = float(np.logaddexp(0.0, -scores[0]) + terms.sum())
+                grad = -expit(scores)
+                grad[0] += 1.0
+                grad *= lr
+                grad[1:][skip] = 0.0
+                grads[col] = grad
+                counts["distinct pairs"] += len(set(outs)) == len(outs)
+                for row, g in zip(outs, grad.tolist()):
+                    cell = sums.setdefault(row, {})
+                    cell[col] = cell.get(col, 0.0) + g
+            moves = grads[:, 1:] @ block_rows + grads[:, :1] * context_rows
+            for (_i, center, _lr, _context), move in zip(step, moves):
+                syn0[center] += move
+            counts["shared centers"] += len(step) - len({center for _i, center, _lr, _context in step})
+            touched = sorted(sums)
+            m = np.zeros((len(touched), len(step)))
+            for u, row in enumerate(touched):
+                for col, g in sums[row].items():
+                    m[u, col] = g
+                counts["shared rows"] += len(sums[row]) > 1
+            syn1[touched] += m @ incoming
+        loss_sum = 0.0
+        for loss in pair_losses:
+            loss_sum += loss
         losses.append(loss_sum / n_pairs)
         pairs.append(n_pairs)
         skipped.append(n_skipped)
@@ -466,8 +478,8 @@ class TestTrainingReplay:
 
     def test_every_pair_repeats_rows(self):
         # 26 output rows over a 20-token vocabulary always repeat some,
-        # and the 30 sentences of one round share rows and centers. Many
-        # contexts are among their step's 25 negatives.
+        # and the 30 sentences, in lanes side by side, share rows and
+        # centers. Many contexts are among their step's 25 negatives.
         sentences, _a, _b = synthdata.two_clique_corpus(seed=3, n_sentences=30)
         cfg = TrainConfig(window=8, dim=16, negatives=25, epochs=2, seed=4)
         counts, pairs, skipped = self.assert_replayed(sentences, cfg)
@@ -475,7 +487,7 @@ class TestTrainingReplay:
         assert counts["shared rows"] > 0 and counts["shared centers"] > 0
 
     def test_mostly_distinct_rows_at_dim_150(self):
-        # 40 sentences: a round of 32, then a round of 8.
+        # 40 sentences, all in a lane from the first step.
         _ratings, _catalog, sentences = synthdata.genre_world(
             seed=5, n_users=4, n_items=40, ratings_per_user=3
         )
@@ -492,13 +504,35 @@ class TestTrainingReplay:
         assert counts["shared rows"] > 0 and skipped == [0, 0]
 
     def test_one_token_sentences_have_no_pairs(self):
-        # A one-token sentence draws its window and no negatives, and
-        # its center still counts as a visit of the learning-rate
-        # schedule; the first round of 32 has no pair at all.
+        # A one-token sentence draws its window, takes no lane, and its
+        # center still counts as a visit of the learning-rate schedule.
         sentences = sentences_of(*[["a"]] * 32, ["a"], ["a", "b", "c"], ["d"], ["b", "c", "d", "a"], ["c"])
         cfg = TrainConfig(window=2, dim=6, negatives=3, epochs=3, seed=8)
         _counts, pairs, _skipped = self.assert_replayed(sentences, cfg)
         assert min(pairs) > 0
+
+    def test_lanes_refill_as_sentences_finish(self):
+        # 150 sentences of 7 to 16 tokens: every sentence past the first
+        # LOCKSTEP enters a lane that a finished sentence left.
+        _ratings, _catalog, sentences = synthdata.genre_world(
+            seed=5, n_users=4, n_items=150, ratings_per_user=3
+        )
+        cfg = TrainConfig(window=4, dim=12, negatives=5, epochs=2, seed=10)
+        counts, _pairs, _skipped = self.assert_replayed(sentences, cfg)
+        assert counts["late entries"] == cfg.epochs * (len(sentences) - LOCKSTEP)
+
+    @pytest.mark.parametrize("chunk_pairs", [1, None, 10**9], ids=["one-step", "default", "whole-epoch"])
+    def test_chunk_size_changes_no_bit(self, monkeypatch, chunk_pairs):
+        # A chunk holds whole steps: one, the default's, or the epoch's.
+        default = embed._CHUNK_PAIRS
+        monkeypatch.setattr(embed, "_CHUNK_PAIRS", chunk_pairs or default)
+        _ratings, _catalog, sentences = synthdata.genre_world(
+            seed=6, n_users=4, n_items=150, ratings_per_user=3
+        )
+        cfg = TrainConfig(window=6, dim=8, negatives=4, epochs=2, seed=11)
+        _counts, pairs, _skipped = self.assert_replayed(sentences, cfg)
+        # The default splits each epoch into several chunks.
+        assert min(pairs) > 2 * default
 
     def test_epoch_log_line_counts_the_replayed_pairs(self, caplog):
         # perfbench/tracer.py reads embed.pairs_per_s from "(N pairs)" here.
@@ -520,15 +554,50 @@ class TestTrainingReplay:
         assert min(skipped) > 0
 
 
+class TestLaneSchedule:
+    """embed._lane_steps: which step trains each pair, pairs in corpus order."""
+
+    def test_two_lanes_by_hand(self, monkeypatch):
+        # Sentences 0 and 1 enter at step 0; 1 finishes first, so 3 takes
+        # its lane at step 1 (2 has no pair); 4 takes 0's lane at step 3.
+        monkeypatch.setattr(embed, "_LOCKSTEP", 2)
+        steps = embed._lane_steps(np.array([3, 1, 0, 2, 1]))
+        assert steps.tolist() == [0, 1, 2, 0, 1, 2, 3]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_full_steps_of_distinct_sentences_in_order(self, seed):
+        rng = np.random.default_rng(seed)
+        pairs_per = rng.integers(0, 13, size=rng.integers(1, 300))
+        steps = embed._lane_steps(pairs_per)
+        sentence = np.arange(len(pairs_per)).repeat(pairs_per)
+        first = (pairs_per.cumsum() - pairs_per)[sentence]
+        start = steps[first]
+        # A sentence's pairs fill consecutive steps, one each, in corpus order.
+        assert np.array_equal(steps, start + np.arange(len(steps)) - first)
+        # Sentences enter in corpus order.
+        assert np.all(np.diff(start[first == np.arange(len(steps))]) >= 0)
+        # A step's pairs come from distinct sentences, in sentence order.
+        order = steps.argsort(kind="stable")
+        for t in range(len(np.bincount(steps))):
+            in_step = sentence[order][steps[order] == t]
+            assert np.all(np.diff(in_step) > 0) and len(in_step) <= LOCKSTEP
+        # No lane sits idle while a sentence waits: every sentence has
+        # entered by the first step that is not full.
+        sizes = np.bincount(steps, minlength=1)
+        not_full = np.flatnonzero(sizes < LOCKSTEP)
+        if len(steps):
+            assert start.max() <= (not_full[0] if len(not_full) else len(sizes))
+
+
 def train_steps(syn0, syn1, centers, contexts, blocks, lr, sizes):
     """Train pairs listed step by step (``sizes[t]`` in step t, all
     against negatives ``blocks[t]``) as the trainer does, through
-    _plan_round; return their scores and kept-negative masks."""
+    _plan_steps; return their scores and kept-negative masks."""
     blocks = np.asarray(blocks, dtype=np.int64)
     scores = np.empty((len(contexts), blocks.shape[1] + 1))
-    keep = np.empty((len(contexts), blocks.shape[1]), dtype=bool)
+    keep = blocks.repeat(sizes, axis=0) != contexts[:, None]
     work = np.empty((2 * (max(sizes) + blocks.shape[1]), syn1.shape[1]))
-    for block, step in zip(blocks, _plan_round(centers, contexts, blocks, np.asarray(sizes), len(syn1))):
+    for block, step in zip(blocks, _plan_steps(centers, contexts, blocks, np.asarray(sizes), len(syn1))):
         _train_step(syn0, syn1, centers, contexts, block, lr, step, work, scores, keep)
     return scores, keep
 
@@ -623,7 +692,7 @@ class TestTrainStep:
         # it; row 6 is a negative of every pair.
         centers, contexts, block = np.array([2, 9, 2, 2]), np.array([5, 7, 5, 13]), [5, 6, 11]
         syn0, syn1 = self.matrices(3)
-        ((_pairs, rows, _slots, lead, repeats),) = _plan_round(
+        ((_pairs, rows, _firsts, _slots, lead, repeats),) = _plan_steps(
             centers, contexts, np.array([block]), np.array([4]), len(syn1))
         assert rows.tolist() == [5, 6, 7, 11, 13]
         assert lead.tolist() == [0, 1] and repeats == [2, 3]
@@ -665,7 +734,7 @@ class TestTrainStep:
 
     @staticmethod
     def reference_plan(centers, contexts, blocks, sizes):
-        """Each step's (rows, slots, lead, repeats), one step at a time."""
+        """Each step's (rows, firsts, slots, lead, repeats), one step at a time."""
         plan, a = [], 0
         for n, block in zip(sizes, blocks):
             c = centers[a:a + n].tolist()
@@ -673,9 +742,12 @@ class TestTrainStep:
             o = np.concatenate((contexts[a:a + n, None], np.tile(block, (n, 1))), axis=1)
             rows = np.unique(o)
             slots = rows.searchsorted(o) * n + np.arange(n)[:, None]
+            # The step gathers its contexts, then its block.
+            gathered = contexts[a:a + n].tolist() + list(block)
+            firsts = [gathered.index(row) for row in rows]
             lead = [s for s in range(n) if c.index(c[s]) == s]
             repeats = [s for s in range(n) if s not in lead]
-            plan.append((rows.tolist(), slots.tolist(), lead if repeats else None, repeats))
+            plan.append((rows.tolist(), firsts, slots.tolist(), lead if repeats else None, repeats))
             a += n
         return plan
 
@@ -693,10 +765,10 @@ class TestTrainStep:
             centers = rng.integers(0, min(6, n_rows), size=sizes.sum())
             contexts = rng.integers(0, n_rows, size=sizes.sum())
             blocks = rng.integers(0, n_rows, size=(len(sizes), rng.integers(0, max_negatives + 1)))
-            plan = _plan_round(centers, contexts, blocks, sizes, n_rows)
+            plan = _plan_steps(centers, contexts, blocks, sizes, n_rows)
             assert [p[0] for p in plan] == [slice(a - n, a) for a, n in zip(sizes.cumsum().tolist(), sizes.tolist())]
-            got = [(rows.tolist(), slots.tolist(), None if lead is None else lead.tolist(), repeats)
-                   for _pairs, rows, slots, lead, repeats in plan]
+            got = [(rows.tolist(), firsts.tolist(), slots.tolist(), None if lead is None else lead.tolist(), repeats)
+                   for _pairs, rows, firsts, slots, lead, repeats in plan]
             assert got == self.reference_plan(centers, contexts, blocks, sizes)
 
 
