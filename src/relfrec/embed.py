@@ -16,7 +16,10 @@ linearly from 0.025 to 1e-4 over the total planned number of
 center-word visits; these are word2vec's reference constants, as is the
 0.75 exponent, and none of them is settable. Input vectors start uniform
 in [-0.5/dim, +0.5/dim]; output vectors start at zero. Training runs
-on one thread, so a fixed seed gives bit-reproducible vectors.
+on one thread, so on one machine a fixed seed gives bit-reproducible
+vectors. Another machine may give other bits: numpy picks its exp and
+log1p kernels by CPU, as OpenBLAS picks its GEMM kernel, and the
+kernels differ in the last bit of some results.
 
 Sentences are trained in 64 lanes. For each epoch, in this order:
 
@@ -43,9 +46,12 @@ step reads each row it needs once, as the previous step left it: its
 centers, its contexts and its block. A pair's context score is the dot
 of its context and center; the negative scores of all its pairs are
 one GEMM of the stacked centers against the block. Its loss and
-gradient are sgns_pair_update's over its kept negatives, and its center
-moves by ``grad_neg @ block + grad_ctx * context``; a center that two
-sentences share in a step gains both moves, in sentence order. Each
+gradient are sgns_pair_update's over its kept negatives: the sigmoid
+is 1 / (1 + exp(-x)) and each loss term log(1 + exp(x)) is
+max(x, 0) + log1p(exp(-|x|)), on numpy's vectorized exp and log1p.
+Its center moves by ``grad_neg @ block + grad_ctx * context``; a center
+that two sentences share in a step gains both moves, in sentence
+order. Each
 output row touched in a step gains, in one GEMM, the step's incoming
 centers weighted by the row's summed gradient in each sentence, so a
 block row gains the updates of every pair. The GEMMs add in another
@@ -67,7 +73,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DataError, NumericDivergenceError, check_integers
 from .ingest import stream_name, text_stream
@@ -248,6 +253,33 @@ class EmbeddingTable:
         return [(self.vocab.tokens[j], float(sims[j])) for j in ranked[:n]]
 
 
+def _sigmoid(x):
+    """1 / (1 + exp(-x)) elementwise, in one new array.
+
+    np.exp runs numpy's vectorized loop. exp(-x) overflows to inf below
+    x = -709.78, which gives the right limit, 0, so the overflow is not
+    reported.
+    """
+    s = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    return np.reciprocal(s, out=s)
+
+
+def _softplus(x):
+    """log(1 + exp(x)) elementwise, as max(x, 0) + log1p(exp(-|x|)), in one new array.
+
+    exp(-|x|) lies in [0, 1], so nothing overflows.
+    """
+    s = np.abs(x)
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    np.log1p(s, out=s)
+    s += np.maximum(x, 0.0)
+    return s
+
+
 def sgns_pair_update(center_vec, context_vec, negative_vecs, lr):
     """One negative-sampling update for a (center, context) pair.
 
@@ -269,8 +301,8 @@ def sgns_pair_update(center_vec, context_vec, negative_vecs, lr):
             raise ValueError(f"vector shape mismatch: {v.shape} vs {center_vec.shape}")
     rows = np.stack(outs)
     scores = rows @ center_vec
-    loss = float(np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum())
-    grad = -expit(scores)
+    loss = float(_softplus(-scores[:1])[0] + _softplus(scores[1:]).sum())
+    grad = -_sigmoid(scores)
     grad[0] += 1.0
     grad *= lr
     context_vec += grad[0] * center_vec
@@ -286,8 +318,8 @@ def _pair_losses(scores, keep):
     Row r holds one pair's scores, context first; ``keep[r]`` marks the
     negatives whose terms count. A skipped term adds 0.0.
     """
-    negatives = np.where(keep, np.logaddexp(0.0, scores[:, 1:]), 0.0)
-    return np.logaddexp(0.0, -scores[:, 0]) + negatives.sum(axis=1)
+    negatives = np.where(keep, _softplus(scores[:, 1:]), 0.0)
+    return _softplus(-scores[:, 0]) + negatives.sum(axis=1)
 
 
 def _plan_steps(centers, contexts, blocks, sizes, n_rows):
@@ -379,7 +411,7 @@ def _train_step(syn0, syn1, centers, contexts, block, lr, step, work, scores, ke
     block_rows = syn1.take(block, axis=0, out=work[n:n_read], mode="clip")
     np.matmul(context_rows[:, None, :], v[:, :, None], out=scores[:, :1, None])
     np.matmul(v, block_rows.T, out=scores[:, 1:])
-    e = expit(scores)
+    e = _sigmoid(scores)
     grad = e * -lr[:, None]
     grad[:, 0] = (1.0 - e[:, 0]) * lr
     grad[:, 1:] *= keep[pairs]
@@ -569,7 +601,8 @@ def load_embeddings(source):
     alone, whatever lies beside it. An input path that cannot be
     opened, malformed headers, row arity/count mismatches, non-finite
     components (nan, inf) and a repeated token are DataErrors, reported
-    with the file and line number; so is text that is not UTF-8.
+    with the file and line number; so is text that is not UTF-8. Blank
+    lines may follow the declared rows; a row after them is one too many.
     """
     with text_stream(source) as stream:
         tokens, vectors = _read_vector_rows(stream, stream_name(stream))
@@ -599,6 +632,8 @@ def _read_vector_rows(stream, where):
             raise DataError(f"{where} line {lineno}: non-numeric vector component") from None
         if not np.isfinite(rows[-1]).all():
             raise DataError(f"{where} line {lineno}: non-finite vector component")
-    if stream.readline().strip():
-        raise DataError(f"{where} line {v + 2}: more rows than the header declares ({v})")
+    # Blank lines may follow the rows; any other line is one row too many.
+    for lineno, line in enumerate(stream, v + 2):
+        if line.strip():
+            raise DataError(f"{where} line {lineno}: more rows than the header declares ({v})")
     return list(tokens), np.array(rows)

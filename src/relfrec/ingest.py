@@ -35,6 +35,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DataError, EmptyJoinError
 
@@ -225,9 +226,6 @@ class RatingArrays:
     @cached_property
     def matrices(self):
         """(R, pattern, R*R) as users x items CSC matrices."""
-        # scipy.sparse is imported only once a dataset needs its matrices.
-        from scipy import sparse
-
         shape = (len(self.indptr) - 1, len(self.items))
         return tuple(
             sparse.csr_matrix((data, self.cols, self.indptr), shape=shape).tocsc()

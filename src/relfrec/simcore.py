@@ -38,6 +38,7 @@ from operator import attrgetter
 from types import MappingProxyType
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DataError, UnknownIdError, check_integers
 
@@ -161,9 +162,6 @@ def build_item_vectors(sentences, table):
     weights sums each sentence's vectors left to right. A sentence whose
     item id does not fit in 64 bits is a DataError naming the id.
     """
-    # scipy.sparse is imported only once item vectors are built.
-    from scipy import sparse
-
     try:
         item_ids = np.fromiter(map(attrgetter("item_id"), sentences), dtype=np.int64, count=len(sentences))
     except OverflowError:

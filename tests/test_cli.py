@@ -393,6 +393,20 @@ class TestEvaluate:
         assert f"{bad}: not UTF-8 text" in caplog.text
         assert not (tmp_path / "run").exists()
 
+    def test_row_after_blank_line_in_embeddings_exit_code(self, workdir, tmp_path, caplog):
+        # The extra row would otherwise be dropped without a word.
+        lines = (workdir / "vecs.txt").read_text().splitlines(keepends=True)
+        bad = tmp_path / "vecs.txt"
+        bad.write_text("".join(lines) + "\n" + lines[1])
+        rc = main([
+            "evaluate", "--bundle", str(workdir / "bundle"),
+            "--embeddings", str(bad), "--predictors", "cb",
+            "--out-dir", str(tmp_path / "run"),
+        ])
+        assert rc == EXIT_INPUT
+        assert f"{bad} line {len(lines) + 2}: more rows than the header declares ({len(lines) - 1})" in caplog.text
+        assert not (tmp_path / "run").exists()
+
     def test_repeated_predictor_exit_code(self, workdir, tmp_path):
         # Each fold would otherwise be evaluated and written twice.
         rc = main([

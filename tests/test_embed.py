@@ -5,7 +5,11 @@ import dataclasses
 import io
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,8 +218,6 @@ class TestPairUpdate:
         c0, x0, n0 = center.copy(), context.copy(), [v.copy() for v in negatives]
         lr = 0.21
         sgns_pair_update(center, context, negatives, lr)
-        from scipy.special import expit
-
         g_pos = 1.0 - expit(x0 @ c0)
         expected_context = x0 + lr * g_pos * c0
         assert np.allclose(context, expected_context, atol=1e-12)
@@ -229,6 +231,41 @@ class TestPairUpdate:
             sgns_pair_update(np.zeros(3), np.zeros(4), [], lr=0.1)
         with pytest.raises(ValueError):
             sgns_pair_update(np.zeros(3), np.zeros(3), [np.zeros(2)], lr=0.1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestElementwise:
+    """The step's sigmoid and pair loss against scipy's expit and numpy's
+    logaddexp; neither lets a RuntimeWarning escape."""
+
+    EDGES = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.0, -709.0, 745.0, -745.0,
+                      800.0, -800.0, np.inf, -np.inf, np.nan])
+
+    def test_sigmoid_within_one_ulp_of_expit_at_the_edges(self):
+        np.testing.assert_array_max_ulp(embed._sigmoid(self.EDGES), expit(self.EDGES), maxulp=1)
+
+    def test_softplus_within_1e_15_of_logaddexp_at_the_edges(self):
+        got = embed._softplus(self.EDGES)
+        with np.errstate(invalid="ignore"):
+            want = np.logaddexp(0.0, self.EDGES)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_sigmoid_and_softplus_over_a_sweep(self):
+        # 1 + exp(-x) rounds, so near x = -37, where the sigmoid is about
+        # 1e-16, it differs from expit by a few ulps.
+        x = np.linspace(-60.0, 60.0, 200_000).reshape(400, -1)
+        np.testing.assert_array_max_ulp(embed._sigmoid(x), expit(x), maxulp=4)
+        np.testing.assert_allclose(embed._softplus(x), np.logaddexp(0.0, x), rtol=0, atol=1e-14)
+
+    def test_importing_the_cli_leaves_scipy_special_out(self):
+        import relfrec
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(relfrec.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, relfrec.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout == "[]\n"
 
 
 class TestTrainConfig:
@@ -433,10 +470,13 @@ def replay_training(sentences, config):
                 skip = np.array([n == context for n in negatives], dtype=bool)
                 n_skipped += int(skip.sum())
                 scores = np.concatenate(([context_scores[col]], negative_scores[col]))
-                terms = np.logaddexp(0.0, scores[1:])
-                terms[skip] = 0.0
-                pair_losses[i] = float(np.logaddexp(0.0, -scores[0]) + terms.sum())
-                grad = -expit(scores)
+                # The loss terms are log(1 + exp(s)) as max(s, 0) + log1p(exp(-|s|)),
+                # the context's at -s; the sigmoid is 1 / (1 + exp(-s)).
+                signed = np.concatenate(([-scores[0]], scores[1:]))
+                terms = np.maximum(signed, 0.0) + np.log1p(np.exp(-np.abs(signed)))
+                terms[1:][skip] = 0.0
+                pair_losses[i] = float(terms[0] + terms[1:].sum())
+                grad = -(1.0 / (1.0 + np.exp(-scores)))
                 grad[0] += 1.0
                 grad *= lr
                 grad[1:][skip] = 0.0
@@ -844,6 +884,16 @@ class TestPersistence:
         short = "2 3\na 0.1 0.2 0.3\n"
         with pytest.raises(DataError):
             load_embeddings(io.StringIO(short))
+
+    def test_row_after_blank_lines_is_one_too_many(self):
+        bad = "2 3\na 1 2 3\nb 4 5 6\n\n  \nc 7 8 9\n"
+        with pytest.raises(DataError, match=re.escape("line 6: more rows than the header declares (2)")):
+            load_embeddings(io.StringIO(bad))
+
+    def test_trailing_blank_lines_load(self):
+        table = load_embeddings(io.StringIO("2 3\na 1 2 3\nb 4 5 6\n\n \n\n"))
+        assert table.vocab.tokens == ["a", "b"]
+        assert table.input_vectors.tolist() == [[1, 2, 3], [4, 5, 6]]
 
     def test_malformed_header_fatal(self):
         with pytest.raises(DataError, match="line 1"):
