@@ -302,7 +302,16 @@ def cmd_sweep_k(args):
     return _run_grid(args, args.ks)
 
 
+def _is_integer(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_pairs_csv(path):
+    """(user, item) pairs of a CSV file; line 1 is a header when neither of its first two fields is an integer."""
     pairs = []
     with text_stream(path) as stream:
         for lineno, row in csv_rows(stream, path):
@@ -311,7 +320,7 @@ def _read_pairs_csv(path):
             try:
                 pairs.append((int(row[0]), int(row[1])))
             except (ValueError, IndexError):
-                if lineno == 1:
+                if lineno == 1 and not any(map(_is_integer, row[:2])):
                     continue
                 raise DataError(f"{path}:{lineno}: expected 'user,item' integer columns") from None
     if not pairs:

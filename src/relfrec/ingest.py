@@ -35,7 +35,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DataError, EmptyJoinError
 
@@ -203,8 +202,7 @@ class RatingArrays:
     * ``rows``: user -> (columns, rating minus the item's mean), views
       of that user's run.
     * ``counts``: ratings per item.
-    * ``matrices``: the users x items ratings R, their 0/1 pattern and
-      R*R elementwise, as CSC matrices built on first use.
+    * ``by_item``: the same ratings item by item, built on first use.
 
     Built from the dataset's columns, one rating per (user, item) pair:
     its last record's.
@@ -224,13 +222,13 @@ class RatingArrays:
         self.counts = np.bincount(self.cols, minlength=len(self.items))
 
     @cached_property
-    def matrices(self):
-        """(R, pattern, R*R) as users x items CSC matrices."""
-        shape = (len(self.indptr) - 1, len(self.items))
-        return tuple(
-            sparse.csr_matrix((data, self.cols, self.indptr), shape=shape).tocsc()
-            for data in (self.values, np.ones_like(self.values), self.values * self.values)
-        )
+    def by_item(self):
+        """(item_ptr, positions, users): item t's ratings are the entries
+        positions[item_ptr[t]:item_ptr[t + 1]] of ``cols`` and ``values``,
+        in ascending user row, and users holds each one's user row."""
+        positions = self.cols.argsort(kind="stable")
+        users = np.arange(len(self.indptr) - 1).repeat(np.diff(self.indptr))[positions]
+        return np.concatenate(([0], self.counts.cumsum())), positions, users
 
 
 @dataclass

@@ -18,9 +18,10 @@ The predictors are named after their source: cf (rating cosine), cb
 the one provider type, SimilarityProvider, from such a name.
 
 A provider serves rows: one target item against each id of a sorted
-id array, NaN where undefined. Rating cosine rows are computed from
-three sparse products in blocks of contiguous rated items of at most
-_BLOCK_CELLS cells; content rows from one product of the rows of an
+id array, NaN where undefined. Rating cosine rows are computed in
+blocks of contiguous rated items, each cell's sums over co-raters
+taken with numpy's bincount, in the order rating_cosine adds them;
+content rows from one product of the rows of an
 ItemVectorIndex (one matrix over sorted item ids) with the target's
 vector, the same loop for every row, so identical vectors give
 identical cells; hybrid rows pick between the two per cell. Only the
@@ -38,7 +39,6 @@ from operator import attrgetter
 from types import MappingProxyType
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DataError, UnknownIdError, check_integers
 
@@ -49,8 +49,10 @@ PREDICTORS = ("cf", "cb", "hybrid")
 SOURCE_RATING = "rating"
 SOURCE_CONTENT = "content"
 
-# Cells in one block of rating cosine rows (8 MB of float64).
+# Cells in one block of rating cosine rows (8 MB of float64), and the
+# co-rating pairs summed at once (about 3 MB of temporary arrays).
 _BLOCK_CELLS = 1 << 20
+_BLOCK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -107,14 +109,14 @@ def rating_cosine(i, j, ratings):
 
 
 def _raters(item, ratings):
-    """{user row: rating} of one item, from its column of the ratings matrix."""
+    """{user row: rating} of one item, in ascending user row."""
     arrays = ratings.arrays
     t = arrays.position.get(item)
     if t is None:
         raise UnknownIdError(f"item {item} not in rating dataset")
-    rated = arrays.matrices[0]
-    users = slice(rated.indptr[t], rated.indptr[t + 1])
-    return dict(zip(rated.indices[users].tolist(), rated.data[users].tolist()))
+    item_ptr, positions, users = arrays.by_item
+    run = slice(item_ptr[t], item_ptr[t + 1])
+    return dict(zip(users[run].tolist(), arrays.values[positions[run]].tolist()))
 
 
 def _locate(ids, items):
@@ -158,8 +160,9 @@ def build_item_vectors(sentences, table):
     Coverage counts token occurrences found in the vocabulary; items
     with zero coverage are left out of the index entirely (reported in
     ``n_excluded``), never stored as zero vectors; of an item's sentences
-    the last one with coverage counts. One sparse product with 0/1 token
-    weights sums each sentence's vectors left to right. A sentence whose
+    the last one with coverage counts. Each sentence's vectors are summed
+    left to right from zero: with the sentences longest first, step p
+    adds the p-th token's vector to every sentence that long. A sentence whose
     item id does not fit in 64 bits is a DataError naming the id.
     """
     try:
@@ -171,9 +174,15 @@ def build_item_vectors(sentences, table):
     covered = np.flatnonzero(counts)[::-1]
     ids, last = np.unique(item_ids[covered], return_index=True)
     rows = covered[last]
-    weights = sparse.csr_matrix((np.ones(len(tokens)), tokens, np.append(0, counts.cumsum())),
-                                shape=(len(counts), len(table.vocab)))
-    matrix = (weights @ table.input_vectors)[rows] / counts[rows, None]
+    by_length = (-counts[rows]).argsort(kind="stable")
+    lengths = counts[rows][by_length]
+    starts = np.append(0, counts.cumsum())[rows][by_length]
+    sums = np.zeros((len(rows), table.input_vectors.shape[1]))
+    for p in range(lengths.max(initial=0)):
+        m = len(lengths) - lengths[::-1].searchsorted(p, side="right")
+        sums[:m] += table.input_vectors.take(tokens[starts[:m] + p], axis=0)
+    matrix = np.empty_like(sums)
+    matrix[by_length] = sums / lengths[:, None]
     excluded = len(counts) - len(covered)
     if excluded:
         log.info("item vector index: %d item(s) had no in-vocabulary tokens", excluded)
@@ -225,23 +234,67 @@ def hybrid_sim(i, j, ratings, index, policy):
     return rating_value
 
 
+def _pieces(arrays, start, stop):
+    """Edges of runs of the items start..stop-1 with at most _BLOCK_PAIRS
+    co-rating pairs each, unless one item alone has more."""
+    item_ptr, _positions, users = arrays.by_item
+    # Co-rating pairs of the items before each item.
+    before = np.append(0, np.diff(arrays.indptr)[users].cumsum())[item_ptr]
+    edges = [start]
+    while edges[-1] < stop:
+        a = edges[-1]
+        fits = int(before.searchsorted(before[a] + _BLOCK_PAIRS, side="right")) - 1
+        edges.append(min(stop, max(a + 1, fits)))
+    return edges
+
+
+def _pair_sums(arrays, start, stop, out):
+    """Sums over co-raters of the rows of items start..stop-1, into out.
+
+    out[0], out[1] and out[2] get dot, sq_i and sq_j, and a fourth row
+    of out the co-rater counts, each (stop - start) x items.
+    Every rating of a run item (mine) is paired with each entry of its
+    user's run (theirs), and bincount adds the pairs of a cell in input
+    order, ascending user row.
+    """
+    n = len(arrays.items)
+    item_ptr, positions, users = arrays.by_item
+    run = slice(item_ptr[start], item_ptr[stop])
+    mine, users = positions[run], users[run]
+    first = arrays.indptr[users]
+    lengths = arrays.indptr[users + 1] - first
+    ends = lengths.cumsum()
+    theirs = np.arange(ends[-1]) + (first - ends + lengths).repeat(lengths)
+    keys = arrays.cols[theirs]
+    if stop - start > 1:
+        keys += ((arrays.cols[mine] - start) * n).repeat(lengths)
+    v_i, r_j = arrays.values[mine], arrays.values[theirs]
+    cells = (stop - start) * n
+    out[0] = np.bincount(keys, v_i.repeat(lengths) * r_j, cells).reshape(-1, n)
+    out[1] = np.bincount(keys, (v_i * v_i).repeat(lengths), cells).reshape(-1, n)
+    out[2] = np.bincount(keys, r_j * r_j, cells).reshape(-1, n)
+    if len(out) > 3:
+        out[3] = np.bincount(keys, minlength=cells).reshape(-1, n)
+
+
 class _RatingBlocks:
     """Rating cosine rows over a dataset's items, computed in blocks.
 
     A block holds the rows of a run of contiguous rated items, at most
-    _BLOCK_CELLS cells, from three sparse products over the ratings R,
-    their pattern B and R*R (RatingArrays.matrices):
+    _BLOCK_CELLS cells. Its sums over co-raters,
 
-        dot = R_blk' R    sq_i = (R*R)_blk' B    sq_j = B_blk' (R*R)
+        dot = sum r_i r_j    sq_i = sum r_i^2    sq_j = sum r_j^2
 
-    A cell is dot / (sqrt(sq_i) * sqrt(sq_j)), as in rating_cosine, and
-    NaN where a squared norm is 0 (no co-rater, or all-zero ratings).
-    Ratings on a dyadic grid (integers, halves) make every sum exact in
-    float64, so cells equal rating_cosine bit for bit. With a policy the
-    block also holds hybrid_sim's warm test, from the co-rater counts
-    B_blk' B and the per-item rating counts. Only the latest block is
-    kept. A row is gathered onto the requested ids, an id the ratings
-    never saw left NaN and never warm.
+    are taken by _pair_sums over runs of at most _BLOCK_PAIRS co-rating
+    pairs, so the temporary arrays stay small. A cell is
+    dot / (sqrt(sq_i) * sqrt(sq_j)), as in rating_cosine, and NaN where
+    a squared norm is 0 (no co-rater, or all-zero ratings). Both add
+    each cell's co-raters in ascending user row, so cells equal
+    rating_cosine bit for bit for any ratings. With a policy the block
+    also holds hybrid_sim's warm test, from the co-rater counts and the
+    per-item rating counts. Only the latest block is kept. A row is
+    gathered onto the requested ids, an id the ratings never saw left
+    NaN and never warm.
     """
 
     def __init__(self, ratings, policy=None):
@@ -270,20 +323,20 @@ class _RatingBlocks:
         size = max(1, _BLOCK_CELLS // n)
         start = t - t % size
         stop = min(start + size, n)
-        blk = slice(start, stop)
-        rated, pattern, squares = arrays.matrices
-        dot = (rated[:, blk].T @ rated).toarray()
-        sq_i = (squares[:, blk].T @ pattern).toarray()
-        sq_j = (pattern[:, blk].T @ squares).toarray()
+        sums = np.empty((3 if self.policy is None else 4, stop - start, n))
+        edges = _pieces(arrays, start, stop)
+        for a, b in zip(edges[:-1], edges[1:]):
+            _pair_sums(arrays, a, b, sums[:, a - start:b - start])
+        dot, sq_i, sq_j = sums[:3]
         with np.errstate(divide="ignore", invalid="ignore"):
             values = dot / (np.sqrt(sq_i) * np.sqrt(sq_j))
         values[(sq_i == 0.0) | (sq_j == 0.0)] = np.nan
         diagonal = np.arange(stop - start)
         values[diagonal, diagonal + start] = np.nan
         if self.policy is not None:
-            support = (pattern[:, blk].T @ pattern).toarray()
             warm_item = arrays.counts >= self.policy.tau_item
-            self.warm = (support >= self.policy.tau_pair) & warm_item & warm_item[blk, None] & ~np.isnan(values)
+            warm_pair = sums[3] >= self.policy.tau_pair
+            self.warm = warm_pair & warm_item & warm_item[start:stop, None] & ~np.isnan(values)
         self.start, self.stop, self.values = start, stop, values
 
 

@@ -3,7 +3,10 @@
 import csv
 import json
 import logging
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -549,6 +552,24 @@ class TestPredict:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
         assert lines[1].startswith("user=2 item=3")
+
+    @pytest.mark.parametrize("first", ["12,x7", "12", "x7,12"])
+    def test_pairs_csv_bad_first_line_exit_code(self, workdir, tmp_path, caplog, capsys, first):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(f"{first}\n2,3\n")
+        rc = main(["predict", "--bundle", str(workdir / "bundle"), "--model", "cf", "--pairs", str(pairs)])
+        assert rc == EXIT_INPUT
+        assert f"{pairs}:1: expected 'user,item' integer columns" in caplog.text
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("header", ["user,item", "userId,movieId,rating", "user"])
+    def test_pairs_csv_header_is_skipped(self, workdir, tmp_path, capsys, header):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(f"{header}\n2,3\n")
+        rc = main(["predict", "--bundle", str(workdir / "bundle"), "--model", "cf", "--pairs", str(pairs)])
+        assert rc == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("user=2 item=3 ")
 
     def test_pairs_csv_overlong_field(self, workdir, tmp_path, caplog, capsys):
         pairs = tmp_path / "pairs.csv"
@@ -1222,3 +1243,68 @@ class TestConfigObjects:
         out = tmp_path / "v.txt"
         rc = main(["train-embed", "--bundle", str(workdir / "bundle"), "--out", str(out), "--seed", "-1"])
         assert rc == EXIT_INPUT and not out.exists()
+
+
+# ingest -> train-embed -> evaluate -> predict -> similar through main, in
+# the working directory; with the argument "refuse", every scipy import
+# raises ImportError. Prints the scipy modules loaded at the end.
+PIPELINE = """
+import importlib.abc
+import sys
+
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"import of {name} refused")
+
+
+if sys.argv[1:] == ["refuse"]:
+    sys.meta_path.insert(0, RefuseScipy())
+
+import synthdata
+from relfrec.cli import main
+
+synthdata.write_genre_world_files(".", n_users=40, n_items=30, ratings_per_user=10)
+content = ["--bundle", "bundle", "--embeddings", "vecs.txt"]
+for argv in (
+    ["ingest", "--ratings", "ratings.dat", "--metadata", "features.csv", "--out", "bundle"],
+    ["train-embed", "--bundle", "bundle", "--out", "vecs.txt", "--window", "2", "--dim", "8",
+     "--negatives", "2", "--epochs", "2"],
+    ["evaluate", *content, "--predictors", "cf,cb,hybrid", "--split", "holdout(0.8)", "--k", "5",
+     "--out-dir", "run"],
+    ["predict", *content, "--model", "hybrid", "--user", "1", "--item", "2"],
+    ["similar", *content, "--model", "hybrid", "--item", "2", "--n", "3"],
+):
+    code = main(argv)
+    if code:
+        sys.exit(f"{argv[0]} exited with {code}")
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+class TestWithoutScipy:
+    """The package runs on numpy alone; scipy is a test dependency."""
+
+    @staticmethod
+    def python(code, *argv, cwd=None):
+        import relfrec
+
+        path = [str(Path(relfrec.__file__).parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_pipeline_with_scipy_refused_matches_a_plain_run(self, tmp_path):
+        runs = {}
+        for mode in ("refuse", "plain"):
+            (tmp_path / mode).mkdir()
+            done = self.python(PIPELINE, mode, cwd=tmp_path / mode)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.endswith("\n[]\n"), done.stdout
+            runs[mode] = done.stdout, (tmp_path / mode / "run" / "results.csv").read_bytes()
+        assert runs["refuse"] == runs["plain"]
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        done = self.python("import sys, relfrec.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

@@ -181,32 +181,69 @@ class TestBuildItemVectors:
         return table, sentences
 
     @staticmethod
+    def mixed_corpus(seed, dim):
+        """A table of 20 tokens plus 40 sentences of 1-16 tokens in shuffled
+        order, some tokens repeated, some out of vocabulary; item 20 has
+        16 tokens, all known, and item 7 has two covered sentences."""
+        rng = np.random.default_rng(seed)
+        table = make_table({f"t{n}": rng.normal(size=dim) for n in range(20)})
+        lengths = rng.permutation(np.arange(40) % 16 + 1)
+        sentences = [
+            FeatureSentence(item_id=s, tokens=tuple(f"t{t}" for t in rng.integers(0, 26, size=length)))
+            for s, length in enumerate(lengths.tolist())
+        ]
+        sentences[13] = FeatureSentence(item_id=7, tokens=("t3", "zz", "t3", "t11"))
+        sentences[20] = FeatureSentence(item_id=20, tokens=tuple(f"t{t}" for t in [*range(15), 4]))
+        return table, sentences
+
+    @staticmethod
     def known(sentence, table):
         return [table.vocab.index[t] for t in sentence.tokens if t in table.vocab.index]
 
+    def expected_ids(self, sentences, table):
+        """{item id: its last covered sentence's in-vocabulary token rows}."""
+        return {s.item_id: ids for s in sentences if (ids := self.known(s, table))}
+
+    def test_mixed_corpus_needs_reordering(self):
+        table, sentences = self.mixed_corpus(2, 2)
+        lengths = [len(ids) for ids in self.expected_ids(sentences, table).values()]
+        assert min(lengths) == 1 and max(lengths) == 16
+        assert lengths != sorted(lengths, reverse=True)
+        assert sum(s.item_id == 7 and bool(self.known(s, table)) for s in sentences) == 2
+        assert any(len(self.known(s, table)) < len(s.tokens) for s in sentences)
+        assert any(len(set(s.tokens)) < len(s.tokens) for s in sentences)
+
     @pytest.mark.parametrize("dim", [2, 3, 150])
     def test_mean_is_numpy_mean_bit_for_bit(self, dim):
-        table, sentences = self.random_corpus(dim, dim)
-        index = build_item_vectors(sentences, table)
-        assert index.ids.dtype == np.int64 and index.matrix.shape == (len(index), dim)
-        for sent in sentences:
-            ids = self.known(sent, table)
-            if not ids:
-                assert sent.item_id not in index
-                continue
-            row = index.find(sent.item_id)
-            assert index.coverage[row] == len(ids)
-            assert index.matrix[row].tobytes() == table.input_vectors[ids].mean(axis=0).tobytes(), sent.item_id
+        for table, sentences in (self.random_corpus(dim, dim), self.mixed_corpus(dim, dim)):
+            index = build_item_vectors(sentences, table)
+            assert index.ids.dtype == np.int64 and index.matrix.shape == (len(index), dim)
+            expected = self.expected_ids(sentences, table)
+            assert index.ids.tolist() == sorted(expected)
+            for item, ids in expected.items():
+                row = index.find(item)
+                assert index.coverage[row] == len(ids)
+                assert index.matrix[row].tobytes() == table.input_vectors[ids].mean(axis=0).tobytes(), item
 
     def test_dim_one_mean_is_a_left_fold(self):
-        table, sentences = self.random_corpus(1, 1)
+        for table, sentences in (self.random_corpus(1, 1), self.mixed_corpus(1, 1)):
+            index = build_item_vectors(sentences, table)
+            for item, ids in self.expected_ids(sentences, table).items():
+                total = 0.0
+                for i in ids:
+                    total += float(table.input_vectors[i, 0])
+                assert index.vectors[item][0] == total / len(ids), item
+
+    @pytest.mark.parametrize("dim", [1, 2, 150])
+    def test_mixed_lengths_are_left_folds(self, dim):
+        table, sentences = self.mixed_corpus(dim + 10, dim)
         index = build_item_vectors(sentences, table)
-        for sent in sentences:
-            ids = self.known(sent, table)
-            total = 0.0
+        vectors = table.input_vectors.tolist()
+        for item, ids in self.expected_ids(sentences, table).items():
+            total = [0.0] * dim
             for i in ids:
-                total += float(table.input_vectors[i, 0])
-            assert index.vectors[sent.item_id][0] == total / len(ids), sent.item_id
+                total = [t + v for t, v in zip(total, vectors[i])]
+            assert index.vectors[item].tolist() == [t / len(ids) for t in total], item
 
     def test_last_covered_sentence_of_an_item_wins(self):
         table = make_table({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [1.0, 1.0]})
@@ -513,12 +550,14 @@ class TestDuplicatePairs:
 def row_world(seed, step):
     """Random ratings on a grid of ``step`` over [0, 5] plus an item index.
 
-    Zero ratings make some co-rated sub-vectors all zero. The index
+    Every grid draws the same (user, item) pairs. A step of 0.001 gives
+    three-decimal ratings, off every dyadic grid. Zero ratings make some
+    co-rated sub-vectors all zero. The index
     leaves rated item 1 without a vector, gives rated item 2 and
     unrated item 103 zero vectors, and covers unrated items 101-103.
     """
     rng = np.random.default_rng(seed)
-    grid = np.arange(0.0, 5.0 + step, step)
+    grid = np.linspace(0.0, 5.0, round(5.0 / step) + 1).round(3)
     rows = [
         (u, i, float(rng.choice(grid)))
         for u in range(1, 31)
@@ -537,12 +576,27 @@ def row_world(seed, step):
 class TestRows:
     """Row kernels against the per-pair reference functions."""
 
-    @pytest.fixture(params=[None, 3], ids=["default-cap", "3-row-blocks"])
+    @pytest.fixture(params=[None, 3, 1, "pairs"], ids=["default-cap", "3-row-blocks", "1-row-blocks", "pair-bound"])
     def block_rows(self, request, monkeypatch):
-        """Caps rating blocks at 3 rows of a world's items, or keeps the default."""
+        """Caps rating blocks at 3 or 1 rows of a world's items, or keeps the defaults.
 
-        def use(n_items):
-            if request.param is not None:
+        "pairs" caps the co-rating pairs summed at once one below the
+        largest item's, so that item alone exceeds the cap and two
+        smaller neighbours are still summed together.
+        """
+
+        def use(ratings):
+            n_items = len(ratings.arrays.items)
+            if request.param == "pairs":
+                run = {}
+                for user, _item, _r, _t in ratings.records:
+                    run[user] = run.get(user, 0) + 1
+                pairs = {}
+                for user, item, _r, _t in ratings.records:
+                    pairs[item] = pairs.get(item, 0) + run[user]
+                monkeypatch.setattr(simcore, "_BLOCK_PAIRS", max(pairs.values()) - 1)
+                assert np.diff(simcore._pieces(ratings.arrays, 0, n_items)).max() > 1
+            elif request.param is not None:
                 monkeypatch.setattr(simcore, "_BLOCK_CELLS", request.param * n_items)
 
         return use
@@ -574,11 +628,13 @@ class TestRows:
                     else:
                         assert abs(row[p] - want.value) <= tol, (t, j)
 
-    @pytest.mark.parametrize("step", [1.0, 0.5])
+    # Sums of three-decimal ratings round, so exact cells need both sides
+    # to add each cell's co-raters in the same order.
+    @pytest.mark.parametrize("step", [1.0, 0.5, 0.001])
     @pytest.mark.parametrize("seed", [3, 4])
     def test_cf_rows_equal_rating_cosine_exactly(self, block_rows, step, seed):
         ratings, index = row_world(seed, step)
-        block_rows(len(ratings.arrays.items))
+        block_rows(ratings)
         provider = make_provider("cf", ratings=ratings)
         rated = ratings.arrays.position
 
@@ -594,11 +650,11 @@ class TestRows:
         expected = lambda t, j: relf_sim(t, j, index)  # noqa: E731
         self.check_rows(provider, ratings, index, self.targets(ratings, index, seed), expected, 1e-14)
 
-    @pytest.mark.parametrize("step", [1.0, 0.5])
+    @pytest.mark.parametrize("step", [1.0, 0.5, 0.001])
     @pytest.mark.parametrize("seed", [3, 4])
     def test_hybrid_rows_match_hybrid_sim(self, block_rows, step, seed):
         ratings, index = row_world(seed, step)
-        block_rows(len(ratings.arrays.items))
+        block_rows(ratings)
         counts = sorted(ratings.arrays.counts.tolist())
         supports = [
             rating_cosine(i, j, ratings).support
