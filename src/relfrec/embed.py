@@ -71,6 +71,7 @@ import heapq
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -133,7 +134,8 @@ class Vocabulary:
     def encode(self, sentences):
         """(indices, counts): every sentence's in-vocabulary token indices
         as one int64 array in corpus order, and how many each sentence has."""
-        indices = np.fromiter((self.index.get(t, -1) for s in sentences for t in s.tokens), dtype=np.int64)
+        tokens = chain.from_iterable(s.tokens for s in sentences)
+        indices = np.fromiter(map(self.index.get, tokens, repeat(-1)), dtype=np.int64)
         sentence = np.arange(len(sentences)).repeat([len(s.tokens) for s in sentences])
         known = indices >= 0
         return indices[known], np.bincount(sentence[known], minlength=len(sentences))
@@ -627,7 +629,7 @@ def _read_vector_rows(stream, where):
             raise DataError(f"{where} line {lineno}: duplicate token {parts[0]!r}")
         tokens[parts[0]] = None
         try:
-            rows.append(np.array([float(x) for x in parts[1:]]))
+            rows.append(np.array(parts[1:], dtype=np.float64))
         except ValueError:
             raise DataError(f"{where} line {lineno}: non-numeric vector component") from None
         if not np.isfinite(rows[-1]).all():

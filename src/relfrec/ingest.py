@@ -13,9 +13,9 @@ appearance. Downstream modules treat these sentences as the training
 corpus for feature embeddings.
 
 Ratings are held as numpy columns (user, item, rating, timestamp), so
-reading a ``.dat`` file, joining, subsetting and writing the bundle
-run without a Python loop per record. A ``.dat`` file of well-formed
-lines is read in one strict pass; anything else goes through the
+reading, joining, subsetting and writing the bundle run without a
+Python loop per record. A ``.dat`` or CSV ratings file is read in one
+strict columnar pass; what that pass cannot decide goes through the
 per-line parser, which decides the same way line by line. Ids and
 timestamps must fit in 64 bits. A dataset's record tuples are built
 the first time something reads them.
@@ -31,7 +31,8 @@ import math
 import warnings
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -131,7 +132,7 @@ class RatingDataset:
     @cached_property
     def _kept(self):
         """Each (user, item) pair's last record, ordered by user, then item position."""
-        return _last_per_pair(self._users[1], self._items[1])
+        return _last_per_pair(self._users[1] * self.n_items + self._items[1])
 
     @cached_property
     def _means(self):
@@ -164,8 +165,14 @@ class RatingDataset:
         return len(self._items[0])
 
     def subset(self, indices):
-        """New dataset from the records at ``indices`` (a sequence or an index array; same scale)."""
-        rows = np.asarray(indices, dtype=np.intp)
+        """New dataset from the records at ``indices`` (same scale): integer positions, or a boolean
+        mask of the dataset's length selecting its True records; anything else is a ValueError."""
+        rows = np.asarray(indices)
+        if rows.dtype == bool and rows.shape == self.user.shape:
+            rows = np.flatnonzero(rows)
+        elif rows.dtype == bool or rows.ndim != 1 or rows.size and rows.dtype.kind not in "iu":
+            raise ValueError(f"subset takes integer positions or a mask of {len(self)}, not {rows.dtype} {rows.shape}")
+        rows = rows.astype(np.intp, copy=False)
         return RatingDataset._from_columns(
             self.user[rows], self.item[rows], self.rating[rows], self.timestamp[rows], self.r_min, self.r_max
         )
@@ -176,15 +183,21 @@ class RatingDataset:
         return RatingArrays(self)
 
 
-def _last_per_pair(user, item, *minor_keys):
-    """Index of each (user, item) pair's last record in order of user, item, then minor_keys.
+def _last_per_pair(pair, timestamp=None):
+    """Index of each pair's last record, in ascending order of ``pair``, one int64 code per pair.
 
-    The sort is stable, so among records equal on every key the last in
-    record order is the one kept. The indices come out sorted by pair.
+    The sort is stable, so of a pair's records the last in record order
+    is kept. With ``timestamp``, a repeated pair's records are ordered by
+    it first: the latest is kept, the later record on a tie. The
+    timestamp is read only where a pair repeats.
     """
-    order = np.lexsort((*minor_keys, item, user))
-    user, item = user[order], item[order]
-    return order[np.append((user[1:] != user[:-1]) | (item[1:] != item[:-1]), True)]
+    order = pair.argsort(kind="stable")
+    pair = pair[order]
+    same = pair[1:] == pair[:-1]
+    if timestamp is not None and same.any():
+        repeated = np.append(same, False) | np.append(False, same)
+        order[repeated] = order[repeated][np.lexsort((timestamp[order[repeated]], pair[repeated]))]
+    return order[np.append(~same, True)]
 
 
 def _record_columns(records):
@@ -348,9 +361,9 @@ def parse_ratings(source, fmt=None, scale=(1.0, 5.0)):
     fatal. A scale that is not two finite numbers with min below max is a
     ValueError, raised before any line is read.
 
-    A ``.dat`` file whose every line has the four-field form is read in
-    one strict pass into columns; any other file is parsed line by line,
-    with the same result.
+    The text is read once and parsed in one strict columnar pass
+    (``_read_columns``); a file that pass cannot decide is parsed line
+    by line, with the same result.
     """
     return _read_ratings(source, fmt, scale, strict=False)
 
@@ -376,16 +389,18 @@ def _read_ratings(source, fmt, scale, strict):
     """parse_ratings, or with ``strict`` a DataError at the first malformed line instead of a skip."""
     r_min, r_max = _rating_scale(scale)
     with text_stream(source) as stream:
-        lines = stream.readlines()
+        text = stream.read()
         name = stream_name(stream)
-    if not lines:
+    if not text:
         raise DataError(f"{name}: rating source is empty")
     if fmt is None:
-        fmt = _sniff_rating_format(lines[0], name)
+        fmt = _sniff_rating_format("".join(text.partition("\n")[:2]), name)
     if fmt not in ("dat", "csv"):
         raise DataError(f"unknown rating format {fmt!r}")
-    read = _read_dat_columns(lines, r_min, r_max) if fmt == "dat" else None
+    read = _read_columns(text, fmt, r_min, r_max)
     if read is None:
+        # The lines readlines() gives: the stream has already turned every line end into "\n".
+        lines = io.StringIO(text, newline="\n").readlines()
         read = (_parse_dat_lines if fmt == "dat" else _parse_csv_lines)(lines, r_min, r_max, name, strict)
     columns, bad = read
     if bad and strict:
@@ -397,33 +412,48 @@ def _read_ratings(source, fmt, scale, strict):
     return RatingDataset._from_columns(*columns, r_min, r_max, n_malformed=len(bad))
 
 
-def _read_dat_columns(lines, r_min, r_max):
-    """``.dat`` lines as (columns, malformed line numbers) in one strict pass.
+# A rating CSV header's column names, lowercased, and the record field each one holds.
+_CSV_FIELDS = {"userid": "user", "movieid": "item", "rating": "rating", "timestamp": "timestamp"}
 
-    Returns None, leaving the lines to the per-line parser, unless every
-    line is ``u::i::r::ts`` with integer ids and timestamp that fit in
-    int64. ``::`` becomes a comma for the reader, so a file that already
-    holds a comma is left to the per-line parser; so is one whose row
-    count differs from its line count, since the reader skips blank
-    lines the per-line parser counts as malformed. A NaN or out-of-scale
-    rating is malformed, as it is line by line.
+
+def _read_columns(text, fmt, r_min, r_max):
+    """A ratings file's text as (columns, malformed line numbers) in one strict np.loadtxt pass.
+
+    Returns None, leaving the text to the per-line parser, unless every
+    record line holds exactly its fields, integer ids and timestamp in
+    int64 (else loadtxt's ValueError). ``.dat``: ``u::i::r::ts``, with
+    ``::`` read as a comma, so a comma in the file is refused. CSV: the
+    header names userId, movieId, rating and optionally timestamp, each
+    once, in any order, and nothing else; a quote is refused. The rows
+    must be as many as the lines, since the reader skips blank lines. A
+    NaN or out-of-scale rating is malformed, as it is line by line.
     """
-    text = "".join(lines)
-    if "," in text:
-        return None
+    if fmt == "dat":
+        if "," in text:
+            return None
+        fields, body, first = _RECORD.names, text.replace("::", ","), 1
+    else:
+        header, _, body = text.partition("\n")
+        fields, first = [_CSV_FIELDS.get(h.strip().lower()) for h in header.split(",")], 2
+        if '"' in text or not {"user", "item", "rating"} <= set(fields) <= set(_RECORD.names) \
+                or len(set(fields)) < len(fields):
+            return None
     try:
         with warnings.catch_warnings():
             # An input of blank lines only is "no data" to the reader.
             warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(io.StringIO(text.replace("::", ",")), dtype=_RECORD, delimiter=",",
+            # Bytes: a StringIO holds four bytes a character. The reader decodes bytes as
+            # Latin-1, so no non-ASCII character parses, and its file goes line by line.
+            table = np.loadtxt(io.BytesIO(body.encode()), dtype=[(f, _RECORD[f]) for f in fields], delimiter=",",
                                comments=None, ndmin=1)
     except ValueError:
         return None
-    if len(table) != len(lines):
+    if len(table) != body.count("\n") + (not body.endswith("\n")):
         return None
     rating = table["rating"]
     valid = (r_min <= rating) & (rating <= r_max)
-    return tuple(table[name][valid] for name in _RECORD.names), (np.flatnonzero(~valid) + 1).tolist()
+    columns = tuple(table[f][valid] if f in fields else np.zeros(valid.sum(), np.int64) for f in _RECORD.names)
+    return columns, (np.flatnonzero(~valid) + first).tolist()
 
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
@@ -460,11 +490,9 @@ def _parse_dat_lines(lines, r_min, r_max, name, strict=False):
 def _parse_csv_lines(lines, r_min, r_max, name, strict=False):
     """The CSV parser: (columns, malformed line numbers)."""
     rows = csv_rows(lines, name)
-    header = [h.strip().lower() for h in next(rows)[1]]
+    header = [_CSV_FIELDS.get(h.strip().lower()) for h in next(rows)[1]]
     try:
-        iu = header.index("userid")
-        ii = header.index("movieid")
-        ir = header.index("rating")
+        iu, ii, ir = map(header.index, ("user", "item", "rating"))
     except ValueError:
         raise DataError(f"{name}:1: rating CSV header missing required columns: {lines[0]!r}")
     it = header.index("timestamp") if "timestamp" in header else None
@@ -473,31 +501,25 @@ def _parse_csv_lines(lines, r_min, r_max, name, strict=False):
 
 
 def _parse_dat_line(line):
-    line = line.strip()
-    if not line:
-        return None
-    parts = line.split("::")
+    parts = line.strip().split("::")
     if len(parts) not in (3, 4):
         return None
     try:
-        user = int(parts[0])
-        item = int(parts[1])
-        rating = float(parts[2])
-        ts = int(parts[3]) if len(parts) == 4 else 0
+        return int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3]) if len(parts) == 4 else 0
     except ValueError:
         return None
-    return (user, item, rating, ts)
 
 
 def _parse_csv_row(row, iu, ii, ir, it):
     try:
-        user = int(row[iu])
-        item = int(row[ii])
-        rating = float(row[ir])
-        ts = int(float(row[it])) if it is not None and row[it].strip() else 0
+        ts = row[it] if it is not None and row[it].strip() else "0"
+        try:
+            ts = int(ts)  # exact, where float would round beyond 2**53
+        except ValueError:
+            ts = int(float(ts))
+        return int(row[iu]), int(row[ii]), float(row[ir]), ts
     except (ValueError, IndexError, OverflowError):
         return None
-    return (user, item, rating, ts)
 
 
 def parse_item_features(source):
@@ -514,6 +536,7 @@ def parse_item_features(source):
     entries: dict = {}
     duplicates = 0
     skipped = 0
+    canonical = cache(canonical_token)  # each distinct person string once per file
     with text_stream(source) as stream:
         name = stream_name(stream)
         rows = csv_rows(stream, name)
@@ -538,9 +561,9 @@ def parse_item_features(source):
                 continue
             if not _INT64_MIN <= item <= _INT64_MAX:
                 raise DataError(f"{name}:{lineno}: item id {item} does not fit in 64 bits")
-            directors = _split_people(row, idir)
-            writers = _split_people(row, iwri)
-            cast = _split_people(row, icast)[:MAX_CAST]
+            directors = _split_people(row, idir, canonical)
+            writers = _split_people(row, iwri, canonical)
+            cast = _split_people(row, icast, canonical)[:MAX_CAST]
             if item in entries:
                 duplicates += 1
             entries[item] = CatalogEntry(directors, writers, cast)
@@ -549,9 +572,9 @@ def parse_item_features(source):
     return FeatureCatalog(entries=entries, n_dropped_duplicates=duplicates, n_skipped_rows=skipped)
 
 
-def _split_people(row, col):
+def _split_people(row, col, canonical):
     parts = row[col].split("|") if col < len(row) else []
-    return [tok for tok in map(canonical_token, parts) if tok is not None]
+    return list(filter(None, map(canonical, parts)))
 
 
 def build_sentences(catalog):
@@ -586,7 +609,8 @@ def clean_and_join(ratings, catalog):
     rows = np.flatnonzero(has_features)
     if not len(rows):
         raise EmptyJoinError("no ratings remain after joining with item metadata")
-    latest = _last_per_pair(ratings.user[rows], ratings.item[rows], ratings.timestamp[rows])
+    pair = ratings._users[1][rows] * ratings.n_items + ratings._items[1][rows]
+    latest = _last_per_pair(pair, ratings.timestamp[rows])
     cleaned = ratings.subset(rows[np.sort(latest)])
     report = {
         "n_ratings_in": len(ratings),
@@ -605,23 +629,45 @@ def clean_and_join(ratings, catalog):
 
 def write_catalog(catalog, sink):
     """Serialize a FeatureCatalog back to its CSV form (round-trips)."""
+    ids = sorted(catalog.entries)
+    entries = list(map(catalog.entries.__getitem__, ids))
+    people = [map("|".join, map(attrgetter(role), entries)) for role in ("directors", "screenwriters", "cast")]
     with text_stream(sink, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["itemId", "directors", "screenwriters", "cast"])
-        for item_id in sorted(catalog.entries):
-            e = catalog.entries[item_id]
-            writer.writerow(
-                [item_id, "|".join(e.directors), "|".join(e.screenwriters), "|".join(e.cast)]
-            )
+        writer.writerows(zip(ids, *people))
+
+
+# Records per block of write_ratings_csv.
+_WRITE_BLOCK = 1 << 12
 
 
 def write_ratings_csv(ratings, sink):
-    """Serialize ratings in the canonical CSV form."""
+    """Serialize ratings in the canonical CSV form: each block of records is a byte
+    matrix, one row per line, its fields padded with NULs that the write drops."""
     values, which = np.unique(ratings.rating, return_inverse=True)
-    labels = np.array([_format_rating(v) for v in values.tolist()], dtype=object)[which]
-    rows = zip(ratings.user.tolist(), ratings.item.tolist(), labels.tolist(), ratings.timestamp.tolist())
+    labels = np.array([_format_rating(v) + "," for v in values.tolist()], dtype=np.bytes_)
+    labels = labels.view(np.uint8).reshape(len(labels), -1)
     with text_stream(sink, "w") as stream:
-        stream.write("userId,movieId,rating,timestamp\n" + "".join(map("%d,%d,%s,%d\n".__mod__, rows)))
+        stream.write("userId,movieId,rating,timestamp\n")
+        for start in range(0, len(ratings), _WRITE_BLOCK):
+            rows = slice(start, start + _WRITE_BLOCK)
+            block = np.hstack((_decimal(ratings.user[rows], ","), _decimal(ratings.item[rows], ","),
+                               labels[which[rows]], _decimal(ratings.timestamp[rows], "\n")))
+            stream.write(block[block != 0].tobytes().decode("ascii"))
+
+
+def _decimal(column, end):
+    """(n, 22) bytes: each int64 of ``column`` in decimal, NUL-padded on the left, then ``end``."""
+    out = np.zeros((len(column), 22), dtype=np.uint8)
+    out[:, 0], out[:, 21] = (column < 0) * ord("-"), ord(end)
+    rest = np.abs(column).astype(np.uint64)  # np.abs leaves int64 min negative; as uint64 it is 2**63
+    for place in range(20, 0, -1):
+        out[:, place] = (rest % 10 + ord("0")) * ((rest > 0) | (place == 20))
+        rest //= 10
+        if not rest.any():
+            break
+    return out
 
 
 def _format_rating(rating):

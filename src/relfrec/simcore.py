@@ -178,11 +178,13 @@ def build_item_vectors(sentences, table):
     lengths = counts[rows][by_length]
     starts = np.append(0, counts.cumsum())[rows][by_length]
     sums = np.zeros((len(rows), table.input_vectors.shape[1]))
+    taken = np.empty_like(sums)  # one buffer for every step's take; mode "clip" fills it unbuffered
     for p in range(lengths.max(initial=0)):
         m = len(lengths) - lengths[::-1].searchsorted(p, side="right")
-        sums[:m] += table.input_vectors.take(tokens[starts[:m] + p], axis=0)
-    matrix = np.empty_like(sums)
-    matrix[by_length] = sums / lengths[:, None]
+        sums[:m] += table.input_vectors.take(tokens[starts[:m] + p], axis=0, out=taken[:m], mode="clip")
+    sums /= lengths[:, None]
+    matrix = taken  # the buffer, free now, puts the means back in item order
+    matrix[by_length] = sums
     excluded = len(counts) - len(covered)
     if excluded:
         log.info("item vector index: %d item(s) had no in-vocabulary tokens", excluded)

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -956,7 +957,8 @@ def vector_fuzz_inputs(seed, n_inputs):
         header, rows, trailer = valid[0].split(), [line.split() for line in valid[1:]], ""
         for _ in range(int(rng.integers(0, 3))):
             row = pick(rows)
-            kind = pick(["header-cut", "header-value", "arity", "component", "duplicate", "extra-row", "blank-trailer"])
+            kind = pick(["header-cut", "header-value", "arity", "component", "duplicate", "extra-row", "blank-trailer",
+                         "late-row", "short"])
             if kind == "header-cut":
                 header = header[:int(rng.integers(0, 2))]
             elif kind == "header-value" and len(header) == 2:
@@ -971,15 +973,50 @@ def vector_fuzz_inputs(seed, n_inputs):
                 rows.append(["extra", *(["0.25"] * (len(row) - 1))])
             elif kind == "blank-trailer":
                 trailer += pick(["\n", "   \n", "\n\n"])
+            elif kind == "short":
+                del rows[int(rng.integers(1, 4)):]
+            elif kind == "late-row":
+                trailer += pick(["\n", " \t\n"]) + " ".join(["late", *(["0.25"] * (len(row) - 1))]) + "\n"
         text = "".join(" ".join(line) + "\n" for line in [header, *rows]) + trailer
+        if rng.random() < 0.1:
+            text = text.rstrip("\n")
         if rng.random() < 0.15:
             text = text.replace("\n", "\r\n")
         data = text.encode("utf-8")
         if rng.random() < 0.1:
             data = b"\xef\xbb\xbf" + data
         if rng.random() < 0.12:
-            data = text.encode("latin-1") if rng.random() < 0.5 else data.replace(b"\n", b"\xff\n", 1)
+            data = text.encode("latin-1", errors="replace") if rng.random() < 0.5 else data.replace(b"\n", b"\xff\n", 1)
         yield data
+
+
+def read_vector_rows_per_row(stream, where):
+    """The reading that called float on each component, kept as the reader's oracle."""
+    header = stream.readline()
+    if not header:
+        raise DataError(f"{where} line 1: empty file")
+    v, dim = embed._parse_header(header, where)
+    tokens, rows = {}, []
+    for lineno in range(2, v + 2):
+        line = stream.readline()
+        if not line:
+            raise DataError(f"{where} line {lineno}: expected {v} rows, file ends after {lineno - 2}")
+        parts = line.split()
+        if len(parts) != dim + 1:
+            raise DataError(f"{where} line {lineno}: expected {dim + 1} fields, got {len(parts)}")
+        if parts[0] in tokens:
+            raise DataError(f"{where} line {lineno}: duplicate token {parts[0]!r}")
+        tokens[parts[0]] = None
+        try:
+            rows.append(np.array([float(x) for x in parts[1:]]))
+        except ValueError:
+            raise DataError(f"{where} line {lineno}: non-numeric vector component") from None
+        if not np.isfinite(rows[-1]).all():
+            raise DataError(f"{where} line {lineno}: non-finite vector component")
+    for lineno, line in enumerate(stream, v + 2):
+        if line.strip():
+            raise DataError(f"{where} line {lineno}: more rows than the header declares ({v})")
+    return list(tokens), np.array(rows)
 
 
 class TestVectorFileFuzz:
@@ -1013,3 +1050,28 @@ class TestVectorFileFuzz:
             outcomes["DataError" if got[0] == "DataError" else "loaded"] += 1
         # Each outcome occurs often.
         assert min(outcomes.values()) > 30, outcomes
+
+    def test_numpy_component_parse_matches_the_float_per_component_read(self):
+        """Parsing each row's components in one numpy call gives the same
+        tokens and vectors, or the same DataError naming the same line,
+        as calling float on each component."""
+        def outcome(read, text):
+            try:
+                tokens, vectors = read(io.StringIO(text, newline=None), "<stream>")
+            except DataError as exc:
+                return str(exc)
+            return tokens, vectors.shape, vectors.tolist()
+
+        messages = Counter()
+        for data in vector_fuzz_inputs(seed=43, n_inputs=600):
+            text = data.decode("utf-8", errors="replace").removeprefix("\ufeff")
+            got = outcome(embed._read_vector_rows, text)
+            assert got == outcome(read_vector_rows_per_row, text), data
+            if isinstance(got, str):  # the message, less its numbers and from its first comma or quote
+                messages[re.sub(r"\d+ ?", "", got.split(": ", 1)[1]).split(",")[0].split(" '")[0]] += 1
+            else:
+                messages["loaded"] += 1
+        # Files load, and every kind of error occurs.
+        assert set(messages) >= {"loaded", "malformed header", "header values must be positive", "expected rows",
+                                 "expected fields", "duplicate token", "non-numeric vector component",
+                                 "non-finite vector component", "more rows than the header declares ()"}, messages

@@ -10,9 +10,11 @@ import sys
 import numpy as np
 import pytest
 
+import synthdata
 from relfrec import ingest
 from relfrec.embed import EmbeddingTable, Vocabulary, load_embeddings, save_embeddings
 from relfrec.errors import DataError, EmptyJoinError
+from relfrec.cli import main
 from relfrec.evaluation import write_manifest, write_results_csv
 from relfrec.ingest import (
     CatalogEntry,
@@ -168,6 +170,24 @@ class TestParseRatings:
         ds = parse_ratings(io.StringIO("userId,movieId,rating,timestamp\n1,2,3,inf\n1,3,4,5\n"), fmt="csv")
         assert ds.records == [(1, 3, 4.0, 5)] and ds.n_malformed == 1
 
+    @pytest.mark.parametrize("fmt, text", [
+        ("dat", "1::2::3::9007199254740993\n1::2::5::9007199254740992\n"),
+        ("csv", "userId,movieId,rating,timestamp\n1,2,3,9007199254740993\n1,2,5,9007199254740992\n"),
+        ("csv", "userId,movieId,rating,timestamp\n1,2,3,9007199254740993\n\n1,2,5,9007199254740992\n"),
+        ("csv", 'userId,movieId,rating,timestamp\n1,2,3,"9007199254740993"\n1,2,5,9007199254740992.0\n'),
+    ], ids=["dat", "csv", "csv-blank-line", "csv-quoted-and-float"])
+    def test_timestamps_beyond_2_53_read_exactly(self, fmt, text):
+        """An integer timestamp is read as that integer in either format and on
+        either route, so the join keeps the same record; only a timestamp
+        written as a float goes through float."""
+        ds = parse_ratings(io.StringIO(text), fmt=fmt)
+        assert ds.timestamp.tolist() == [9007199254740993, 9007199254740992]
+        assert clean_and_join(ds, make_catalog([2])).ratings.records == [(1, 2, 3.0, 9007199254740993)]
+
+    def test_float_csv_timestamp_is_truncated(self):
+        ds = parse_ratings(io.StringIO("userId,movieId,rating,timestamp\n1,2,3,12.75\n1,3,4,-2.5\n"), fmt="csv")
+        assert ds.timestamp.tolist() == [12, -2]
+
 
 # One field longer than the csv module accepts.
 LONG_FIELD = "x" * (csv.field_size_limit() + 1)
@@ -296,7 +316,7 @@ class TestDatFuzz:
                 expected = self.outcome(lambda: self.per_line(lines, name))
                 counted = expected if isinstance(expected, str) else (expected[0], len(expected[1]))
                 assert self.outcome(lambda: rating_columns(parse_ratings(source, fmt="dat"))) == counted, data
-                read = ingest._read_dat_columns(lines, 1.0, 5.0)
+                read = ingest._read_columns("".join(lines), "dat", 1.0, 5.0)
                 sources["fallback" if read is None else "fast"] += 1
                 if read is not None:
                     columns, bad = read
@@ -313,8 +333,9 @@ RATING_CSV_FIELDS = [
     "\xa05", LONG_FIELD, f'"{LONG_FIELD}"',
 ]
 RATING_CSV_HEADERS = [
-    "userId,movieId,rating,timestamp", "rating,userId,movieId", 'userId,"movieId",rating,timestamp',
-    'userId,movieId,"rating', "userId,movieId", "", '"', LONG_FIELD,
+    "userId,movieId,rating,timestamp", "rating,userId,movieId", "timestamp,movieId, UserID ,rating",
+    "movieId,rating,timestamp,userId", 'userId,"movieId",rating,timestamp', "userId,movieId,rating,rating",
+    "userId,movieId,rating,timestamp,genre", 'userId,movieId,"rating', "userId,movieId", "", '"', LONG_FIELD,
 ]
 METADATA_CSV_FIELDS = [
     "x", "", " ", "Tom Hanks", "a|b|c", "|||", "|".join(["p"] * 20), '"', '""', '"a,b"', 'a"b', '"unclosed',
@@ -327,17 +348,22 @@ METADATA_CSV_HEADERS = [
 
 
 def csv_fuzz_inputs(seed, n_inputs, headers, fields):
-    """Seeded CSV files: a header, then rows mixing small integers with odd fields, under mixed line ends."""
+    """Seeded CSV files: a header, then rows mixing small integers with odd fields, under mixed line
+    ends, at times behind a BOM. In half the files a row has as many fields as the header, or is blank."""
     rng = np.random.default_rng(seed)
     pick = lambda options: options[int(rng.integers(len(options)))]  # noqa: E731
     for _ in range(n_inputs):
-        lines = [headers[0] if rng.random() < 0.7 else pick(headers)]
+        lines = [headers[0] if rng.random() < 0.5 else pick(headers)]
+        width = len(lines[0].split(",")) if rng.random() < 0.5 else None
+        odd = 0.25 if width is None else pick([0.0, 0.0, 0.0, 0.02, 0.1])
         for _ in range(int(rng.integers(0, 8))):
+            n_fields = int(rng.integers(0, 6)) if width is None else width * (rng.random() < 0.9)
             lines.append(",".join(
-                pick(fields) if rng.random() < 0.25 else str(int(rng.integers(1, 6)))
-                for _ in range(int(rng.integers(0, 6)))
+                pick(fields) if rng.random() < odd else str(int(rng.integers(0, 7)))
+                for _ in range(n_fields)
             ))
         data = "".join(line + ("\n" if rng.random() < 0.8 else pick(["\r\n", "\r", ""])) for line in lines).encode()
+        data = b"\xef\xbb\xbf" + data if rng.random() < 0.1 else data
         yield data + b"\xff\xfe" if rng.random() < 0.1 else data
 
 
@@ -369,6 +395,32 @@ class TestCsvFuzz:
     def test_ratings_csv(self, tmp_path):
         inputs = csv_fuzz_inputs(31, 400, RATING_CSV_HEADERS, RATING_CSV_FIELDS)
         self.check(lambda source: rating_columns(parse_ratings(source, fmt="csv")), inputs, tmp_path)
+
+    def test_ratings_csv_columnar_pass_matches_per_line_parser(self, tmp_path, monkeypatch):
+        """Every generated file reads the same, skipping or naming the same
+        lines, with the strict columnar pass allowed and with every file
+        sent to the per-line parser."""
+        def outcome(data):
+            got = []
+            for strict in (False, True):
+                source = io.StringIO(data.decode("utf-8", errors="replace"))
+                try:
+                    got.append(rating_columns(ingest._read_ratings(source, "csv", (1.0, 5.0), strict)))
+                except DataError as exc:
+                    got.append(f"DataError: {exc}")
+            return got
+
+        inputs = list(csv_fuzz_inputs(31, 400, RATING_CSV_HEADERS, RATING_CSV_FIELDS))
+        both_routes = [outcome(data) for data in inputs]
+        columnar = 0
+        for data in inputs:
+            text = io.StringIO(data.decode("utf-8", errors="replace").removeprefix("\ufeff"), newline=None).read()
+            columnar += ingest._read_columns(text, "csv", 1.0, 5.0) is not None
+        monkeypatch.setattr(ingest, "_read_columns", lambda *args: None)
+        for data, got in zip(inputs, both_routes):
+            assert got == outcome(data), data[:300]
+        # Both routes are exercised.
+        assert 40 < columnar < 350, columnar
 
     def test_metadata_csv(self, tmp_path):
         inputs = csv_fuzz_inputs(37, 400, METADATA_CSV_HEADERS, METADATA_CSV_FIELDS)
@@ -503,6 +555,22 @@ class TestRatingDataset:
         assert (sub.r_min, sub.r_max) == (ds.r_min, ds.r_max)
         assert ds.subset(np.array([2, 0])).records == sub.records
 
+    def test_subset_by_boolean_mask(self):
+        ds = RatingDataset(records=[(1, 1, 2.0, 0), (2, 12, 3.0, 1), (3, 14, 4.0, 2)])
+        assert ds.subset(ds.item > 10).records == ds.records[1:]
+        assert ds.subset([True, False, True]).records == [ds.records[0], ds.records[2]]
+        with pytest.raises(DataError, match="no records"):
+            ds.subset(ds.item > 20)
+
+    @pytest.mark.parametrize("indices", [[0.9, 1.7], np.array([0.0, 1.0]), [True, False], np.ones(4, dtype=bool),
+                                         np.zeros(0, dtype=bool), [[0, 1]], 1, ["0"]],
+                             ids=["floats", "float-array", "short-mask", "long-mask", "empty-mask", "2-d", "scalar",
+                                  "strings"])
+    def test_subset_refuses_what_is_neither_positions_nor_a_mask(self, indices):
+        ds = RatingDataset(records=[(1, 1, 2.0, 0), (2, 12, 3.0, 1), (3, 14, 4.0, 2)])
+        with pytest.raises(ValueError, match="subset takes integer positions or a mask of 3"):
+            ds.subset(indices)
+
 
 class TestParseItemFeatures:
     def test_cast_truncated_to_twelve(self):
@@ -599,6 +667,24 @@ class TestCleanAndJoin:
         ratings = RatingDataset(records=[(7, 1, 3.0, 10), (7, 1, 5.0, 10)])
         bundle = clean_and_join(ratings, make_catalog([1]))
         assert bundle.ratings.records == [(7, 1, 5.0, 10)]
+
+    def test_last_per_pair_equals_the_three_key_lexsort(self):
+        """One stable sort of the pair code keeps each pair's record that a
+        lexsort by user, item and timestamp keeps, and in a dataset's
+        arrays the order a lexsort by user code, then item code gives."""
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 40, 400):
+            user, item, ts = (rng.integers(-3, 4, n), rng.integers(0, 6, n), rng.integers(0, 4, n))
+            ds = RatingDataset._from_columns(user, item, np.full(n, 3.0), ts, 1.0, 5.0)
+            order = np.lexsort((ts, item, user))
+            last = np.append((user[order][1:] != user[order][:-1]) | (item[order][1:] != item[order][:-1]), True)
+            pair = ds._users[1] * ds.n_items + ds._items[1]
+            assert np.sort(ingest._last_per_pair(pair, ts)).tolist() == np.sort(order[last]).tolist()
+            codes = (ds._users[1], ds._items[1])
+            order = np.lexsort(codes[::-1])
+            last = np.append((codes[0][order][1:] != codes[0][order][:-1])
+                             | (codes[1][order][1:] != codes[1][order][:-1]), True)
+            assert ds._kept.tolist() == order[last].tolist()
 
     def test_empty_join_fatal(self):
         ratings = RatingDataset(records=[(1, 99, 4.0, 0)])
@@ -703,6 +789,42 @@ class TestBundleIO:
                    f"{dropped[1]} repeated (user, item) pair(s)")
         with pytest.raises(DataError, match=re.escape(message)):
             load_bundle(out)
+
+    @pytest.mark.parametrize("world", ["cli", "three-decimal", "int64-edges"])
+    def test_every_bundle_ingest_writes_is_read_in_one_columnar_pass(self, tmp_path, monkeypatch, world):
+        """The per-line CSV parser is never needed for a bundle ingest wrote."""
+        raw = tmp_path / "raw"
+        if world == "cli":
+            synthdata.write_genre_world_files(raw)
+            scale = ["--rating-min", "1", "--rating-max", "5"]
+        else:
+            rng = np.random.default_rng(3)
+            n = 300
+            if world == "three-decimal":
+                ids = rng.integers(1, 40, n), rng.integers(1, 30, n), rng.integers(0, 10**9, n)
+                ratings = (rng.integers(0, 5001, n) / 1000).tolist()
+            else:
+                edges = np.array([-2**63, -2**63 + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1])
+                ids = rng.choice(edges, n), rng.choice(edges, n), rng.choice(edges, n)
+                ratings = (rng.integers(0, 11, n) / 2).tolist()
+            raw.mkdir()
+            users, items, stamps = (c.tolist() for c in ids)
+            (raw / "ratings.dat").write_text("".join(
+                f"{u}::{i}::{r!r}::{t}\n" for u, i, r, t in zip(users, items, ratings, stamps)))
+            (raw / "features.csv").write_text("itemId,directors,screenwriters,cast\n" + "".join(
+                f"{i},d{i % 7},w,a|b{i % 3}\n" for i in np.unique(ids[1]).tolist()))
+            scale = ["--rating-min", "0", "--rating-max", "5"]
+        assert main(["ingest", "--ratings", str(raw / "ratings.dat"), "--metadata", str(raw / "features.csv"),
+                     "--out", str(tmp_path / "bundle"), *scale]) == 0
+        expected = load_bundle(tmp_path / "bundle")
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a bundle ingest wrote went to the per-line parser")
+
+        monkeypatch.setattr(ingest, "_parse_csv_lines", refused)
+        loaded = load_bundle(tmp_path / "bundle")
+        assert rating_columns(loaded.ratings) == rating_columns(expected.ratings)
+        assert len(loaded.ratings) >= 49  # every (user, item) pair of the int64 edges
 
     def test_load_bundle_missing_dir_fatal(self, tmp_path):
         with pytest.raises(DataError):
