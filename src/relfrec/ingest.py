@@ -612,6 +612,10 @@ def clean_and_join(ratings, catalog):
     pair = ratings._users[1][rows] * ratings.n_items + ratings._items[1][rows]
     latest = _last_per_pair(pair, ratings.timestamp[rows])
     cleaned = ratings.subset(rows[np.sort(latest)])
+    if len(cleaned) == len(ratings):
+        # Nothing dropped: the cleaned records are the read's, in its order, so the read's
+        # user and item codes and the join's pair order serve it unchanged.
+        cleaned._users, cleaned._items, cleaned._kept = ratings._users, ratings._items, latest
     report = {
         "n_ratings_in": len(ratings),
         "n_ratings_kept": len(cleaned),

@@ -1,4 +1,4 @@
-"""Synthetic corpora and rating worlds used across the test suite.
+"""Synthetic corpora, rating worlds and stand-ins used across the test suite.
 
 Two generators:
 
@@ -12,7 +12,10 @@ Two generators:
   similarity therefore carries the same signal the ratings follow,
   which is what a hybrid predictor needs to shine on cold items.
 
-Both are fully determined by their seed.
+Both are fully determined by their seed, as is random_world, a small
+rating world of a given density. The smaller builders: dataset (a
+RatingDataset from triples), item_index (an ItemVectorIndex from a
+dict) and stub_provider (a SimilarityProvider with fixed cells).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from relfrec.ingest import CatalogEntry, FeatureCatalog, FeatureSentence, RatingDataset, build_sentences
-from relfrec.simcore import ItemVectorIndex
+from relfrec.simcore import ItemVectorIndex, SimilarityProvider
 
 
 def two_clique_corpus(seed=11, n_sentences=200, clique_size=10, sentence_len=8):
@@ -54,6 +57,42 @@ def mean_pairwise_cosine(table, tokens_a, tokens_b=None):
     mat_b = np.stack([table.vector(t) for t in tokens_b])
     mat_b = mat_b / np.linalg.norm(mat_b, axis=1, keepdims=True)
     return float((mat_a @ mat_b.T).mean())
+
+
+def dataset(rows, r_min=1.0, r_max=5.0):
+    """RatingDataset from (user, item, rating) triples, each at timestamp 0."""
+    return RatingDataset(records=[(u, i, float(r), 0) for u, i, r in rows], r_min=r_min, r_max=r_max)
+
+
+def random_world(seed, n_users=12, n_items=8, density=0.7):
+    """Integer ratings 1-5; user u + 1 rates item i + 1 with probability density."""
+    rng = np.random.default_rng(seed)
+    rows = [
+        (u + 1, i + 1, float(rng.integers(1, 6)))
+        for u in range(n_users)
+        for i in range(n_items)
+        if rng.random() < density
+    ]
+    return dataset(rows)
+
+
+def stub_provider(values, rating_pairs=()):
+    """A provider whose cells are fixed per unordered pair; every other cell is undefined.
+
+    ``values`` maps (i, j), i < j, to a similarity; the pairs in
+    ``rating_pairs`` are rating cells, the others content cells. Rows
+    follow the provider contract: one value per id of a sorted id array,
+    NaN where undefined and at the target itself.
+    """
+    rating_pairs = set(rating_pairs)
+
+    def row(item, items):
+        pairs = [(min(item, j), max(item, j)) for j in items.tolist()]
+        cells = np.array([values.get(pair, np.nan) for pair in pairs], dtype=np.float64)
+        cells[items == item] = np.nan
+        return cells, np.array([pair in rating_pairs for pair in pairs], dtype=bool)
+
+    return SimilarityProvider(row, np.array(sorted({j for pair in values for j in pair})))
 
 
 def item_index(vectors, dim, coverage=1):

@@ -3,7 +3,8 @@
 Each test verifies one end-to-end guarantee at a stated tolerance and
 prints a single PASS/FAIL line with the measured numbers (run with -s
 to see them on success). The checks are self-contained: reference
-values come from naive reimplementations, not from the code under test.
+values come from the naive reimplementations of ``oracles``, not from
+the code under test.
 """
 
 import csv
@@ -21,6 +22,7 @@ from relfrec.ingest import RatingDataset, clean_and_join, parse_item_features, p
 from relfrec.predict import PredictionConfig, predict_rating
 from relfrec.simcore import HybridPolicy, make_provider, rating_cosine
 
+import oracles
 import synthdata
 
 
@@ -29,58 +31,10 @@ def check(ok, label):
     assert ok, label
 
 
-def reference_pair_loss(center, context, negatives):
-    loss = np.logaddexp(0.0, -(context @ center))
-    for nv in negatives:
-        loss += np.logaddexp(0.0, nv @ center)
-    return float(loss)
-
-
-def naive_cosine(a, b):
-    return float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
-
-
-def naive_prediction(user, item, matrix, k, r_min=1.0, r_max=5.0):
-    """Weighted-deviation prediction recomputed from a dense matrix."""
-    means = matrix.mean(axis=0)
-    sims = []
-    for j in range(matrix.shape[1]):
-        if j == item:
-            continue
-        s = naive_cosine(matrix[:, item], matrix[:, j])
-        if s > 0.0:
-            sims.append((s, j))
-    sims.sort(key=lambda t: (-t[0], t[1]))
-    top = sims[:k]
-    num = sum(s * (matrix[user, j] - means[j]) for s, j in top)
-    den = sum(s for s, _ in top)
-    value = means[item] + num / den
-    return min(max(value, r_min), r_max)
-
-
 class TestAcceptance:
     def test_pair_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(42)
-        h, lr = 1e-6, 0.37
-        worst = 0.0
         start = time.perf_counter()
-        for _ in range(100):
-            dim = int(rng.integers(2, 8))
-            n_neg = int(rng.integers(1, 5))
-            vecs = [rng.uniform(-1, 1, dim) for _ in range(n_neg + 2)]
-            before = [v.copy() for v in vecs]
-            sgns_pair_update(vecs[0], vecs[1], vecs[2:], lr)
-            analytic = [(b - v) / lr for b, v in zip(before, vecs)]
-            for idx in range(len(before)):
-                for coord in range(dim):
-                    probe = [b.copy() for b in before]
-                    probe[idx][coord] += h
-                    up = reference_pair_loss(probe[0], probe[1], probe[2:])
-                    probe[idx][coord] -= 2 * h
-                    down = reference_pair_loss(probe[0], probe[1], probe[2:])
-                    fd = (up - down) / (2 * h)
-                    denom = max(abs(fd), abs(analytic[idx][coord]), 1e-8)
-                    worst = max(worst, abs(fd - analytic[idx][coord]) / denom)
+        worst = oracles.pair_gradient_error(sgns_pair_update, np.random.default_rng(42))
         elapsed = time.perf_counter() - start
         check(
             worst <= 1e-5 and elapsed < 1.0,
@@ -113,15 +67,16 @@ class TestAcceptance:
             for i in range(8):
                 for j in range(i + 1, 8):
                     got = timed(rating_cosine, i + 1, j + 1, ds)
-                    want = naive_cosine(matrix[:, i], matrix[:, j])
+                    want, _support = oracles.corater_cosine(matrix, i, j)
                     worst_sim = max(worst_sim, abs(got.value - want))
             provider = timed(make_provider, "cf", ratings=ds)
+            sim = lambda i, j: oracles.corater_cosine(matrix, i - 1, j - 1)[0]  # noqa: E731
             for k in (3, 35):
                 cfg = PredictionConfig(k=k)
                 for u in range(8):
                     for i in range(8):
                         got = timed(predict_rating, u + 1, i + 1, ds, provider, cfg)
-                        want = naive_prediction(u, i, matrix, k)
+                        want, _detail, _used = oracles.knn_prediction(u + 1, i + 1, rows, sim, k)
                         worst_pred = max(worst_pred, abs(got.value - want))
         check(
             worst_sim <= 1e-12 and worst_pred <= 1e-12 and elapsed < 1.0,

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -25,31 +26,56 @@ from relfrec.evaluation import (
 )
 from relfrec import evaluation, predict, simcore
 from relfrec.ingest import RatingDataset, parse_ratings
-from relfrec.predict import PredictionConfig, predict_batch
-from relfrec.simcore import make_provider
+from relfrec.predict import DETAIL_FULL, DETAIL_GLOBAL_MEAN, DETAIL_ITEM_MEAN, PredictionConfig, predict_batch
+from relfrec.simcore import HybridPolicy, hybrid_sim, make_provider, rating_cosine, relf_sim
 
+import oracles
 import synthdata
-
-
-def dataset(rows):
-    return RatingDataset(records=[(u, i, float(r), 0) for u, i, r in rows])
-
-
-def random_world(seed, n_users=12, n_items=8, density=0.7):
-    rng = np.random.default_rng(seed)
-    rows = [
-        (u + 1, i + 1, float(rng.integers(1, 6)))
-        for u in range(n_users)
-        for i in range(n_items)
-        if rng.random() < density
-    ]
-    return dataset(rows)
+from synthdata import dataset, random_world
 
 
 def full_coverage_index(item_ids, seed=9):
     rng = np.random.default_rng(seed)
     vectors = {i: rng.uniform(0.1, 1.0, 4) for i in item_ids}
     return synthdata.item_index(vectors, dim=4, coverage=3)
+
+
+def tie_world(seed=3):
+    """Sparse integer ratings and an item index where equal similarities straddle small ks.
+
+    Items 2 and 3 copy item 1's rating column and items 6-8 copy item 5's
+    vector; a pair with one co-rater has a rating cosine of exactly 1.
+    User 40 rates only item 1, so the fold that tests that record does
+    not know the user. Item 20 has no vector.
+    """
+    rng = np.random.default_rng(seed)
+    rows = [(u, i, int(rng.integers(1, 6))) for u in range(1, 25) for i in [1, *range(4, 21)] if rng.random() < 0.3]
+    rows += [(u, j, r) for u, i, r in rows if i == 1 for j in (2, 3)] + [(40, 1, 4)]
+    vectors = {i: rng.normal(0.3, 1.0, 4) for i in range(1, 20)}
+    for j in (6, 7, 8):
+        vectors[j] = vectors[5]
+    return dataset(rows), synthdata.item_index(vectors, dim=4)
+
+
+def reference_sim(predictor, train, index, policy):
+    """The predictor's per-pair reference function as oracles.knn_prediction's sim.
+
+    cf leaves an item without training ratings undefined, as its provider does.
+    """
+    rated = train.arrays.position
+    pair = {
+        "cf": lambda i, j: rating_cosine(i, j, train) if i in rated and j in rated else None,
+        "cb": lambda i, j: relf_sim(i, j, index),
+        "hybrid": lambda i, j: hybrid_sim(i, j, train, index, policy),
+    }[predictor]
+    return lambda i, j: getattr(pair(i, j), "value", None)
+
+
+def tie_at(k, user, item, records, sim):
+    """Whether the k-th and the next positive similarity of user's candidates for item are equal."""
+    values = (sim(item, j) for u, j, *_ in records if u == user and j != item)
+    ranked = sorted((v for v in values if v is not None and v > 0.0), reverse=True)
+    return len(ranked) > k and ranked[k - 1] == ranked[k]
 
 
 class TestMetrics:
@@ -397,6 +423,47 @@ class TestSweepK:
         assert len(subsets) == plan.n_folds
         for data in [ds, *subsets]:
             assert "records" not in vars(data)
+
+    def test_cells_equal_the_per_record_oracle(self):
+        """Every cell's RMSE, MAE and fallbacks, fold by fold, against
+        oracles.knn_prediction over the per-pair reference functions, at
+        k 1, at k 2 where equal similarities straddle the cut, and past
+        every neighbourhood."""
+        ds, index = tie_world()
+        policy, ks, predictors = HybridPolicy(), (1, 2, 500), ("cf", "cb", "hybrid")
+        seen = set()
+        for kind in ("kfold(3)", "cold-start(0.2)"):
+            plan = make_split(ds, kind, seed=3)
+            want = {(p, k): [] for p in predictors for k in ks}
+            for _f, train_idx, test_idx in plan.folds():
+                train, records = ds.subset(train_idx), [ds.records[r] for r in train_idx]
+                tests = [ds.records[r] for r in test_idx]
+                users, items = {u for u, *_ in records}, {i for _u, i, *_ in records}
+                seen.update("unknown user" for u, _i, _r, _t in tests if u not in users)
+                seen.update("cold item" for _u, i, _r, _t in tests if i not in items)
+                for predictor in predictors:
+                    sim = reference_sim(predictor, train, index, policy)
+                    seen.update(f"{predictor} tie" for u, i, _r, _t in tests if tie_at(2, u, i, records, sim))
+                    for k in ks:
+                        got = [oracles.knn_prediction(u, i, records, sim, k, ds.r_min, ds.r_max)
+                               for u, i, _r, _t in tests]
+                        errors = [value - r for (value, _d, _n), (_u, _i, r, _t) in zip(got, tests)]
+                        want[predictor, k].append((
+                            math.sqrt(sum(e * e for e in errors) / len(errors)),
+                            sum(abs(e) for e in errors) / len(errors),
+                            sum(detail != DETAIL_FULL for _v, detail, _n in got),
+                        ))
+                        seen.update(detail for _v, detail, _n in got)
+            for predictor, k, report in sweep_k(ks, predictors, plan, ds, index=index, policy=policy):
+                folds = want[predictor, k]
+                for fold, (o_rmse, o_mae, o_fallbacks) in zip(report.per_fold or (report,), folds, strict=True):
+                    assert abs(fold.rmse - o_rmse) <= 1e-12 and abs(fold.mae - o_mae) <= 1e-12, (kind, predictor, k)
+                    assert fold.n_fallbacks == o_fallbacks, (kind, predictor, k)
+                assert abs(report.rmse - sum(f[0] for f in folds) / len(folds)) <= 1e-12
+                assert abs(report.mae - sum(f[1] for f in folds) / len(folds)) <= 1e-12
+                assert report.n_fallbacks == sum(f[2] for f in folds)
+        assert seen == {DETAIL_FULL, DETAIL_ITEM_MEAN, DETAIL_GLOBAL_MEAN, "unknown user", "cold item",
+                        "cf tie", "cb tie", "hybrid tie"}
 
     def test_bad_ks_fatal(self):
         ds = random_world(13)

@@ -826,6 +826,28 @@ class TestBundleIO:
         assert rating_columns(loaded.ratings) == rating_columns(expected.ratings)
         assert len(loaded.ratings) >= 49  # every (user, item) pair of the int64 edges
 
+    def test_load_bundle_codes_the_records_once(self, tmp_path, monkeypatch):
+        """A bundle the join keeps whole reuses the read's user and item codes:
+        two full-length np.unique calls, and the arrays of a dataset coded afresh."""
+        ratings, catalog, _sentences = synthdata.genre_world(seed=5, n_users=60, n_items=40, ratings_per_user=12)
+        out = save_bundle(clean_and_join(ratings, catalog), catalog, tmp_path / "bundle")
+        lengths = []
+        original = np.unique
+
+        def counted(values, *args, **kwargs):
+            lengths.append(len(values))
+            return original(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        loaded = load_bundle(out).ratings
+        arrays = loaded.arrays
+        assert lengths.count(len(ratings)) <= 2 and len(loaded) == len(ratings)
+        monkeypatch.undo()
+        fresh = RatingDataset(records=loaded.records)
+        for name in ("items", "cols", "values", "indptr"):
+            assert np.array_equal(getattr(arrays, name), getattr(fresh.arrays, name)), name
+        assert list(arrays.rows) == list(fresh.arrays.rows) and loaded.item_means == fresh.item_means
+
     def test_load_bundle_missing_dir_fatal(self, tmp_path):
         with pytest.raises(DataError):
             load_bundle(tmp_path / "absent")

@@ -18,53 +18,9 @@ from relfrec.predict import (
 )
 from relfrec.simcore import make_provider, relf_sim
 
+import oracles
 import synthdata
-
-
-def dataset(rows, r_min=1.0, r_max=5.0):
-    return RatingDataset(records=[(u, i, float(r), 0) for u, i, r in rows], r_min=r_min, r_max=r_max)
-
-
-class StubProvider:
-    """Similarity fixed per unordered pair; everything else undefined.
-
-    Serves rows on the provider contract: one value per id of a sorted
-    id array, NaN where undefined and at the target itself.
-    """
-
-    def __init__(self, values):
-        self.values = values
-
-    def row(self, item, items):
-        return np.array([
-            np.nan if j == item else self.values.get((min(item, j), max(item, j)), np.nan)
-            for j in items.tolist()
-        ])
-
-
-def mean_anchored_oracle(user, item, matrix, k, r_min=1.0, r_max=5.0):
-    """Dense-matrix reference for the weighted-deviation prediction.
-
-    matrix[u, i] is the rating of user u for item i (users and items are
-    row/column indices; every cell is filled).
-    """
-    n_users, n_items = matrix.shape
-    means = matrix.mean(axis=0)
-    sims = []
-    for j in range(n_items):
-        if j == item:
-            continue
-        a, b = matrix[:, item], matrix[:, j]
-        s = float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
-        if s > 0.0:
-            sims.append((s, j))
-    sims.sort(key=lambda t: (-t[0], t[1]))
-    top = sims[:k]
-    if not top:
-        return min(max(means[item], r_min), r_max)
-    num = sum(s * (matrix[user, j] - means[j]) for s, j in top)
-    den = sum(s for s, _ in top)
-    return min(max(means[item] + num / den, r_min), r_max)
+from synthdata import dataset, random_world, stub_provider
 
 
 class TestPredictionConfig:
@@ -97,7 +53,7 @@ class TestPredictRating:
                 (1, 102, 2), (2, 102, 4),
             ]
         )
-        provider = StubProvider({(100, 101): 0.8, (100, 102): 0.4})
+        provider = stub_provider({(100, 101): 0.8, (100, 102): 0.4})
         return ds, provider
 
     def test_weighted_deviation_hand_value(self):
@@ -118,35 +74,35 @@ class TestPredictRating:
 
     def test_user_without_ratings_gets_global_mean(self):
         ds = dataset([(1, 10, 2), (1, 11, 5)])
-        pred = predict_rating(99, 10, ds, StubProvider({}))
+        pred = predict_rating(99, 10, ds, stub_provider({}))
         assert pred.value == ds.global_mean
         assert pred.detail == DETAIL_GLOBAL_MEAN
 
     def test_no_candidates_falls_back_to_item_mean(self):
         ds = dataset([(1, 10, 2), (2, 11, 4), (3, 11, 5)])
-        pred = predict_rating(1, 11, ds, StubProvider({}))  # sim undefined
+        pred = predict_rating(1, 11, ds, stub_provider({}))  # sim undefined
         assert pred.value == pytest.approx(4.5)
         assert pred.detail == DETAIL_ITEM_MEAN
         assert pred.neighbors_used == 0
 
     def test_unrated_item_falls_back_to_global_mean(self):
         ds = dataset([(1, 10, 2), (2, 11, 4)])
-        pred = predict_rating(1, 999, ds, StubProvider({}))
+        pred = predict_rating(1, 999, ds, stub_provider({}))
         assert pred.value == ds.global_mean
         assert pred.detail == DETAIL_GLOBAL_MEAN
 
     def test_non_positive_similarities_excluded(self):
         ds, _ = self.hand_world()
-        pred = predict_rating(1, 100, ds, StubProvider({(100, 101): -0.9, (100, 102): 0.0}))
+        pred = predict_rating(1, 100, ds, stub_provider({(100, 101): -0.9, (100, 102): 0.0}))
         assert pred.detail == DETAIL_ITEM_MEAN
-        partial = predict_rating(1, 100, ds, StubProvider({(100, 101): -0.9, (100, 102): 0.4}))
+        partial = predict_rating(1, 100, ds, stub_provider({(100, 101): -0.9, (100, 102): 0.4}))
         # only item 102 joins: 3.5 + 0.4 * -1 / 0.4
         assert partial.value == pytest.approx(2.5, abs=1e-12)
         assert partial.neighbors_used == 1
 
     def test_target_item_never_its_own_neighbor(self):
         ds = dataset([(1, 100, 5), (1, 101, 4), (2, 100, 3), (2, 101, 3), (5, 100, 1)])
-        provider = StubProvider({(100, 100): 1.0, (100, 101): 0.5})
+        provider = stub_provider({(100, 100): 1.0, (100, 101): 0.5})
         pred = predict_rating(1, 100, ds, provider)
         assert pred.neighbors_used == 1  # item 101 only
         for real in (make_provider("cf", ratings=ds), make_provider("cb", index=self.index_of([100, 101]))):
@@ -179,10 +135,10 @@ class TestPredictRating:
         r_min, r_max = (1, 5) if integer_scale else (1.0, 5.0)
         ds = RatingDataset(records=[(1, 10, 5.0, 0), (1, 11, 2.0, 0), (2, 10, 1.0, 0), (2, 12, 4.0, 0)],
                            r_min=r_min, r_max=r_max)
-        none = StubProvider({})
+        none = stub_provider({})
         routes = {
             # 4.0 + (5 - 3) = 6.0, clamped to the scale's 5
-            DETAIL_FULL: predict_rating(1, 12, ds, StubProvider({(10, 12): 1.0})),
+            DETAIL_FULL: predict_rating(1, 12, ds, stub_provider({(10, 12): 1.0})),
             DETAIL_ITEM_MEAN: predict_rating(2, 11, ds, none),
             DETAIL_GLOBAL_MEAN: predict_rating(99, 10, ds, none),
             "unrated item": predict_rating(1, 999, ds, none),
@@ -203,7 +159,7 @@ class TestPredictRating:
                 (1, 103, 5), (2, 103, 1),    # mean 3, dev +2
             ]
         )
-        provider = StubProvider({(100, 101): 0.5, (100, 102): 0.9, (100, 103): 0.5})
+        provider = stub_provider({(100, 101): 0.5, (100, 102): 0.9, (100, 103): 0.5})
         pred = predict_rating(1, 100, ds, provider, PredictionConfig(k=2))
         # top-2: 102 (0.9) then 101 (0.5, lower id beats 103)
         expected = 3.5 + (0.9 * -1 + 0.5 * 1) / 1.4
@@ -223,7 +179,7 @@ class TestPredictRating:
                 (1, 101, 5), (2, 101, 1),     # dev +2 pushes above scale
             ]
         )
-        provider = StubProvider({(100, 101): 1.0})
+        provider = stub_provider({(100, 101): 1.0})
         clamped = predict_rating(1, 100, ds, provider)
         assert clamped.value == 5.0
         assert clamped.detail == DETAIL_FULL
@@ -237,14 +193,14 @@ class TestPredictRating:
                 (1, 101, 1), (2, 101, 5),     # dev -2
             ]
         )
-        pred = predict_rating(1, 100, ds, StubProvider({(100, 101): 1.0}))
+        pred = predict_rating(1, 100, ds, stub_provider({(100, 101): 1.0}))
         assert pred.value == 1.0
 
     def test_unrated_item_anchored_on_global_mean(self):
         # target has no training ratings but content-like sims exist:
         # stays a full prediction, anchored on the global mean
         ds = dataset([(1, 101, 5), (2, 101, 3)])  # global mean 4.0
-        provider = StubProvider({(101, 200): 0.6})
+        provider = stub_provider({(101, 200): 0.6})
         pred = predict_rating(1, 200, ds, provider)
         assert pred.detail == DETAIL_FULL
         assert pred.value == pytest.approx(ds.global_mean + (5 - 4.0), abs=1e-12)
@@ -262,23 +218,17 @@ class TestPredictRating:
             provider = make_provider("cf", ratings=ds)
             k = int(rng.integers(1, 7))
             cfg = PredictionConfig(k=k)
+            sim = lambda i, j: oracles.corater_cosine(matrix, i - 1, j - 1)[0]  # noqa: E731
             for u in range(6):
                 for i in range(6):
                     got = predict_rating(u + 1, i + 1, ds, provider, cfg)
-                    want = mean_anchored_oracle(u, i, matrix, k)
+                    want, _detail, _used = oracles.knn_prediction(u + 1, i + 1, rows, sim, k)
                     assert got.value == pytest.approx(want, abs=1e-12)
 
 
 class TestPredictBatch:
     def world(self):
-        rng = np.random.default_rng(37)
-        rows = [
-            (u + 1, i + 1, float(rng.integers(1, 6)))
-            for u in range(12)
-            for i in range(8)
-            if rng.random() < 0.7
-        ]
-        ds = dataset(rows)
+        ds = random_world(37)
         return ds, make_provider("cf", ratings=ds)
 
     def test_empty(self):

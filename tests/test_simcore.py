@@ -24,8 +24,10 @@ from relfrec.simcore import (
     top_similar_items,
 )
 
+import oracles
 import synthdata
 from relfrec import simcore
+from synthdata import dataset, random_world, stub_provider
 
 
 def make_table(vectors_by_token):
@@ -38,27 +40,6 @@ def make_table(vectors_by_token):
 
 def sentences_of(pairs):
     return [FeatureSentence(item_id=i, tokens=tuple(toks)) for i, toks in pairs]
-
-
-def dataset(rows):
-    """RatingDataset from (user, item, rating) triples."""
-    return RatingDataset(records=[(u, i, float(r), 0) for u, i, r in rows])
-
-
-def naive_pair_cosine(matrix, i, j):
-    """Reference: cosine over co-rated rows of two rating columns.
-
-    matrix holds np.nan for missing ratings.
-    """
-    mask = ~np.isnan(matrix[:, i]) & ~np.isnan(matrix[:, j])
-    if not mask.any():
-        return None
-    a = matrix[mask, i]
-    b = matrix[mask, j]
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return None
-    return float(a @ b) / (na * nb), int(mask.sum())
 
 
 class TestRatingCosine:
@@ -108,7 +89,7 @@ class TestRatingCosine:
                     if i + 100 not in ds.arrays.position or j + 100 not in ds.arrays.position:
                         continue
                     got = rating_cosine(i + 100, j + 100, ds)
-                    want = naive_pair_cosine(matrix, i, j)
+                    want = oracles.corater_cosine(matrix, i, j)
                     if want is None:
                         assert got is None
                     else:
@@ -116,14 +97,7 @@ class TestRatingCosine:
                         assert got.support == want[1]
 
     def test_symmetric(self):
-        rng = np.random.default_rng(23)
-        rows = [
-            (u + 1, i + 1, float(rng.integers(1, 6)))
-            for u in range(8)
-            for i in range(4)
-            if rng.random() < 0.7
-        ]
-        ds = dataset(rows)
+        ds = random_world(23, n_users=8, n_items=4)
         for i in ds.arrays.position:
             for j in ds.arrays.position:
                 if i >= j:
@@ -441,14 +415,7 @@ class TestHybridSim:
 
 class TestProviders:
     def setup_method(self):
-        rng = np.random.default_rng(41)
-        rows = [
-            (u + 1, i + 1, float(rng.integers(1, 6)))
-            for u in range(10)
-            for i in range(6)
-            if rng.random() < 0.6
-        ]
-        self.ratings = dataset(rows)
+        self.ratings = random_world(41, n_users=10, n_items=6, density=0.6)
         table = make_table({"a": [1.0, 0.2], "b": [0.1, 1.0], "c": [0.5, 0.5]})
         sents = sentences_of([(i, toks) for i, toks in [(1, ["a"]), (2, ["a", "b"]), (3, ["b"]), (4, ["c"])]])
         self.index = build_item_vectors(sents, table)
@@ -744,32 +711,17 @@ class TestRows:
                 assert pred.value == min(max(ratings.item_means[t] + weight * deviation[3] / weight, 1.0), 5.0), t
 
 
-def stub_provider(values):
-    """A provider whose rows come from fixed per-pair (value, from_rating) cells.
-
-    Pairs are unordered; every other cell is undefined.
-    """
-
-    def row(item, items):
-        cells = [
-            (np.nan, False) if j == item else values.get((min(item, j), max(item, j)), (np.nan, False))
-            for j in items.tolist()
-        ]
-        return np.array([v for v, _ in cells]), np.array([r for _, r in cells])
-
-    return SimilarityProvider(row, np.array(sorted({j for pair in values for j in pair})))
-
-
 class TestTopSimilar:
     def test_ranking_and_truncation(self):
-        provider = stub_provider({(1, 2): (0.9, False), (1, 3): (0.9, True), (1, 4): (0.5, True), (1, 5): (np.nan, True)})
+        values = {(1, 2): 0.9, (1, 3): 0.9, (1, 4): 0.5, (1, 5): np.nan}
+        provider = stub_provider(values, rating_pairs={(1, 3), (1, 4), (1, 5)})
         top = top_similar_items(provider, 1, n=2)
         assert top == [(2, 0.9, SOURCE_CONTENT), (3, 0.9, SOURCE_RATING)]  # tie broken by ascending id
         top3 = top_similar_items(provider, 1, n=10)
         assert [j for j, _, _ in top3] == [2, 3, 4]  # 5 undefined, self excluded
 
     def test_n_below_one_rejected(self):
-        provider = stub_provider({(1, 2): (0.9, False), (1, 3): (0.5, False)})
+        provider = stub_provider({(1, 2): 0.9, (1, 3): 0.5})
         for n in (0, -1):
             with pytest.raises(ValueError, match="n must be >= 1"):
                 top_similar_items(provider, 1, n=n)
