@@ -32,12 +32,12 @@ Sentences are trained in 64 lanes. For each epoch, in this order:
 3. the steps are trained in chunks of whole steps, at most 2048 pairs
    each. For each chunk one draw gives a block of negatives, one row
    per step, in step order; the draws come from one stream, so the
-   chunk size changes no bit. Each draw becomes a token index through
-   a lookup table that gives exactly the binary search's index
-   (NegativeSampler). Every pair of a step trains on its step's row. A
-   negative that equals the pair's context is skipped for that pair, as
-   word2vec's C code skips it: its gradient is zero and its term is
-   left out of the pair's loss.
+   chunk size changes no bit. Each draw becomes a token index by one
+   binary search of the cumulative distribution (NegativeSampler).
+   Every pair of a step trains on its step's row. A negative that
+   equals the pair's context is skipped for that pair, as word2vec's C
+   code skips it: its gradient is zero and its term is left out of the
+   pair's loss.
 
 What each step needs to know about its pairs (its distinct output rows,
 where each occurrence's gradient is summed, which centers repeat) is
@@ -80,8 +80,6 @@ from .ingest import stream_name, text_stream
 
 log = logging.getLogger(__name__)
 
-# The negative sampler's lookup table has at most 2**_TABLE_BITS buckets.
-_TABLE_BITS = 16
 # Lanes trained side by side, one pair of a sentence in each per step.
 _LOCKSTEP = 64
 # The most pairs whose steps are planned and trained as one chunk.
@@ -158,14 +156,8 @@ class NegativeSampler:
     """Draws vocabulary indices with probability proportional to count^0.75.
 
     A draw u in [0, 1) becomes ``cumulative.searchsorted(u, side="right")``.
-    Most draws read that index from a table of 2**bits buckets, bucket b
-    holding the draws in [b, b + 1) / 2**bits: where no cumulative value
-    lies in a bucket, every draw in it has the same index, the count of
-    values below the bucket, which the table stores; the other buckets
-    hold -1 and their draws take the binary search. ``u * 2**bits`` is
-    exact, so a draw's bucket is too. bits grows with the vocabulary, up
-    to _TABLE_BITS, which keeps the table small. Counts where one token
-    carries the entire mass are a DataError: every negative would be it.
+    Counts where one token carries the entire mass are a DataError:
+    every negative would be it.
     """
 
     def __init__(self, counts):
@@ -182,28 +174,14 @@ class NegativeSampler:
                 f"cannot sample negatives: token index {sole[0]} carries the entire sampling mass, "
                 "so every negative would equal it"
             )
-        self._scale = float(2 ** min(counts.size.bit_length() + 5, _TABLE_BITS))
-        below = cumulative.searchsorted(np.arange(self._scale + 1) / self._scale)
-        self._table = np.where(below[:-1] == below[1:], below[:-1], -1)
 
     @property
     def probabilities(self):
         return np.diff(self.cumulative, prepend=0.0)
 
-    def _lookup(self, u):
-        """``cumulative.searchsorted(u, side="right")``, from the table where it decides."""
-        # The cast truncates, which for u >= 0 is the floor. A bucket fits
-        # in int32, which keeps this temporary half the size of the draws.
-        bucket = np.multiply(u, self._scale, out=np.empty(u.shape, dtype=np.int32), casting="unsafe")
-        idx = self._table[bucket]
-        miss = idx < 0
-        if miss.any():
-            idx[miss] = self.cumulative.searchsorted(u[miss], side="right")
-        return idx
-
     def draw(self, rng, shape):
         """Token indices of one ``rng.random(shape)`` block, in row-major order."""
-        return self._lookup(rng.random(shape))
+        return self.cumulative.searchsorted(rng.random(shape), side="right")
 
 
 @dataclass
@@ -340,8 +318,7 @@ def _plan_steps(centers, contexts, blocks, sizes, n_rows):
     - slots: per pair, its context's then its block's slots in the
       step's bincount: the row's place among ``rows`` times the step's
       size plus the column (the pair's place in the step);
-    - lead: None if every center of the step is distinct; otherwise the
-      columns of each center's first occurrence, ascending;
+    - lead: the columns of each center's first occurrence, ascending;
     - repeats: the columns of the other occurrences, ascending, as a list.
 
     One sort of the chunk's (step, row) keys, ``step * n_rows + row``,
@@ -349,8 +326,6 @@ def _plan_steps(centers, contexts, blocks, sizes, n_rows):
     each row's first occurrence.
     """
     n_pairs, n_steps = len(contexts), len(sizes)
-    if not n_pairs:
-        return []
     step = np.arange(n_steps).repeat(sizes)
     column = np.arange(n_pairs) - (sizes.cumsum() - sizes)[step]
     # A key for each context, in pair order, then for each block cell, step by step.
@@ -374,8 +349,7 @@ def _plan_steps(centers, contexts, blocks, sizes, n_rows):
         return zip([0] + edges[:-1], edges)
 
     return [
-        (slice(a, b), rows[r:r_end], firsts[r:r_end], slots[a:b], leads[f:f_end] if q < q_end else None,
-         repeated[q:q_end].tolist())
+        (slice(a, b), rows[r:r_end], firsts[r:r_end], slots[a:b], leads[f:f_end], repeated[q:q_end].tolist())
         for (a, b), (r, r_end), (f, f_end), (q, q_end)
         in zip(spans(sizes), spans(row_counts), spans(n_first), spans(sizes - n_first))
     ]
@@ -394,12 +368,13 @@ def _train_step(syn0, syn1, centers, contexts, block, lr, step, work, scores, ke
     dots, the negative scores one GEMM of the stacked centers against the
     block. The gradient is sgns_pair_update's, zero for a negative equal
     to its pair's context. Each center gains ``grad_neg @ block +
-    grad_ctx * context``; a center shared by several pairs gains their
-    moves in turn, in pair order. Each distinct output row (ascending)
-    gains row u of ``M @ V``, where ``M[u, s]`` sums, left to right
-    along pair s, the gradients of row u's occurrences there and V
-    stacks the incoming centers; it adds them to the copy of the row
-    that the step gathered.
+    grad_ctx * context``: the plan's ``lead`` columns move as one batch,
+    then each of its ``repeats`` on its own, so a center shared by
+    several pairs gains their moves in turn, in pair order. Each
+    distinct output row (ascending) gains row u of ``M @ V``, where
+    ``M[u, s]`` sums, left to right along pair s, the gradients of row
+    u's occurrences there and V stacks the incoming centers; it adds
+    them to the copy of the row that the step gathered.
 
     ``work`` is scratch space of at least ``2 * (n + len(block))`` rows
     as wide as syn1, reused for the rows the step reads from syn1.
@@ -419,14 +394,10 @@ def _train_step(syn0, syn1, centers, contexts, block, lr, step, work, scores, ke
     grad[:, 1:] *= keep[pairs]
     moves = grad[:, 1:] @ block_rows
     moves += grad[:, :1] * context_rows
-    if lead is None:
-        syn0[centers] += moves
-    else:
-        # The first occurrence of every center as one batch, then each
-        # later one on its own, in pair order, as np.add.at adds them.
-        syn0[centers[lead]] += moves[lead]
-        for s in repeats:
-            syn0[centers[s]] += moves[s]
+    # In pair order, as np.add.at adds them.
+    syn0[centers[lead]] += moves[lead]
+    for s in repeats:
+        syn0[centers[s]] += moves[s]
     # bincount adds its weights in input order, which is pair by pair,
     # then along each pair.
     sums = np.bincount(slots.ravel(), weights=grad.ravel(), minlength=len(uniq) * n)

@@ -84,16 +84,13 @@ class TestVocabulary:
         assert empty_indices.dtype == np.int64 and len(empty_indices) == 0 and len(empty_counts) == 0
 
 
-# Vocabularies for the sampler's lookup table: tiny ones, the size of
-# the benchmark's train-embed vocabulary, one token with ~97% of the
-# mass, cumulative values on bucket edges, and one past the table's cap.
+# Sampler vocabularies: tiny ones, the size of the benchmark's
+# train-embed vocabulary, and one token with ~97% of the mass.
 SAMPLER_COUNTS = {
     "2": [3, 1],
     "3": [5, 2, 1],
     "276": np.sort(np.random.default_rng(3).integers(1, 400, size=276))[::-1],
     "skewed": [1000, 1, 1, 1, 1, 1],
-    "edges": [1, 1, 1, 1],
-    "cap": np.random.default_rng(4).integers(1, 50, size=5000),
 }
 
 
@@ -127,22 +124,6 @@ class TestNegativeSampler:
             train_skipgram(sentences_of(["a", "a"]), cfg)
 
     @pytest.mark.parametrize("name", list(SAMPLER_COUNTS))
-    def test_table_lookup_equals_binary_search(self, name):
-        sampler = NegativeSampler(np.asarray(SAMPLER_COUNTS[name]))
-        cumulative, buckets = sampler.cumulative, len(sampler._table)
-        assert buckets <= 2**16 and (buckets == 2**16) == (name == "cap")
-        assert (sampler._table >= 0).mean() > 0.9
-        edges = np.arange(1, buckets) / buckets
-        below_one = np.nextafter(1.0, 0.0)
-        u = np.concatenate(([0.0, below_one], edges, np.nextafter(edges, 0.0),
-                            cumulative, np.nextafter(cumulative, 0.0), np.nextafter(cumulative, 1.0)))
-        u = u[u < 1.0]
-        assert np.array_equal(sampler._lookup(u), cumulative.searchsorted(u, side="right"))
-        # Any shape, and uniform draws too.
-        u = np.random.default_rng(5).random((400, 25))
-        assert np.array_equal(sampler._lookup(u), cumulative.searchsorted(u, side="right"))
-
-    @pytest.mark.parametrize("name", ["2", "3", "276", "skewed"])
     @pytest.mark.parametrize("seed", range(4))
     def test_draw_equals_the_whole_block_redraw_rule(self, name, seed):
         # With nothing excluded the whole-block rule has no redraw round:
@@ -710,6 +691,9 @@ class TestTrainStep:
             centers, contexts, np.array([block]), np.array([4]), len(syn1))
         assert rows.tolist() == [5, 6, 7, 11, 13]
         assert lead.tolist() == [0, 1] and repeats == [2, 3]
+        # A step of distinct centers leads with every column.
+        ((*_, lead, repeats),) = _plan_steps(centers[:2], contexts[:2], np.array([block]), np.array([2]), len(syn1))
+        assert lead.tolist() == [0, 1] and repeats == []
         _before, (s0, _s1), _ref = self.assert_matches_reference(3, centers, contexts, [block], [0.2, 0.3, 0.4, 0.1])
         moves = []
         for c, ctx, rate in zip(centers, contexts, [0.2, 0.3, 0.4, 0.1]):
@@ -761,7 +745,7 @@ class TestTrainStep:
             firsts = [gathered.index(row) for row in rows]
             lead = [s for s in range(n) if c.index(c[s]) == s]
             repeats = [s for s in range(n) if s not in lead]
-            plan.append((rows.tolist(), firsts, slots.tolist(), lead if repeats else None, repeats))
+            plan.append((rows.tolist(), firsts, slots.tolist(), lead, repeats))
             a += n
         return plan
 
@@ -781,7 +765,7 @@ class TestTrainStep:
             blocks = rng.integers(0, n_rows, size=(len(sizes), rng.integers(0, max_negatives + 1)))
             plan = _plan_steps(centers, contexts, blocks, sizes, n_rows)
             assert [p[0] for p in plan] == [slice(a - n, a) for a, n in zip(sizes.cumsum().tolist(), sizes.tolist())]
-            got = [(rows.tolist(), firsts.tolist(), slots.tolist(), None if lead is None else lead.tolist(), repeats)
+            got = [(rows.tolist(), firsts.tolist(), slots.tolist(), lead.tolist(), repeats)
                    for _pairs, rows, firsts, slots, lead, repeats in plan]
             assert got == self.reference_plan(centers, contexts, blocks, sizes)
 

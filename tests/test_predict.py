@@ -119,15 +119,14 @@ class TestPredictRating:
         ds = dataset([(1, 10, 5), (1, 11, 2), (1, 12, 4), (2, 10, 3), (2, 11, 4), (3, 12, 1)])
         index = self.index_of([10, 11, 12, 13])
         provider = make_provider("cb", index=index)
-        rated = {j: r for u, j, r, _t in ds.records if u == 1}
+        rated = {j for u, j, _r, _t in ds.records if u == 1}
+        sim = lambda i, j: relf_sim(i, j, index).value  # noqa: E731
         for item in (10, 13):
             pred = predict_rating(1, item, ds, provider)
-            sims = {j: relf_sim(item, j, index).value for j in rated if j != item}
-            num = sum(s * (rated[j] - ds.item_means[j]) for j, s in sims.items())
-            anchor = ds.item_means.get(item, ds.global_mean)
-            assert pred.detail == DETAIL_FULL
-            assert pred.neighbors_used == len(sims)
-            assert pred.value == pytest.approx(anchor + num / sum(sims.values()), abs=1e-12)
+            want, detail, used = oracles.knn_prediction(1, item, ds.records, sim, PredictionConfig().k)
+            assert pred.detail == detail == DETAIL_FULL
+            assert pred.neighbors_used == used == len(rated - {item})
+            assert pred.value == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("integer_scale", [True, False])
     def test_value_is_a_plain_float_on_every_route(self, integer_scale):

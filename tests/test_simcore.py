@@ -695,8 +695,10 @@ class TestRows:
         cold = HybridPolicy(tau_pair=1, tau_item=1000)
         positions = [int(ids.searchsorted(j)) for j in tied]
         assert positions[-2:] == [len(ids) - 2, len(ids) - 1]
+        place = {j: p for p, j in enumerate(ids.tolist())}
         for provider in (make_provider("cb", index=index), make_provider("hybrid", ratings, index, cold)):
             matrix = np.array([provider.row(t, ids) for t in ids.tolist()])
+            sim = lambda i, j: float(matrix[place[i], place[j]])  # noqa: E731
             assert np.array_equal(matrix, matrix.T, equal_nan=True)
             ties = matrix[:, positions]
             for t, cells in zip(ids.tolist(), ties):
@@ -706,9 +708,9 @@ class TestRows:
                 if t in tied or defined[0] <= 0.0:
                     continue
                 pred = predict_rating(1, t, ratings, provider, PredictionConfig(k=1))
-                weight = defined[0]
-                assert pred.neighbors_used == 1
-                assert pred.value == min(max(ratings.item_means[t] + weight * deviation[3] / weight, 1.0), 5.0), t
+                want, _detail, used = oracles.knn_prediction(1, t, ratings.records, sim, 1)
+                assert pred.neighbors_used == used == 1
+                assert pred.value == want, t
 
 
 class TestTopSimilar:
