@@ -555,11 +555,8 @@ def save_embeddings(table, sink):
 
 
 def _parse_header(line, where):
-    parts = line.split()
-    if len(parts) != 2:
-        raise DataError(f"{where} line 1: malformed header {line.rstrip()!r}")
     try:
-        v, dim = int(parts[0]), int(parts[1])
+        v, dim = map(int, line.split())
     except ValueError:
         raise DataError(f"{where} line 1: malformed header {line.rstrip()!r}") from None
     if v < 1 or dim < 1:

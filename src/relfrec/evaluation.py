@@ -175,7 +175,7 @@ def make_split(ratings, kind, seed=1):
         fraction = float(param)
         if not 0.0 < fraction < 1.0:
             raise ValueError(f"cold-start fraction must be in (0, 1), got {fraction}")
-        items = np.unique(ratings.item)
+        items = ratings.item_ids
         m = max(1, int(round(fraction * len(items))))
         if m >= len(items):
             raise ValueError(f"cold-start({fraction}) would quarantine every item")

@@ -78,11 +78,11 @@ class RatingDataset:
 
     There, ``records`` (the tuples) is a view built on first read. Readers
     that want the ratings by user or by item use ``arrays``
-    (RatingArrays), one rating per (user, item) pair: on duplicate
-    pairs, which only exist before cleaning, the last record wins.
-    ``item_means`` (item id -> mean, ascending ids) and ``global_mean``
-    fold those same ratings, one per pair, in record order, so they
-    equal a Python loop over the records bit for bit.
+    (RatingArrays), one rating per (user, item) pair: of a repeated pair
+    the latest record, the later on a timestamp tie, as clean_and_join
+    keeps. ``item_means`` (item id -> mean, ascending ids) and
+    ``global_mean`` fold those same ratings, one per pair, in record
+    order, so they equal a Python loop over the records bit for bit.
     """
 
     def __init__(self, records, r_min=1.0, r_max=5.0, n_malformed=0):
@@ -131,8 +131,8 @@ class RatingDataset:
 
     @cached_property
     def _kept(self):
-        """Each (user, item) pair's last record, ordered by user, then item position."""
-        return _last_per_pair(self._users[1] * self.n_items + self._items[1])
+        """Each (user, item) pair's latest record, ordered by user, then item position."""
+        return _last_per_pair(self._users[1] * self.n_items + self._items[1], self.timestamp)
 
     @cached_property
     def _means(self):
@@ -155,6 +155,11 @@ class RatingDataset:
     @property
     def global_mean(self):
         return self._means[1]
+
+    @property
+    def item_ids(self):
+        """The distinct item ids, ascending."""
+        return self._items[0]
 
     @property
     def n_users(self):
@@ -183,18 +188,17 @@ class RatingDataset:
         return RatingArrays(self)
 
 
-def _last_per_pair(pair, timestamp=None):
-    """Index of each pair's last record, in ascending order of ``pair``, one int64 code per pair.
+def _last_per_pair(pair, timestamp):
+    """Index of each pair's latest record, in ascending order of ``pair``, one int64 code per pair.
 
-    The sort is stable, so of a pair's records the last in record order
-    is kept. With ``timestamp``, a repeated pair's records are ordered by
-    it first: the latest is kept, the later record on a tie. The
+    Of a repeated pair's records the one with the latest ``timestamp``
+    is kept, the later record on a tie: the sort is stable, and the
     timestamp is read only where a pair repeats.
     """
     order = pair.argsort(kind="stable")
     pair = pair[order]
     same = pair[1:] == pair[:-1]
-    if timestamp is not None and same.any():
+    if same.any():
         repeated = np.append(same, False) | np.append(False, same)
         order[repeated] = order[repeated][np.lexsort((timestamp[order[repeated]], pair[repeated]))]
     return order[np.append(~same, True)]
@@ -218,7 +222,7 @@ class RatingArrays:
     * ``by_item``: the same ratings item by item, built on first use.
 
     Built from the dataset's columns, one rating per (user, item) pair:
-    its last record's.
+    its latest record's, the later one on a timestamp tie.
     """
 
     def __init__(self, ratings):
@@ -229,9 +233,9 @@ class RatingArrays:
         self.cols, self.values = item_codes[kept], ratings.rating[kept]
         lengths = np.bincount(user_codes[kept], minlength=len(user_ids))
         self.indptr = np.concatenate(([0], np.cumsum(lengths)))
-        split = self.indptr[1:-1]
+        bounds = self.indptr.tolist()
         deviations = self.values - ratings._means[0][self.cols]
-        self.rows = dict(zip(user_ids.tolist(), zip(np.split(self.cols, split), np.split(deviations, split))))
+        self.rows = {u: (self.cols[a:b], deviations[a:b]) for u, a, b in zip(user_ids.tolist(), bounds, bounds[1:])}
         self.counts = np.bincount(self.cols, minlength=len(self.items))
 
     @cached_property
@@ -596,33 +600,28 @@ def clean_and_join(ratings, catalog):
     """Join ratings with metadata into a CorpusBundle.
 
     Ratings are restricted to items that have a non-empty feature
-    sentence; duplicate (user, item) pairs are collapsed keeping the
-    rating with the latest timestamp (later file position wins ties),
-    and the kept records stay in file order. Means are recomputed after
-    filtering. Sentences keep every item with usable metadata,
-    including items that have no ratings at all, so brand-new items
-    remain recommendable.
+    sentence and to the read's one record per (user, item) pair: the
+    latest, the later on a timestamp tie. Kept records stay in file
+    order; a join that drops none returns ``ratings`` itself. Sentences
+    keep every item with usable metadata, including items that have no
+    ratings at all, so brand-new items remain recommendable.
     """
     sentences = build_sentences(catalog)
     featured = [s.item_id for s in sentences if _INT64_MIN <= s.item_id <= _INT64_MAX]
-    has_features = np.isin(ratings.item, np.array(featured, dtype=np.int64))
-    rows = np.flatnonzero(has_features)
-    if not len(rows):
+    items, item_codes = ratings._items
+    has_features = np.isin(items, np.array(featured, dtype=np.int64))
+    kept = ratings._kept[has_features[item_codes[ratings._kept]]]
+    if not len(kept):
         raise EmptyJoinError("no ratings remain after joining with item metadata")
-    pair = ratings._users[1][rows] * ratings.n_items + ratings._items[1][rows]
-    latest = _last_per_pair(pair, ratings.timestamp[rows])
-    cleaned = ratings.subset(rows[np.sort(latest)])
-    if len(cleaned) == len(ratings):
-        # Nothing dropped: the cleaned records are the read's, in its order, so the read's
-        # user and item codes and the join's pair order serve it unchanged.
-        cleaned._users, cleaned._items, cleaned._kept = ratings._users, ratings._items, latest
+    n_featured = int(np.count_nonzero(has_features[item_codes]))
+    cleaned = ratings if len(kept) == len(ratings) else ratings.subset(np.sort(kept))
     report = {
         "n_ratings_in": len(ratings),
         "n_ratings_kept": len(cleaned),
-        "n_dropped_duplicates": len(rows) - len(cleaned),
-        "n_dropped_no_features": len(ratings) - len(rows),
+        "n_dropped_duplicates": n_featured - len(cleaned),
+        "n_dropped_no_features": len(ratings) - n_featured,
         "n_items_kept": cleaned.n_items,
-        "n_items_without_features": len(np.unique(ratings.item[~has_features])),
+        "n_items_without_features": len(items) - int(np.count_nonzero(has_features)),
         "n_sentences": len(sentences),
         "n_malformed_rating_lines": ratings.n_malformed,
         "n_catalog_duplicates": catalog.n_dropped_duplicates,

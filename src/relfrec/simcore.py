@@ -441,7 +441,8 @@ def make_provider(kind, ratings=None, index=None, policy=None):
         from_rating = warm | np.isnan(row)
         return np.where(from_rating, values, row), from_rating
 
-    return SimilarityProvider(hybrid_row, np.union1d(ratings.arrays.items, index.ids))
+    rated = ratings.arrays.items
+    return SimilarityProvider(hybrid_row, np.sort(np.append(rated, index.ids[~_locate(rated, index.ids)[1]])))
 
 
 def top_similar_items(provider, item_id, n):

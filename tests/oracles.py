@@ -2,7 +2,9 @@
 
 Each is written from its definition, a record, pair or term at a time,
 and calls no library code: knn_prediction takes its similarity as a
-function, pair_gradient_error the update it checks.
+function, pair_gradient_error the update it checks. The one exception,
+reference_similarity, binds the library's own per-pair reference
+functions (rating_cosine, relf_sim, hybrid_sim) to a predictor name.
 """
 
 from __future__ import annotations
@@ -10,21 +12,25 @@ from __future__ import annotations
 import numpy as np
 
 from relfrec.predict import DETAIL_FULL, DETAIL_GLOBAL_MEAN, DETAIL_ITEM_MEAN
+from relfrec.simcore import hybrid_sim, rating_cosine, relf_sim
 
 
 def knn_prediction(user, item, records, sim, k, r_min=1.0, r_max=5.0):
     """(value, detail, neighbors_used) of relfrec.predict's item k-NN prediction.
 
-    ``records`` are ``(user, item, rating, ...)`` tuples, the last of a
-    repeated (user, item) pair counting. ``sim(i, j)`` is a float or None.
+    ``records`` are ``(user, item, rating[, timestamp])`` tuples; of a
+    repeated (user, item) pair the latest counts, the later on a tie, and
+    a missing timestamp is 0. ``sim(i, j)`` is a float or None.
     Candidates are the user's other items with sim above 0, ranked by
     (-sim, id); the top k give mean(item) + sum(s * (r - mean(j))) / sum(s),
     anchored on the global mean for an unrated item. An unknown user gets
     the global mean, no candidate the item or global mean; all clamped.
     """
-    ratings = {}
-    for u, i, r, *_rest in records:
-        ratings[u, i] = r
+    ratings, stamps = {}, {}
+    for u, i, r, *rest in records:
+        t = rest[0] if rest else 0
+        if stamps.get((u, i), t) <= t:
+            ratings[u, i], stamps[u, i] = r, t
     sums, counts = {}, {}
     for (_u, i), r in ratings.items():
         sums[i] = sums.get(i, 0.0) + r
@@ -51,6 +57,20 @@ def knn_prediction(user, item, records, sim, k, r_min=1.0, r_max=5.0):
     num = sum(s * (row[j] - means[j]) for s, j in top)
     den = sum(s for s, _j in top)
     return clamp(means.get(item, global_mean) + num / den), DETAIL_FULL, len(top)
+
+
+def reference_similarity(predictor, ratings, index, policy):
+    """The per-pair reference of a predictor: a function of two item ids giving a SimilarityValue or None.
+
+    cf is rating_cosine where both ids are rated and undefined otherwise,
+    as its provider treats a cold item; cb is relf_sim; hybrid is hybrid_sim.
+    """
+    if predictor == "cf":
+        rated = ratings.arrays.position
+        return lambda i, j: rating_cosine(i, j, ratings) if i in rated and j in rated else None
+    if predictor == "cb":
+        return lambda i, j: relf_sim(i, j, index)
+    return lambda i, j: hybrid_sim(i, j, ratings, index, policy)
 
 
 def corater_cosine(matrix, i, j):

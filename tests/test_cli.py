@@ -18,8 +18,9 @@ from relfrec.embed import TrainConfig, load_embeddings
 from relfrec.evaluation import evaluate, make_split, results_rows, write_results_csv
 from relfrec.ingest import RatingDataset, clean_and_join, load_bundle, parse_item_features, parse_ratings
 from relfrec.predict import PredictionConfig
-from relfrec.simcore import HybridPolicy, build_item_vectors, hybrid_sim, rating_cosine, relf_sim
+from relfrec.simcore import HybridPolicy, build_item_vectors, relf_sim
 
+import oracles
 import synthdata
 
 
@@ -688,12 +689,8 @@ class TestSimilar:
         rated, indexed = set(ratings.arrays.position), set(index.vectors)
         assert {1001, 1002, 1003} <= indexed - rated
         assert relf_sim(1, 3, index).value == relf_sim(1, 1001, index).value
-        models = {
-            "cf": (rated, lambda i, j: rating_cosine(i, j, ratings)),
-            "cb": (indexed, lambda i, j: relf_sim(i, j, index)),
-            "hybrid": (rated | indexed, lambda i, j: hybrid_sim(i, j, ratings, index, policy)),
-        }
-        for model, (items, reference) in models.items():
+        for model, items in (("cf", rated), ("cb", indexed), ("hybrid", rated | indexed)):
+            reference = oracles.reference_similarity(model, ratings, index, policy)
             for item in sorted({1, 3, 9, 1001, 1002, 1003} & items):
                 rc = main([
                     "similar", "--item", str(item), "--model", model, "--n", "1000",
@@ -1245,9 +1242,10 @@ class TestConfigObjects:
         assert rc == EXIT_INPUT and not out.exists()
 
 
-# ingest -> train-embed -> evaluate -> predict -> similar through main, in
-# the working directory; with the argument "refuse", every scipy import
-# raises ImportError. Prints the scipy modules loaded at the end.
+# ingest -> train-embed -> evaluate -> cold-start sweep-k -> predict -> similar
+# through main, in the working directory; with the argument "refuse", every
+# scipy import raises ImportError. Prints the scipy modules loaded at the end,
+# then whether numpy.ma was loaded.
 PIPELINE = """
 import importlib.abc
 import sys
@@ -1273,6 +1271,8 @@ for argv in (
      "--negatives", "2", "--epochs", "2"],
     ["evaluate", *content, "--predictors", "cf,cb,hybrid", "--split", "holdout(0.8)", "--k", "5",
      "--out-dir", "run"],
+    ["sweep-k", *content, "--predictors", "cf,hybrid", "--split", "cold-start(0.1)", "--ks", "5,10",
+     "--out-dir", "sweep"],
     ["predict", *content, "--model", "hybrid", "--user", "1", "--item", "2"],
     ["similar", *content, "--model", "hybrid", "--item", "2", "--n", "3"],
 ):
@@ -1280,11 +1280,12 @@ for argv in (
     if code:
         sys.exit(f"{argv[0]} exited with {code}")
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+print("numpy.ma" in sys.modules)
 """
 
 
 class TestWithoutScipy:
-    """The package runs on numpy alone; scipy is a test dependency."""
+    """The package runs on numpy alone, without loading numpy.ma; scipy is a test dependency."""
 
     @staticmethod
     def python(code, *argv, cwd=None):
@@ -1301,7 +1302,7 @@ class TestWithoutScipy:
             (tmp_path / mode).mkdir()
             done = self.python(PIPELINE, mode, cwd=tmp_path / mode)
             assert done.returncode == 0, done.stderr
-            assert done.stdout.endswith("\n[]\n"), done.stdout
+            assert done.stdout.endswith("\n[]\nFalse\n"), done.stdout
             runs[mode] = done.stdout, (tmp_path / mode / "run" / "results.csv").read_bytes()
         assert runs["refuse"] == runs["plain"]
 

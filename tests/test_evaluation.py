@@ -27,7 +27,7 @@ from relfrec.evaluation import (
 from relfrec import evaluation, predict, simcore
 from relfrec.ingest import RatingDataset, parse_ratings
 from relfrec.predict import DETAIL_FULL, DETAIL_GLOBAL_MEAN, DETAIL_ITEM_MEAN, PredictionConfig, predict_batch
-from relfrec.simcore import HybridPolicy, hybrid_sim, make_provider, rating_cosine, relf_sim
+from relfrec.simcore import HybridPolicy, make_provider
 
 import oracles
 import synthdata
@@ -58,16 +58,8 @@ def tie_world(seed=3):
 
 
 def reference_sim(predictor, train, index, policy):
-    """The predictor's per-pair reference function as oracles.knn_prediction's sim.
-
-    cf leaves an item without training ratings undefined, as its provider does.
-    """
-    rated = train.arrays.position
-    pair = {
-        "cf": lambda i, j: rating_cosine(i, j, train) if i in rated and j in rated else None,
-        "cb": lambda i, j: relf_sim(i, j, index),
-        "hybrid": lambda i, j: hybrid_sim(i, j, train, index, policy),
-    }[predictor]
+    """oracles.reference_similarity's value, or None, as oracles.knn_prediction's sim."""
+    pair = oracles.reference_similarity(predictor, train, index, policy)
     return lambda i, j: getattr(pair(i, j), "value", None)
 
 

@@ -438,7 +438,7 @@ class TestRatingDataset:
                 for _ in range(n)
             ]
             ds = RatingDataset(records=records)
-            # Duplicate (user, item) pairs are common here; the last one counts.
+            # Duplicate (user, item) pairs are common here; all at timestamp 0, so the last one counts.
             collapsed = {(u, i): r for u, i, r, _ in records}
             assert ds.global_mean == pytest.approx(np.mean(list(collapsed.values())), abs=1e-12)
             assert set(ds.item_means) == {i for _u, i in collapsed}
@@ -468,22 +468,24 @@ class TestRatingDataset:
 
     @staticmethod
     def assert_equals_dict_fold(ds, records):
+        """Of a repeated (user, item) pair, the record with the latest timestamp counts, the later on a tie."""
         per_user: dict = {}
-        last = {}
-        for pos, (user, item, rating, _ts) in enumerate(records):
-            per_user.setdefault(user, {})[item] = rating
-            last[user, item] = pos
+        latest = {}
+        for pos, (user, item, rating, ts) in enumerate(records):
+            row = per_user.setdefault(user, {})
+            if item not in row or ts >= records[latest[user, item]][3]:
+                row[item], latest[user, item] = rating, pos
         sums: dict = {}
         counts: dict = {}
         total = 0.0
         for pos, (user, item, rating, _ts) in enumerate(records):
-            if last[user, item] == pos:
+            if latest[user, item] == pos:
                 sums[item] = sums.get(item, 0.0) + rating
                 counts[item] = counts.get(item, 0) + 1
                 total += rating
         means = {i: sums[i] / counts[i] for i in sums}
         assert ds.item_means == means
-        assert ds.global_mean == total / len(last)
+        assert ds.global_mean == total / len(latest)
         assert (ds.n_users, ds.n_items) == (len(per_user), len(means))
         items = sorted(means)
         position = {item: p for p, item in enumerate(items)}
@@ -670,8 +672,9 @@ class TestCleanAndJoin:
 
     def test_last_per_pair_equals_the_three_key_lexsort(self):
         """One stable sort of the pair code keeps each pair's record that a
-        lexsort by user, item and timestamp keeps, and in a dataset's
-        arrays the order a lexsort by user code, then item code gives."""
+        lexsort by user, item and timestamp keeps, and a dataset's kept
+        records are those of a lexsort by user code, item code and
+        timestamp, in its order."""
         rng = np.random.default_rng(5)
         for n in (1, 2, 40, 400):
             user, item, ts = (rng.integers(-3, 4, n), rng.integers(0, 6, n), rng.integers(0, 4, n))
@@ -681,10 +684,30 @@ class TestCleanAndJoin:
             pair = ds._users[1] * ds.n_items + ds._items[1]
             assert np.sort(ingest._last_per_pair(pair, ts)).tolist() == np.sort(order[last]).tolist()
             codes = (ds._users[1], ds._items[1])
-            order = np.lexsort(codes[::-1])
+            order = np.lexsort((ts, *codes[::-1]))
             last = np.append((codes[0][order][1:] != codes[0][order][:-1])
                              | (codes[1][order][1:] != codes[1][order][:-1]), True)
             assert ds._kept.tolist() == order[last].tolist()
+
+    def test_raw_dataset_agrees_with_its_cleaned_bundle(self):
+        """A pair re-rated later in the file at an earlier timestamp: the raw
+        dataset's views keep the record the join keeps, so means and arrays agree.
+        A user whose first record loses may come later in the cleaned user order,
+        so the random worlds compare each user's ratings."""
+        raw = RatingDataset(records=[(1, 1, 4.0, 20), (2, 1, 3.0, 5), (1, 2, 2.5, 7), (1, 1, 1.0, 10), (2, 2, 5.0, 8)])
+        cleaned = clean_and_join(raw, make_catalog([1, 2])).ratings
+        assert raw.item_means == cleaned.item_means == {1: 3.5, 2: 3.75}
+        assert raw.global_mean == cleaned.global_mean == 3.625
+        assert raw.arrays.values.tolist() == cleaned.arrays.values.tolist() == [4.0, 2.5, 3.0, 5.0]
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            columns = rng.integers((1, 1, 10, 0), (9, 7, 51, 6), (60, 4))
+            raw = RatingDataset(records=[(int(u), int(i), int(r) / 10, int(t)) for u, i, r, t in columns])
+            cleaned = clean_and_join(raw, make_catalog(range(1, 7))).ratings
+            assert len(cleaned) < len(raw)
+            assert cleaned.item_means == raw.item_means and cleaned.global_mean == raw.global_mean
+            rows = [{u: (c.tolist(), d.tolist()) for u, (c, d) in ds.arrays.rows.items()} for ds in (raw, cleaned)]
+            assert rows[0] == rows[1]
 
     def test_empty_join_fatal(self):
         ratings = RatingDataset(records=[(1, 99, 4.0, 0)])

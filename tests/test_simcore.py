@@ -421,14 +421,12 @@ class TestProviders:
         self.index = build_item_vectors(sents, table)
         self.targets = sorted(set(self.ratings.arrays.position) | set(self.index.vectors)) + [9999]
 
-    def test_rating_provider_matches_raw_function(self):
-        provider = make_provider("cf", ratings=self.ratings)
-        rated = self.ratings.arrays.position
-
-        def expected(i, j):
-            return rating_cosine(i, j, self.ratings) if i in rated and j in rated else None
-
-        TestRows.check_rows(provider, self.ratings, self.index, self.targets, expected, 0.0)
+    @pytest.mark.parametrize("kind", PREDICTORS)
+    def test_provider_matches_raw_function(self, kind):
+        policy = HybridPolicy(tau_pair=2, tau_item=3)
+        provider = make_provider(kind, self.ratings, self.index, policy)
+        expected = oracles.reference_similarity(kind, self.ratings, self.index, policy)
+        TestRows.check_rows(provider, self.ratings, self.index, self.targets, expected, 1e-14)
 
     def test_rating_provider_unknown_item_is_undefined(self):
         provider = make_provider("cf", ratings=self.ratings)
@@ -445,17 +443,6 @@ class TestProviders:
         ):
             matrix = np.array([provider.row(i, ids) for i in ids.tolist()])
             assert np.array_equal(matrix, matrix.T, equal_nan=True)
-
-    def test_content_provider_matches_raw_function(self):
-        provider = make_provider("cb", index=self.index)
-        expected = lambda i, j: relf_sim(i, j, self.index)  # noqa: E731
-        TestRows.check_rows(provider, self.ratings, self.index, self.targets, expected, 1e-14)
-
-    def test_hybrid_provider_matches_raw_function(self):
-        policy = HybridPolicy(tau_pair=2, tau_item=3)
-        provider = make_provider("hybrid", ratings=self.ratings, index=self.index, policy=policy)
-        expected = lambda i, j: hybrid_sim(i, j, self.ratings, self.index, policy)  # noqa: E731
-        TestRows.check_rows(provider, self.ratings, self.index, self.targets, expected, 1e-14)
 
     def test_make_provider_kinds(self):
         rated = set(self.ratings.arrays.position)
@@ -603,11 +590,7 @@ class TestRows:
         ratings, index = row_world(seed, step)
         block_rows(ratings)
         provider = make_provider("cf", ratings=ratings)
-        rated = ratings.arrays.position
-
-        def expected(t, j):
-            return rating_cosine(t, j, ratings) if t in rated and j in rated else None
-
+        expected = oracles.reference_similarity("cf", ratings, index, None)
         self.check_rows(provider, ratings, index, self.targets(ratings, index, seed), expected, 0.0)
 
     @pytest.mark.parametrize("seed", [3, 4])
@@ -732,11 +715,7 @@ class TestTopSimilar:
     def test_ranks_like_the_reference_functions(self, kind):
         ratings, index = row_world(3, 0.5)
         provider = make_provider(kind, ratings, index)
-        reference = {
-            "cf": lambda i, j: rating_cosine(i, j, ratings) if j in ratings.arrays.position else None,
-            "cb": lambda i, j: relf_sim(i, j, index),
-            "hybrid": lambda i, j: hybrid_sim(i, j, ratings, index, HybridPolicy()),
-        }[kind]
+        reference = oracles.reference_similarity(kind, ratings, index, HybridPolicy())
         for i in provider.items.tolist():
             scored = [(j, reference(i, j)) for j in provider.items.tolist() if j != i]
             want = sorted(((j, sv) for j, sv in scored if sv is not None), key=lambda t: (-t[1].value, t[0]))
