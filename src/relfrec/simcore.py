@@ -18,15 +18,15 @@ The predictors are named after their source: cf (rating cosine), cb
 the one provider type, SimilarityProvider, from such a name.
 
 A provider serves rows: one target item against each id of a sorted
-id array, NaN where undefined. Rating cosine rows are computed in
-blocks of contiguous rated items, each cell's sums over co-raters
-taken with numpy's bincount, in the order rating_cosine adds them;
-content rows from one product of the rows of an
+id array, NaN where undefined. A rating cosine row is computed for its
+target alone, from the target's co-rating pairs, each cell's sums over
+co-raters taken with numpy's bincount, in the order rating_cosine adds
+them; content rows from one product of the rows of an
 ItemVectorIndex (one matrix over sorted item ids) with the target's
 vector, the same loop for every row, so identical vectors give
 identical cells; hybrid rows pick between the two per cell. Only the
-latest block and row are kept, so no item-by-item matrix is ever
-materialized. Prediction and top_similar_items both read rows.
+latest row is kept, so no item-by-item matrix is ever materialized.
+Prediction and top_similar_items both read rows.
 """
 
 from __future__ import annotations
@@ -48,12 +48,6 @@ PREDICTORS = ("cf", "cb", "hybrid")
 
 SOURCE_RATING = "rating"
 SOURCE_CONTENT = "content"
-
-# Cells in one block of rating cosine rows (8 MB of float64), and the
-# co-rating pairs summed at once (about 3 MB of temporary arrays).
-_BLOCK_CELLS = 1 << 20
-_BLOCK_PAIRS = 1 << 16
-
 
 @dataclass(frozen=True)
 class SimilarityValue:
@@ -236,110 +230,63 @@ def hybrid_sim(i, j, ratings, index, policy):
     return rating_value
 
 
-def _pieces(arrays, start, stop):
-    """Edges of runs of the items start..stop-1 with at most _BLOCK_PAIRS
-    co-rating pairs each, unless one item alone has more."""
-    item_ptr, _positions, users = arrays.by_item
-    # Co-rating pairs of the items before each item.
-    before = np.append(0, np.diff(arrays.indptr)[users].cumsum())[item_ptr]
-    edges = [start]
-    while edges[-1] < stop:
-        a = edges[-1]
-        fits = int(before.searchsorted(before[a] + _BLOCK_PAIRS, side="right")) - 1
-        edges.append(min(stop, max(a + 1, fits)))
-    return edges
+def _pair_sums(arrays, t, counts=False):
+    """Sums over co-raters of item row t against every item.
 
-
-def _pair_sums(arrays, start, stop, out):
-    """Sums over co-raters of the rows of items start..stop-1, into out.
-
-    out[0], out[1] and out[2] get dot, sq_i and sq_j, and a fourth row
-    of out the co-rater counts, each (stop - start) x items.
-    Every rating of a run item (mine) is paired with each entry of its
-    user's run (theirs), and bincount adds the pairs of a cell in input
-    order, ascending user row.
+    Returns dot, sq_i and sq_j, plus the co-rater counts if counts, each
+    one value per item. Every rating of item t is paired with each
+    entry of its user's run, and bincount adds the pairs of a cell in
+    input order, ascending user row.
     """
     n = len(arrays.items)
     item_ptr, positions, users = arrays.by_item
-    run = slice(item_ptr[start], item_ptr[stop])
+    run = slice(item_ptr[t], item_ptr[t + 1])
     mine, users = positions[run], users[run]
     first = arrays.indptr[users]
     lengths = arrays.indptr[users + 1] - first
     ends = lengths.cumsum()
     theirs = np.arange(ends[-1]) + (first - ends + lengths).repeat(lengths)
     keys = arrays.cols[theirs]
-    if stop - start > 1:
-        keys += ((arrays.cols[mine] - start) * n).repeat(lengths)
     v_i, r_j = arrays.values[mine], arrays.values[theirs]
-    cells = (stop - start) * n
-    out[0] = np.bincount(keys, v_i.repeat(lengths) * r_j, cells).reshape(-1, n)
-    out[1] = np.bincount(keys, (v_i * v_i).repeat(lengths), cells).reshape(-1, n)
-    out[2] = np.bincount(keys, r_j * r_j, cells).reshape(-1, n)
-    if len(out) > 3:
-        out[3] = np.bincount(keys, minlength=cells).reshape(-1, n)
+    dot = np.bincount(keys, v_i.repeat(lengths) * r_j, n)
+    sq_i = np.bincount(keys, (v_i * v_i).repeat(lengths), n)
+    sq_j = np.bincount(keys, r_j * r_j, n)
+    return (dot, sq_i, sq_j, np.bincount(keys, minlength=n)) if counts else (dot, sq_i, sq_j)
 
 
-class _RatingBlocks:
-    """Rating cosine rows over a dataset's items, computed in blocks.
+def _rating_row(ratings, item, items, policy=None):
+    """(rating cosines, warm mask or None) of item over items, or None if it is unrated.
 
-    A block holds the rows of a run of contiguous rated items, at most
-    _BLOCK_CELLS cells. Its sums over co-raters,
+    The sums over co-raters of the target's pairs,
 
         dot = sum r_i r_j    sq_i = sum r_i^2    sq_j = sum r_j^2
 
-    are taken by _pair_sums over runs of at most _BLOCK_PAIRS co-rating
-    pairs, so the temporary arrays stay small. A cell is
-    dot / (sqrt(sq_i) * sqrt(sq_j)), as in rating_cosine, and NaN where
-    a squared norm is 0 (no co-rater, or all-zero ratings). Both add
-    each cell's co-raters in ascending user row, so cells equal
-    rating_cosine bit for bit for any ratings. With a policy the block
-    also holds hybrid_sim's warm test, from the co-rater counts and the
-    per-item rating counts. Only the latest block is kept. A row is
-    gathered onto the requested ids, an id the ratings never saw left
-    NaN and never warm.
+    come from _pair_sums. A cell is dot / (sqrt(sq_i) * sqrt(sq_j)), as
+    in rating_cosine, and NaN where a squared norm is 0 (no co-rater, or
+    all-zero ratings) and at the target. _pair_sums and rating_cosine
+    both add each cell's co-raters in ascending user row, so cells equal
+    rating_cosine bit for bit for any ratings. With a policy the row also holds hybrid_sim's warm
+    test, from the co-rater counts and the per-item rating counts. The
+    row is gathered onto the requested ids, an id the ratings never saw
+    left NaN and never warm.
     """
-
-    def __init__(self, ratings, policy=None):
-        self.ratings = ratings
-        self.policy = policy
-        self.start = self.stop = 0
-        self.values = self.warm = None
-
-    def row(self, item, items):
-        """(cosines, warm mask or None) of item over items, or None if it is unrated."""
-        arrays = self.ratings.arrays
-        t = arrays.position.get(item)
-        if t is None:
-            return None
-        if not self.start <= t < self.stop:
-            self._compute(arrays, t)
-        t -= self.start
-        values, warm = self.values[t], None if self.warm is None else self.warm[t]
-        if items is arrays.items:
-            return values, warm
-        at, seen = _locate(arrays.items, items)
-        return np.where(seen, values[at], np.nan), None if warm is None else seen & warm[at]
-
-    def _compute(self, arrays, t):
-        n = len(arrays.items)
-        size = max(1, _BLOCK_CELLS // n)
-        start = t - t % size
-        stop = min(start + size, n)
-        sums = np.empty((3 if self.policy is None else 4, stop - start, n))
-        edges = _pieces(arrays, start, stop)
-        for a, b in zip(edges[:-1], edges[1:]):
-            _pair_sums(arrays, a, b, sums[:, a - start:b - start])
-        dot, sq_i, sq_j = sums[:3]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = dot / (np.sqrt(sq_i) * np.sqrt(sq_j))
-        values[(sq_i == 0.0) | (sq_j == 0.0)] = np.nan
-        diagonal = np.arange(stop - start)
-        values[diagonal, diagonal + start] = np.nan
-        if self.policy is not None:
-            warm_item = arrays.counts >= self.policy.tau_item
-            warm_pair = sums[3] >= self.policy.tau_pair
-            self.warm = warm_pair & warm_item & warm_item[start:stop, None] & ~np.isnan(values)
-        self.start, self.stop, self.values = start, stop, values
+    arrays = ratings.arrays
+    t = arrays.position.get(item)
+    if t is None:
+        return None
+    dot, sq_i, sq_j, *support = _pair_sums(arrays, t, policy is not None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = dot / (np.sqrt(sq_i) * np.sqrt(sq_j))
+    values[(sq_i == 0.0) | (sq_j == 0.0)] = np.nan
+    values[t] = np.nan
+    warm = None
+    if policy is not None:
+        warm_item = arrays.counts >= policy.tau_item
+        warm = (support[0] >= policy.tau_pair) & warm_item & warm_item[t] & ~np.isnan(values)
+    if items is arrays.items:
+        return values, warm
+    at, seen = _locate(arrays.items, items)
+    return np.where(seen, values[at], np.nan), None if warm is None else seen & warm[at]
 
 
 class _ContentRows:
@@ -381,7 +328,8 @@ class SimilarityProvider:
     ``row(item, items)`` gives item's similarity to each id of a sorted
     id array: a float array, NaN where undefined and at item itself.
     ``items`` is the sorted array of ids it can compare. The latest row
-    is kept, since evaluation asks for one item's row once per test user.
+    is kept, and it is the only cache: evaluation asks for the rows in
+    item order, once per test user, so each row is computed once.
     Build providers with make_provider.
     """
 
@@ -419,10 +367,8 @@ def make_provider(kind, ratings=None, index=None, policy=None):
     if kind != "cf" and index is None:
         raise ValueError(f"{kind} provider needs an item vector index")
     if kind == "cf":
-        blocks = _RatingBlocks(ratings)
-
         def cf_row(item, items):
-            rating = blocks.row(item, items)
+            rating = _rating_row(ratings, item, items)
             return np.full(len(items), np.nan) if rating is None else rating[0], True
 
         return SimilarityProvider(cf_row, ratings.arrays.items)
@@ -430,10 +376,9 @@ def make_provider(kind, ratings=None, index=None, policy=None):
     if kind == "cb":
         return SimilarityProvider(lambda item, items: (content.row(item, items), False), index.ids)
     policy = policy or HybridPolicy()
-    blocks = _RatingBlocks(ratings, policy)
 
     def hybrid_row(item, items):
-        rating = blocks.row(item, items)
+        rating = _rating_row(ratings, item, items, policy)
         row = content.row(item, items)
         if rating is None:
             return row, False

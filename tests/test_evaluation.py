@@ -395,6 +395,31 @@ class TestSweepK:
         assert sorted(predictions) == sorted(test_pairs)
         assert [report.n_predictions for _p, _k, report in table] == [len(test_pairs)] * len(ks)
 
+    @pytest.mark.parametrize("kind", ["cold-start(0.25)", "kfold(3)"])
+    def test_rating_rows_summed_once_per_item_across_ks(self, monkeypatch, kind):
+        ds = random_world(17, n_users=16, n_items=10)
+        plan = make_split(ds, kind, seed=5)
+        index = full_coverage_index(dict.fromkeys(ds.item.tolist()))
+        summed = []
+        pair_sums = simcore._pair_sums
+
+        def counted(arrays, t, *args):
+            summed.append(int(arrays.items[t]))
+            return pair_sums(arrays, t, *args)
+
+        monkeypatch.setattr(simcore, "_pair_sums", counted)
+        sweep_k((1, 3, 35), ["cf", "hybrid"], plan, ds, index=index)
+        expected = []
+        for _f, train_idx, test_idx in plan.folds():
+            train = ds.subset(train_idx).arrays
+            test = [ds.records[i][:2] for i in test_idx]
+            assert test
+            rated = sorted({i for u, i in test if i in train.position and u in train.rows})
+            expected += rated * 2  # once for cf, once for hybrid
+        assert summed == expected
+        # Cold-start test items have no training ratings: no row is summed.
+        assert (summed == []) == (kind == "cold-start(0.25)")
+
     @pytest.mark.parametrize("kind", ["holdout(0.8)", "kfold(3)", "cold-start(0.25)"])
     def test_builds_no_records_or_lookup_maps(self, monkeypatch, kind):
         """Splits, training sides and predictions read columns and arrays:

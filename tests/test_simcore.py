@@ -530,31 +530,6 @@ def row_world(seed, step):
 class TestRows:
     """Row kernels against the per-pair reference functions."""
 
-    @pytest.fixture(params=[None, 3, 1, "pairs"], ids=["default-cap", "3-row-blocks", "1-row-blocks", "pair-bound"])
-    def block_rows(self, request, monkeypatch):
-        """Caps rating blocks at 3 or 1 rows of a world's items, or keeps the defaults.
-
-        "pairs" caps the co-rating pairs summed at once one below the
-        largest item's, so that item alone exceeds the cap and two
-        smaller neighbours are still summed together.
-        """
-
-        def use(ratings):
-            n_items = len(ratings.arrays.items)
-            if request.param == "pairs":
-                run = {}
-                for user, _item, _r, _t in ratings.records:
-                    run[user] = run.get(user, 0) + 1
-                pairs = {}
-                for user, item, _r, _t in ratings.records:
-                    pairs[item] = pairs.get(item, 0) + run[user]
-                monkeypatch.setattr(simcore, "_BLOCK_PAIRS", max(pairs.values()) - 1)
-                assert np.diff(simcore._pieces(ratings.arrays, 0, n_items)).max() > 1
-            elif request.param is not None:
-                monkeypatch.setattr(simcore, "_BLOCK_CELLS", request.param * n_items)
-
-        return use
-
     def targets(self, ratings, index, seed):
         """Every rated or indexed item and an unknown id, in shuffled order."""
         ids = sorted(set(ratings.arrays.position) | set(index.vectors)) + [9999]
@@ -583,12 +558,13 @@ class TestRows:
                         assert abs(row[p] - want.value) <= tol, (t, j)
 
     # Sums of three-decimal ratings round, so exact cells need both sides
-    # to add each cell's co-raters in the same order.
+    # to add each cell's co-raters in the same order. The "default-cap"
+    # id varies nothing; it keeps these cases' names.
     @pytest.mark.parametrize("step", [1.0, 0.5, 0.001])
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_cf_rows_equal_rating_cosine_exactly(self, block_rows, step, seed):
+    @pytest.mark.parametrize("rows", ["default-cap"])
+    def test_cf_rows_equal_rating_cosine_exactly(self, rows, step, seed):
         ratings, index = row_world(seed, step)
-        block_rows(ratings)
         provider = make_provider("cf", ratings=ratings)
         expected = oracles.reference_similarity("cf", ratings, index, None)
         self.check_rows(provider, ratings, index, self.targets(ratings, index, seed), expected, 0.0)
@@ -602,9 +578,9 @@ class TestRows:
 
     @pytest.mark.parametrize("step", [1.0, 0.5, 0.001])
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_hybrid_rows_match_hybrid_sim(self, block_rows, step, seed):
+    @pytest.mark.parametrize("rows", ["default-cap"])
+    def test_hybrid_rows_match_hybrid_sim(self, rows, step, seed):
         ratings, index = row_world(seed, step)
-        block_rows(ratings)
         counts = sorted(ratings.arrays.counts.tolist())
         supports = [
             rating_cosine(i, j, ratings).support
@@ -640,12 +616,39 @@ class TestRows:
             for i in items for j in items if i != j
         )
 
-    def test_latest_row_is_reused(self):
+    def test_latest_row_is_reused(self, monkeypatch):
         ratings, index = row_world(3, 1.0)
-        provider = make_provider("cb", index=index)
-        a = provider.row(5, ratings.arrays.items)
-        assert provider.row(5, ratings.arrays.items) is a
-        assert provider.row(6, ratings.arrays.items) is not a
+        summed = []
+        pair_sums = simcore._pair_sums
+        monkeypatch.setattr(simcore, "_pair_sums", lambda arrays, t, *a: summed.append(t) or pair_sums(arrays, t, *a))
+        items, position = ratings.arrays.items, ratings.arrays.position
+        for kind in PREDICTORS:
+            summed.clear()
+            provider = make_provider(kind, ratings, index)
+            a = provider.row(5, items)
+            assert provider.row(5, items) is a
+            assert provider.row(6, items) is not a
+            assert summed == ([] if kind == "cb" else [position[5], position[6]]), kind
+
+    @pytest.mark.parametrize("kind", ["cf", "hybrid"])
+    def test_row_sums_only_the_target_pairs(self, monkeypatch, kind):
+        # A row pairs each rating of its target with its user's ratings
+        # and sums nothing else: the world holds ten times its pairs.
+        ratings = random_world(8, n_users=120, n_items=400, density=0.05)
+        index = synthdata.item_index({i: np.ones(3) for i in range(1, 401)}, dim=3)
+        per_user = {}
+        for user, _item, _r, _t in ratings.records:
+            per_user[user] = per_user.get(user, 0) + 1
+        make_provider(kind, ratings, index).row(2, ratings.arrays.items)  # builds the dataset's arrays
+        lengths = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda x, *a, **kw: lengths.append(len(x)) or bincount(x, *a, **kw))
+        for item in (1, 200, 400):
+            lengths.clear()
+            make_provider(kind, ratings, index).row(item, ratings.arrays.items)
+            pairs = sum(per_user[user] for user, i, _r, _t in ratings.records if i == item)
+            assert 0 < pairs < sum(n * n for n in per_user.values()) // 10
+            assert lengths == [pairs] * (3 if kind == "cf" else 4), item
 
     def test_cb_rows_over_any_dataset(self):
         ratings, index = row_world(3, 1.0)
