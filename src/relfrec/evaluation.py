@@ -5,7 +5,10 @@ train/test side (holdout, cold-start). evaluate() then, per fold,
 rebuilds all training-side state (means, arrays, similarity rows) from
 the train records only, predicts every test record, and aggregates
 metrics; sweep_k shares that state, and one neighbor ranking per test
-record, across every k of a fold. rmse and mae score two aligned 1-D
+record, across every k of a fold. It predicts one test item at a time;
+when that item's test users can read only a small share of its row,
+the row is computed at their rated items alone, with the same bits
+there, so no metric changes. rmse and mae score two aligned 1-D
 arrays, the predicted and the actual ratings. Fallback predictions are
 included in the metrics and counted, never skipped: dropping them would
 flatter predictors that cannot reach cold items.
@@ -38,8 +41,12 @@ KIND_COLD_START = "cold-start"
 
 _DEFAULT_PARAMS = {KIND_KFOLD: 5, KIND_HOLDOUT: 0.8, KIND_COLD_START: 0.05}
 
-# Test pairs per predict_batch call, so a fold never holds all its Predictions at once.
-BATCH_PAIRS = 256
+# A test item's row is computed only at the columns its test users read when
+# NARROW_RATIO times the sum of their training-row lengths is below the rated item
+# count. Gathering the read item vectors costs more per cell than the full row's
+# product over vectors gathered once per fold: on 5,700 rated items and 150 dims a
+# narrowed content row broke even at 10-14% of the cells (2-vCPU x86-64 host).
+NARROW_RATIO = 10
 
 RESULTS_HEADER = ["predictor", "split", "seed", "k", "fold", "rmse", "mae", "n_predictions", "n_fallbacks"]
 
@@ -202,14 +209,19 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
 
     Per fold, the training side is built once from the train records
     alone, and one provider per predictor serves every k. Test records
-    are predicted in (item, user) order, by predict_batch calls over
-    slices of at most BATCH_PAIRS pairs, once each at the largest k, so
-    each item's similarity row is computed once per fold and predictor;
-    the metric sums do not depend on that order. Every k is read from
-    that ranking by values_at, bit for bit what predict_rating gives at
-    that k, and the fallbacks are the same at every k. Item vectors
-    come from metadata, not ratings, so a shared index leaks nothing
-    across folds.
+    are predicted in (item, user) order, one predict_batch call per test
+    item (the target), once each at the largest k, so each target's
+    similarity row is computed once per fold and predictor; the metric
+    sums do not depend on that order. Every k is read from that ranking
+    by values_at, bit for bit what predict_rating gives at that k, and
+    the fallbacks are the same at every k. Item vectors come from
+    metadata, not ratings, so a shared index leaks nothing across folds.
+
+    A target's test users read its row at most at the sum of their
+    training-row lengths. Where NARROW_RATIO times that bound is below
+    the number of rated items, the row is computed only at the union of
+    their training columns and is NaN elsewhere (see _Reads); a row over
+    a subset of ids keeps the full row's bits there, so every cell does.
 
     Returns a list of (predictor, k, MetricReport): predictors outer,
     ks inner.
@@ -229,13 +241,20 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
     for fold_idx, train_idx, test_idx in plan.folds():
         train = ratings.subset(train_idx)
         test = test_idx[np.lexsort((ratings.user[test_idx], ratings.item[test_idx]))]
-        test_pairs = list(zip(ratings.user[test].tolist(), ratings.item[test].tolist()))
+        targets = _targets(ratings.user[test], ratings.item[test], train.arrays)
         actual = ratings.rating[test]
         for predictor in predictors:
-            provider = make_provider(predictor, train, index, policy)
+            # Narrowed rows get a provider of their own: a row over other ids would
+            # make the next whole row gather every rated item's vector again.
+            whole = narrow = None
             values, n_fallbacks = [], 0
-            for start in range(0, len(test_pairs), BATCH_PAIRS):
-                for pred in predict_batch(test_pairs[start:start + BATCH_PAIRS], train, provider, top):
+            for item, pairs, reads in targets:
+                if reads is None:
+                    rows = whole = whole or make_provider(predictor, train, index, policy)
+                else:
+                    narrow = narrow or make_provider(predictor, train, index, policy)
+                    rows = _Reads(narrow, item, train.arrays.items, reads)
+                for pred in predict_batch(pairs, train, rows, top):
                     values += values_at(pred, ks, train)
                     n_fallbacks += pred.is_fallback
             predicted = np.array(values, dtype=np.float64).reshape(-1, len(ks))
@@ -253,6 +272,48 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
                     report.n_predictions, report.n_fallbacks,
                 )
     return [(predictor, k, _aggregate(plan, fold_reports[predictor, k])) for predictor in predictors for k in ks]
+
+
+def _targets(users, items, arrays):
+    """(item, its test pairs, the columns they read or None) per test item, in order.
+
+    users and items are a fold's test pairs in (item, user) order, and
+    arrays its training side's. The columns, a mask over the rated
+    items, are the union of the item's test users' training columns,
+    taken only where the sum of their row lengths is positive and
+    NARROW_RATIO times it is below the rated item count; a user without
+    training ratings reads nothing.
+    """
+    if not len(items):
+        return []
+    starts = np.flatnonzero(np.append(True, items[1:] != items[:-1]))
+    no_row = (arrays.cols[:0],)
+    columns = [arrays.rows.get(u, no_row)[0] for u in users.tolist()]
+    bounds = np.add.reduceat(np.fromiter(map(len, columns), np.int64, len(columns)), starts)
+    pairs = list(zip(users.tolist(), items.tolist()))
+    targets = []
+    for a, b, bound in zip(starts.tolist(), [*starts[1:].tolist(), len(pairs)], bounds.tolist()):
+        reads = None
+        if 0 < NARROW_RATIO * bound < len(arrays.items):
+            reads = np.zeros(len(arrays.items), dtype=bool)
+            reads[np.concatenate(columns[a:b])] = True
+        targets.append((pairs[a][1], pairs[a:b], reads))
+    return targets
+
+
+class _Reads:
+    """One target's row over the rated items, computed at the read columns only.
+
+    Stands in for the provider in predict_batch: the provider's row over
+    the sorted ids items[reads] fills the reads of a NaN row over items.
+    """
+
+    def __init__(self, provider, item, items, reads):
+        self.values = np.full(len(items), np.nan)
+        self.values[reads] = provider.row(item, items[reads])
+
+    def row(self, item, items):
+        return self.values
 
 
 def _aggregate(plan, fold_reports):

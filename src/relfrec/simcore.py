@@ -328,8 +328,9 @@ class SimilarityProvider:
     ``row(item, items)`` gives item's similarity to each id of a sorted
     id array: a float array, NaN where undefined and at item itself.
     ``items`` is the sorted array of ids it can compare. The latest row
-    is kept, and it is the only cache: evaluation asks for the rows in
-    item order, once per test user, so each row is computed once.
+    is kept, and it is the only cache: evaluation asks for each test
+    item's row once, in item order, over the rated items or the few of
+    them its test users read, so each row is computed once.
     Build providers with make_provider.
     """
 

@@ -57,6 +57,33 @@ def tie_world(seed=3):
     return dataset(rows), synthdata.item_index(vectors, dim=4)
 
 
+def sparse_world(seed=6):
+    """Users who rate 2-4 of 100 items, and three who rate 20; items 10, 20, ... have no vector.
+
+    A test item's light users read few cells of its row, so sweep_k
+    computes that row at their columns only; a heavy user's test item
+    reads enough of its row to keep it whole.
+    """
+    rng = np.random.default_rng(seed)
+    items = np.arange(1, 101)
+    rows = [(u, int(i), int(rng.integers(1, 6)))
+            for u in range(1, 34) for i in rng.choice(items, 20 if u > 30 else rng.integers(2, 5), replace=False)]
+    vectors = {i: rng.normal(0.3, 1.0, 4) for i in range(1, 101) if i % 10}
+    return dataset(rows), synthdata.item_index(vectors, dim=4)
+
+
+def spy_batches(monkeypatch):
+    """Record sweep_k's predict_batch calls: (pairs, whether the target's row was narrowed)."""
+    calls = []
+
+    def spied(pairs, ratings, rows, *args):
+        calls.append((list(pairs), isinstance(rows, evaluation._Reads)))
+        return predict_batch(pairs, ratings, rows, *args)
+
+    monkeypatch.setattr(evaluation, "predict_batch", spied)
+    return calls
+
+
 def reference_sim(predictor, train, index, policy):
     """oracles.reference_similarity's value, or None, as oracles.knn_prediction's sim."""
     pair = oracles.reference_similarity(predictor, train, index, policy)
@@ -441,15 +468,16 @@ class TestSweepK:
         for data in [ds, *subsets]:
             assert "records" not in vars(data)
 
-    def test_cells_equal_the_per_record_oracle(self):
+    def test_cells_equal_the_per_record_oracle(self, monkeypatch):
         """Every cell's RMSE, MAE and fallbacks, fold by fold, against
         oracles.knn_prediction over the per-pair reference functions, at
         k 1, at k 2 where equal similarities straddle the cut, and past
-        every neighbourhood."""
-        ds, index = tie_world()
+        every neighbourhood; on the sparse world, over narrowed and
+        whole rows."""
+        sparse = sparse_world()
         policy, ks, predictors = HybridPolicy(), (1, 2, 500), ("cf", "cb", "hybrid")
-        seen = set()
-        for kind in ("kfold(3)", "cold-start(0.2)"):
+        seen, calls = set(), spy_batches(monkeypatch)
+        for (ds, index), kind in [(w, kind) for w in (tie_world(), sparse) for kind in ("kfold(3)", "cold-start(0.2)")]:
             plan = make_split(ds, kind, seed=3)
             want = {(p, k): [] for p in predictors for k in ks}
             for _f, train_idx, test_idx in plan.folds():
@@ -479,8 +507,10 @@ class TestSweepK:
                 assert abs(report.rmse - sum(f[0] for f in folds) / len(folds)) <= 1e-12
                 assert abs(report.mae - sum(f[1] for f in folds) / len(folds)) <= 1e-12
                 assert report.n_fallbacks == sum(f[2] for f in folds)
+            seen.update(("narrowed row" if narrowed else "whole row") for _p, narrowed in calls if ds is sparse[0])
+            calls.clear()
         assert seen == {DETAIL_FULL, DETAIL_ITEM_MEAN, DETAIL_GLOBAL_MEAN, "unknown user", "cold item",
-                        "cf tie", "cb tie", "hybrid tie"}
+                        "cf tie", "cb tie", "hybrid tie", "narrowed row", "whole row"}
 
     def test_bad_ks_fatal(self):
         ds = random_world(13)
@@ -518,25 +548,66 @@ class TestSweepK:
         with pytest.raises(ValueError, match="predictor 'cf' is given more than once"):
             sweep_k([5], ("cf", "cf"), plan, ds)
 
-    def test_predict_batch_calls_are_bounded(self, monkeypatch):
-        """No predict_batch call gets more than BATCH_PAIRS test pairs; the
-        slices keep the (item, user) order, and the cells do not change."""
-        ds = random_world(23, n_users=80, n_items=20, density=0.8)
-        plan = make_split(ds, "kfold(2)", seed=4)
-        calls = []
+    def test_one_predict_batch_call_per_test_item(self, monkeypatch):
+        """One predict_batch call per fold, predictor and test item, items
+        ascending and each call's users ascending; a row computed at its
+        test users' columns alone gives the cells of the whole row."""
+        ds, index = sparse_world()
+        plan = make_split(ds, "kfold(3)", seed=4)
+        calls = spy_batches(monkeypatch)
+        table = sweep_k([1, 5], ["cf", "hybrid"], plan, ds, index=index)
+        want = []
+        for _f, _train, test_idx in plan.folds():
+            pairs = sorted((ds.records[r][1], ds.records[r][0]) for r in test_idx)
+            for item in sorted({i for i, _u in pairs}) * 2:  # cf, then hybrid
+                want.append([(u, i) for i, u in pairs if i == item])
+        assert [pairs for pairs, _narrowed in calls] == want
+        assert {narrowed for _pairs, narrowed in calls} == {False, True}
+        calls.clear()
+        monkeypatch.setattr(evaluation, "NARROW_RATIO", 0)
+        assert sweep_k([1, 5], ["cf", "hybrid"], plan, ds, index=index) == table
+        assert {narrowed for _pairs, narrowed in calls} == {False}
 
-        def spied(pairs, *args, **kwargs):
-            calls.append(list(pairs))
-            return predict_batch(pairs, *args, **kwargs)
+    def test_whole_rows_gather_the_item_vectors_once_per_fold(self, monkeypatch):
+        # A narrowed row between two whole rows leaves the whole rows' gathered vectors alone.
+        ds, index = sparse_world()
+        plan = make_split(ds, "kfold(3)", seed=3)
+        calls, gathers = spy_batches(monkeypatch), []
+        original = simcore._ContentRows.row
 
-        monkeypatch.setattr(evaluation, "predict_batch", spied)
-        table = sweep_k([1, 5], ["cf"], plan, ds)
-        assert max(map(len, calls)) == evaluation.BATCH_PAIRS and len(calls) > 2 * plan.n_folds
-        ordered = [(u, i) for _f, _train, test_idx in plan.folds()
-                   for i, u in sorted((ds.records[r][1], ds.records[r][0]) for r in test_idx)]
-        assert [pair for call in calls for pair in call] == ordered
-        monkeypatch.setattr(evaluation, "BATCH_PAIRS", len(ds))
-        assert sweep_k([1, 5], ["cf"], plan, ds) == table
+        def row(self, item, items):
+            if items is not self.items:
+                gathers.append(len(items))
+            return original(self, item, items)
+
+        monkeypatch.setattr(simcore._ContentRows, "row", row)
+        sweep_k([5], ["cb", "hybrid"], plan, ds, index=index)
+        narrowed = [n for _pairs, n in calls]
+        assert (True, False) in zip(narrowed, narrowed[1:])
+        rated = [len(ds.subset(train_idx).arrays.items) for _f, train_idx, _test in plan.folds()]
+        whole = [n for n in gathers if n in rated]
+        assert whole == [n for n in rated for _predictor in ("cb", "hybrid")]
+        assert len(gathers) - len(whole) == sum(narrowed)
+
+    @pytest.mark.parametrize("kind", ["kfold(3)", "cold-start(0.2)"])
+    def test_every_test_record_is_predicted_once_per_predictor(self, monkeypatch, kind):
+        """The benchmark's sample check observes predict.predict_rating, so
+        each test record goes through it once per predictor on either path."""
+        ds, index = sparse_world()
+        plan = make_split(ds, kind, seed=3)
+        calls, predicted = spy_batches(monkeypatch), []
+        original = predict.predict_rating
+
+        def counted(user, item, *args, **kwargs):
+            predicted.append((user, item))
+            return original(user, item, *args, **kwargs)
+
+        monkeypatch.setattr(predict, "predict_rating", counted)
+        predictors = ("cf", "cb", "hybrid")
+        sweep_k([1, 35], predictors, plan, ds, index=index)
+        tests = [ds.records[r][:2] for _f, _train, test_idx in plan.folds() for r in test_idx]
+        assert sorted(predicted) == sorted(tests * len(predictors))
+        assert {narrowed for _pairs, narrowed in calls} == {False, True}
 
 
 class TestResultsOutput:

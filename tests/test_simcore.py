@@ -599,6 +599,22 @@ class TestRows:
             expected = lambda t, j: hybrid_sim(t, j, ratings, index, policy)  # noqa: E731
             self.check_rows(provider, ratings, index, self.targets(ratings, index, seed), expected, 1e-14)
 
+    @pytest.mark.parametrize("kind", PREDICTORS)
+    def test_rows_over_a_subset_keep_the_full_rows_bits(self, kind):
+        # evaluation.sweep_k computes a row at its test users' columns alone.
+        ratings, index = row_world(3, 0.001)
+        provider = make_provider(kind, ratings, index)
+        items = ratings.arrays.items
+        rng = np.random.default_rng(7)
+        for t in self.targets(ratings, index, 3):
+            full = provider.row(t, items).copy()
+            others = np.flatnonzero(items != t)
+            subsets = [rng.choice(len(items), 1), np.sort(rng.choice(others, len(others) // 2, replace=False))]
+            if t in ratings.arrays.position:
+                subsets.append(np.sort(np.append(rng.choice(others, 4, replace=False), ratings.arrays.position[t])))
+            for subset in subsets:
+                assert np.array_equal(provider.row(t, items[subset]), full[subset], equal_nan=True), (t, subset)
+
     def test_every_route_is_exercised(self):
         ratings, index = row_world(3, 0.5)
         items = ratings.arrays.items.tolist()
