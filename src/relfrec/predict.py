@@ -23,15 +23,21 @@ the user's ones, keeps the positive cells, sorts them once and sums
 the top k in order, with no Python loop over neighbors. A full
 Prediction keeps those running sums, so values_at reads its value at
 every smaller k from the one ranking: a k sweep ranks each test record
-once, at its largest k. Rating prediction is the only output: the
-evaluation scores predicted ratings (RMSE/MAE), so there is no top-n
-ranking.
+once, at its largest k. A sweep still calls predict_rating once per
+test record, so a record pays for little beyond its numpy calls: a
+Prediction is a slotted dataclass, the running sums come from
+np.add.accumulate (the ufunc cumsum calls, so the same bits), and the
+clamp is written out in place. Rating prediction is the only output:
+the evaluation scores predicted ratings (RMSE/MAE), so there is no
+top-n ranking.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import check_integers
 
@@ -52,7 +58,7 @@ class PredictionConfig:
         check_integers(self, k=1)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Prediction:
     """A predicted rating plus how it was produced.
 
@@ -61,7 +67,9 @@ class Prediction:
     weighted formula ran or which mean stood in for it. A full
     prediction's ``running_sums`` are its anchor and the running sums
     cumsum(w * d) and cumsum(w) over its ranked neighbors, which
-    values_at reads; fallbacks have None.
+    values_at reads; fallbacks have None. A slotted dataclass, since
+    one is built per test record: it is mutable and unhashable, and
+    ``==`` and ``repr`` leave out ``running_sums``.
     """
 
     value: float
@@ -108,10 +116,12 @@ def predict_rating(user, item, ratings, provider, config=None):
         return _mean_fallback(item, ratings)
     top = (-sims).argsort(kind="stable")[: config.k]
     weights = sims[top]
-    num = (weights * deviations[positive][top]).cumsum()
-    den = weights.cumsum()
-    anchor = ratings.item_means.get(item, ratings.global_mean)
-    value = _clamp(anchor + float(num[-1]) / float(den[-1]), ratings)
+    num = np.add.accumulate(weights * deviations[positive][top])
+    den = np.add.accumulate(weights)
+    anchor = ratings.item_means.get(item)
+    if anchor is None:
+        anchor = ratings.global_mean
+    value = float(min(max(anchor + float(num[-1]) / float(den[-1]), ratings.r_min), ratings.r_max))
     return Prediction(value, DETAIL_FULL, len(top), (anchor, num, den))
 
 
@@ -128,9 +138,10 @@ def values_at(prediction, ks, ratings):
     if prediction.running_sums is None:
         return [prediction.value] * len(ks)
     anchor, num, den = prediction.running_sums
-    n = prediction.neighbors_used
+    n, value = prediction.neighbors_used, prediction.value
+    r_min, r_max = ratings.r_min, ratings.r_max
     return [
-        prediction.value if k >= n else _clamp(anchor + float(num[k - 1]) / float(den[k - 1]), ratings)
+        value if k >= n else float(min(max(anchor + float(num[k - 1]) / float(den[k - 1]), r_min), r_max))
         for k in ks
     ]
 

@@ -49,6 +49,9 @@ PREDICTORS = ("cf", "cb", "hybrid")
 SOURCE_RATING = "rating"
 SOURCE_CONTENT = "content"
 
+_NORM_BLOCK_ROWS = 512  # rows of an ItemVectorIndex squared at once for its norms
+
+
 @dataclass(frozen=True)
 class SimilarityValue:
     """A similarity in [-1, 1] plus how much evidence backs it.
@@ -125,7 +128,9 @@ def _locate(ids, items):
 class ItemVectorIndex:
     """Mean feature vectors as one matrix over sorted int64 item ids.
 
-    Row r is item ids[r]'s, from coverage[r] tokens; ``vectors`` is a read-only id -> row view."""
+    Row r is item ids[r]'s, from coverage[r] tokens; ``vectors`` is a read-only id -> row view.
+    ``norms`` are the rows' Euclidean norms, computed once on first use and shared by every
+    provider over the index, so the index is read-only once built."""
 
     ids: np.ndarray
     matrix: np.ndarray
@@ -140,6 +145,18 @@ class ItemVectorIndex:
     @cached_property
     def vectors(self):
         return MappingProxyType(dict(zip(self.ids.tolist(), self.matrix)))
+
+    @cached_property
+    def norms(self):
+        """np.linalg.norm(matrix, axis=1) bit for bit, squared _NORM_BLOCK_ROWS rows at a time.
+
+        Each row is its own add.reduce, as in np.linalg.norm, so blocks keep the bits
+        without a temporary the size of the whole matrix."""
+        norms = np.empty(len(self.matrix))
+        for start in range(0, len(self.matrix), _NORM_BLOCK_ROWS):
+            block = self.matrix[start:start + _NORM_BLOCK_ROWS]
+            np.sqrt(np.add.reduce(block * block, axis=1), out=norms[start:start + _NORM_BLOCK_ROWS])
+        return norms
 
     def __contains__(self, item_id):
         return self.find(item_id) is not None
@@ -292,16 +309,16 @@ def _rating_row(ratings, item, items, policy=None):
 class _ContentRows:
     """RELFsim rows: one matrix-vector product per target item.
 
-    Gathers the vectors and norms of one id array's items from the index
-    (zeros for an item without a vector); a cell is NaN where either
-    vector is missing or zero. einsum runs the same loop for every row,
+    Gathers the vectors of one id array's items from the index, and their
+    norms from index.norms (zeros for an item without a vector); a cell
+    is NaN where either vector is missing or zero. einsum runs the same loop for every row,
     where a BLAS product may sum trailing rows another way, so identical
     vectors give identical cells and rows are exactly symmetric.
     """
 
     def __init__(self, index):
         self.index = index
-        self.index_norms = np.linalg.norm(index.matrix, axis=1)
+        self.index_norms = index.norms
         self.items = None
 
     def row(self, item, items):
@@ -337,18 +354,17 @@ class SimilarityProvider:
     def __init__(self, row, items):
         self.items = items
         self._row = row
-        self._latest = (None, None, None)
+        self._latest_item = self._latest_items = None
 
     def row(self, item, items):
-        return self._computed(item, items)[0]
+        if item != self._latest_item or items is not self._latest_items:
+            self._values, self._from_rating = self._row(item, items)
+            self._latest_item, self._latest_items = item, items
+        return self._values
 
     def _computed(self, item, items):
         """(values, from_rating) of a row: from_rating marks rating cells, as a mask or one bool."""
-        latest_item, latest_items, latest = self._latest
-        if item != latest_item or items is not latest_items:
-            latest = self._row(item, items)
-            self._latest = (item, items, latest)
-        return latest
+        return self.row(item, items), self._from_rating
 
 
 def make_provider(kind, ratings=None, index=None, policy=None):

@@ -264,14 +264,19 @@ def sparse_world(seed, n_users=24, n_items=30):
 
 
 class TestValuesAt:
-    @pytest.mark.parametrize("predictor", ["cf", "cb", "hybrid"])
-    def test_prefix_read_equals_prediction_at_each_k(self, predictor):
+    @pytest.mark.parametrize("predictor, integer_scale", [
+        *(pytest.param(p, False, id=p) for p in ("cf", "cb", "hybrid")),
+        *(pytest.param(p, True, id=f"{p}-integer-scale") for p in ("cf", "cb", "hybrid")),
+    ])
+    def test_prefix_read_equals_prediction_at_each_k(self, predictor, integer_scale):
         ds, index = sparse_world(41)
         test = np.random.default_rng(43).choice(len(ds), size=60, replace=False)
         train = ds.subset(np.setdiff1d(np.arange(len(ds)), test))
         # User 998 rated only item 31, which no one else rated and which has
         # no vector, so no source has a candidate for them: the item mean stands in.
-        train = RatingDataset(records=train.records + [(998, 31, 3.0, 0)])
+        # On an integer scale a clamped prefix read must still be a plain float.
+        r_min, r_max = (1, 5) if integer_scale else (1.0, 5.0)
+        train = RatingDataset(records=train.records + [(998, 31, 3.0, 0)], r_min=r_min, r_max=r_max)
         pairs = list(zip(ds.user[test].tolist(), ds.item[test].tolist()))
         users, counts = np.unique(train.user, return_counts=True)
         pairs += [(u, i) for u in users[counts <= 3].tolist() for i in (1, 2, 3)]  # small neighborhoods
@@ -279,7 +284,7 @@ class TestValuesAt:
         provider = make_provider(predictor, train, index)
         big = 30
         ks = list(range(1, big + 1))
-        details, longest = set(), 0
+        details, longest, clamped = set(), 0, 0
         cfg = PredictionConfig(k=big)
         for user, item in pairs:
             pred = predict_rating(user, item, train, provider, cfg)
@@ -290,26 +295,43 @@ class TestValuesAt:
             assert got[-1] == pred.value
             details.add(pred.detail)
             longest = max(longest, pred.neighbors_used)
-        # Every route is covered, and neighborhoods reach past numpy's
-        # eight-way pairwise unrolling, where a pairwise sum would differ.
+            if pred.running_sums is not None:
+                anchor, num, den = pred.running_sums
+                raw = [anchor + num[k - 1] / den[k - 1] for k in range(1, pred.neighbors_used)]
+                clamped += sum(not 1.0 <= v <= 5.0 for v in raw)
+        # Every route is covered, neighborhoods reach past numpy's eight-way
+        # pairwise unrolling, where a pairwise sum would differ, and some
+        # value at a k below neighbors_used clamps to a bound of the scale.
         assert details == {DETAIL_FULL, DETAIL_ITEM_MEAN, DETAIL_GLOBAL_MEAN}
         assert longest >= 12
+        assert clamped
 
     def test_running_sums_left_out_of_equality_and_repr(self):
         pred = Prediction(3.0, DETAIL_FULL, 2, (3.0, np.array([0.5, 1.0]), np.array([0.5, 0.9])))
         assert pred == Prediction(3.0, DETAIL_FULL, 2)
         assert repr(pred) == repr(Prediction(3.0, DETAIL_FULL, 2))
 
+    def test_prediction_is_slotted(self):
+        # One is built per test record, and a slotted dataclass builds fastest;
+        # being mutable, it is unhashable.
+        pred = Prediction(3.0, DETAIL_FULL, 2)
+        assert not hasattr(pred, "__dict__")
+        with pytest.raises(TypeError):
+            hash(pred)
+
 
 class TestCumsumOrder:
     """numpy's cumsum is a sequential left fold: the prefix reads of
-    values_at and RatingDataset's means are bit-exact only while it is."""
+    values_at and RatingDataset's means are bit-exact only while it is.
+    predict_rating takes its running sums from np.add.accumulate, the
+    ufunc cumsum calls, so the two must give the same bytes."""
 
     def test_prefix_of_cumsum_is_cumsum_of_prefix_and_a_left_fold(self):
         rng = np.random.default_rng(47)
         for n in range(1, 301):
             a = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
             full = a.cumsum()
+            assert np.add.accumulate(a).tobytes() == full.tobytes()
             m = int(rng.integers(1, n + 1))
             assert full[:m].tobytes() == a[:m].cumsum().tobytes()
             fold = 0.0

@@ -271,6 +271,17 @@ class TestBuildItemVectors:
         with pytest.raises(DataError, match=f"item id {2**64} does not fit in 64 bits"):
             build_item_vectors(bundle.sentences, table)
 
+    def test_norms_equal_numpy_norms_byte_for_byte(self):
+        # Two whole blocks of rows, a partial one, and a zero row in the second block.
+        n = 2 * simcore._NORM_BLOCK_ROWS + 37
+        rng = np.random.default_rng(11)
+        matrix = rng.normal(size=(n, 7)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        matrix[simcore._NORM_BLOCK_ROWS + 3] = 0.0
+        index = synthdata.item_index(dict(enumerate(matrix, 1)), dim=7)
+        assert index.norms.tobytes() == np.linalg.norm(matrix, axis=1).tobytes()
+        assert index.norms[simcore._NORM_BLOCK_ROWS + 3] == 0.0
+        assert index.norms is index.norms
+
 
 class TestRelfSim:
     def make_index(self):
@@ -461,6 +472,15 @@ class TestProviders:
             assert np.array_equal(provider.items, sorted(items))
             sources = {k: s for k, _value, s in top_similar_items(provider, i, len(items))}
             assert sources[j] == source
+
+    def test_providers_over_one_index_share_its_norms(self, monkeypatch):
+        made = []
+        init = simcore._ContentRows.__init__
+        monkeypatch.setattr(simcore._ContentRows, "__init__", lambda rows, index: made.append(rows) or init(rows, index))
+        for kind in ("cb", "hybrid", "cb"):
+            make_provider(kind, self.ratings, self.index).row(2, self.index.ids)
+        assert len(made) == 3
+        assert all(rows.index_norms is self.index.norms for rows in made)
 
     def test_make_provider_missing_inputs(self):
         with pytest.raises(ValueError):
