@@ -216,7 +216,11 @@ class EmbeddingTable:
             raise KeyError(f"token {token!r} not in vocabulary") from None
 
     def most_similar(self, token, n=10):
-        """Top-n (token, cosine) pairs by input-vector similarity."""
+        """Top-n (token, cosine) pairs by input-vector similarity, ties by token.
+
+        One lexsort ranks the vocabulary by descending cosine, then by each
+        token's place in str order.
+        """
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         i = self.vocab.index.get(token)
@@ -226,11 +230,11 @@ class EmbeddingTable:
         norms = np.linalg.norm(mat, axis=1)
         norms[norms == 0.0] = 1.0
         sims = (mat @ mat[i]) / (norms * norms[i])
-        ranked = sorted(
-            (j for j in range(len(self.vocab)) if j != i),
-            key=lambda j: (-sims[j], self.vocab.tokens[j]),
-        )
-        return [(self.vocab.tokens[j], float(sims[j])) for j in ranked[:n]]
+        tokens = self.vocab.tokens
+        token_rank = np.empty(len(tokens), dtype=np.intp)
+        token_rank[sorted(range(len(tokens)), key=tokens.__getitem__)] = np.arange(len(tokens))
+        ranked = np.lexsort((token_rank, -sims))
+        return [(tokens[j], float(sims[j])) for j in ranked[ranked != i][:n].tolist()]
 
 
 def _sigmoid(x):

@@ -5,10 +5,12 @@ train/test side (holdout, cold-start). evaluate() then, per fold,
 rebuilds all training-side state (means, arrays, similarity rows) from
 the train records only, predicts every test record, and aggregates
 metrics; sweep_k shares that state, and one neighbor ranking per test
-record, across every k of a fold. It predicts one test item at a time;
-when that item's test users can read only a small share of its row,
-the row is computed at their rated items alone, with the same bits
-there, so no metric changes. rmse and mae score two aligned 1-D
+record, across every k of a fold. It predicts one test item at a time,
+from one row array computed once for that item; when the item's test
+users can read only a small share of its row, the row is computed at
+their rated items alone, with the same bits there, so no metric
+changes. The ranking's own k is read from each Prediction's value, and
+values_at reads only the smaller ks. rmse and mae score two aligned 1-D
 arrays, the predicted and the actual ratings. Fallback predictions are
 included in the metrics and counted, never skipped: dropping them would
 flatter predictors that cannot reach cold items.
@@ -30,7 +32,7 @@ from numbers import Integral
 import numpy as np
 
 from .ingest import text_stream
-from .predict import PredictionConfig, predict_batch, values_at
+from .predict import DETAIL_FULL, PredictionConfig, predict_batch, values_at
 from .simcore import make_provider
 
 log = logging.getLogger(__name__)
@@ -210,17 +212,20 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
     Per fold, the training side is built once from the train records
     alone, and one provider per predictor serves every k. Test records
     are predicted in (item, user) order, one predict_batch call per test
-    item (the target), once each at the largest k, so each target's
-    similarity row is computed once per fold and predictor; the metric
-    sums do not depend on that order. Every k is read from that ranking
-    by values_at, bit for bit what predict_rating gives at that k, and
-    the fallbacks are the same at every k. Item vectors come from
-    metadata, not ratings, so a shared index leaks nothing across folds.
+    item (the target), once each at the largest k. The target's
+    similarity row is asked of its provider once per fold and predictor,
+    and predict_batch reads that one array through _Row; the metric sums
+    do not depend on that order. The largest k is each prediction's own
+    value, and values_at reads every smaller k from the same ranking, bit
+    for bit what predict_rating gives at that k, so a one-k sweep never
+    calls it. The fallbacks, counted from each prediction's detail, are
+    the same at every k. Item vectors come from metadata, not ratings, so
+    a shared index leaks nothing across folds.
 
     A target's test users read its row at most at the sum of their
     training-row lengths. Where NARROW_RATIO times that bound is below
     the number of rated items, the row is computed only at the union of
-    their training columns and is NaN elsewhere (see _Reads); a row over
+    their training columns and is NaN elsewhere; a row over
     a subset of ids keeps the full row's bits there, so every cell does.
 
     Returns a list of (predictor, k, MetricReport): predictors outer,
@@ -237,9 +242,11 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
         if repeated is not None:
             raise ValueError(f"{what} {repeated!r} is given more than once; each fold would count twice")
     top = replace(config, k=max(ks))
+    below = [k for k in ks if k < top.k]
     fold_reports = {(predictor, k): [] for predictor in predictors for k in ks}
     for fold_idx, train_idx, test_idx in plan.folds():
         train = ratings.subset(train_idx)
+        items = train.arrays.items
         test = test_idx[np.lexsort((ratings.user[test_idx], ratings.item[test_idx]))]
         targets = _targets(ratings.user[test], ratings.item[test], train.arrays)
         actual = ratings.rating[test]
@@ -247,17 +254,24 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
             # Narrowed rows get a provider of their own: a row over other ids would
             # make the next whole row gather every rated item's vector again.
             whole = narrow = None
-            values, n_fallbacks = [], 0
+            values, below_values, n_fallbacks = [], [], 0
             for item, pairs, reads in targets:
                 if reads is None:
-                    rows = whole = whole or make_provider(predictor, train, index, policy)
+                    whole = whole or make_provider(predictor, train, index, policy)
+                    row = whole.row(item, items)
                 else:
                     narrow = narrow or make_provider(predictor, train, index, policy)
-                    rows = _Reads(narrow, item, train.arrays.items, reads)
-                for pred in predict_batch(pairs, train, rows, top):
-                    values += values_at(pred, ks, train)
-                    n_fallbacks += pred.is_fallback
-            predicted = np.array(values, dtype=np.float64).reshape(-1, len(ks))
+                    row = np.full(len(items), np.nan)
+                    row[reads] = narrow.row(item, items[reads])
+                preds = predict_batch(pairs, train, _Row(row), top)
+                values += [pred.value for pred in preds]
+                if below:
+                    for pred in preds:
+                        below_values += values_at(pred, below, train)
+                n_fallbacks += len(preds) - [pred.detail for pred in preds].count(DETAIL_FULL)
+            predicted = np.empty((len(values), len(ks)))
+            predicted[:, ks.index(top.k)] = values
+            predicted[:, [ks.index(k) for k in below]] = np.reshape(below_values, (len(values), len(below)))
             for k, column in zip(ks, predicted.T):
                 report = MetricReport(
                     rmse=rmse(column, actual),
@@ -301,16 +315,17 @@ def _targets(users, items, arrays):
     return targets
 
 
-class _Reads:
-    """One target's row over the rated items, computed at the read columns only.
+class _Row:
+    """One target's row over the rated items, as predict_batch's provider.
 
-    Stands in for the provider in predict_batch: the provider's row over
-    the sorted ids items[reads] fills the reads of a NaN row over items.
+    The row is computed once before its target's records are predicted, so
+    row() hands back that array without a cache check.
     """
 
-    def __init__(self, provider, item, items, reads):
-        self.values = np.full(len(items), np.nan)
-        self.values[reads] = provider.row(item, items[reads])
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = values
 
     def row(self, item, items):
         return self.values

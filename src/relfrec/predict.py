@@ -19,15 +19,20 @@ records which route produced it. The predictor is indifferent to where
 similarities come from: cf, cb and hybrid differ only in the similarity
 rows of the SimilarityProvider that simcore.make_provider builds. A
 prediction reads the target's row over the dataset's rated items at
-the user's ones, keeps the positive cells, sorts them once and sums
-the top k in order, with no Python loop over neighbors. A full
-Prediction keeps those running sums, so values_at reads its value at
-every smaller k from the one ranking: a k sweep ranks each test record
-once, at its largest k. A sweep still calls predict_rating once per
-test record, so a record pays for little beyond its numpy calls: a
-Prediction is a slotted dataclass, the running sums come from
-np.add.accumulate (the ufunc cumsum calls, so the same bits), and the
-clamp is written out in place. Rating prediction is the only output:
+the user's ones, counts the positive cells and ranks every candidate
+with one stable argsort of the negated cells, without a boolean-mask
+copy: positives sort ahead of 0.0, -0.0, negatives and NaN, so the first
+min(k, positives) are the top k positive neighbors, ties by ascending
+item id. Their running sums are taken in that order, with no Python
+loop over neighbors. A full Prediction keeps those running sums, so
+values_at reads its value at every smaller k from the one ranking: a k
+sweep ranks each test record once, at its largest k, whose value is
+the Prediction's own. A sweep still calls predict_rating once per test
+record, with the target's row handed in as one array, so a record pays
+for little beyond its numpy calls: a Prediction is a slotted
+dataclass, the running sums come from np.add.accumulate (the ufunc
+cumsum calls, so the same bits), and the clamp is written out in
+place. Rating prediction is the only output:
 the evaluation scores predicted ratings (RMSE/MAE), so there is no
 top-n ranking.
 """
@@ -100,8 +105,10 @@ def predict_rating(user, item, ratings, provider, config=None):
     Otherwise candidates are the user's rated items with defined,
     strictly positive similarity to the target in the provider's row
     over ``ratings.arrays.items``; the k largest enter the weighted
-    sum, ties broken by ascending item id, summed in that order. No
-    candidate at all trips the mean fallback chain.
+    sum, ties broken by ascending item id, summed in that order. They
+    are the first min(k, positives) of a stable argsort of every
+    candidate's negated cell, where NaN, zeros and negatives sort last.
+    No candidate at all trips the mean fallback chain.
     """
     config = config or PredictionConfig()
     arrays = ratings.arrays
@@ -110,13 +117,12 @@ def predict_rating(user, item, ratings, provider, config=None):
         return Prediction(_clamp(ratings.global_mean, ratings), DETAIL_GLOBAL_MEAN)
     columns, deviations = user_row
     sims = provider.row(item, arrays.items)[columns]
-    positive = sims > 0.0
-    sims = sims[positive]
-    if not len(sims):
+    k = min(config.k, np.count_nonzero(sims > 0.0))
+    if not k:
         return _mean_fallback(item, ratings)
-    top = (-sims).argsort(kind="stable")[: config.k]
+    top = (-sims).argsort(kind="stable")[:k]
     weights = sims[top]
-    num = np.add.accumulate(weights * deviations[positive][top])
+    num = np.add.accumulate(weights * deviations[top])
     den = np.add.accumulate(weights)
     anchor = ratings.item_means.get(item)
     if anchor is None:

@@ -26,7 +26,9 @@ ItemVectorIndex (one matrix over sorted item ids) with the target's
 vector, the same loop for every row, so identical vectors give
 identical cells; hybrid rows pick between the two per cell. Only the
 latest row is kept, so no item-by-item matrix is ever materialized.
-Prediction and top_similar_items both read rows.
+Prediction and top_similar_items both read rows; evaluation asks each
+test item's provider for its row once and hands the predictions that
+array.
 """
 
 from __future__ import annotations
@@ -264,9 +266,9 @@ def _pair_sums(arrays, t, counts=False):
     ends = lengths.cumsum()
     theirs = np.arange(ends[-1]) + (first - ends + lengths).repeat(lengths)
     keys = arrays.cols[theirs]
-    v_i, r_j = arrays.values[mine], arrays.values[theirs]
-    dot = np.bincount(keys, v_i.repeat(lengths) * r_j, n)
-    sq_i = np.bincount(keys, (v_i * v_i).repeat(lengths), n)
+    v_i, r_j = arrays.values[mine].repeat(lengths), arrays.values[theirs]
+    dot = np.bincount(keys, v_i * r_j, n)
+    sq_i = np.bincount(keys, v_i * v_i, n)
     sq_j = np.bincount(keys, r_j * r_j, n)
     return (dot, sq_i, sq_j, np.bincount(keys, minlength=n)) if counts else (dot, sq_i, sq_j)
 
@@ -292,9 +294,8 @@ def _rating_row(ratings, item, items, policy=None):
     if t is None:
         return None
     dot, sq_i, sq_j, *support = _pair_sums(arrays, t, policy is not None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = dot / (np.sqrt(sq_i) * np.sqrt(sq_j))
-    values[(sq_i == 0.0) | (sq_j == 0.0)] = np.nan
+    values = np.full(len(dot), np.nan)
+    np.divide(dot, np.sqrt(sq_i) * np.sqrt(sq_j), out=values, where=(sq_i != 0.0) & (sq_j != 0.0))
     values[t] = np.nan
     warm = None
     if policy is not None:
@@ -310,8 +311,8 @@ class _ContentRows:
     """RELFsim rows: one matrix-vector product per target item.
 
     Gathers the vectors of one id array's items from the index, and their
-    norms from index.norms (zeros for an item without a vector); a cell
-    is NaN where either vector is missing or zero. einsum runs the same loop for every row,
+    norms from index.norms, with take; a cell is NaN where either vector
+    is missing or zero, whatever was gathered there. einsum runs the same loop for every row,
     where a BLAS product may sum trailing rows another way, so identical
     vectors give identical cells and rows are exactly symmetric.
     """
@@ -324,10 +325,9 @@ class _ContentRows:
     def row(self, item, items):
         if items is not self.items:
             at, seen = _locate(self.index.ids, items)
-            self.matrix = np.zeros((len(items), self.index.matrix.shape[1]))
-            self.norms = np.zeros(len(items))
-            self.matrix[seen], self.norms[seen] = self.index.matrix[at[seen]], self.index_norms[at[seen]]
-            self.defined = self.norms > 0.0
+            if len(self.index.ids):  # a take from an empty index raises, and no row of one reads these
+                self.matrix, self.norms = self.index.matrix.take(at, axis=0), self.index_norms.take(at)
+                self.defined = seen & (self.norms > 0.0)
             self.items = items
         out = np.full(len(items), np.nan)
         t = self.index.find(item)
@@ -346,8 +346,9 @@ class SimilarityProvider:
     id array: a float array, NaN where undefined and at item itself.
     ``items`` is the sorted array of ids it can compare. The latest row
     is kept, and it is the only cache: evaluation asks for each test
-    item's row once, in item order, over the rated items or the few of
-    them its test users read, so each row is computed once.
+    item's row once per fold and predictor, in item order, over the rated
+    items or the few of them its test users read, and its test users'
+    predictions read that array itself, not the provider.
     Build providers with make_provider.
     """
 

@@ -788,6 +788,34 @@ class TestEmbeddingTable:
         sims = [s for _, s in top]
         assert sims == sorted(sims, reverse=True)
 
+    def test_most_similar_ranks_as_a_sort_by_cosine_then_token(self):
+        """The ranking equals a Python sort keyed on (-cosine, token), on a table
+        whose duplicate vectors tie, at n inside the tie and past it."""
+        vectors = {
+            "m": [1.0, 0.0],  # the query
+            "x": [1.0, 0.0],  # its duplicate: cosine 1
+            "b": [1.0, 1.0], "z": [1.0, 1.0], "a": [1.0, 1.0], "k": [1.0, 1.0],  # four tied
+            "c": [0.0, 1.0], "y": [0.0, 0.0],  # both at cosine 0: a zero vector counts as norm 1
+            "q": [-1.0, 0.5], "d": [-1.0, 0.5],
+        }
+        tokens = list(vectors)
+        table = EmbeddingTable(Vocabulary(tokens, np.ones(len(tokens), dtype=np.int64)),
+                               np.array([vectors[t] for t in tokens]))
+
+        def sorted_ranking(token, n):
+            i = table.vocab.index[token]
+            norms = np.linalg.norm(table.input_vectors, axis=1)
+            norms[norms == 0.0] = 1.0
+            sims = (table.input_vectors @ table.input_vectors[i]) / (norms * norms[i])
+            ranked = sorted((j for j in range(len(tokens)) if j != i), key=lambda j: (-sims[j], tokens[j]))
+            return [(tokens[j], float(sims[j])) for j in ranked[:n]]
+
+        for token in ("m", "b", "y", "q"):
+            for n in (1, 2, 3, 5, 6, 9, 50):
+                assert table.most_similar(token, n=n) == sorted_ranking(token, n), (token, n)
+        assert [t for t, _s in table.most_similar("m", n=3)] == ["x", "a", "b"]  # n=3 stops inside the tie
+        assert [t for t, _s in table.most_similar("m", n=7)] == ["x", "a", "b", "k", "z", "c", "y"]
+
     def test_most_similar_n_below_one_rejected(self):
         table = train_skipgram(sentences_of(["a", "b", "c"]), TrainConfig(window=1, dim=4, negatives=1, epochs=1, seed=3))
         for n in (0, -1):

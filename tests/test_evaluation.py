@@ -73,13 +73,24 @@ def sparse_world(seed=6):
 
 
 def spy_batches(monkeypatch):
-    """Record sweep_k's predict_batch calls: (pairs, whether the target's row was narrowed)."""
-    calls = []
+    """Record sweep_k's predict_batch calls: (pairs, whether the target's row was narrowed).
+
+    Whole and narrowed rows reach predict_batch in one holder, so whether a
+    target is narrowed is read from the fold's _targets, which gives its reads."""
+    calls, narrowed = [], {}
+    targets = evaluation._targets
+
+    def spied_targets(*args):
+        found = targets(*args)
+        narrowed.clear()
+        narrowed.update((item, reads is not None) for item, _pairs, reads in found)
+        return found
 
     def spied(pairs, ratings, rows, *args):
-        calls.append((list(pairs), isinstance(rows, evaluation._Reads)))
+        calls.append((list(pairs), narrowed[pairs[0][1]]))
         return predict_batch(pairs, ratings, rows, *args)
 
+    monkeypatch.setattr(evaluation, "_targets", spied_targets)
     monkeypatch.setattr(evaluation, "predict_batch", spied)
     return calls
 
@@ -511,6 +522,34 @@ class TestSweepK:
             calls.clear()
         assert seen == {DETAIL_FULL, DETAIL_ITEM_MEAN, DETAIL_GLOBAL_MEAN, "unknown user", "cold item",
                         "cf tie", "cb tie", "hybrid tie", "narrowed row", "whole row"}
+
+    def test_values_at_reads_only_the_ks_below_the_largest(self, monkeypatch):
+        """The ranking's own k is read from Prediction.value: a one-k evaluate
+        never calls values_at, and a sweep calls it once per record with the
+        smaller ks alone; the cells and their results rows stay the same."""
+        ds, index = sparse_world()
+        plan = make_split(ds, "kfold(3)", seed=3)
+        predictors, ks = ("cf", "cb", "hybrid"), [10, 35, 1, 5]
+        calls, original = [], evaluation.values_at
+
+        def counted(prediction, ks, ratings):
+            calls.append(list(ks))
+            return original(prediction, ks, ratings)
+
+        monkeypatch.setattr(evaluation, "values_at", counted)
+        per_cell = [(p, k, evaluate(p, plan, ds, config=PredictionConfig(k=k), index=index))
+                    for p in predictors for k in ks]
+        assert calls == []
+        table = sweep_k(ks, predictors, plan, ds, index=index)
+        assert calls == [[10, 1, 5]] * (len(predictors) * len(ds))
+        assert table == per_cell
+
+        def csv_text(cells):
+            sink = io.StringIO()
+            write_results_csv([row for p, k, rep in cells for row in results_rows(p, plan, k, rep)], sink)
+            return sink.getvalue()
+
+        assert csv_text(table) == csv_text(per_cell)
 
     def test_bad_ks_fatal(self):
         ds = random_world(13)

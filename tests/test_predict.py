@@ -165,6 +165,29 @@ class TestPredictRating:
         assert pred.value == pytest.approx(expected, abs=1e-12)
         assert pred.neighbors_used == 2
 
+    def test_ranking_over_every_kind_of_cell_matches_the_oracle(self):
+        """Candidates holding NaN, 0.0, -0.0, negative and tied positive
+        similarities, at a k below, at and above the positive count: only
+        the positives enter, ties by ascending id."""
+        sims = {101: np.nan, 102: 0.0, 103: -0.0, 104: -0.3, 105: 0.7, 106: 0.4,
+                107: 0.7, 108: np.nan, 109: 0.4, 110: 0.9, 111: -0.0, 112: 0.4}
+        rows = [(1, j, 1 + j % 5) for j in sims]
+        rows += [(2, j, 1 + j % 3) for j in (100, *sims)] + [(3, j, 1 + j % 4) for j in (100, *sims)]
+        ds = dataset(rows)
+        provider = stub_provider({(100, j): s for j, s in sims.items()})
+
+        def sim(i, j):
+            s = sims.get(max(i, j)) if min(i, j) == 100 else None
+            return None if s is None or np.isnan(s) else s
+
+        positives = sum(s > 0.0 for s in sims.values())
+        assert positives == 6 and sims[105] == sims[107] and sims[106] == sims[109] == sims[112]
+        for k in (1, 2, 4, 5, positives, positives + 1, positives + 4, 35):
+            got = predict_rating(1, 100, ds, provider, PredictionConfig(k=k))
+            value, detail, used = oracles.knn_prediction(1, 100, rows, sim, k)
+            assert (got.detail, got.neighbors_used) == (detail, used) == (DETAIL_FULL, min(k, positives)), k
+            assert got.value == pytest.approx(value, abs=1e-12), k
+
     def test_k_saturates_at_candidate_count(self):
         ds, provider = self.hand_world()
         small = predict_rating(1, 100, ds, provider, PredictionConfig(k=2))
