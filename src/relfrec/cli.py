@@ -49,7 +49,7 @@ from .ingest import (
     save_bundle,
     text_stream,
 )
-from .predict import PredictionConfig, predict_rating
+from .predict import FixedRow, PredictionConfig, predict_rating
 from .simcore import PREDICTORS, HybridPolicy, build_item_vectors, make_provider, top_similar_items
 
 log = logging.getLogger(__name__)
@@ -346,14 +346,17 @@ def cmd_predict(args):
     provider = make_provider(args.model, ratings=ratings, index=index, policy=_config(HybridPolicy, args))
     config = _config(PredictionConfig, args)
     pairs = _read_pairs_csv(args.pairs) if args.pairs is not None else [(args.user, args.item)]
-    for user, item in pairs:
+    places = {}  # item -> its pairs' places in the input, so that each item's row is computed once
+    for place, (user, item) in enumerate(pairs):
         _check_known_pair(user, item, ratings, index)
-    for user, item in pairs:
-        pred = predict_rating(user, item, ratings, provider, config)
-        print(
-            f"user={user} item={item} value={pred.value:.4f} "
-            f"detail={pred.detail} neighbors={pred.neighbors_used}"
-        )
+        places.setdefault(item, []).append(place)
+    preds = {}
+    for item, at in places.items():
+        row = FixedRow(provider.row(item, ratings.arrays.items))
+        preds.update((place, predict_rating(pairs[place][0], item, ratings, row, config)) for place in at)
+    for place, (user, item) in enumerate(pairs):
+        pred = preds[place]
+        print(f"user={user} item={item} value={pred.value:.4f} detail={pred.detail} neighbors={pred.neighbors_used}")
     return EXIT_OK
 
 

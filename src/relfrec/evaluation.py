@@ -6,11 +6,11 @@ rebuilds all training-side state (means, arrays, similarity rows) from
 the train records only, predicts every test record, and aggregates
 metrics; sweep_k shares that state, and one neighbor ranking per test
 record, across every k of a fold. It predicts one test item at a time,
-from one row array computed once for that item; when the item's test
-users can read only a small share of its row, the row is computed at
-their rated items alone, with the same bits there, so no metric
-changes. The ranking's own k is read from each Prediction's value, and
-values_at reads only the smaller ks. rmse and mae score two aligned 1-D
+from its rating and content rows, computed once for every predictor;
+when the item's test users can read only a small share of its row, the
+content row is computed at their rated items alone, with the same bits
+there, so no metric changes. The ranking's own k is read from each
+Prediction's value, and values_at reads only the smaller ks. rmse and mae score two aligned 1-D
 arrays, the predicted and the actual ratings. Fallback predictions are
 included in the metrics and counted, never skipped: dropping them would
 flatter predictors that cannot reach cold items.
@@ -32,8 +32,8 @@ from numbers import Integral
 import numpy as np
 
 from .ingest import text_stream
-from .predict import DETAIL_FULL, PredictionConfig, predict_batch, values_at
-from .simcore import make_provider
+from .predict import DETAIL_FULL, FixedRow, PredictionConfig, predict_batch, values_at
+from .simcore import RowSource
 
 log = logging.getLogger(__name__)
 
@@ -43,11 +43,11 @@ KIND_COLD_START = "cold-start"
 
 _DEFAULT_PARAMS = {KIND_KFOLD: 5, KIND_HOLDOUT: 0.8, KIND_COLD_START: 0.05}
 
-# A test item's row is computed only at the columns its test users read when
+# A test item's content row is computed only at the columns its test users read when
 # NARROW_RATIO times the sum of their training-row lengths is below the rated item
-# count. Gathering the read item vectors costs more per cell than the full row's
-# product over vectors gathered once per fold: on 5,700 rated items and 150 dims a
-# narrowed content row broke even at 10-14% of the cells (2-vCPU x86-64 host).
+# count. Gathering the read item vectors costs more per cell than a whole row's
+# product over the index in place: on 5,700 rated items and 150 dims a narrowed
+# content row broke even at about 25% of the cells (2-vCPU x86-64 host, one thread).
 NARROW_RATIO = 10
 
 RESULTS_HEADER = ["predictor", "split", "seed", "k", "fold", "rmse", "mae", "n_predictions", "n_fallbacks"]
@@ -210,23 +210,24 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
     """Evaluate each predictor at each k on one fixed plan.
 
     Per fold, the training side is built once from the train records
-    alone, and one provider per predictor serves every k. Test records
-    are predicted in (item, user) order, one predict_batch call per test
-    item (the target), once each at the largest k. The target's
-    similarity row is asked of its provider once per fold and predictor,
-    and predict_batch reads that one array through _Row; the metric sums
-    do not depend on that order. The largest k is each prediction's own
-    value, and values_at reads every smaller k from the same ranking, bit
-    for bit what predict_rating gives at that k, so a one-k sweep never
-    calls it. The fallbacks, counted from each prediction's detail, are
-    the same at every k. Item vectors come from metadata, not ratings, so
-    a shared index leaks nothing across folds.
+    alone, with one RowSource over its rated items. Test records are
+    predicted in (item, user) order, test item (the target) first, then
+    predictor, from the target's rows that the RowSource computes once
+    each: one predict_batch call per target and predictor reads its row
+    through a FixedRow, once each at the largest k, into a preallocated
+    (test records x ks) array; the metric sums do not depend on that
+    order. The largest k is each prediction's own value, and values_at
+    reads every smaller k from the same ranking, bit for bit what
+    predict_rating gives at that k, so a one-k sweep never calls it. The
+    fallbacks, counted from each prediction's detail, are the same at
+    every k. Item vectors come from metadata, not ratings, so a shared
+    index leaks nothing across folds.
 
     A target's test users read its row at most at the sum of their
     training-row lengths. Where NARROW_RATIO times that bound is below
-    the number of rated items, the row is computed only at the union of
-    their training columns and is NaN elsewhere; a row over
-    a subset of ids keeps the full row's bits there, so every cell does.
+    the number of rated items, its content row is computed only at the
+    union of their training columns, with the whole row's bits there, and
+    is NaN elsewhere, where no prediction reads.
 
     Returns a list of (predictor, k, MetricReport): predictors outer,
     ks inner.
@@ -243,41 +244,33 @@ def sweep_k(ks, predictors, plan, ratings, config=None, index=None, policy=None)
             raise ValueError(f"{what} {repeated!r} is given more than once; each fold would count twice")
     top = replace(config, k=max(ks))
     below = [k for k in ks if k < top.k]
+    top_column, below_columns = ks.index(top.k), [ks.index(k) for k in below]
     fold_reports = {(predictor, k): [] for predictor in predictors for k in ks}
     for fold_idx, train_idx, test_idx in plan.folds():
         train = ratings.subset(train_idx)
-        items = train.arrays.items
+        rows = RowSource(predictors, train.arrays.items, train, index, policy)
         test = test_idx[np.lexsort((ratings.user[test_idx], ratings.item[test_idx]))]
         targets = _targets(ratings.user[test], ratings.item[test], train.arrays)
         actual = ratings.rating[test]
-        for predictor in predictors:
-            # Narrowed rows get a provider of their own: a row over other ids would
-            # make the next whole row gather every rated item's vector again.
-            whole = narrow = None
-            values, below_values, n_fallbacks = [], [], 0
-            for item, pairs, reads in targets:
-                if reads is None:
-                    whole = whole or make_provider(predictor, train, index, policy)
-                    row = whole.row(item, items)
-                else:
-                    narrow = narrow or make_provider(predictor, train, index, policy)
-                    row = np.full(len(items), np.nan)
-                    row[reads] = narrow.row(item, items[reads])
-                preds = predict_batch(pairs, train, _Row(row), top)
-                values += [pred.value for pred in preds]
+        predicted = [np.empty((len(test), len(ks))) for _predictor in predictors]
+        n_fallbacks = [0] * len(predictors)
+        start = 0
+        for item, pairs, reads in targets:
+            stop = start + len(pairs)
+            for p, (values, _from_rating) in enumerate(rows.cells(item, reads)):
+                preds = predict_batch(pairs, train, FixedRow(values), top)
+                predicted[p][start:stop, top_column] = [pred.value for pred in preds]
                 if below:
-                    for pred in preds:
-                        below_values += values_at(pred, below, train)
-                n_fallbacks += len(preds) - [pred.detail for pred in preds].count(DETAIL_FULL)
-            predicted = np.empty((len(values), len(ks)))
-            predicted[:, ks.index(top.k)] = values
-            predicted[:, [ks.index(k) for k in below]] = np.reshape(below_values, (len(values), len(below)))
-            for k, column in zip(ks, predicted.T):
+                    predicted[p][start:stop, below_columns] = [values_at(pred, below, train) for pred in preds]
+                n_fallbacks[p] += len(preds) - [pred.detail for pred in preds].count(DETAIL_FULL)
+            start = stop
+        for predictor, cells, fallbacks in zip(predictors, predicted, n_fallbacks):
+            for k, column in zip(ks, cells.T):
                 report = MetricReport(
                     rmse=rmse(column, actual),
                     mae=mae(column, actual),
                     n_predictions=len(column),
-                    n_fallbacks=n_fallbacks,
+                    n_fallbacks=fallbacks,
                 )
                 fold_reports[predictor, k].append(report)
                 log.info(
@@ -313,22 +306,6 @@ def _targets(users, items, arrays):
             reads[np.concatenate(columns[a:b])] = True
         targets.append((pairs[a][1], pairs[a:b], reads))
     return targets
-
-
-class _Row:
-    """One target's row over the rated items, as predict_batch's provider.
-
-    The row is computed once before its target's records are predicted, so
-    row() hands back that array without a cache check.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = values
-
-    def row(self, item, items):
-        return self.values
 
 
 def _aggregate(plan, fold_reports):

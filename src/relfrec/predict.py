@@ -12,29 +12,28 @@ the neighborhood, which keeps the denominator positive. All means come
 from the training ratings; a target item with no training ratings is
 anchored on the global mean instead.
 
-When no rated item has a positive similarity the prediction falls
-back to the item mean, or the global mean for an unrated item; every
-value is clamped to the dataset's rating scale. Every Prediction
-records which route produced it. The predictor is indifferent to where
-similarities come from: cf, cb and hybrid differ only in the similarity
-rows of the SimilarityProvider that simcore.make_provider builds. A
-prediction reads the target's row over the dataset's rated items at
-the user's ones, counts the positive cells and ranks every candidate
-with one stable argsort of the negated cells, without a boolean-mask
-copy: positives sort ahead of 0.0, -0.0, negatives and NaN, so the first
-min(k, positives) are the top k positive neighbors, ties by ascending
-item id. Their running sums are taken in that order, with no Python
-loop over neighbors. A full Prediction keeps those running sums, so
-values_at reads its value at every smaller k from the one ranking: a k
-sweep ranks each test record once, at its largest k, whose value is
-the Prediction's own. A sweep still calls predict_rating once per test
-record, with the target's row handed in as one array, so a record pays
-for little beyond its numpy calls: a Prediction is a slotted
-dataclass, the running sums come from np.add.accumulate (the ufunc
-cumsum calls, so the same bits), and the clamp is written out in
-place. Rating prediction is the only output:
-the evaluation scores predicted ratings (RMSE/MAE), so there is no
-top-n ranking.
+When no rated item has a positive similarity the prediction falls back
+to the item mean, or the global mean for an unrated item; every value
+is clamped to the dataset's rating scale. Every Prediction records
+which route produced it. The predictor is indifferent to where
+similarities come from: cf, cb and hybrid differ only in the rows of
+the provider, from simcore.make_provider or a FixedRow for a target's
+records. A prediction reads the target's row over the dataset's rated
+items at the user's ones, counts the positive cells and ranks every
+candidate with one stable argsort of the negated cells, without a
+boolean-mask copy: positives sort ahead of 0.0, -0.0, negatives and
+NaN, so the first min(k, positives) are the top k positive neighbors,
+ties by ascending item id. Their running sums are taken in that order,
+with no Python loop over neighbors. A full Prediction keeps those
+running sums, so values_at reads its value at every smaller k from the
+one ranking: a k sweep ranks each test record once, at its largest k,
+whose value is the Prediction's own. A sweep still calls predict_rating
+once per test record, with the target's row handed in as a FixedRow, so
+a record pays for little beyond its numpy calls: a Prediction is a
+slotted dataclass, the running sums come from np.add.accumulate (the
+ufunc cumsum calls, so the same bits), and the clamp is written out in
+place. Rating prediction is the only output: the evaluation scores
+predicted ratings (RMSE/MAE), so there is no top-n ranking.
 """
 
 from __future__ import annotations
@@ -150,6 +149,16 @@ def values_at(prediction, ks, ratings):
         value if k >= n else float(min(max(anchor + float(num[k - 1]) / float(den[k - 1]), r_min), r_max))
         for k in ks
     ]
+
+
+@dataclass(slots=True)
+class FixedRow:
+    """One target's row, computed once, as its records' provider: row() hands it back unchecked."""
+
+    values: np.ndarray
+
+    def row(self, item, items):
+        return self.values
 
 
 def predict_batch(pairs, ratings, provider, config=None):

@@ -17,18 +17,18 @@ The predictors are named after their source: cf (rating cosine), cb
 (RELFsim) and hybrid. PREDICTORS lists them, and make_provider builds
 the one provider type, SimilarityProvider, from such a name.
 
-A provider serves rows: one target item against each id of a sorted
-id array, NaN where undefined. A rating cosine row is computed for its
+A provider serves rows: one target item against each id of a sorted id
+array, NaN where undefined. A rating cosine row is computed for its
 target alone, from the target's co-rating pairs, each cell's sums over
 co-raters taken with numpy's bincount, in the order rating_cosine adds
-them; content rows from one product of the rows of an
-ItemVectorIndex (one matrix over sorted item ids) with the target's
-vector, the same loop for every row, so identical vectors give
-identical cells; hybrid rows pick between the two per cell. Only the
-latest row is kept, so no item-by-item matrix is ever materialized.
-Prediction and top_similar_items both read rows; evaluation asks each
-test item's provider for its row once and hands the predictions that
-array.
+them; content rows from one product of the rows of an ItemVectorIndex
+(one matrix over sorted item ids) with the target's vector, the same
+loop for every row, so identical vectors give identical cells; hybrid
+rows pick between the two per cell. A RowSource computes a target's
+rating and content rows once each and reads every asked predictor's
+row from them by that one choice, one source per fold in evaluation
+and per row in a provider. No row is kept, so no item-by-item matrix
+is ever materialized. Prediction and top_similar_items both read rows.
 """
 
 from __future__ import annotations
@@ -308,35 +308,70 @@ def _rating_row(ratings, item, items, policy=None):
 
 
 class _ContentRows:
-    """RELFsim rows: one matrix-vector product per target item.
+    """RELFsim rows of one target against each id of one sorted id array.
 
-    Gathers the vectors of one id array's items from the index, and their
-    norms from index.norms, with take; a cell is NaN where either vector
-    is missing or zero, whatever was gathered there. einsum runs the same loop for every row,
-    where a BLAS product may sum trailing rows another way, so identical
-    vectors give identical cells and rows are exactly symmetric.
+    The ids' index rows and norms are located once. A whole row is one einsum over index.matrix
+    in place, read at those rows; a row narrowed to a mask of the ids multiplies only the read
+    rows' vectors, and is NaN elsewhere. A cell is NaN where either vector is missing or zero.
+    einsum runs the same loop for every row, where a BLAS product may sum trailing rows another
+    way, so identical vectors give identical cells, rows are exactly symmetric, and a cell has
+    the same bits in a whole and a narrowed row.
     """
 
-    def __init__(self, index):
-        self.index = index
-        self.index_norms = index.norms
-        self.items = None
+    def __init__(self, index, items):
+        self.index, self.norms, self.items = index, index.norms, items
+        self.at, seen = _locate(index.ids, items)
+        self.item_norms = np.zeros(len(items))  # an id without a vector has norm 0
+        self.item_norms[seen] = self.norms[self.at[seen]]
+        self.defined = self.item_norms > 0.0
 
-    def row(self, item, items):
-        if items is not self.items:
-            at, seen = _locate(self.index.ids, items)
-            if len(self.index.ids):  # a take from an empty index raises, and no row of one reads these
-                self.matrix, self.norms = self.index.matrix.take(at, axis=0), self.index_norms.take(at)
-                self.defined = seen & (self.norms > 0.0)
-            self.items = items
-        out = np.full(len(items), np.nan)
+    def row(self, item, reads=None):
+        out = np.full(len(self.items), np.nan)
         t = self.index.find(item)
-        if t is None or self.index_norms[t] == 0.0:
+        if t is None or self.norms[t] == 0.0:
             return out
-        norms = self.norms * self.index_norms[t]
-        np.divide(np.einsum("ij,j->i", self.matrix, self.index.matrix[t]), norms, out=out, where=self.defined)
-        out[items == item] = np.nan
+        vector = self.index.matrix[t]
+        if reads is None:
+            dots = np.einsum("ij,j->i", self.index.matrix, vector)[self.at]
+            np.divide(dots, self.item_norms * self.norms[t], out=out, where=self.defined)
+        else:
+            p = np.flatnonzero(reads & self.defined)
+            out[p] = np.einsum("ij,j->i", self.index.matrix[self.at[p]], vector) / (self.item_norms[p] * self.norms[t])
+        out[self.items == item] = np.nan
         return out
+
+
+class RowSource:
+    """Each asked predictor's row of one target over one sorted id array.
+
+    A target's rating row is computed once if cf or hybrid is asked for, with the warm mask only
+    if hybrid is, and its content row once if cb or hybrid is. Every predictor reads them by
+    hybrid_sim's choice per cell, where(warm | isnan(content), rating, content): cf has no content
+    row, so it takes its rating row whole, and cb has no rating row, so it takes its content row
+    whole, as hybrid does for an unrated target, whose rating row is undefined and never warm."""
+
+    def __init__(self, kinds, items, ratings=None, index=None, policy=None):
+        for kind in kinds:
+            _check_inputs(kind, ratings, index)
+        self.kinds, self.items, self.ratings = kinds, items, ratings
+        self.policy = (policy or HybridPolicy()) if "hybrid" in kinds else None
+        self.rated = "cf" in kinds or "hybrid" in kinds
+        self.content = _ContentRows(index, items) if "cb" in kinds or "hybrid" in kinds else None
+
+    def cells(self, item, reads=None):
+        """[(values, from_rating) per predictor asked] of item; a mask reads narrows the content row alone."""
+        rating, warm = (self.rated and _rating_row(self.ratings, item, self.items, self.policy)) or (None, False)
+        content = None if self.content is None else self.content.row(item, reads)
+        cells = []
+        for kind in self.kinds:
+            if kind == "cf":  # the rule without a content row: every cell is the rating row's
+                cells.append((np.full(len(self.items), np.nan) if rating is None else rating, True))
+            elif kind == "cb" or rating is None:  # without a rating row: every cell is the content row's
+                cells.append((content, False))
+            else:
+                from_rating = warm | np.isnan(content)
+                cells.append((np.where(from_rating, rating, content), from_rating))
+        return cells
 
 
 class SimilarityProvider:
@@ -344,28 +379,27 @@ class SimilarityProvider:
 
     ``row(item, items)`` gives item's similarity to each id of a sorted
     id array: a float array, NaN where undefined and at item itself.
-    ``items`` is the sorted array of ids it can compare. The latest row
-    is kept, and it is the only cache: evaluation asks for each test
-    item's row once per fold and predictor, in item order, over the rated
-    items or the few of them its test users read, and its test users'
-    predictions read that array itself, not the provider.
-    Build providers with make_provider.
+    ``items`` is the sorted array of ids it can compare. The provider keeps
+    no row: each ask computes its row, so a caller that reads one row for
+    many records asks once and keeps the array, as evaluation.sweep_k and
+    ``relfrec predict`` do. Build providers with make_provider.
     """
 
     def __init__(self, row, items):
         self.items = items
-        self._row = row
-        self._latest_item = self._latest_items = None
+        self._row = row  # (item, items) -> (values, from_rating)
 
     def row(self, item, items):
-        if item != self._latest_item or items is not self._latest_items:
-            self._values, self._from_rating = self._row(item, items)
-            self._latest_item, self._latest_items = item, items
-        return self._values
+        return self._row(item, items)[0]
 
-    def _computed(self, item, items):
-        """(values, from_rating) of a row: from_rating marks rating cells, as a mask or one bool."""
-        return self.row(item, items), self._from_rating
+
+def _check_inputs(kind, ratings, index):
+    if kind not in PREDICTORS:
+        raise ValueError(f"unknown predictor {kind!r}; expected one of {PREDICTORS}")
+    if kind != "cb" and ratings is None:
+        raise ValueError(f"{kind} provider needs a rating dataset")
+    if kind != "cf" and index is None:
+        raise ValueError(f"{kind} provider needs an item vector index")
 
 
 def make_provider(kind, ratings=None, index=None, policy=None):
@@ -376,36 +410,13 @@ def make_provider(kind, ratings=None, index=None, policy=None):
     compares their union. Unlike the raw rating_cosine function, cf
     treats an item the ratings never saw as undefined against everything:
     that is a cold item in evaluation, left to the predictor's fallbacks.
-    Every kind serves rows over any sorted id array.
+    Every kind serves rows over any sorted id array, from a RowSource each.
     """
-    if kind not in PREDICTORS:
-        raise ValueError(f"unknown predictor {kind!r}; expected one of {PREDICTORS}")
-    if kind != "cb" and ratings is None:
-        raise ValueError(f"{kind} provider needs a rating dataset")
-    if kind != "cf" and index is None:
-        raise ValueError(f"{kind} provider needs an item vector index")
-    if kind == "cf":
-        def cf_row(item, items):
-            rating = _rating_row(ratings, item, items)
-            return np.full(len(items), np.nan) if rating is None else rating[0], True
-
-        return SimilarityProvider(cf_row, ratings.arrays.items)
-    content = _ContentRows(index)
-    if kind == "cb":
-        return SimilarityProvider(lambda item, items: (content.row(item, items), False), index.ids)
-    policy = policy or HybridPolicy()
-
-    def hybrid_row(item, items):
-        rating = _rating_row(ratings, item, items, policy)
-        row = content.row(item, items)
-        if rating is None:
-            return row, False
-        values, warm = rating
-        from_rating = warm | np.isnan(row)
-        return np.where(from_rating, values, row), from_rating
-
-    rated = ratings.arrays.items
-    return SimilarityProvider(hybrid_row, np.sort(np.append(rated, index.ids[~_locate(rated, index.ids)[1]])))
+    _check_inputs(kind, ratings, index)
+    items = index.ids if kind == "cb" else ratings.arrays.items
+    if kind == "hybrid":
+        items = np.sort(np.append(items, index.ids[~_locate(items, index.ids)[1]]))
+    return SimilarityProvider(lambda item, ids: RowSource((kind,), ids, ratings, index, policy).cells(item)[0], items)
 
 
 def top_similar_items(provider, item_id, n):
@@ -417,7 +428,7 @@ def top_similar_items(provider, item_id, n):
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     ids = provider.items
-    values, from_rating = provider._computed(item_id, ids)
+    values, from_rating = provider._row(item_id, ids)
     from_rating = np.broadcast_to(from_rating, values.shape)
     defined = np.flatnonzero(~np.isnan(values))
     top = defined[(-values[defined]).argsort(kind="stable")[:n]]

@@ -12,13 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from relfrec import embed
+from relfrec import embed, simcore
 from relfrec.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_UNKNOWN_ID, _config, build_parser, main
 from relfrec.embed import TrainConfig, load_embeddings
 from relfrec.evaluation import evaluate, make_split, results_rows, write_results_csv
 from relfrec.ingest import RatingDataset, clean_and_join, load_bundle, parse_item_features, parse_ratings
-from relfrec.predict import PredictionConfig
-from relfrec.simcore import HybridPolicy, build_item_vectors, relf_sim
+from relfrec.predict import PredictionConfig, predict_rating
+from relfrec.simcore import HybridPolicy, build_item_vectors, make_provider, relf_sim
 
 import oracles
 import synthdata
@@ -553,6 +553,29 @@ class TestPredict:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
         assert lines[1].startswith("user=2 item=3")
+
+    @pytest.mark.parametrize("model", ["cf", "hybrid"])
+    def test_pairs_sum_each_items_row_once(self, workdir, tmp_path, monkeypatch, capsys, model):
+        """A pairs file that comes back to an item sums its rating row once, and
+        prints, in input order, what predict_rating gives for each pair."""
+        bundle = load_bundle(workdir / "bundle")
+        ratings = bundle.ratings
+        index = build_item_vectors(bundle.sentences, load_embeddings(workdir / "vecs.txt"))
+        provider = make_provider(model, ratings, index, HybridPolicy())
+        items = ratings.arrays.items[[5, 0, 3]].tolist()
+        pairs = [(u, i) for u in sorted(ratings.arrays.rows)[:4] for i in items]
+        want = []
+        for u, i in pairs:
+            pred = predict_rating(u, i, ratings, provider, PredictionConfig())
+            want.append(f"user={u} item={i} value={pred.value:.4f} detail={pred.detail} neighbors={pred.neighbors_used}")
+        (tmp_path / "pairs.csv").write_text("user,item\n" + "".join(f"{u},{i}\n" for u, i in pairs))
+        summed, pair_sums = [], simcore._pair_sums
+        monkeypatch.setattr(simcore, "_pair_sums", lambda arrays, t, *a: summed.append(t) or pair_sums(arrays, t, *a))
+        rc = main(["predict", "--bundle", str(workdir / "bundle"), "--embeddings", str(workdir / "vecs.txt"),
+                   "--model", model, "--pairs", str(tmp_path / "pairs.csv")])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == want
+        assert len(summed) == len(items)
 
     @pytest.mark.parametrize("first", ["12,x7", "12", "x7,12"])
     def test_pairs_csv_bad_first_line_exit_code(self, workdir, tmp_path, caplog, capsys, first):

@@ -1,6 +1,7 @@
 """Offline evaluation: metrics, split plans, evaluate, sweeps, results."""
 
 import io
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -435,26 +436,35 @@ class TestSweepK:
 
     @pytest.mark.parametrize("kind", ["cold-start(0.25)", "kfold(3)"])
     def test_rating_rows_summed_once_per_item_across_ks(self, monkeypatch, kind):
+        """In a sweep over cf, cb and hybrid, each rated test item's rating row
+        is summed once per fold and each test item's content row computed once
+        per fold: the predictors share them."""
         ds = random_world(17, n_users=16, n_items=10)
         plan = make_split(ds, kind, seed=5)
         index = full_coverage_index(dict.fromkeys(ds.item.tolist()))
-        summed = []
-        pair_sums = simcore._pair_sums
+        summed, contents = [], []
+        pair_sums, content_row = simcore._pair_sums, simcore._ContentRows.row
 
         def counted(arrays, t, *args):
             summed.append(int(arrays.items[t]))
             return pair_sums(arrays, t, *args)
 
+        def counted_content(self, item, *args):
+            contents.append(item)
+            return content_row(self, item, *args)
+
         monkeypatch.setattr(simcore, "_pair_sums", counted)
-        sweep_k((1, 3, 35), ["cf", "hybrid"], plan, ds, index=index)
-        expected = []
+        monkeypatch.setattr(simcore._ContentRows, "row", counted_content)
+        sweep_k((1, 3, 35), ["cf", "cb", "hybrid"], plan, ds, index=index)
+        expected, expected_contents = [], []
         for _f, train_idx, test_idx in plan.folds():
             train = ds.subset(train_idx).arrays
             test = [ds.records[i][:2] for i in test_idx]
             assert test
-            rated = sorted({i for u, i in test if i in train.position and u in train.rows})
-            expected += rated * 2  # once for cf, once for hybrid
+            expected += sorted({i for _u, i in test if i in train.position})
+            expected_contents += sorted({i for _u, i in test})
         assert summed == expected
+        assert contents == expected_contents
         # Cold-start test items have no training ratings: no row is summed.
         assert (summed == []) == (kind == "cold-start(0.25)")
 
@@ -588,9 +598,10 @@ class TestSweepK:
             sweep_k([5], ("cf", "cf"), plan, ds)
 
     def test_one_predict_batch_call_per_test_item(self, monkeypatch):
-        """One predict_batch call per fold, predictor and test item, items
-        ascending and each call's users ascending; a row computed at its
-        test users' columns alone gives the cells of the whole row."""
+        """One predict_batch call per fold, test item and predictor, items
+        ascending, each item's predictors in the order asked and each call's
+        users ascending; a row computed at its test users' columns alone
+        gives the cells of the whole row."""
         ds, index = sparse_world()
         plan = make_split(ds, "kfold(3)", seed=4)
         calls = spy_batches(monkeypatch)
@@ -598,8 +609,8 @@ class TestSweepK:
         want = []
         for _f, _train, test_idx in plan.folds():
             pairs = sorted((ds.records[r][1], ds.records[r][0]) for r in test_idx)
-            for item in sorted({i for i, _u in pairs}) * 2:  # cf, then hybrid
-                want.append([(u, i) for i, u in pairs if i == item])
+            for item in sorted({i for i, _u in pairs}):
+                want += [[(u, i) for i, u in pairs if i == item]] * 2  # cf, then hybrid
         assert [pairs for pairs, _narrowed in calls] == want
         assert {narrowed for _pairs, narrowed in calls} == {False, True}
         calls.clear()
@@ -607,26 +618,45 @@ class TestSweepK:
         assert sweep_k([1, 5], ["cf", "hybrid"], plan, ds, index=index) == table
         assert {narrowed for _pairs, narrowed in calls} == {False}
 
-    def test_whole_rows_gather_the_item_vectors_once_per_fold(self, monkeypatch):
-        # A narrowed row between two whole rows leaves the whole rows' gathered vectors alone.
+    def test_whole_rows_gather_no_item_vectors(self, monkeypatch):
+        """A whole content row multiplies index.matrix in place; a narrowed row
+        gathers and multiplies the vectors of its read columns alone. cb and
+        hybrid share one product per target with a vector."""
         ds, index = sparse_world()
         plan = make_split(ds, "kfold(3)", seed=3)
-        calls, gathers = spy_batches(monkeypatch), []
-        original = simcore._ContentRows.row
+        found, products = [], []
+        targets, einsum = evaluation._targets, np.einsum
 
-        def row(self, item, items):
-            if items is not self.items:
-                gathers.append(len(items))
-            return original(self, item, items)
+        def spied_targets(users, items, arrays):
+            result = targets(users, items, arrays)
+            found.extend((item, None if reads is None else arrays.items[reads]) for item, _pairs, reads in result)
+            return result
 
-        monkeypatch.setattr(simcore._ContentRows, "row", row)
+        def spied_einsum(subscripts, matrix, vector):
+            products.append(matrix)
+            return einsum(subscripts, matrix, vector)
+
+        monkeypatch.setattr(evaluation, "_targets", spied_targets)
+        monkeypatch.setattr(np, "einsum", spied_einsum)
         sweep_k([5], ["cb", "hybrid"], plan, ds, index=index)
-        narrowed = [n for _pairs, n in calls]
-        assert (True, False) in zip(narrowed, narrowed[1:])
-        rated = [len(ds.subset(train_idx).arrays.items) for _f, train_idx, _test in plan.folds()]
-        whole = [n for n in gathers if n in rated]
-        assert whole == [n for n in rated for _predictor in ("cb", "hybrid")]
-        assert len(gathers) - len(whole) == sum(narrowed)
+        want = [None if read is None else int(np.isin(read, index.ids).sum()) for item, read in found if item in index]
+        assert [None if matrix is index.matrix else len(matrix) for matrix in products] == want
+        assert None in want and any(want)
+
+    @pytest.mark.parametrize("kind", ["kfold(3)", "cold-start(0.2)"])
+    def test_shared_rows_give_each_predictor_its_own_sweep(self, monkeypatch, kind):
+        """Every order and subset of the predictors gives each one the reports
+        of its one-predictor sweep: hybrid asked before cf or cb changes
+        neither's cells, over narrowed and whole rows."""
+        ds, index = sparse_world()
+        plan = make_split(ds, kind, seed=3)
+        calls, ks = spy_batches(monkeypatch), (1, 5, 35)
+        alone = {p: sweep_k(ks, [p], plan, ds, index=index) for p in ("cf", "cb", "hybrid")}
+        for n in (2, 3):
+            for predictors in itertools.permutations(("cf", "cb", "hybrid"), n):
+                table = sweep_k(ks, predictors, plan, ds, index=index)
+                assert table == [cell for p in predictors for cell in alone[p]], predictors
+        assert {narrowed for _pairs, narrowed in calls} == {False, True}
 
     @pytest.mark.parametrize("kind", ["kfold(3)", "cold-start(0.2)"])
     def test_every_test_record_is_predicted_once_per_predictor(self, monkeypatch, kind):

@@ -15,6 +15,7 @@ from relfrec.simcore import (
     SOURCE_CONTENT,
     SOURCE_RATING,
     HybridPolicy,
+    ItemVectorIndex,
     SimilarityProvider,
     build_item_vectors,
     hybrid_sim,
@@ -476,11 +477,12 @@ class TestProviders:
     def test_providers_over_one_index_share_its_norms(self, monkeypatch):
         made = []
         init = simcore._ContentRows.__init__
-        monkeypatch.setattr(simcore._ContentRows, "__init__", lambda rows, index: made.append(rows) or init(rows, index))
+        monkeypatch.setattr(simcore._ContentRows, "__init__",
+                            lambda rows, index, items: made.append(rows) or init(rows, index, items))
         for kind in ("cb", "hybrid", "cb"):
             make_provider(kind, self.ratings, self.index).row(2, self.index.ids)
         assert len(made) == 3
-        assert all(rows.index_norms is self.index.norms for rows in made)
+        assert all(rows.norms is self.index.norms for rows in made)
 
     def test_make_provider_missing_inputs(self):
         with pytest.raises(ValueError):
@@ -652,19 +654,27 @@ class TestRows:
             for i in items for j in items if i != j
         )
 
-    def test_latest_row_is_reused(self, monkeypatch):
-        ratings, index = row_world(3, 1.0)
-        summed = []
-        pair_sums = simcore._pair_sums
-        monkeypatch.setattr(simcore, "_pair_sums", lambda arrays, t, *a: summed.append(t) or pair_sums(arrays, t, *a))
-        items, position = ratings.arrays.items, ratings.arrays.position
-        for kind in PREDICTORS:
-            summed.clear()
-            provider = make_provider(kind, ratings, index)
-            a = provider.row(5, items)
-            assert provider.row(5, items) is a
-            assert provider.row(6, items) is not a
-            assert summed == ([] if kind == "cb" else [position[5], position[6]]), kind
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dim", [1, 5, 16, 150])
+    def test_content_cells_keep_their_bits_in_narrowed_rows(self, dim, order):
+        # A whole row multiplies the index matrix in place, a narrowed row its read
+        # rows gathered; einsum gives a cell the same bits either way, in either order.
+        rng = np.random.default_rng(dim)
+        ids = np.sort(rng.choice(5000, 600, replace=False)) + 1
+        matrix = np.asarray(rng.normal(size=(len(ids), dim)), order=order)
+        matrix[7] = 0.0
+        index = ItemVectorIndex(ids=ids, matrix=matrix, coverage=np.ones(len(ids), dtype=np.int64))
+        items = np.union1d(ids[::2], [0, 5001, 6000])  # half the indexed ids and three without vectors
+        rows, defined = simcore._ContentRows(index, items), 0
+        for target in rng.choice(ids, 12).tolist() + [ids[7], 0]:
+            whole = rows.row(target)
+            defined += np.count_nonzero(~np.isnan(whole))
+            for share in (0.02, 0.3, 1.0):
+                reads = rng.random(len(items)) < share
+                narrowed = rows.row(target, reads)
+                assert np.array_equal(narrowed[reads], whole[reads], equal_nan=True), (target, share)
+                assert np.isnan(narrowed[~reads]).all()
+        assert defined > 12 * 250
 
     @pytest.mark.parametrize("kind", ["cf", "hybrid"])
     def test_row_sums_only_the_target_pairs(self, monkeypatch, kind):
